@@ -42,7 +42,7 @@ from .quadrature import gauss_hermite_points, unscented_points
 from .resampling import ess, multinomial_resample, systematic_resample
 from .results import FusedPosterior, RunResult, fuse_param_posterior
 from .rng import RngStream, substream
-from .storage import ParticleStore, payload_allocations
+from .storage import ParticleStore
 
 __version__ = "0.1.0"
 
@@ -80,7 +80,6 @@ __all__ = [
     "monte_carlo",
     "mse",
     "multinomial_resample",
-    "payload_allocations",
     "pf_log_likelihood",
     "run_assumed_density_filter",
     "run_bootstrap_filter",

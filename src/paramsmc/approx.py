@@ -354,6 +354,15 @@ def enumerate_codes(cardinalities: np.ndarray) -> np.ndarray:
     return np.stack([g.ravel() for g in grids], axis=1).astype(np.int64)
 
 
+def exhaustive_log_prior(tables: np.ndarray, codes: np.ndarray) -> np.ndarray:
+    """Per-code log mass (B, J) of enumerated codes (J, p) under stacked tables (B, p, C)."""
+    log_prior = np.zeros((tables.shape[0], codes.shape[0]))
+    with np.errstate(divide="ignore"):
+        for i in range(codes.shape[1]):
+            log_prior += np.log(tables[:, i, codes[:, i]])
+    return log_prior
+
+
 def batch_discrete_match(
     tables: np.ndarray,
     cardinalities: np.ndarray,
@@ -476,10 +485,7 @@ def discrete_update(
     cards = q_prev.cardinalities
     if q_prev.joint_cardinality() <= m:
         codes = enumerate_codes(cards)
-        log_prior = np.zeros((1, codes.shape[0]))
-        with np.errstate(divide="ignore"):
-            for i in range(q_prev.dim):
-                log_prior[0] += np.log(q_prev.tables[i, codes[:, i]])
+        log_prior = exhaustive_log_prior(tables, codes)
         log_t_vals = np.asarray(log_t(codes)).reshape(1, -1)
     else:
         if rng is None:

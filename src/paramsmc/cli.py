@@ -146,8 +146,23 @@ def _parse_vector(text):
     return [float(v) for v in str(text).split(",") if v != ""]
 
 
+def _file_sha256(path) -> str:
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
+
+
 def _run_id(cfg: dict) -> str:
-    canon = json.dumps(cfg, sort_keys=True, default=str)
+    """Hash of the semantic config.
+
+    Where the outputs go and how many workers run a sweep do not change a
+    run, so out and workers are left out; the data and exact input files
+    count by their sha256 digest, not by their path.
+    """
+    semantic = {k: v for k, v in cfg.items() if k not in ("out", "workers")}
+    for key in ("data", "exact"):
+        if semantic.get(key):
+            semantic[key] = _file_sha256(semantic[key])
+    canon = json.dumps(semantic, sort_keys=True, default=str)
     return hashlib.sha1(canon.encode()).hexdigest()[:12]
 
 
@@ -255,7 +270,6 @@ def run_experiment(cfg: dict) -> tuple[list[ResultRow], dict]:
                 spread=tuple(np.diag(result.param_cov[t])),
                 ess=float(result.ess[t]),
                 wall_clock_ms=float(result.step_ms[t]),
-                alloc_count=int(result.step_allocations[t]),
                 mse=None,
                 kl=None,
             )
@@ -267,7 +281,6 @@ def run_experiment(cfg: dict) -> tuple[list[ResultRow], dict]:
         "estimate": result.estimate,
         "log_marginal_lik": result.log_marginal_lik,
         "elapsed_s": result.elapsed_s,
-        "steady_state_allocations": int(result.step_allocations[2:].sum()),
         "notes": result.notes,
     }
     if result.fused.kind == "mixture":
@@ -309,7 +322,6 @@ def _pmmh_rows(cfg, run_id, model, result) -> list[ResultRow]:
                 spread=tuple(np.zeros(p)),
                 ess=None,
                 wall_clock_ms=per_iter_ms,
-                alloc_count=0,
                 mse=None,
                 kl=None,
             )
@@ -511,7 +523,6 @@ def _oracle_row(cfg, model, kind, timestep, estimate, spread) -> ResultRow:
         spread=tuple(np.atleast_1d(spread)),
         ess=None,
         wall_clock_ms=0.0,
-        alloc_count=0,
         mse=None,
         kl=None,
     )

@@ -33,6 +33,7 @@ from .approx import (
     batch_mixture_match,
     batch_moment_match,
     enumerate_codes,
+    exhaustive_log_prior,
     sample_codes,
 )
 from .errors import ConfigError, UnsupportedParameterKindError
@@ -52,7 +53,7 @@ from .results import (
     fuse_tables,
 )
 from .rng import substream
-from .storage import ParticleStore, alloc, payload_allocations
+from .storage import ParticleStore
 
 
 @dataclass
@@ -117,216 +118,163 @@ def _resample_probs(w: np.ndarray, rng: np.random.Generator, kind: str) -> np.nd
 
 
 # ---------------------------------------------------------------------------
-# Per-particle approximation clouds: stacked arrays plus double buffers so
-# the steady state never allocates payload memory.
+# Per-particle approximation clouds: the N posteriors as named stacked
+# arrays, particle axis first.  Every operation replaces the arrays rather
+# than writing into them, so a row gathered before an update never aliases
+# the cloud.
 # ---------------------------------------------------------------------------
 
 
-class _GaussianCloud:
+class _Cloud:
+    """Shared row bookkeeping; subclasses supply the family's update."""
+
+    def __init__(self, **arrays: np.ndarray):
+        self.arrays = arrays
+        self.n = next(iter(arrays.values())).shape[0]
+
+    def take(self, rows: np.ndarray) -> None:
+        """Row i becomes old row rows[i]: permutation or resampling."""
+        self.arrays = {k: np.take(v, rows, axis=0) for k, v in self.arrays.items()}
+
+    def update_scatter(self, u, inv, eval_logt, scheme, rng) -> tuple[int, int]:
+        """Update rows u from their own data, scatter to all rows via inv."""
+        prev = {k: np.take(v, u, axis=0) for k, v in self.arrays.items()}
+        new, ok = self.update(prev, u, eval_logt, scheme, rng)
+        self.arrays = new
+        self.take(inv)
+        return len(u), int(np.sum(~ok))
+
+
+class _GaussianCloud(_Cloud):
     kind = "gaussian"
 
     def __init__(self, n: int, prior_mean: np.ndarray, prior_cov: np.ndarray):
         p = prior_mean.shape[0]
-        self.n, self.p = n, p
-        self.means = alloc((n, p))
-        self.covs = alloc((n, p, p))
-        self.means[:] = prior_mean
-        self.covs[:] = prior_cov
-        self._means_alt = alloc((n, p))
-        self._covs_alt = alloc((n, p, p))
-        self.theta_buf = alloc((n, p))
-
-    def permute(self, perm: np.ndarray) -> None:
-        self.means[:] = self.means[perm]
-        self.covs[:] = self.covs[perm]
+        super().__init__(
+            means=np.broadcast_to(prior_mean, (n, p)).copy(),
+            covs=np.broadcast_to(prior_cov, (n, p, p)).copy(),
+        )
+        self.p = p
 
     def sample_params(self, rng: np.random.Generator) -> np.ndarray:
+        means, covs = self.arrays["means"], self.arrays["covs"]
         z = rng.standard_normal((self.n, self.p))
         if self.p == 1:
-            np.multiply(np.sqrt(self.covs[:, :, 0]), z, out=self.theta_buf)
-        else:
-            chols = np.linalg.cholesky(self.covs)
-            np.einsum("nij,nj->ni", chols, z, out=self.theta_buf)
-        self.theta_buf += self.means
-        return self.theta_buf
+            return np.sqrt(covs[:, :, 0]) * z + means
+        return np.einsum("nij,nj->ni", np.linalg.cholesky(covs), z) + means
 
-    def resample(self, anc: np.ndarray) -> None:
-        np.take(self.means, anc, axis=0, out=self._means_alt)
-        np.take(self.covs, anc, axis=0, out=self._covs_alt)
-        self.means, self._means_alt = self._means_alt, self.means
-        self.covs, self._covs_alt = self._covs_alt, self.covs
-
-    def update_scatter(self, u, inv, eval_logt, scheme, rng) -> tuple[int, int]:
-        """Update rows u from their own data, scatter to all rows via inv."""
-        prev_m = self.means[u]
-        prev_c = self.covs[u]
-        points, logw = batch_gaussian_points(prev_m, prev_c, scheme, rng)
+    def update(self, prev, u, eval_logt, scheme, rng):
+        points, logw = batch_gaussian_points(prev["means"], prev["covs"], scheme, rng)
         logt = eval_logt(u, points)
-        new_m, new_c, _, ok = batch_moment_match(points, logw, logt, prev_m, prev_c)
-        np.take(new_m, inv, axis=0, out=self._means_alt)
-        np.take(new_c, inv, axis=0, out=self._covs_alt)
-        self.means, self._means_alt = self._means_alt, self.means
-        self.covs, self._covs_alt = self._covs_alt, self.covs
-        return len(u), int(np.sum(~ok))
+        means, covs, _, ok = batch_moment_match(points, logw, logt, prev["means"], prev["covs"])
+        return {"means": means, "covs": covs}, ok
 
     def step_summary(self) -> tuple[np.ndarray, np.ndarray]:
-        mean = self.means.mean(axis=0)
-        dev = self.means - mean
-        cov = self.covs.mean(axis=0) + dev.T @ dev / self.n
+        means, covs = self.arrays["means"], self.arrays["covs"]
+        mean = means.mean(axis=0)
+        dev = means - mean
+        cov = covs.mean(axis=0) + dev.T @ dev / self.n
         return mean, cov
 
-    def step_tables(self):
-        return None
-
     def fuse(self) -> FusedPosterior:
-        return fuse_gaussians(self.means.copy(), self.covs.copy())
+        return fuse_gaussians(self.arrays["means"], self.arrays["covs"])
 
 
-class _MixtureCloud:
+class _MixtureCloud(_Cloud):
     kind = "mixture"
 
     def __init__(self, n: int, l: int, prior_means: np.ndarray, prior_cov: np.ndarray):
         p = prior_cov.shape[0]
-        self.n, self.l, self.p = n, l, p
-        self.alphas = alloc((n, l))
-        self.means = alloc((n, l, p))
-        self.covs = alloc((n, l, p, p))
-        self.alphas[:] = 1.0 / l
-        self.means[:] = prior_means
-        self.covs[:] = prior_cov
-        self._alphas_alt = alloc((n, l))
-        self._means_alt = alloc((n, l, p))
-        self._covs_alt = alloc((n, l, p, p))
-        self.theta_buf = alloc((n, p))
-
-    def permute(self, perm: np.ndarray) -> None:
-        self.alphas[:] = self.alphas[perm]
-        self.means[:] = self.means[perm]
-        self.covs[:] = self.covs[perm]
+        super().__init__(
+            alphas=np.full((n, l), 1.0 / l),
+            means=np.broadcast_to(prior_means, (n, l, p)).copy(),
+            covs=np.broadcast_to(prior_cov, (n, l, p, p)).copy(),
+        )
+        self.l, self.p = l, p
 
     def sample_params(self, rng: np.random.Generator) -> np.ndarray:
-        cdf = np.cumsum(self.alphas, axis=1)
+        alphas, means, covs = self.arrays["alphas"], self.arrays["means"], self.arrays["covs"]
+        cdf = np.cumsum(alphas, axis=1)
         u = rng.random((self.n, 1))
         comp = (u >= cdf).sum(axis=1).clip(max=self.l - 1)
         rows = np.arange(self.n)
-        sel_means = self.means[rows, comp]
+        sel_means = means[rows, comp]
         z = rng.standard_normal((self.n, self.p))
         if self.p == 1:
-            np.multiply(np.sqrt(self.covs[rows, comp][:, :, 0]), z, out=self.theta_buf)
-        else:
-            sel_chols = np.linalg.cholesky(self.covs[rows, comp])
-            np.einsum("nij,nj->ni", sel_chols, z, out=self.theta_buf)
-        self.theta_buf += sel_means
-        return self.theta_buf
+            return np.sqrt(covs[rows, comp][:, :, 0]) * z + sel_means
+        return np.einsum("nij,nj->ni", np.linalg.cholesky(covs[rows, comp]), z) + sel_means
 
-    def resample(self, anc: np.ndarray) -> None:
-        np.take(self.alphas, anc, axis=0, out=self._alphas_alt)
-        np.take(self.means, anc, axis=0, out=self._means_alt)
-        np.take(self.covs, anc, axis=0, out=self._covs_alt)
-        self.alphas, self._alphas_alt = self._alphas_alt, self.alphas
-        self.means, self._means_alt = self._means_alt, self.means
-        self.covs, self._covs_alt = self._covs_alt, self.covs
-
-    def update_scatter(self, u, inv, eval_logt, scheme, rng) -> tuple[int, int]:
+    def update(self, prev, u, eval_logt, scheme, rng):
         k = len(u)
-        prev_a = self.alphas[u]
-        prev_m = self.means[u]
-        prev_c = self.covs[u]
-        flat_m = prev_m.reshape(k * self.l, self.p)
-        flat_c = prev_c.reshape(k * self.l, self.p, self.p)
+        flat_m = prev["means"].reshape(k * self.l, self.p)
+        flat_c = prev["covs"].reshape(k * self.l, self.p, self.p)
         points, logw = batch_gaussian_points(flat_m, flat_c, scheme, rng)
         logt = eval_logt(np.repeat(u, self.l), points)
-        new_a, new_m, new_c, ok = batch_mixture_match(
-            prev_a, prev_m, prev_c, points, logw, logt
+        alphas, means, covs, ok = batch_mixture_match(
+            prev["alphas"], prev["means"], prev["covs"], points, logw, logt
         )
-        np.take(new_a, inv, axis=0, out=self._alphas_alt)
-        np.take(new_m, inv, axis=0, out=self._means_alt)
-        np.take(new_c, inv, axis=0, out=self._covs_alt)
-        self.alphas, self._alphas_alt = self._alphas_alt, self.alphas
-        self.means, self._means_alt = self._means_alt, self.means
-        self.covs, self._covs_alt = self._covs_alt, self.covs
-        return len(u), int(np.sum(~ok))
+        return {"alphas": alphas, "means": means, "covs": covs}, ok
+
+    def _flat(self):
+        w = (self.arrays["alphas"] / self.n).ravel()
+        means = self.arrays["means"].reshape(-1, self.p)
+        covs = self.arrays["covs"].reshape(-1, self.p, self.p)
+        return w, means, covs
 
     def step_summary(self) -> tuple[np.ndarray, np.ndarray]:
-        w = self.alphas / self.n
-        flat_w = w.ravel()
-        flat_m = self.means.reshape(-1, self.p)
+        flat_w, flat_m, flat_c = self._flat()
         mean = flat_w @ flat_m
         dev = flat_m - mean
-        cov = np.einsum("k,kpq->pq", flat_w, self.covs.reshape(-1, self.p, self.p))
+        cov = np.einsum("k,kpq->pq", flat_w, flat_c)
         cov += np.einsum("k,kp,kq->pq", flat_w, dev, dev)
         return mean, cov
 
-    def step_tables(self):
-        return None
-
     def fuse(self) -> FusedPosterior:
-        w = (self.alphas / self.n).ravel().copy()
-        return fuse_gaussians(
-            self.means.reshape(-1, self.p).copy(),
-            self.covs.reshape(-1, self.p, self.p).copy(),
-            w,
-        )
+        w, means, covs = self._flat()
+        return fuse_gaussians(means, covs, w)
 
 
-class _DiscreteCloud:
+class _DiscreteCloud(_Cloud):
     kind = "discrete"
 
     def __init__(self, n: int, prior_tables: np.ndarray, cardinalities: np.ndarray, m_samples: int):
         p, cmax = prior_tables.shape
-        self.n, self.p, self.cmax = n, p, cmax
+        super().__init__(tables=np.broadcast_to(prior_tables, (n, p, cmax)).copy())
+        self.cmax = cmax
         self.cards = np.asarray(cardinalities, dtype=np.int64)
         self.m_samples = m_samples
-        self.tables = alloc((n, p, cmax))
-        self.tables[:] = prior_tables
-        self._tables_alt = alloc((n, p, cmax))
-        self.theta_buf = alloc((n, p), dtype=np.int64)
         joint = float(np.prod(self.cards.astype(np.float64)))
         self.exhaustive = joint <= m_samples
         self._exh_codes = enumerate_codes(self.cards) if self.exhaustive else None
 
-    def permute(self, perm: np.ndarray) -> None:
-        self.tables[:] = self.tables[perm]
-
     def sample_params(self, rng: np.random.Generator) -> np.ndarray:
-        self.theta_buf[:] = sample_codes(self.tables, rng, 1)[:, 0, :]
-        return self.theta_buf
+        return sample_codes(self.arrays["tables"], rng, 1)[:, 0, :]
 
-    def resample(self, anc: np.ndarray) -> None:
-        np.take(self.tables, anc, axis=0, out=self._tables_alt)
-        self.tables, self._tables_alt = self._tables_alt, self.tables
-
-    def update_scatter(self, u, inv, eval_logt, scheme, rng) -> tuple[int, int]:
-        prev = self.tables[u]
+    def update(self, prev, u, eval_logt, scheme, rng):
+        tables = prev["tables"]
         if self.exhaustive:
             codes = self._exh_codes
-            k = len(u)
-            log_prior = np.zeros((k, codes.shape[0]))
-            with np.errstate(divide="ignore"):
-                for i in range(self.p):
-                    log_prior += np.log(prev[:, i, codes[:, i]])
-            codes_b = np.broadcast_to(codes[None, :, :], (k,) + codes.shape)
+            log_prior = exhaustive_log_prior(tables, codes)
+            codes_b = np.broadcast_to(codes[None, :, :], (len(u),) + codes.shape)
         else:
-            codes_b = sample_codes(prev, rng, self.m_samples)
+            codes_b = sample_codes(tables, rng, self.m_samples)
             log_prior = None
         logt = eval_logt(u, codes_b)
-        new_tables, ok = batch_discrete_match(prev, self.cards, codes_b, log_prior, logt)
-        np.take(new_tables, inv, axis=0, out=self._tables_alt)
-        self.tables, self._tables_alt = self._tables_alt, self.tables
-        return len(u), int(np.sum(~ok))
+        new_tables, ok = batch_discrete_match(tables, self.cards, codes_b, log_prior, logt)
+        return {"tables": new_tables}, ok
 
     def step_summary(self) -> tuple[np.ndarray, np.ndarray]:
-        fused = self.tables.mean(axis=0)
+        fused = self.step_tables()
         values = np.arange(self.cmax)
         mean = fused @ values
         second = fused @ (values * values)
         return mean, np.diag(second - mean * mean)
 
     def step_tables(self) -> np.ndarray:
-        return self.tables.mean(axis=0)
+        return self.arrays["tables"].mean(axis=0)
 
     def fuse(self) -> FusedPosterior:
-        return fuse_tables(self.tables.copy(), self.cards)
+        return fuse_tables(self.arrays["tables"], self.cards)
 
 
 def _stratified_split(mean: np.ndarray, cov: np.ndarray, l: int) -> tuple[np.ndarray, np.ndarray]:
@@ -356,36 +304,40 @@ def _build_cloud(model: DynamicModel, config: FilterConfig, scheme: MomentScheme
         return _GaussianCloud(n, mean, cov)
     if family == "mixture":
         mean, cov = model.param_prior_moments()
+        l = config.mixture_size
         if p == 1:
-            comp_means, comp_cov = _stratified_split(mean, cov, config.mixture_size)
-            prior_means = np.broadcast_to(
-                comp_means[None, :, :], (n, config.mixture_size, 1)
-            ).copy()
-            return _MixtureCloud(n, config.mixture_size, prior_means, comp_cov)
+            comp_means, comp_cov = _stratified_split(mean, cov, l)
+            return _MixtureCloud(n, l, comp_means, comp_cov)
+        # Liu-West-style kernel over prior draws: shrinking the draws toward
+        # the prior mean by a = sqrt(1 - 1/L) leaves (1 - 1/L) of the prior
+        # covariance in the component means, and each component carries the
+        # remaining 1/L, so the fused prior keeps the prior's moments.
         rng = substream(config.seed, streams.PARAM_INIT)
-        draws = model.param_prior_sample(rng, n * config.mixture_size)
-        prior_means = draws.reshape(n, config.mixture_size, p)
-        return _MixtureCloud(n, config.mixture_size, prior_means, cov)
+        draws = model.param_prior_sample(rng, n * l).reshape(n, l, p)
+        a = np.sqrt(1.0 - 1.0 / l)
+        return _MixtureCloud(n, l, a * draws + (1.0 - a) * mean, cov / l)
     tables = model.param_prior_tables()
     return _DiscreteCloud(n, tables, model.param_cardinalities, scheme.m)
 
 
-def _make_eval(model, t, y, x_buf, window_buf, at_start: bool):
+def _make_eval(model, t, y, states, windows, at_start: bool):
     """Likelihood-factor evaluator over (owner rows, points).
 
-    At t = 0 only the observation factor applies: the parameter prior is
-    already folded into the initial approximations, so including it again
-    would double count.
+    states and windows are the step's propagated states and the pre-push
+    windows they were drawn from, both in propagation row order.  At t = 0
+    only the observation factor applies: the parameter prior is already
+    folded into the initial approximations, so including it again would
+    double count.
     """
 
     def eval_logt(rows, points):
         k, j = points.shape[0], points.shape[1]
         flat = points.reshape(k * j, points.shape[2])
         owner = np.repeat(rows, j)
-        x = x_buf[owner]
+        x = states[owner]
         out = model.obs_logdensity(t, y, x, flat)
         if not at_start:
-            out = out + model.transition_logdensity(t, x, window_buf[owner], flat)
+            out = out + model.transition_logdensity(t, x, windows[owner], flat)
         return out.reshape(k, j)
 
     return eval_logt
@@ -422,10 +374,8 @@ def _run_filter(model: DynamicModel, observations, config: FilterConfig, mode: s
     rng_perturb = substream(seed, streams.PERTURB)
 
     store = ParticleStore(n, d, order)
-    x_buf = alloc((n, d))
     theta_dtype = np.int64 if model.param_kind == "discrete" else np.float64
-    thetas = alloc((n, p), dtype=theta_dtype)
-    thetas_alt = alloc((n, p), dtype=theta_dtype)
+    thetas = None
 
     param_mean = np.zeros((n_steps, p))
     param_cov = np.zeros((n_steps, p, p))
@@ -433,7 +383,6 @@ def _run_filter(model: DynamicModel, observations, config: FilterConfig, mode: s
     ess_trace = np.zeros(n_steps)
     step_ms = np.zeros(n_steps)
     n_updates = np.zeros(n_steps, dtype=np.int64)
-    step_allocs = np.zeros(n_steps, dtype=np.int64)
     tables_trace = None
     if model.param_kind == "discrete":
         cmax = int(np.max(model.param_cardinalities))
@@ -444,15 +393,15 @@ def _run_filter(model: DynamicModel, observations, config: FilterConfig, mode: s
     run_start = time.perf_counter()
 
     for t in range(n_steps):
-        allocs_before = payload_allocations()
         tic = time.perf_counter()
         y = obs[t]
+        perm = None
         if config.permute_hook is not None and config.permute_hook[0] == t:
             perm = np.asarray(config.permute_hook[1])
             if mode == "api":
-                cloud.permute(perm)
+                cloud.take(perm)
             elif t > 0:
-                thetas[:] = thetas[perm]
+                thetas = np.take(thetas, perm, axis=0)
             # state windows are relabeled the same way
             if t > 0:
                 store.resample(perm)
@@ -460,47 +409,47 @@ def _run_filter(model: DynamicModel, observations, config: FilterConfig, mode: s
             if mode == "api":
                 cur_thetas = cloud.sample_params(rng_param_draw)
             else:
-                thetas[:] = model.param_prior_sample(rng_param_init, n)
-                if config.permute_hook is not None and config.permute_hook[0] == 0:
-                    thetas[:] = thetas[np.asarray(config.permute_hook[1])]
+                thetas = model.param_prior_sample(rng_param_init, n).astype(theta_dtype)
+                if perm is not None:
+                    thetas = np.take(thetas, perm, axis=0)
                 cur_thetas = thetas
-            x_buf[:] = model.state_prior_sample(rng_state_init, cur_thetas)
+            windows = None
+            x = model.state_prior_sample(rng_state_init, cur_thetas)
         else:
             if mode == "liu_west":
                 _liu_west_perturb(thetas, config.shrinkage, rng_perturb)
             cur_thetas = cloud.sample_params(rng_param_draw) if mode == "api" else thetas
             windows = store.window()
-            x_buf[:] = model.transition_sample(rng_prop, t, windows, cur_thetas)
+            x = model.transition_sample(rng_prop, t, windows, cur_thetas)
 
-        logw = model.obs_logdensity(t, y, x_buf, cur_thetas)
+        logw = model.obs_logdensity(t, y, x, cur_thetas)
         w = normalize_log_weights(logw)
         with np.errstate(under="ignore"):
             ess_trace[t] = 1.0 / float(w @ w)
-        state_mean[t] = w @ x_buf
+        state_mean[t] = w @ x
         log_ml += log_mean_exp(logw)
 
         if mode == "api" and config.update_order == "update_first":
             every = np.arange(n)
-            eval_logt = _make_eval(model, t, y, x_buf, store.window_buf, t == 0)
+            eval_logt = _make_eval(model, t, y, x, windows, t == 0)
             upd, deg = cloud.update_scatter(every, every, eval_logt, scheme, rng_moment)
             n_updates[t] = upd
             degenerate_updates += deg
 
-        store.push(x_buf)
+        store.push(x)
         anc = _resample_probs(w, rng_res, config.resample)
         store.resample(anc)
 
         if mode == "api" and config.update_order == "resample_first":
             u, inv = distinct_sorted(anc)
-            eval_logt = _make_eval(model, t, y, x_buf, store.window_buf, t == 0)
+            eval_logt = _make_eval(model, t, y, x, windows, t == 0)
             upd, deg = cloud.update_scatter(u, inv, eval_logt, scheme, rng_moment)
             n_updates[t] = upd
             degenerate_updates += deg
         elif mode == "api":
-            cloud.resample(anc)
+            cloud.take(anc)
         else:
-            np.take(thetas, anc, axis=0, out=thetas_alt)
-            thetas, thetas_alt = thetas_alt, thetas
+            thetas = np.take(thetas, anc, axis=0)
 
         if mode == "api":
             param_mean[t], param_cov[t] = cloud.step_summary()
@@ -517,14 +466,13 @@ def _run_filter(model: DynamicModel, observations, config: FilterConfig, mode: s
                     tables_trace[t, i] = counts / n
 
         step_ms[t] = (time.perf_counter() - tic) * 1e3
-        step_allocs[t] = payload_allocations() - allocs_before
 
     if mode == "api":
         fused = cloud.fuse()
     elif model.param_kind == "discrete":
         fused = fuse_discrete_points(thetas, model.param_cardinalities)
     else:
-        fused = fuse_points(thetas.copy()) if p > 0 else FusedPosterior(
+        fused = fuse_points(thetas) if p > 0 else FusedPosterior(
             kind="points",
             mean=np.zeros(0),
             cov=np.zeros((0, 0)),
@@ -551,7 +499,6 @@ def _run_filter(model: DynamicModel, observations, config: FilterConfig, mode: s
         ess=ess_trace,
         step_ms=step_ms,
         n_updates=n_updates,
-        step_allocations=step_allocs,
         fused=fused,
         estimate=fused.mean.copy(),
         log_marginal_lik=float(log_ml),

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 @dataclass
@@ -30,7 +30,6 @@ class ResultRow:
     spread: tuple
     ess: float | None
     wall_clock_ms: float
-    alloc_count: int
     mse: float | None
     kl: float | None
 
@@ -48,7 +47,7 @@ def result_header(p: int) -> list[str]:
     ]
     cols += [f"est_{i}" for i in range(p)]
     cols += [f"var_{i}" for i in range(p)]
-    cols += ["ess", "wall_clock_ms", "alloc_count", "mse", "kl"]
+    cols += ["ess", "wall_clock_ms", "mse", "kl"]
     return cols
 
 
@@ -81,7 +80,6 @@ def write_result_csv(path, rows: list[ResultRow]) -> None:
                 *[_fmt(float(v)) for v in r.spread],
                 _fmt(r.ess),
                 _fmt(r.wall_clock_ms),
-                r.alloc_count,
                 _fmt(r.mse),
                 _fmt(r.kl),
             ]
@@ -111,7 +109,6 @@ def read_result_csv(path) -> list[ResultRow]:
                     spread=tuple(float(vals[f"var_{i}"]) for i in range(p)),
                     ess=float(vals["ess"]) if vals["ess"] else None,
                     wall_clock_ms=float(vals["wall_clock_ms"]),
-                    alloc_count=int(vals["alloc_count"]),
                     mse=float(vals["mse"]) if vals["mse"] else None,
                     kl=float(vals["kl"]) if vals["kl"] else None,
                 )

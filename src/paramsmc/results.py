@@ -173,7 +173,6 @@ class RunResult:
     ess: np.ndarray
     step_ms: np.ndarray
     n_updates: np.ndarray
-    step_allocations: np.ndarray
     fused: FusedPosterior
     estimate: np.ndarray
     log_marginal_lik: float

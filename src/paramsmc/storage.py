@@ -1,107 +1,39 @@
-"""Pre-allocated, index-indirect particle state storage.
+"""Particle state history as one stacked (N, D, d) window array.
 
-A run allocates one backing slab holding (D+1)*N state payload rows,
-where D is the model's Markov order.  Each of the D+1 rotating time slots
-owns a fixed contiguous block of N payload rows and addresses the live
-particles through a per-slot handle table.  Resampling copies handles
-only (N entries for each of the D live slots), never payload rows, and
-pushing a new timestep recycles the expired slot's block, so the steady
-state performs no payload allocation at all.
-
-Every payload-sized buffer in the engine is obtained through
-:func:`alloc`, which counts allocations; tests and the harness read the
-counter to verify the zero-allocation steady state.
+D is the model's Markov order.  Entry [:, -1] of the windows is the
+newest state; slots older than time zero hold zeros.  Pushing a timestep
+and resampling both build a new array instead of writing into the old
+one, so a windows array handed out earlier keeps its contents: the
+resample-first update relies on this to score each state against the
+pre-push window it was drawn from, in pre-resample row order.
 """
 
 import numpy as np
 
-_PAYLOAD_ALLOCATIONS = 0
-
-
-def alloc(shape, dtype=np.float64) -> np.ndarray:
-    """Allocate a zeroed payload buffer, bumping the global counter."""
-    global _PAYLOAD_ALLOCATIONS
-    _PAYLOAD_ALLOCATIONS += 1
-    return np.zeros(shape, dtype=dtype)
-
-
-def payload_allocations() -> int:
-    """Total payload buffers allocated in this process so far."""
-    return _PAYLOAD_ALLOCATIONS
-
 
 class ParticleStore:
-    """State windows for N particles over the last D timesteps.
-
-    The handle invariant: handles of slot s always point inside slot s's
-    owned payload block, because resampling permutes handles within a
-    slot and a push resets the written slot's handles to identity.  The
-    expired slot's block is therefore referenced by no live slot and can
-    be overwritten safely.
-    """
+    """State windows for N particles over the last D timesteps."""
 
     def __init__(self, n_particles: int, state_dim: int, markov_order: int):
         if n_particles < 1 or markov_order < 1:
             raise ValueError("need n_particles >= 1 and markov_order >= 1")
         self.n = n_particles
         self.d = max(state_dim, 1)
-        self.order = markov_order
-        self.n_slots = markov_order + 1
-        self.slab = alloc((self.n_slots * self.n, self.d))
-        self._identity = [
-            s * self.n + np.arange(self.n, dtype=np.int64) for s in range(self.n_slots)
-        ]
-        self.handles = [alloc((self.n,), np.int64) for _ in range(self.n_slots)]
-        self._backup = [alloc((self.n,), np.int64) for _ in range(self.n_slots)]
-        for s in range(self.n_slots):
-            self.handles[s][:] = self._identity[s]
-        self.window_buf = alloc((self.n, self.order, self.d))
-        self.newest = -1
-        self.handle_copies = 0
-        self.payload_rows_written = 0
-
-    def _slot(self, t: int) -> int:
-        return t % self.n_slots
+        self.windows = np.zeros((n_particles, markov_order, self.d))
 
     def push(self, states: np.ndarray) -> None:
-        """Write the states for the next timestep into the expired slot."""
-        self.newest += 1
-        slot = self._slot(self.newest)
-        self.handles[slot][:] = self._identity[slot]
-        block = self.slab[slot * self.n : (slot + 1) * self.n]
-        block[:, :] = states
-        self.payload_rows_written += self.n
+        """Append the states for the next timestep, dropping the oldest slot."""
+        newest = np.reshape(states, (self.n, 1, self.d))
+        self.windows = np.concatenate([self.windows[:, 1:], newest], axis=1)
 
     def window(self) -> np.ndarray:
-        """Gather the (n, D, d) windows for propagating the next step.
-
-        Entry [:, -1] is the newest state.  Slots older than time zero
-        read as zeros.
-        """
-        for j in range(self.order):
-            t = self.newest - self.order + 1 + j
-            slot = self._slot(t) if t >= 0 else None
-            if slot is None:
-                self.window_buf[:, j, :] = 0.0
-            else:
-                np.take(
-                    self.slab, self.handles[slot], axis=0, out=self.window_buf[:, j, :]
-                )
-        return self.window_buf
+        """The (n, D, d) windows for propagating the next step."""
+        return self.windows
 
     def gather_current(self, rows: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Read the newest states for the given particle rows."""
-        slot = self._slot(self.newest)
-        idx = self.handles[slot][rows]
-        return np.take(self.slab, idx, axis=0, out=out)
+        return np.take(self.windows[:, -1], rows, axis=0, out=out)
 
     def resample(self, ancestors: np.ndarray) -> None:
-        """Reassign particle identities; copies N*D handle entries only."""
-        for j in range(self.order):
-            t = self.newest - j
-            if t < 0:
-                continue
-            slot = self._slot(t)
-            np.take(self.handles[slot], ancestors, out=self._backup[slot])
-            self.handles[slot], self._backup[slot] = self._backup[slot], self.handles[slot]
-            self.handle_copies += self.n
+        """Reassign particle identities: row i takes ancestor ancestors[i]'s history."""
+        self.windows = np.take(self.windows, ancestors, axis=0)

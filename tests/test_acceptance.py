@@ -413,15 +413,29 @@ def test_criterion_8_baseline_validity():
     assert pf_ok
 
 
-def test_criterion_9_performance_contract(sin_dataset, api_sin_runs):
+def test_criterion_9_performance_contract(sin_dataset, step_memory):
     model, obs = sin_dataset
-    api_results, _ = api_sin_runs
 
-    # 9a: zero payload allocations per steady-state timestep
-    steady = np.concatenate([r.step_allocations[2:] for r in api_results])
-    pf_run = ps.run_bootstrap_filter(model, obs[:500], FilterConfig(n_particles=1000, seed=0))
-    steady_pf = pf_run.step_allocations[2:]
-    allocs_ok = bool(np.all(steady == 0) and np.all(steady_pf == 0))
+    # 9a: traced memory stays flat in T over the steady state, sampled once
+    # per step over 400 steps on a fresh (wrapped) model instance
+    growth = {}
+    for name, run, config in (
+        (
+            "api gaussian",
+            ps.run_assumed_density_filter,
+            FilterConfig(n_particles=500, scheme=gauss_hermite(7), seed=0),
+        ),
+        (
+            "api mixture",
+            ps.run_assumed_density_filter,
+            FilterConfig(n_particles=500, scheme=gauss_hermite(7), family="mixture", seed=0),
+        ),
+        ("pf", ps.run_bootstrap_filter, FilterConfig(n_particles=500, seed=0)),
+    ):
+        with step_memory() as mem:
+            run(mem.watch(ps.get_model("sin")), obs[:400], config)
+        growth[name] = mem.steady_growth_kib()
+    memory_ok = all(g <= mem.LIMIT_KIB for g in growth.values())
 
     # 9b: joint-filter overhead within 4x of the bootstrap filter
     short = obs[:2000]
@@ -444,15 +458,17 @@ def test_criterion_9_performance_contract(sin_dataset, api_sin_runs):
     )
     updates_ok = bool(np.all(skew_run.n_updates[1:] < 200))
 
-    ok = allocs_ok and ratio_ok and updates_ok
+    ok = memory_ok and ratio_ok and updates_ok
     report(
         "criterion 9 (performance contract)",
         ok,
-        f"steady-state payload allocations all zero: {allocs_ok}; "
+        "steady-state traced memory growth "
+        + ", ".join(f"{name} {kib:.1f}" for name, kib in growth.items())
+        + f" KiB (<= {mem.LIMIT_KIB}); "
         f"wall-clock ratio api/pf {ratio:.2f} (<= 4); "
         f"distinct-ancestor updates < N on skewed weights: {updates_ok} "
         f"(mean {skew_run.n_updates[1:].mean():.0f}/200)",
     )
-    assert allocs_ok
+    assert memory_ok
     assert ratio_ok
     assert updates_ok

@@ -5,6 +5,7 @@ import time
 
 import numpy as np
 
+from paramsmc import cli
 from paramsmc.cli import main
 from paramsmc.io import (
     ResultRow,
@@ -81,8 +82,46 @@ class TestRun:
         est1 = [(r.timestep, r.estimate, r.spread, r.ess) for r in outs[0]]
         est2 = [(r.timestep, r.estimate, r.spread, r.ess) for r in outs[1]]
         assert est1 == est2
-        # steady-state timesteps allocate no payload buffers
-        assert all(r.alloc_count == 0 for r in outs[0][2:])
+
+    def test_run_traced_memory_flat_in_steady_state(self, tmp_path, monkeypatch, step_memory):
+        traj = tmp_path / "traj.csv"
+        main(["simulate", "--model", "sin", "--steps", "400", "--seed", "5", "--out", str(traj)])
+        mem = step_memory()
+        build = cli._build_model
+        monkeypatch.setattr(cli, "_build_model", lambda cfg: mem.watch(build(cfg)))
+        with mem:
+            code = main(
+                [
+                    "run", "--model", "sin", "--algorithm", "api", "--particles", "500",
+                    "--data", str(traj), "--seed", "6", "--out", str(tmp_path / "res"),
+                ]
+            )
+        assert code == 0
+        assert mem.steady_growth_kib() <= mem.LIMIT_KIB
+
+    def test_run_id_hashes_data_content_not_paths(self, tmp_path):
+        traj = tmp_path / "traj.csv"
+        main(["simulate", "--model", "sin", "--steps", "10", "--seed", "5", "--out", str(traj)])
+        copy = tmp_path / "elsewhere" / "copy.csv"
+        copy.parent.mkdir()
+        copy.write_bytes(traj.read_bytes())
+        changed = tmp_path / "changed.csv"
+        text = traj.read_text()
+        last = text.rstrip("\n")[-1]
+        changed.write_text(text.rstrip("\n")[:-1] + ("1" if last != "1" else "2") + "\n")
+
+        def run_id(data, out):
+            main(
+                [
+                    "run", "--model", "sin", "--algorithm", "pf", "--particles", "8",
+                    "--data", str(data), "--seed", "1", "--out", str(tmp_path / out),
+                ]
+            )
+            return json.loads((tmp_path / f"{out}.json").read_text())["run_id"]
+
+        first = run_id(traj, "a")
+        assert run_id(copy, "b") == first
+        assert run_id(changed, "c") != first
 
     def test_api_on_sin_completes_quickly(self, tmp_path):
         traj = tmp_path / "traj.csv"
@@ -125,7 +164,7 @@ class TestRun:
             ]
         )
         summary = json.loads((tmp_path / "res.json").read_text())
-        assert summary["schema_version"] == 1
+        assert summary["schema_version"] == 2
         assert "fused" in summary
         assert len(summary["fused"]["weights"]) == 20
 
@@ -305,7 +344,6 @@ class TestCsvRoundTrip:
                 spread=(0.01,),
                 ess=float(10 - t),
                 wall_clock_ms=1.25,
-                alloc_count=0,
                 mse=None if t < 2 else 0.5,
                 kl=None,
             )
