@@ -423,8 +423,10 @@ def gaussian_update(
 ) -> GaussianApprox:
     """Project q_prev(theta) * t(theta) back onto a Gaussian.
 
-    log_t is any callable mapping an (n, p) parameter array to (n,) log
-    likelihood values (a ParamLikelihood, for instance).  Raises
+    log_t is the step's likelihood factor, called with one argument: a
+    (J, p) array of evaluation points, returning their (J,) log values.
+    A single-state ParamLikelihood from make_param_likelihood is one.  It
+    must leave out the parameter prior, whose role q_prev plays.  Raises
     DegenerateUpdateError when the total mass under the scheme's points
     vanishes, in which case callers should keep q_prev.
     """
@@ -449,7 +451,8 @@ def mixture_update(
     Each component is moment matched against t using the scheme's points
     drawn from that component, and component weights are scaled by the
     component-local normalizers.  Components under the weight floor are
-    dropped and the remainder renormalized.
+    dropped and the remainder renormalized.  log_t follows the call
+    contract of gaussian_update.
     """
     l = q_prev.n_components
     p = q_prev.dim
@@ -479,21 +482,20 @@ def discrete_update(
 
     When the joint cardinality does not exceed m the full joint is
     enumerated and the update is exact (exhaustive mode); otherwise m
-    joint samples are drawn from q_prev and weighted by t.
+    joint samples are drawn from q_prev and weighted by t.  log_t follows
+    the call contract of gaussian_update, with (J, p) integer codes.
     """
     tables = q_prev.tables[None, :, :]
     cards = q_prev.cardinalities
     if q_prev.joint_cardinality() <= m:
         codes = enumerate_codes(cards)
         log_prior = exhaustive_log_prior(tables, codes)
-        log_t_vals = np.asarray(log_t(codes)).reshape(1, -1)
     else:
         if rng is None:
             raise ValueError("sampled discrete update needs a generator")
-        codes_b = sample_codes(tables, rng, m)
-        codes = codes_b[0]
+        codes = sample_codes(tables, rng, m)[0]
         log_prior = None
-        log_t_vals = np.asarray(log_t(codes)).reshape(1, -1)
+    log_t_vals = np.asarray(log_t(codes)).reshape(1, -1)
     new_tables, ok = batch_discrete_match(tables, cards, codes[None, :, :], log_prior, log_t_vals)
     if not ok[0]:
         raise DegenerateUpdateError("likelihood mass vanished at every sampled code")

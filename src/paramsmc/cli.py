@@ -45,6 +45,7 @@ from .io import (
 )
 from .model import simulate
 from .oracles import grid_posterior, kalman_filter, kl_factorized, slam_exact_forward
+from .resampling import RESAMPLERS
 from .rng import substream
 
 RUN_KEYS = {
@@ -544,36 +545,28 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--theta", help="comma-separated generating parameters")
     sim.set_defaults(func=cmd_simulate)
 
+    def algorithm_flags(p):
+        """Flags shared by run and sweep."""
+        common(p)
+        p.add_argument("--algorithm", choices=[*ALGORITHMS, "pmmh"])
+        p.add_argument("--particles", type=int, help="particle count N")
+        p.add_argument("--approx-samples", dest="approx_samples", type=int, help="moment samples M")
+        p.add_argument("--mixtures", type=int, help="mixture components L")
+        p.add_argument("--scheme", choices=["gauss_hermite", "monte_carlo", "unscented"])
+        p.add_argument("--family", choices=["auto", "gaussian", "mixture", "discrete"])
+        p.add_argument("--data", help="trajectory CSV")
+        p.add_argument("--truth", help="comma-separated generating parameters for the error column")
+        p.add_argument("--exact", help="exact-posterior tables CSV for the KL column")
+        p.add_argument("--shrinkage", type=float)
+        p.add_argument("--resample", choices=list(RESAMPLERS))
+        p.add_argument("--budget", type=float, help="wall-clock budget in seconds (pmmh only)")
+
     run = sub.add_parser("run", help="run one algorithm on one dataset")
-    common(run)
-    run.add_argument("--algorithm", choices=["api", "pf", "liu-west", "pmmh"])
-    run.add_argument("--particles", type=int, help="particle count N")
-    run.add_argument("--approx-samples", dest="approx_samples", type=int, help="moment samples M")
-    run.add_argument("--mixtures", type=int, help="mixture components L")
-    run.add_argument("--scheme", choices=["gauss_hermite", "monte_carlo", "unscented"])
-    run.add_argument("--family", choices=["auto", "gaussian", "mixture", "discrete"])
-    run.add_argument("--data", help="trajectory CSV")
-    run.add_argument("--truth", help="comma-separated generating parameters for the error column")
-    run.add_argument("--exact", help="exact-posterior tables CSV for the KL column")
-    run.add_argument("--shrinkage", type=float)
-    run.add_argument("--resample", choices=["multinomial", "systematic"])
-    run.add_argument("--budget", type=float, help="wall-clock budget in seconds (pmmh only)")
+    algorithm_flags(run)
     run.set_defaults(func=cmd_run)
 
     sweep = sub.add_parser("sweep", help="grid over N, M, seeds")
-    common(sweep)
-    sweep.add_argument("--algorithm", choices=["api", "pf", "liu-west", "pmmh"])
-    sweep.add_argument("--particles", type=int)
-    sweep.add_argument("--approx-samples", dest="approx_samples", type=int)
-    sweep.add_argument("--mixtures", type=int)
-    sweep.add_argument("--scheme", choices=["gauss_hermite", "monte_carlo", "unscented"])
-    sweep.add_argument("--family", choices=["auto", "gaussian", "mixture", "discrete"])
-    sweep.add_argument("--data", help="trajectory CSV")
-    sweep.add_argument("--truth")
-    sweep.add_argument("--exact")
-    sweep.add_argument("--shrinkage", type=float)
-    sweep.add_argument("--resample", choices=["multinomial", "systematic"])
-    sweep.add_argument("--budget", type=float)
+    algorithm_flags(sweep)
     sweep.add_argument("--particles-list", dest="particles_list", help="comma list of N values")
     sweep.add_argument("--samples-list", dest="samples_list", help="comma list of M values")
     sweep.add_argument("--seeds", help="comma list of seeds")

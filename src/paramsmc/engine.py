@@ -1,21 +1,24 @@
 """Inference algorithms over DynamicModel instances.
 
-Four algorithms share one vectorized driver where possible:
+Three filters run one bootstrap step loop over states and differ only in
+the parameter "cloud" each particle carries:
 
-* the joint filter: a particle filter over states whose per-particle
-  parameter posteriors are maintained by assumed-density projection
-  updates (algorithm id "api"),
-* the bootstrap particle filter with parameters frozen at their prior
-  draws (id "pf"),
-* the Liu-West filter, which kernel-perturbs parameter particles with
-  shrinkage (id "liu-west"),
-* particle-marginal Metropolis-Hastings over the parameters (id "pmmh").
+* the joint filter: per-particle parameter posteriors maintained by
+  assumed-density projection updates (algorithm id "api"),
+* the bootstrap particle filter: parameters frozen at their prior draws
+  (id "pf"),
+* the Liu-West filter: parameter draws kernel-perturbed with shrinkage
+  before every step after the first (id "liu-west").
 
-Every step resamples with multinomial resampling.  By default the joint
-filter resamples *before* the projection update and performs the update
-once per distinct surviving ancestor; the literal update-then-resample
-order is available behind ``update_order="update_first"`` so the two can
-be compared.
+Particle-marginal Metropolis-Hastings over the parameters (id "pmmh")
+scores each proposal with the lean fixed-parameter filter in
+oracles.pf_log_likelihood.
+
+Every step resamples with the resampler named by FilterConfig.resample
+(multinomial or systematic).  By default the joint filter resamples
+*before* the projection update and performs the update once per distinct
+surviving ancestor; the literal update-then-resample order is available
+behind ``update_order="update_first"`` so the two can be compared.
 """
 
 import time
@@ -37,10 +40,12 @@ from .approx import (
     sample_codes,
 )
 from .errors import ConfigError, UnsupportedParameterKindError
-from .model import DynamicModel
+from .model import DynamicModel, ParamLikelihood
 from .oracles import pf_log_likelihood
 from .resampling import (
+    RESAMPLERS,
     distinct_sorted,
+    ess,
     log_mean_exp,
     normalize_log_weights,
 )
@@ -85,7 +90,7 @@ class FilterConfig:
     def validate(self, model: DynamicModel) -> None:
         if self.n_particles < 1:
             raise ConfigError("need at least one particle")
-        if self.resample not in ("multinomial", "systematic"):
+        if self.resample not in RESAMPLERS:
             raise ConfigError(f"unknown resampler {self.resample!r}")
         if self.update_order not in ("resample_first", "update_first"):
             raise ConfigError(f"unknown update order {self.update_order!r}")
@@ -108,15 +113,6 @@ def resolve_scheme(scheme: MomentScheme, p: int) -> tuple[MomentScheme, str | No
     return scheme, None
 
 
-def _resample_probs(w: np.ndarray, rng: np.random.Generator, kind: str) -> np.ndarray:
-    n = w.shape[0]
-    if kind == "systematic":
-        positions = (np.arange(n) + rng.random()) / n
-        return np.searchsorted(np.cumsum(w), positions).clip(max=n - 1)
-    counts = rng.multinomial(n, w)
-    return np.repeat(np.arange(n), counts)
-
-
 # ---------------------------------------------------------------------------
 # Per-particle approximation clouds: the N posteriors as named stacked
 # arrays, particle axis first.  Every operation replaces the arrays rather
@@ -126,7 +122,8 @@ def _resample_probs(w: np.ndarray, rng: np.random.Generator, kind: str) -> np.nd
 
 
 class _Cloud:
-    """Shared row bookkeeping; subclasses supply the family's update."""
+    """Shared row bookkeeping; subclasses supply sample_params, update,
+    step_summary, step_tables (discrete parameters) and fuse."""
 
     def __init__(self, **arrays: np.ndarray):
         self.arrays = arrays
@@ -136,10 +133,20 @@ class _Cloud:
         """Row i becomes old row rows[i]: permutation or resampling."""
         self.arrays = {k: np.take(v, rows, axis=0) for k, v in self.arrays.items()}
 
-    def update_scatter(self, u, inv, eval_logt, scheme, rng) -> tuple[int, int]:
-        """Update rows u from their own data, scatter to all rows via inv."""
+    def assimilate(self, anc, factor: ParamLikelihood, update_order, scheme, rng) -> tuple[int, int]:
+        """Fold the step's likelihood factor into the rows, then resample to anc.
+
+        resample_first updates each distinct ancestor once and scatters the
+        result to its copies; update_first updates every row and then
+        resamples.  Either way the factor's owners are the rows in
+        pre-resample order.  Returns (rows updated, degenerate updates).
+        """
+        if update_order == "update_first":
+            u, inv = np.arange(self.n), anc
+        else:
+            u, inv = distinct_sorted(anc)
         prev = {k: np.take(v, u, axis=0) for k, v in self.arrays.items()}
-        new, ok = self.update(prev, u, eval_logt, scheme, rng)
+        new, ok = self.update(prev, u, factor, scheme, rng)
         self.arrays = new
         self.take(inv)
         return len(u), int(np.sum(~ok))
@@ -163,9 +170,9 @@ class _GaussianCloud(_Cloud):
             return np.sqrt(covs[:, :, 0]) * z + means
         return np.einsum("nij,nj->ni", np.linalg.cholesky(covs), z) + means
 
-    def update(self, prev, u, eval_logt, scheme, rng):
+    def update(self, prev, u, factor, scheme, rng):
         points, logw = batch_gaussian_points(prev["means"], prev["covs"], scheme, rng)
-        logt = eval_logt(u, points)
+        logt = factor(points, u)
         means, covs, _, ok = batch_moment_match(points, logw, logt, prev["means"], prev["covs"])
         return {"means": means, "covs": covs}, ok
 
@@ -204,12 +211,12 @@ class _MixtureCloud(_Cloud):
             return np.sqrt(covs[rows, comp][:, :, 0]) * z + sel_means
         return np.einsum("nij,nj->ni", np.linalg.cholesky(covs[rows, comp]), z) + sel_means
 
-    def update(self, prev, u, eval_logt, scheme, rng):
+    def update(self, prev, u, factor, scheme, rng):
         k = len(u)
         flat_m = prev["means"].reshape(k * self.l, self.p)
         flat_c = prev["covs"].reshape(k * self.l, self.p, self.p)
         points, logw = batch_gaussian_points(flat_m, flat_c, scheme, rng)
-        logt = eval_logt(np.repeat(u, self.l), points)
+        logt = factor(points, np.repeat(u, self.l))
         alphas, means, covs, ok = batch_mixture_match(
             prev["alphas"], prev["means"], prev["covs"], points, logw, logt
         )
@@ -250,7 +257,7 @@ class _DiscreteCloud(_Cloud):
     def sample_params(self, rng: np.random.Generator) -> np.ndarray:
         return sample_codes(self.arrays["tables"], rng, 1)[:, 0, :]
 
-    def update(self, prev, u, eval_logt, scheme, rng):
+    def update(self, prev, u, factor, scheme, rng):
         tables = prev["tables"]
         if self.exhaustive:
             codes = self._exh_codes
@@ -259,7 +266,7 @@ class _DiscreteCloud(_Cloud):
         else:
             codes_b = sample_codes(tables, rng, self.m_samples)
             log_prior = None
-        logt = eval_logt(u, codes_b)
+        logt = factor(codes_b, u)
         new_tables, ok = batch_discrete_match(tables, self.cards, codes_b, log_prior, logt)
         return {"tables": new_tables}, ok
 
@@ -275,6 +282,66 @@ class _DiscreteCloud(_Cloud):
 
     def fuse(self) -> FusedPosterior:
         return fuse_tables(self.arrays["tables"], self.cards)
+
+
+class _PointCloud(_Cloud):
+    """Parameters as plain draws, one per particle: the pf and liu-west clouds.
+
+    The cloud starts at prior draws.  With a shrinkage a, sample_params
+    moves the draws by the Liu-West kernel before every step after the
+    first, from the rng given here (the PERTURB substream); without one
+    they stay the prior draws.  No likelihood factor is folded in, so
+    assimilation is resampling alone.
+    """
+
+    kind = "points"
+
+    def __init__(self, thetas: np.ndarray, cardinalities=None, shrinkage=None, rng=None):
+        super().__init__(thetas=thetas)
+        self.cards = cardinalities
+        self.shrinkage, self.rng = shrinkage, rng
+        self.started = False
+
+    def sample_params(self, rng: np.random.Generator) -> np.ndarray:
+        if self.started and self.shrinkage is not None:
+            self.arrays["thetas"] = _liu_west_perturb(self.arrays["thetas"], self.shrinkage, self.rng)
+        self.started = True
+        return self.arrays["thetas"]
+
+    def assimilate(self, anc, factor, update_order, scheme, rng) -> tuple[int, int]:
+        self.take(anc)
+        return 0, 0
+
+    def step_summary(self) -> tuple[np.ndarray, np.ndarray]:
+        thetas = self.arrays["thetas"]
+        mean = thetas.mean(axis=0)
+        dev = thetas - mean
+        return mean, dev.T @ dev / self.n
+
+    def step_tables(self) -> np.ndarray:
+        cmax = int(np.max(self.cards))
+        counts = [np.bincount(codes, minlength=cmax) for codes in self.arrays["thetas"].T]
+        return np.stack(counts) / self.n
+
+    def fuse(self) -> FusedPosterior:
+        if self.cards is not None:
+            return fuse_discrete_points(self.arrays["thetas"], self.cards)
+        return fuse_points(self.arrays["thetas"])
+
+
+def _liu_west_perturb(thetas: np.ndarray, a: float, rng: np.random.Generator) -> np.ndarray:
+    """Shrink toward the cloud mean and add matched kernel noise, as a new array."""
+    n, p = thetas.shape
+    if p == 0:
+        return thetas
+    mean = thetas.mean(axis=0)
+    dev = thetas - mean
+    cov = dev.T @ dev / n
+    eps = 1e-12 * np.trace(cov) / p + 1e-30
+    chol = np.linalg.cholesky(cov + eps * np.eye(p))
+    scale = np.sqrt(max(0.0, 1.0 - a * a))
+    z = rng.standard_normal((n, p))
+    return a * thetas + (1.0 - a) * mean + scale * (z @ chol.T)
 
 
 def _stratified_split(mean: np.ndarray, cov: np.ndarray, l: int) -> tuple[np.ndarray, np.ndarray]:
@@ -293,10 +360,22 @@ def _stratified_split(mean: np.ndarray, cov: np.ndarray, l: int) -> tuple[np.nda
     return means, np.array([[comp_var]])
 
 
-def _build_cloud(model: DynamicModel, config: FilterConfig, scheme: MomentScheme):
-    family = config.resolved_family(model)
+def _build_cloud(model: DynamicModel, config: FilterConfig, scheme: MomentScheme, mode: str):
     n = config.n_particles
     p = model.dims()[0]
+    if mode != "api":
+        if mode == "liu_west" and model.param_kind != "continuous":
+            raise UnsupportedParameterKindError(
+                "the kernel-perturbation filter supports continuous parameters only"
+            )
+        thetas = model.param_prior_sample(substream(config.seed, streams.PARAM_INIT), n)
+        if model.param_kind == "discrete":
+            return _PointCloud(thetas.astype(np.int64), cardinalities=model.param_cardinalities)
+        if mode == "pf":
+            return _PointCloud(thetas.astype(np.float64))
+        rng = substream(config.seed, streams.PERTURB)
+        return _PointCloud(thetas.astype(np.float64), shrinkage=config.shrinkage, rng=rng)
+    family = config.resolved_family(model)
     if p == 0:
         raise ConfigError("model has no parameters to approximate")
     if family == "gaussian":
@@ -320,29 +399,6 @@ def _build_cloud(model: DynamicModel, config: FilterConfig, scheme: MomentScheme
     return _DiscreteCloud(n, tables, model.param_cardinalities, scheme.m)
 
 
-def _make_eval(model, t, y, states, windows, at_start: bool):
-    """Likelihood-factor evaluator over (owner rows, points).
-
-    states and windows are the step's propagated states and the pre-push
-    windows they were drawn from, both in propagation row order.  At t = 0
-    only the observation factor applies: the parameter prior is already
-    folded into the initial approximations, so including it again would
-    double count.
-    """
-
-    def eval_logt(rows, points):
-        k, j = points.shape[0], points.shape[1]
-        flat = points.reshape(k * j, points.shape[2])
-        owner = np.repeat(rows, j)
-        x = states[owner]
-        out = model.obs_logdensity(t, y, x, flat)
-        if not at_start:
-            out = out + model.transition_logdensity(t, x, windows[owner], flat)
-        return out.reshape(k, j)
-
-    return eval_logt
-
-
 def _run_filter(model: DynamicModel, observations, config: FilterConfig, mode: str) -> RunResult:
     config.validate(model)
     p, d, m = model.dims()
@@ -350,32 +406,22 @@ def _run_filter(model: DynamicModel, observations, config: FilterConfig, mode: s
     if obs.shape[0] == 0:
         raise ConfigError("observations must be nonempty")
     n = config.n_particles
-    order = model.markov_order()
     n_steps = obs.shape[0]
 
     scheme, scheme_note = (config.scheme, None)
-    cloud = None
-    if mode == "api":
-        if config.resolved_family(model) in ("gaussian", "mixture"):
-            scheme, scheme_note = resolve_scheme(config.scheme, p)
-        cloud = _build_cloud(model, config, scheme)
-    elif mode == "liu_west" and model.param_kind != "continuous":
-        raise UnsupportedParameterKindError(
-            "the kernel-perturbation filter supports continuous parameters only"
-        )
+    if mode == "api" and config.resolved_family(model) in ("gaussian", "mixture"):
+        scheme, scheme_note = resolve_scheme(config.scheme, p)
+    cloud = _build_cloud(model, config, scheme, mode)
+    resample = RESAMPLERS[config.resample]
 
     seed = config.seed
-    rng_param_init = substream(seed, streams.PARAM_INIT)
     rng_state_init = substream(seed, streams.STATE_INIT)
     rng_param_draw = substream(seed, streams.PARAM_DRAW)
     rng_prop = substream(seed, streams.PROPAGATE)
     rng_res = substream(seed, streams.RESAMPLE)
     rng_moment = substream(seed, streams.MOMENT)
-    rng_perturb = substream(seed, streams.PERTURB)
 
-    store = ParticleStore(n, d, order)
-    theta_dtype = np.int64 if model.param_kind == "discrete" else np.float64
-    thetas = None
+    store = ParticleStore(n, d, model.markov_order())
 
     param_mean = np.zeros((n_steps, p))
     param_cov = np.zeros((n_steps, p, p))
@@ -395,104 +441,52 @@ def _run_filter(model: DynamicModel, observations, config: FilterConfig, mode: s
     for t in range(n_steps):
         tic = time.perf_counter()
         y = obs[t]
-        perm = None
         if config.permute_hook is not None and config.permute_hook[0] == t:
+            # relabel parameters and state windows alike
             perm = np.asarray(config.permute_hook[1])
-            if mode == "api":
-                cloud.take(perm)
-            elif t > 0:
-                thetas = np.take(thetas, perm, axis=0)
-            # state windows are relabeled the same way
-            if t > 0:
-                store.resample(perm)
+            cloud.take(perm)
+            store.resample(perm)
+        thetas = cloud.sample_params(rng_param_draw)
         if t == 0:
-            if mode == "api":
-                cur_thetas = cloud.sample_params(rng_param_draw)
-            else:
-                thetas = model.param_prior_sample(rng_param_init, n).astype(theta_dtype)
-                if perm is not None:
-                    thetas = np.take(thetas, perm, axis=0)
-                cur_thetas = thetas
             windows = None
-            x = model.state_prior_sample(rng_state_init, cur_thetas)
+            x = model.state_prior_sample(rng_state_init, thetas)
         else:
-            if mode == "liu_west":
-                _liu_west_perturb(thetas, config.shrinkage, rng_perturb)
-            cur_thetas = cloud.sample_params(rng_param_draw) if mode == "api" else thetas
             windows = store.window()
-            x = model.transition_sample(rng_prop, t, windows, cur_thetas)
+            x = model.transition_sample(rng_prop, t, windows, thetas)
 
-        logw = model.obs_logdensity(t, y, x, cur_thetas)
+        logw = model.obs_logdensity(t, y, x, thetas)
         w = normalize_log_weights(logw)
-        with np.errstate(under="ignore"):
-            ess_trace[t] = 1.0 / float(w @ w)
+        ess_trace[t] = ess(w)
         state_mean[t] = w @ x
         log_ml += log_mean_exp(logw)
 
-        if mode == "api" and config.update_order == "update_first":
-            every = np.arange(n)
-            eval_logt = _make_eval(model, t, y, x, windows, t == 0)
-            upd, deg = cloud.update_scatter(every, every, eval_logt, scheme, rng_moment)
-            n_updates[t] = upd
-            degenerate_updates += deg
-
         store.push(x)
-        anc = _resample_probs(w, rng_res, config.resample)
+        anc = resample(w, rng_res)
         store.resample(anc)
+        factor = ParamLikelihood(model, t, y, x, windows)
+        n_updates[t], deg = cloud.assimilate(anc, factor, config.update_order, scheme, rng_moment)
+        degenerate_updates += deg
 
-        if mode == "api" and config.update_order == "resample_first":
-            u, inv = distinct_sorted(anc)
-            eval_logt = _make_eval(model, t, y, x, windows, t == 0)
-            upd, deg = cloud.update_scatter(u, inv, eval_logt, scheme, rng_moment)
-            n_updates[t] = upd
-            degenerate_updates += deg
-        elif mode == "api":
-            cloud.take(anc)
-        else:
-            thetas = np.take(thetas, anc, axis=0)
-
-        if mode == "api":
-            param_mean[t], param_cov[t] = cloud.step_summary()
-            if tables_trace is not None:
-                tables_trace[t] = cloud.step_tables()
-        else:
-            if p > 0:
-                param_mean[t] = thetas.mean(axis=0)
-                dev = thetas - param_mean[t]
-                param_cov[t] = dev.T @ dev / n
-            if tables_trace is not None:
-                for i in range(p):
-                    counts = np.bincount(thetas[:, i], minlength=tables_trace.shape[2])
-                    tables_trace[t, i] = counts / n
-
+        param_mean[t], param_cov[t] = cloud.step_summary()
+        if tables_trace is not None:
+            tables_trace[t] = cloud.step_tables()
         step_ms[t] = (time.perf_counter() - tic) * 1e3
 
-    if mode == "api":
-        fused = cloud.fuse()
-    elif model.param_kind == "discrete":
-        fused = fuse_discrete_points(thetas, model.param_cardinalities)
-    else:
-        fused = fuse_points(thetas) if p > 0 else FusedPosterior(
-            kind="points",
-            mean=np.zeros(0),
-            cov=np.zeros((0, 0)),
-            points=np.zeros((n, 0)),
-            point_weights=np.full(n, 1.0 / n),
-        )
-
+    fused = cloud.fuse()
     notes = {}
     if scheme_note:
         notes["scheme"] = scheme_note
     if degenerate_updates:
         notes["degenerate_updates"] = degenerate_updates
 
+    approximating = cloud.kind != "points"
     return RunResult(
         algorithm={"api": "api", "pf": "pf", "liu_west": "liu-west"}[mode],
         model_name=type(model).__name__,
         n_particles=n,
         seed=config.seed,
-        approx_samples=scheme.m if mode == "api" else 0,
-        mixture_size=config.mixture_size if (cloud is not None and cloud.kind == "mixture") else 1,
+        approx_samples=scheme.m if approximating else 0,
+        mixture_size=config.mixture_size if cloud.kind == "mixture" else 1,
         param_mean=param_mean,
         param_cov=param_cov,
         state_mean=state_mean,
@@ -504,26 +498,9 @@ def _run_filter(model: DynamicModel, observations, config: FilterConfig, mode: s
         log_marginal_lik=float(log_ml),
         elapsed_s=time.perf_counter() - run_start,
         param_tables=tables_trace,
-        scheme_kind=scheme.kind if mode == "api" else "",
+        scheme_kind=scheme.kind if approximating else "",
         notes=notes,
     )
-
-
-def _liu_west_perturb(thetas: np.ndarray, a: float, rng: np.random.Generator) -> None:
-    """Shrink toward the cloud mean and add matched kernel noise in place."""
-    n, p = thetas.shape
-    if p == 0:
-        return
-    mean = thetas.mean(axis=0)
-    dev = thetas - mean
-    cov = dev.T @ dev / n
-    eps = 1e-12 * np.trace(cov) / p + 1e-30
-    chol = np.linalg.cholesky(cov + eps * np.eye(p))
-    scale = np.sqrt(max(0.0, 1.0 - a * a))
-    z = rng.standard_normal((n, p))
-    thetas *= a
-    thetas += (1.0 - a) * mean
-    thetas += scale * (z @ chol.T)
 
 
 def run_assumed_density_filter(model, observations, config: FilterConfig) -> RunResult:

@@ -119,37 +119,44 @@ class DynamicModel(ABC):
 
 @dataclass(frozen=True)
 class ParamLikelihood:
-    """Deferred evaluator of the per-step parameter likelihood factor.
+    """The per-step parameter likelihood factor, for a batch of owners.
 
-    For fixed (x_k, window, y_k) this computes, as a pure function of
-    theta,
+    Owner i is the propagated state states[i], drawn from windows[i] (the
+    D states before it, newest last), and the step's observation y.  As a
+    pure function of theta the factor is
 
-        log t_0(theta) = log p(theta) + log p(y_0 | x_0, theta)
+        log t_0(theta) = log p(y_0 | x_0, theta) [+ log p(x_0 | theta)]
         log t_k(theta) = log p(y_k | x_k, theta) + log p(x_k | window, theta)
 
-    for k = 0 and k >= 1 respectively.  Calling it with an (n, p) array of
-    parameters returns the (n,) vector of log values.
+    where the bracketed state-prior term is present only for models with
+    state_prior_depends_on_params.  The parameter prior is not a factor:
+    it is the approximation a filter starts from.
+
+    Calling it with (B, J, p) evaluation points and (B,) owner rows
+    returns the (B, J) log values, row b scored against owner rows[b].
+    A (J, p) array of parameters is scored against owner 0 alone and
+    gives (J,) values.
     """
 
     model: DynamicModel
     k: int
-    x_new: np.ndarray
-    window: np.ndarray | None
     y: np.ndarray
+    states: np.ndarray
+    windows: np.ndarray | None
 
-    def __call__(self, thetas: np.ndarray) -> np.ndarray:
-        thetas = np.atleast_2d(thetas)
-        n = thetas.shape[0]
-        x = np.broadcast_to(self.x_new, (n,) + self.x_new.shape)
-        out = self.model.obs_logdensity(self.k, self.y, x, thetas)
-        if self.k == 0:
-            out = out + self.model.param_prior_logdensity(thetas)
-            if self.model.state_prior_depends_on_params:
-                out = out + self.model.state_prior_logdensity(x, thetas)
-        else:
-            windows = np.broadcast_to(self.window, (n,) + self.window.shape)
-            out = out + self.model.transition_logdensity(self.k, x, windows, thetas)
-        return out
+    def __call__(self, points: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
+        if rows is None:
+            return self(np.atleast_2d(points)[None], np.zeros(1, dtype=np.intp))[0]
+        b, j, p = points.shape
+        flat = points.reshape(b * j, p)
+        owner = np.repeat(rows, j)
+        x = self.states[owner]
+        out = self.model.obs_logdensity(self.k, self.y, x, flat)
+        if self.k > 0:
+            out = out + self.model.transition_logdensity(self.k, x, self.windows[owner], flat)
+        elif self.model.state_prior_depends_on_params:
+            out = out + self.model.state_prior_logdensity(x, flat)
+        return out.reshape(b, j)
 
 
 def make_param_likelihood(
@@ -163,8 +170,8 @@ def make_param_likelihood(
 
     Args:
         model: the state-space model.
-        k: timestep; k = 0 uses the prior + observation form and must be
-            given an empty window.
+        k: timestep; k = 0 has no transition term and must be given an
+            empty window.
         x_new: (d,) state at time k.
         window: the D previous states (list or (D, d) array), newest last;
             empty/None at k = 0.
@@ -189,7 +196,13 @@ def make_param_likelihood(
             raise DimensionMismatchError(
                 f"window shape {win.shape} != ({model.markov_order()}, {d})"
             )
-    return ParamLikelihood(model=model, k=k, x_new=x_new, window=win, y=y)
+    return ParamLikelihood(
+        model=model,
+        k=k,
+        y=y,
+        states=x_new[None, :],
+        windows=None if win is None else win[None],
+    )
 
 
 def simulate(

@@ -1,4 +1,8 @@
-"""Weight normalization, resampling, and degeneracy diagnostics."""
+"""Weight normalization, resampling, and degeneracy diagnostics.
+
+The resamplers and ess take the normalized weights that
+normalize_log_weights returns and the filters hold.
+"""
 
 import numpy as np
 
@@ -23,33 +27,31 @@ def normalize_log_weights(log_weights: np.ndarray) -> np.ndarray:
 
 
 def multinomial_resample(
-    log_weights: np.ndarray,
+    weights: np.ndarray,
     rng: np.random.Generator,
     size: int | None = None,
 ) -> np.ndarray:
-    """Draw ancestor indices i.i.d. from the normalized weights.
+    """Draw ancestor indices i.i.d. from normalized weights.
 
-    The returned indices are sorted ascending, so downstream index-table
-    copies touch memory monotonically.  Sorting an i.i.d. multinomial
+    weights must sum to one, as normalize_log_weights returns them.  The
+    indices come out sorted ascending.  Sorting an i.i.d. multinomial
     sample is distribution-preserving for the unordered ancestor
     multiset, which is all resampling consumes.
     """
-    w = normalize_log_weights(log_weights)
-    n = w.shape[0] if size is None else size
-    counts = rng.multinomial(n, w)
-    return np.repeat(np.arange(w.shape[0]), counts)
+    n = weights.shape[0] if size is None else size
+    counts = rng.multinomial(n, weights)
+    return np.repeat(np.arange(weights.shape[0]), counts)
 
 
 def systematic_resample(
-    log_weights: np.ndarray,
+    weights: np.ndarray,
     rng: np.random.Generator,
     size: int | None = None,
 ) -> np.ndarray:
-    """Low-variance systematic resampling; output is sorted by construction."""
-    w = normalize_log_weights(log_weights)
-    n = w.shape[0] if size is None else size
+    """Low-variance systematic resampling of normalized weights; sorted by construction."""
+    n = weights.shape[0] if size is None else size
     positions = (np.arange(n) + rng.random()) / n
-    return np.searchsorted(np.cumsum(w), positions).clip(max=w.shape[0] - 1)
+    return np.searchsorted(np.cumsum(weights), positions).clip(max=weights.shape[0] - 1)
 
 
 RESAMPLERS = {
@@ -58,11 +60,10 @@ RESAMPLERS = {
 }
 
 
-def ess(log_weights: np.ndarray) -> float:
-    """Effective sample size (sum w)^2 / sum w^2 of unnormalized weights."""
-    w = normalize_log_weights(log_weights)
+def ess(weights: np.ndarray) -> float:
+    """Effective sample size 1 / sum w^2 of normalized weights."""
     with np.errstate(under="ignore"):
-        return float(1.0 / np.sum(w * w))
+        return 1.0 / float(weights @ weights)
 
 
 def log_mean_exp(log_values: np.ndarray) -> float:

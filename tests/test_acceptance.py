@@ -437,17 +437,21 @@ def test_criterion_9_performance_contract(sin_dataset, step_memory):
         growth[name] = mem.steady_growth_kib()
     memory_ok = all(g <= mem.LIMIT_KIB for g in growth.values())
 
-    # 9b: joint-filter overhead within 4x of the bootstrap filter
+    # 9b: joint-filter overhead within 4x of the bootstrap filter, as the
+    # ratio of medians over 5 alternating api/pf runs, so that a burst of
+    # load from another process on the host moves one run, not the ratio
     short = obs[:2000]
-    t0 = time.perf_counter()
-    ps.run_assumed_density_filter(
-        model, short, FilterConfig(n_particles=1000, scheme=gauss_hermite(7), seed=1)
-    )
-    api_time = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    ps.run_bootstrap_filter(model, short, FilterConfig(n_particles=1000, seed=1))
-    pf_time = time.perf_counter() - t0
-    ratio = api_time / pf_time
+    api_times, pf_times = [], []
+    for _ in range(5):
+        t0 = time.perf_counter()
+        ps.run_assumed_density_filter(
+            model, short, FilterConfig(n_particles=1000, scheme=gauss_hermite(7), seed=1)
+        )
+        api_times.append(time.perf_counter() - t0)
+        t0 = time.perf_counter()
+        ps.run_bootstrap_filter(model, short, FilterConfig(n_particles=1000, seed=1))
+        pf_times.append(time.perf_counter() - t0)
+    ratio = float(np.median(api_times) / np.median(pf_times))
     ratio_ok = ratio <= 4.0
 
     # 9c: resample-before-update performs fewer updates than particles
@@ -465,7 +469,7 @@ def test_criterion_9_performance_contract(sin_dataset, step_memory):
         "steady-state traced memory growth "
         + ", ".join(f"{name} {kib:.1f}" for name, kib in growth.items())
         + f" KiB (<= {mem.LIMIT_KIB}); "
-        f"wall-clock ratio api/pf {ratio:.2f} (<= 4); "
+        f"wall-clock ratio of medians api/pf {ratio:.2f} over 5 runs each (<= 4); "
         f"distinct-ancestor updates < N on skewed weights: {updates_ok} "
         f"(mean {skew_run.n_updates[1:].mean():.0f}/200)",
     )

@@ -1,8 +1,12 @@
 """Filter-engine behavior: algorithm semantics, storage contract, baselines."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
+from scipy import stats
 
+from paramsmc import engine
 from paramsmc.approx import GaussianApprox, MixtureApprox, gauss_hermite, monte_carlo
 from paramsmc.benchmarks import LinearGaussianModel, SinModel, slam_small
 from paramsmc.engine import (
@@ -18,8 +22,15 @@ from paramsmc.errors import (
     TotalDegeneracyError,
     UnsupportedParameterKindError,
 )
-from paramsmc.model import DynamicModel, gaussian_logpdf, simulate
+from paramsmc.model import (
+    DynamicModel,
+    ParamLikelihood,
+    gaussian_logpdf,
+    make_param_likelihood,
+    simulate,
+)
 from paramsmc.oracles import grid_posterior, kalman_filter, slam_exact_forward
+from paramsmc.resampling import RESAMPLERS
 from paramsmc.results import fuse_param_posterior
 from paramsmc.rng import substream
 
@@ -74,6 +85,22 @@ class TwoParamThetaFreeModel(ThetaFreeModel):
 
     def param_prior_moments(self):
         return self.MEAN.copy(), self.COV.copy()
+
+
+class StatePriorModel(ThetaFreeModel):
+    """x_0 ~ N(theta, 1), then a theta-free random walk observed as y = x + N(0, 0.25).
+
+    Only the state prior carries information about theta: after y_0 alone
+    the posterior is N(y_0 / 2.25, 1.25 / 2.25) under the N(0, 1) prior.
+    """
+
+    state_prior_depends_on_params = True
+
+    def state_prior_sample(self, rng, thetas):
+        return thetas + rng.standard_normal((thetas.shape[0], 1))
+
+    def state_prior_logdensity(self, x0, thetas):
+        return gaussian_logpdf(x0[:, 0], thetas[:, 0], 1.0)
 
 
 def sin_data(steps=120, seed=0):
@@ -267,6 +294,27 @@ class TestJointFilter:
         assert np.all(np.abs(fused.mean - model.MEAN) <= 0.1 * sd)
         assert np.all(np.abs(fused.cov - model.COV) <= 0.1 * np.outer(sd, sd))
 
+    @pytest.mark.parametrize("update_order", ["resample_first", "update_first"])
+    def test_state_prior_informs_parameter_at_step_zero(self, update_order):
+        # the t = 0 factor must carry log p(x_0 | theta); without it the
+        # filter returns the N(0, 1) prior unchanged
+        model = StatePriorModel()
+        y0 = 2.0
+        config = FilterConfig(
+            n_particles=4000, scheme=gauss_hermite(7), seed=1, update_order=update_order
+        )
+        fused = run_assumed_density_filter(model, np.array([[y0]]), config).fused
+        # seeds 0-4 of both orders land within 0.014 (mean) and 0.006 (variance)
+        assert abs(fused.mean[0] - y0 / 2.25) < 0.04
+        assert abs(fused.cov[0, 0] - 1.25 / 2.25) < 0.03
+
+    def test_step_zero_factor_includes_state_prior(self):
+        model = StatePriorModel()
+        lik = make_param_likelihood(model, 0, np.array([1.5]), None, np.array([2.0]))
+        thetas = np.linspace(-2, 2, 9)[:, None]
+        expected = stats.norm.logpdf(2.0, 1.5, 0.5) + stats.norm.logpdf(1.5, thetas[:, 0], 1.0)
+        assert np.allclose(lik(thetas), expected, atol=1e-12)
+
     def test_family_mismatch_rejected(self):
         model = slam_small()
         config = FilterConfig(n_particles=10, family="gaussian")
@@ -320,6 +368,17 @@ class TestBootstrap:
         )
         oracle = kalman_filter(LinearGaussianModel(), 0.8, obs)
         assert result.log_marginal_lik == pytest.approx(oracle.log_likelihood, abs=1.0)
+
+    @pytest.mark.parametrize("run", [run_bootstrap_filter, run_liu_west_filter])
+    def test_parameter_free_model(self, run):
+        model = LinearGaussianModel(theta_fixed=0.8)
+        _, obs = simulate(model, np.zeros(0), 20, substream(9, 0))
+        result = run(model, obs, FilterConfig(n_particles=50, seed=1))
+        assert result.fused.kind == "points"
+        assert result.fused.points.shape == (50, 0)
+        assert result.fused.mean.shape == (0,)
+        assert result.param_mean.shape == (21, 0)
+        assert np.isfinite(result.log_marginal_lik)
 
     def test_degenerate_observation_aborts(self):
         model = slam_small()
@@ -424,6 +483,38 @@ class TestPmmh:
         result = run_pmmh(model, obs, config)
         assert 1 <= result.n_iterations < 10_000
         assert result.elapsed_s < 5.0
+
+
+class TestEngineRunsTheTestedCode:
+    """The filters resample, measure ESS and build the likelihood factor
+    with the functions the unit tests check, not with private copies."""
+
+    @pytest.mark.parametrize("resample", sorted(RESAMPLERS))
+    @pytest.mark.parametrize("run", [run_assumed_density_filter, run_bootstrap_filter])
+    def test_run_calls_tested_functions(self, monkeypatch, run, resample):
+        calls = Counter()
+
+        def counting(name, fn):
+            def wrapped(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapped
+
+        class CountingFactor(ParamLikelihood):
+            def __call__(self, *args):
+                calls["factor evaluated"] += 1
+                return super().__call__(*args)
+
+        monkeypatch.setitem(RESAMPLERS, resample, counting("resample", RESAMPLERS[resample]))
+        monkeypatch.setattr(engine, "ess", counting("ess", engine.ess))
+        monkeypatch.setattr(engine, "ParamLikelihood", counting("factor built", CountingFactor))
+        model, obs = sin_data(steps=9)
+        config = FilterConfig(n_particles=32, scheme=gauss_hermite(5), seed=0, resample=resample)
+        run(model, obs, config)
+        assert calls["resample"] == calls["ess"] == calls["factor built"] == 10
+        evaluated = 10 if run is run_assumed_density_filter else 0
+        assert calls["factor evaluated"] == evaluated
 
 
 def _effective_draws(chain: np.ndarray) -> float:

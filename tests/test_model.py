@@ -8,7 +8,7 @@ from scipy import integrate, stats
 
 from paramsmc.benchmarks import LinearGaussianModel, SinModel, get_model
 from paramsmc.errors import DimensionMismatchError
-from paramsmc.model import make_param_likelihood, simulate
+from paramsmc.model import ParamLikelihood, make_param_likelihood, simulate
 from paramsmc.rng import RngStream, substream
 
 # Long-run moments of y under theta* = -0.5, frozen from a one-off
@@ -19,14 +19,32 @@ SIN_LONGRUN_Y_SD = 1.217509
 
 class TestParamLikelihood:
     def test_prior_only_at_step_zero(self):
-        # obs density of SIN does not involve theta, so log t_0 is the
-        # prior plus a theta-free constant
+        # the parameter prior is the filter's starting point, not a factor:
+        # obs density of SIN does not involve theta, so log t_0 is a
+        # theta-free constant with no prior term
         model = SinModel()
         lik = make_param_likelihood(model, 0, np.array([0.4]), None, np.array([0.4]))
         thetas = np.linspace(-2, 2, 9)[:, None]
         vals = lik(thetas)
-        expected = stats.norm.logpdf(thetas[:, 0]) + stats.norm.logpdf(0.4, 0.4, 0.5)
+        expected = np.full(9, stats.norm.logpdf(0.4, 0.4, 0.5))
         assert np.allclose(vals, expected, atol=1e-12)
+
+    def test_batched_rows_score_their_own_owner(self):
+        # (B, J, p) points against owner rows: row b uses states[rows[b]]
+        # and windows[rows[b]], and matches the single-state evaluator
+        model = SinModel()
+        rng = substream(5, 0)
+        states = rng.standard_normal((4, 1))
+        windows = rng.standard_normal((4, 1, 1))
+        y = rng.standard_normal(1)
+        lik = ParamLikelihood(model, 3, y, states, windows)
+        rows = np.array([2, 0, 2])
+        points = rng.standard_normal((3, 5, 1))
+        got = lik(points, rows)
+        assert got.shape == (3, 5)
+        for b, r in enumerate(rows):
+            single = make_param_likelihood(model, 3, states[r], windows[r], y)
+            assert np.array_equal(got[b], single(points[b]))
 
     def test_zero_previous_state_kills_theta_dependence(self):
         # sin(theta * 0) = 0, so t_k is constant in theta

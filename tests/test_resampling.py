@@ -1,4 +1,8 @@
-"""Resampling distributional checks and weight diagnostics."""
+"""Resampling distributional checks and weight diagnostics.
+
+The resamplers and ess take normalized weights, as the filters hold
+them; the tests build those with normalize_log_weights from log weights.
+"""
 
 import numpy as np
 import pytest
@@ -24,7 +28,7 @@ class TestMultinomial:
         counts = np.zeros(4)
         n_rounds = 100_000 // 4
         for _ in range(n_rounds):
-            anc = multinomial_resample(logw, rng)
+            anc = multinomial_resample(normalize_log_weights(logw), rng)
             counts += np.bincount(anc, minlength=4)
         total = counts.sum()
         freq = counts / total
@@ -33,7 +37,7 @@ class TestMultinomial:
 
     def test_point_mass(self):
         logw = np.log(np.array([0.0, 0.0, 1.0, 0.0]) + 1e-300)
-        anc = multinomial_resample(logw, substream(1, 0))
+        anc = multinomial_resample(normalize_log_weights(logw), substream(1, 0))
         assert np.all(anc == 2)
 
     def test_chi_square_on_skewed_weights(self):
@@ -43,7 +47,7 @@ class TestMultinomial:
         n_draws = 100_000
         counts = np.zeros(4)
         for _ in range(n_draws // 4):
-            counts += np.bincount(multinomial_resample(logw, rng), minlength=4)
+            counts += np.bincount(multinomial_resample(normalize_log_weights(logw), rng), minlength=4)
         expected = w / w.sum() * counts.sum()
         chi2 = stats.chisquare(counts, expected)
         assert chi2.pvalue > 0.01
@@ -51,27 +55,20 @@ class TestMultinomial:
     def test_sorted_output(self):
         rng = substream(3, 0)
         logw = rng.standard_normal(257)
-        anc = multinomial_resample(logw, substream(3, 1))
+        anc = multinomial_resample(normalize_log_weights(logw), substream(3, 1))
         assert np.all(np.diff(anc) >= 0)
-
-    def test_all_zero_weights_abort(self):
-        with pytest.raises(TotalDegeneracyError):
-            multinomial_resample(np.full(8, -np.inf), substream(4, 0))
-
-    def test_nan_weight_aborts(self):
-        with pytest.raises(TotalDegeneracyError):
-            multinomial_resample(np.array([0.0, np.nan]), substream(4, 0))
 
     @settings(max_examples=25)
     @given(st.integers(0, 10_000), st.floats(-200, 200))
     def test_shift_invariance(self, seed, shift):
+        # through the composition the filters use: normalize, then resample
         logw = substream(seed, 0).standard_normal(64)
-        a = multinomial_resample(logw, substream(seed, 1))
-        b = multinomial_resample(logw + shift, substream(seed, 1))
+        a = multinomial_resample(normalize_log_weights(logw), substream(seed, 1))
+        b = multinomial_resample(normalize_log_weights(logw + shift), substream(seed, 1))
         assert np.array_equal(a, b)
 
     def test_size_override(self):
-        anc = multinomial_resample(np.zeros(10), substream(5, 0), size=33)
+        anc = multinomial_resample(np.full(10, 0.1), substream(5, 0), size=33)
         assert anc.shape == (33,)
         assert np.all((anc >= 0) & (anc < 10))
 
@@ -79,33 +76,34 @@ class TestMultinomial:
 class TestSystematic:
     def test_sorted_and_in_range(self):
         logw = substream(6, 0).standard_normal(100)
-        anc = systematic_resample(logw, substream(6, 1))
+        anc = systematic_resample(normalize_log_weights(logw), substream(6, 1))
         assert np.all(np.diff(anc) >= 0)
         assert np.all((anc >= 0) & (anc < 100))
 
     def test_uniform_weights_give_near_identity(self):
-        anc = systematic_resample(np.zeros(100), substream(7, 0))
+        anc = systematic_resample(normalize_log_weights(np.zeros(100)), substream(7, 0))
         # each index appears exactly once under uniform weights
         assert np.array_equal(np.sort(anc), np.arange(100))
 
 
 class TestEss:
     def test_uniform(self):
-        assert np.isclose(ess(np.zeros(50)), 50.0)
+        assert np.isclose(ess(normalize_log_weights(np.zeros(50))), 50.0)
 
     def test_point_mass(self):
         logw = np.log(np.array([1e-300, 1.0, 1e-300]))
-        assert np.isclose(ess(logw), 1.0, atol=1e-6)
+        assert np.isclose(ess(normalize_log_weights(logw)), 1.0, atol=1e-6)
 
     def test_hand_computed(self):
         # w = (1, 1, 2): (sum w)^2 / sum w^2 = 16/6
-        assert np.isclose(ess(np.log(np.array([1.0, 1.0, 2.0]))), 16.0 / 6.0)
+        w = normalize_log_weights(np.log(np.array([1.0, 1.0, 2.0])))
+        assert np.isclose(ess(w), 16.0 / 6.0)
 
     @settings(max_examples=30)
     @given(st.integers(2, 200), st.integers(0, 10_000))
     def test_bounds(self, n, seed):
         logw = substream(seed, 0).standard_normal(n) * 3
-        val = ess(logw)
+        val = ess(normalize_log_weights(logw))
         assert 1.0 - 1e-9 <= val <= n + 1e-9
 
 
@@ -131,3 +129,11 @@ class TestNormalize:
         w = normalize_log_weights(logw)
         assert np.isclose(w.sum(), 1.0)
         assert np.all(w >= 0)
+
+    def test_all_zero_weights_abort(self):
+        with pytest.raises(TotalDegeneracyError):
+            normalize_log_weights(np.full(8, -np.inf))
+
+    def test_nan_weight_aborts(self):
+        with pytest.raises(TotalDegeneracyError):
+            normalize_log_weights(np.array([0.0, np.nan]))
