@@ -175,7 +175,7 @@ class FactorizedDiscreteApprox:
 
     def sample(self, rng: np.random.Generator, size: int | None = None) -> np.ndarray:
         n = 1 if size is None else size
-        codes = sample_codes(self.tables[None, :, :], rng, n)[0]
+        codes = sample_codes(self.tables[None, :, :], self.cardinalities, rng, n)[0]
         return codes[0] if size is None else codes
 
 
@@ -340,12 +340,24 @@ def batch_mixture_match(
     return alphas_out, means_out, covs_out, ok
 
 
-def sample_codes(tables: np.ndarray, rng: np.random.Generator, m: int) -> np.ndarray:
-    """Draw (B, m, p) integer codes from stacked factorized tables (B, p, C)."""
-    cdf = np.cumsum(tables, axis=-1)
-    u = rng.random((tables.shape[0], m, tables.shape[1]))
-    codes = (u[:, :, :, None] >= cdf[:, None, :, :]).sum(axis=-1)
-    return codes.astype(np.int64)
+def sample_codes(
+    tables: np.ndarray, cardinalities: np.ndarray, rng: np.random.Generator, m: int
+) -> np.ndarray:
+    """Draw (B, m, p) integer codes from stacked factorized tables (B, p, C).
+
+    A code counts the interior CDF columns its uniform draw reaches, so no
+    (B, m, p, C) comparison is built.  Columns at or past a dimension's
+    last code are unreachable, so every code is below its cardinality even
+    when a table's cumulative sum rounds below the draw.
+    """
+    b, p, cmax = tables.shape
+    cdf = np.cumsum(tables[:, :, :-1], axis=-1)
+    cdf[:, np.arange(cmax - 1) >= cardinalities[:, None] - 1] = np.inf
+    u = rng.random((b, m, p))
+    codes = np.zeros((b, m, p), dtype=np.int64)
+    for c in range(cmax - 1):
+        codes += u >= cdf[:, None, :, c]
+    return codes
 
 
 def enumerate_codes(cardinalities: np.ndarray) -> np.ndarray:
@@ -365,7 +377,6 @@ def exhaustive_log_prior(tables: np.ndarray, codes: np.ndarray) -> np.ndarray:
 
 def batch_discrete_match(
     tables: np.ndarray,
-    cardinalities: np.ndarray,
     codes: np.ndarray,
     log_prior_w: np.ndarray | None,
     log_t: np.ndarray,
@@ -493,10 +504,10 @@ def discrete_update(
     else:
         if rng is None:
             raise ValueError("sampled discrete update needs a generator")
-        codes = sample_codes(tables, rng, m)[0]
+        codes = sample_codes(tables, cards, rng, m)[0]
         log_prior = None
     log_t_vals = np.asarray(log_t(codes)).reshape(1, -1)
-    new_tables, ok = batch_discrete_match(tables, cards, codes[None, :, :], log_prior, log_t_vals)
+    new_tables, ok = batch_discrete_match(tables, codes[None, :, :], log_prior, log_t_vals)
     if not ok[0]:
         raise DegenerateUpdateError("likelihood mass vanished at every sampled code")
     return FactorizedDiscreteApprox(new_tables[0], cards)

@@ -26,7 +26,6 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.special import ndtr, ndtri
-from scipy.stats import truncnorm
 
 from . import rng as streams
 from .approx import (
@@ -255,7 +254,7 @@ class _DiscreteCloud(_Cloud):
         self._exh_codes = enumerate_codes(self.cards) if self.exhaustive else None
 
     def sample_params(self, rng: np.random.Generator) -> np.ndarray:
-        return sample_codes(self.arrays["tables"], rng, 1)[:, 0, :]
+        return sample_codes(self.arrays["tables"], self.cards, rng, 1)[:, 0, :]
 
     def update(self, prev, u, factor, scheme, rng):
         tables = prev["tables"]
@@ -264,10 +263,10 @@ class _DiscreteCloud(_Cloud):
             log_prior = exhaustive_log_prior(tables, codes)
             codes_b = np.broadcast_to(codes[None, :, :], (len(u),) + codes.shape)
         else:
-            codes_b = sample_codes(tables, rng, self.m_samples)
+            codes_b = sample_codes(tables, self.cards, rng, self.m_samples)
             log_prior = None
         logt = factor(codes_b, u)
-        new_tables, ok = batch_discrete_match(tables, self.cards, codes_b, log_prior, logt)
+        new_tables, ok = batch_discrete_match(tables, codes_b, log_prior, logt)
         return {"tables": new_tables}, ok
 
     def step_summary(self) -> tuple[np.ndarray, np.ndarray]:
@@ -582,6 +581,8 @@ def run_pmmh(model: DynamicModel, observations, config: PmmhConfig) -> PmmhResul
     The returned estimate is the mean of the last half of the chain, the
     first half being discarded as burn-in.
     """
+    from scipy.stats import truncnorm  # imported here: it is most of the package import time
+
     p, d, m = model.dims()
     if p == 0:
         raise ConfigError("model has no parameters to sample")

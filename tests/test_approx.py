@@ -23,6 +23,7 @@ from paramsmc.approx import (
     gaussian_update,
     mixture_update,
     monte_carlo,
+    sample_codes,
     unscented,
 )
 from paramsmc.errors import DegenerateUpdateError
@@ -369,6 +370,40 @@ class TestSampling:
                 freq = np.mean((draws[:, 0] == a) & (draws[:, 1] == b))
                 sigma = np.sqrt(p * (1 - p) / n)
                 assert abs(freq - p) < 3 * sigma + 1e-9
+
+    def test_codes_stay_below_cardinality_when_cdf_rounds_short(self):
+        # Ten 0.1s sum to 1 - 2**-53 in float64; a draw of that size or
+        # more reaches past the last cumulative column.
+        class TopRng:
+            def random(self, shape):
+                return np.full(shape, np.nextafter(1.0, 0.0))
+
+        q = FactorizedDiscreteApprox([np.full(10, 0.1)])
+        assert q.sample(TopRng(), size=3).tolist() == [[9]] * 3
+        q = FactorizedDiscreteApprox([np.full(10, 0.1), np.full(11, 1 / 11)])
+        assert q.sample(TopRng()).tolist() == [9, 10]
+
+    @pytest.mark.parametrize("cmax", [2, 3, 10])
+    @pytest.mark.parametrize("padded", [False, True])
+    def test_codes_match_full_comparison_formula(self, cmax, padded):
+        gen = np.random.default_rng(cmax)
+        b, p, m = 40, 6, 25
+        cards = gen.integers(1, cmax + 1, size=p) if padded else np.full(p, cmax)
+        cards[0] = cmax
+        if padded:
+            tables = gen.dirichlet(np.ones(cmax), size=(b, p))
+            tables[:, np.arange(cmax) >= cards[:, None]] = 0.0
+            tables /= tables.sum(axis=-1, keepdims=True)
+        else:
+            tables = np.full((b, p, cmax), 1.0 / cmax)
+        # The (B, m, p, C) comparison the kernel replaced.
+        cdf = np.cumsum(tables, axis=-1)
+        u = substream(5, cmax).random((b, m, p))
+        expected = (u[..., None] >= cdf[:, None]).sum(axis=-1)
+        codes = sample_codes(tables, cards, substream(5, cmax), m)
+        assert codes.dtype == np.int64
+        np.testing.assert_array_equal(codes, expected)
+        assert np.all(codes < cards)
 
     @given(st.integers(0, 1000))
     @settings(max_examples=20)

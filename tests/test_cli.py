@@ -1,7 +1,11 @@
 """Harness behavior: verbs, file schemas, reproducibility, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -14,6 +18,16 @@ from paramsmc.io import (
     read_trajectory_csv,
     write_result_csv,
 )
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    # scipy.stats is most of the package's import time and only PMMH needs it.
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = "import sys, paramsmc.cli; print('scipy.stats' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def read_bytes(path):
