@@ -262,7 +262,9 @@ def batch_moment_match(
     b, j, p = points.shape
     a = log_t + log_weights[None, :]
     a = np.where(np.isnan(a), -np.inf, a)
-    shift = np.max(a, axis=1)
+    # A max over a short innermost axis pays NumPy's per-row overhead;
+    # over the leading axis of a contiguous copy it runs as whole-row maxima.
+    shift = np.ascontiguousarray(a.T).max(axis=0)
     ok = np.isfinite(shift)
     safe_shift = np.where(ok, shift, 0.0)
     with np.errstate(under="ignore"):
@@ -321,7 +323,7 @@ def batch_mixture_match(
     with np.errstate(divide="ignore"):
         log_alpha = np.log(alphas)
     log_post = np.where(comp_ok, log_alpha + log_beta, -np.inf)
-    shift = np.max(log_post, axis=1)
+    shift = np.ascontiguousarray(log_post.T).max(axis=0)  # see batch_moment_match
     ok = np.isfinite(shift)
     safe_shift = np.where(ok, shift, 0.0)
     with np.errstate(under="ignore"):

@@ -21,11 +21,11 @@ surviving ancestor; the literal update-then-resample order is available
 behind ``update_order="update_first"`` so the two can be compared.
 """
 
+import math
 import time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 from . import rng as streams
 from .approx import (
@@ -350,6 +350,8 @@ def _stratified_split(mean: np.ndarray, cov: np.ndarray, l: int) -> tuple[np.nda
     pairs, so even posteriors stay exactly balanced) and the shared
     component variance is shrunk to preserve the prior's total variance.
     """
+    from scipy.special import ndtri  # imported here: scipy is most of the package import time
+
     sd = float(np.sqrt(cov[0, 0]))
     half = l // 2
     upper = ndtri((np.arange(half) + l - half + 0.5) / l)
@@ -532,6 +534,16 @@ class PmmhConfig:
     time_budget_s: float | None = None
     init: np.ndarray | None = None
 
+    def validate(self) -> None:
+        if self.inner_particles < 1:
+            raise ConfigError("PMMH needs at least one inner particle")
+        if self.iterations < 0:
+            raise ConfigError("PMMH iterations must be >= 0")
+        if not (math.isfinite(self.proposal_sd) and self.proposal_sd > 0):
+            raise ConfigError(f"PMMH proposal_sd must be finite and > 0, got {self.proposal_sd}")
+        if len(self.bounds) != 2 or not self.bounds[0] < self.bounds[1]:
+            raise ConfigError(f"PMMH bounds must be (lo, hi) with lo < hi, got {self.bounds}")
+
 
 @dataclass
 class PmmhResult:
@@ -563,6 +575,8 @@ class PmmhResult:
 
 
 def _truncnorm_log_z(theta: np.ndarray, sd: float, lo: float, hi: float) -> float:
+    from scipy.special import ndtr
+
     z = ndtr((hi - theta) / sd) - ndtr((lo - theta) / sd)
     return float(np.sum(np.log(z)))
 
@@ -581,7 +595,8 @@ def run_pmmh(model: DynamicModel, observations, config: PmmhConfig) -> PmmhResul
     The returned estimate is the mean of the last half of the chain, the
     first half being discarded as burn-in.
     """
-    from scipy.stats import truncnorm  # imported here: it is most of the package import time
+    config.validate()
+    from scipy.stats import truncnorm  # imported here: scipy is most of the package import time
 
     p, d, m = model.dims()
     if p == 0:

@@ -23,6 +23,7 @@ from .errors import DimensionMismatchError
 from .rng import substream
 
 LOG_2PI = np.log(2.0 * np.pi)
+HALF_LOG_2PI = 0.5 * LOG_2PI
 
 # Array conventions: a parameter vector is (p,) float64 (continuous) or
 # (p,) int64 codes (discrete); states are (d,) and observations (m,)
@@ -237,9 +238,22 @@ def simulate(
 
 
 def gaussian_logpdf(x, mean, sd):
-    """Elementwise scalar Gaussian log density; sd must be positive."""
+    """Elementwise scalar Gaussian log density; sd must be positive.
+
+    Computes -0.5 * z * z - log(sd) - 0.5 * log(2 pi) with z = (x - mean) / sd,
+    operation by operation in that order, but in place where the shapes
+    allow: it is the likelihood kernel of every filter step.
+    """
     sd = np.asarray(sd, dtype=np.float64)
-    if np.any(sd <= 0):
+    if (sd <= 0) if sd.ndim == 0 else np.any(sd <= 0):
         raise ValueError("gaussian_logpdf requires positive standard deviation")
-    z = (np.asarray(x) - np.asarray(mean)) / sd
-    return -0.5 * z * z - np.log(sd) - 0.5 * LOG_2PI
+    z = np.asarray(x) - np.asarray(mean)
+    if z.dtype == np.float64 and (sd.ndim == 0 or sd.shape == z.shape):
+        z /= sd
+    else:
+        z = z / sd
+    out = -0.5 * z
+    out *= z
+    out -= np.log(sd)
+    out -= HALF_LOG_2PI
+    return out

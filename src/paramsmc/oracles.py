@@ -6,6 +6,7 @@ for the linear-Gaussian model, grid posteriors over a scalar parameter,
 and the KL / MSE metrics.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -147,7 +148,7 @@ def pf_log_likelihood(model, theta, observations, n_particles, rng) -> float:
     A lean fixed-parameter filter: no parameter cloud, no recording, and
     state windows shifted in place.  It is the inner loop of the PMMH
     acceptance ratio and of the sampled grid oracle, so it keeps its own
-    loop rather than the engine's, whose step costs about 1.5x this one
+    loop rather than the engine's, whose step costs about 1.6x this one
     at 50 particles.  It resamples with the engine's multinomial_resample.
     """
     p, d, m = model.dims()
@@ -161,19 +162,19 @@ def pf_log_likelihood(model, theta, observations, n_particles, rng) -> float:
     x = model.state_prior_sample(rng, thetas)
     for t in range(obs.shape[0]):
         if t > 0:
-            windows[:, :-1] = windows[:, 1:]
-            windows[:, -1] = x
             x = model.transition_sample(rng, t, windows, thetas)
         logw = model.obs_logdensity(t, obs[t], x, thetas)
         step = log_mean_exp(logw)
-        if not np.isfinite(step):
+        if not math.isfinite(step):
             return -np.inf
         total += step
         with np.errstate(under="ignore"):
             w = np.exp(logw - logw.max())
         w /= w.sum()
         anc = multinomial_resample(w, rng)
-        x = x[anc]
+        # Push x before resampling, so one gather moves states and windows.
+        windows[:, :-1] = windows[:, 1:]
+        windows[:, -1] = x
         windows = windows[anc]
     return float(total)
 

@@ -4,6 +4,8 @@ The resamplers and ess take the normalized weights that
 normalize_log_weights returns and the filters hold.
 """
 
+import math
+
 import numpy as np
 
 from .errors import TotalDegeneracyError
@@ -16,11 +18,11 @@ def normalize_log_weights(log_weights: np.ndarray) -> np.ndarray:
     any weight is NaN, since no ancestor distribution exists then.
     """
     lw = np.asarray(log_weights, dtype=np.float64)
-    if np.any(np.isnan(lw)):
-        raise TotalDegeneracyError("NaN particle weight")
-    m = np.max(lw)
-    if not np.isfinite(m):
-        raise TotalDegeneracyError("every particle weight is zero")
+    m = lw.max()  # NaN if any weight is NaN
+    if not math.isfinite(m):
+        raise TotalDegeneracyError(
+            "NaN particle weight" if math.isnan(m) else "every particle weight is zero"
+        )
     with np.errstate(under="ignore"):
         w = np.exp(lw - m)
     return w / w.sum()
@@ -69,17 +71,23 @@ def ess(weights: np.ndarray) -> float:
 def log_mean_exp(log_values: np.ndarray) -> float:
     """log of the average of exp(values), max-shifted; -inf if all -inf."""
     lv = np.asarray(log_values, dtype=np.float64)
-    m = np.max(lv)
-    if not np.isfinite(m):
+    m = lv.max()
+    if not math.isfinite(m):
         return float(m)
     with np.errstate(under="ignore"):
-        return float(m + np.log(np.mean(np.exp(lv - m))))
+        # sum / size is how np.mean computes the mean, without its wrapper cost
+        return float(m + np.log(np.exp(lv - m).sum() / lv.size))
 
 
 def distinct_sorted(ancestors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct values and inverse map of an already-sorted index array.
+    """Distinct values and inverse map of an already-sorted 1-d index array.
 
-    Returns (unique, inverse) with unique[inverse] == ancestors.
+    Returns (unique, inverse) with unique[inverse] == ancestors, equal to
+    np.unique(ancestors, return_inverse=True) without its re-sort: a new
+    value starts wherever a neighbour differs.
     """
-    unique, inverse = np.unique(ancestors, return_inverse=True)
-    return unique, inverse
+    ancestors = np.asarray(ancestors)
+    starts = np.empty(ancestors.shape[0], dtype=bool)
+    starts[:1] = True
+    np.not_equal(ancestors[1:], ancestors[:-1], out=starts[1:])
+    return ancestors[starts], np.cumsum(starts) - 1

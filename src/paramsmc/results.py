@@ -3,7 +3,6 @@
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import ndtr
 
 from .approx import FactorizedDiscreteApprox, GaussianApprox, MixtureApprox
 
@@ -31,6 +30,8 @@ class FusedPosterior:
     def interval_mass(self, lo: float, hi: float, dim: int = 0) -> float:
         """Posterior mass assigned to [lo, hi] along one coordinate."""
         if self.kind == "mixture":
+            from scipy.special import ndtr  # scipy is most of the package import time
+
             mu = self.mixture_means[:, dim]
             sd = np.sqrt(self.mixture_covs[:, dim, dim])
             mass = ndtr((hi - mu) / sd) - ndtr((lo - mu) / sd)

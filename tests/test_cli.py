@@ -8,6 +8,7 @@ import time
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from paramsmc import cli
 from paramsmc.cli import main
@@ -21,13 +22,14 @@ from paramsmc.io import (
 
 
 def test_import_leaves_scipy_stats_unloaded():
-    # scipy.stats is most of the package's import time and only PMMH needs it.
+    # No scipy module at all: scipy is most of the package's import time,
+    # and only PMMH, the mixture prior split and interval masses need it.
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    code = "import sys, paramsmc.cli; print('scipy.stats' in sys.modules)"
+    code = "import sys, paramsmc.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "[]"
 
 
 def read_bytes(path):
@@ -225,6 +227,17 @@ class TestRun:
         assert code == 0
         rows = read_result_csv(tmp_path / "res.csv")
         assert len(rows) == 41  # initial state plus one row per iteration
+
+    @pytest.mark.parametrize("bad", [{"inner_particles": 0}, {"proposal_sd": 0}])
+    def test_invalid_pmmh_config_exits_2(self, tmp_path, capsys, bad):
+        traj = tmp_path / "traj.csv"
+        main(["simulate", "--model", "lg", "--steps", "10", "--seed", "11", "--out", str(traj)])
+        cfg = tmp_path / "cfg.json"
+        pmmh = {"inner_particles": 30, "iterations": 5, "proposal_sd": 0.3, **bad}
+        cfg.write_text(json.dumps({"model": "lg", "algorithm": "pmmh", "data": str(traj), "pmmh": pmmh}))
+        code = main(["run", "--config", str(cfg), "--seed", "3", "--out", str(tmp_path / "res")])
+        assert code == 2
+        assert "config error" in capsys.readouterr().err
 
 
 class TestSweep:

@@ -440,6 +440,24 @@ class TestLiuWest:
 
 
 class TestPmmh:
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"inner_particles": 0},
+            {"iterations": -1},
+            {"proposal_sd": 0.0},
+            {"proposal_sd": float("nan")},
+            {"proposal_sd": float("inf")},
+            {"bounds": (1.0, 1.0)},
+            {"bounds": (2.0, -2.0)},
+        ],
+    )
+    def test_invalid_config_raises(self, bad):
+        model = LinearGaussianModel()
+        _, obs = simulate(model, np.array([0.7]), 5, substream(13, 0))
+        with pytest.raises(ConfigError):
+            run_pmmh(model, obs, PmmhConfig(**{"iterations": 3, **bad}))
+
     def test_near_zero_proposal_freezes_chain(self):
         model = LinearGaussianModel()
         _, obs = simulate(model, np.array([0.7]), 30, substream(13, 0))

@@ -1,8 +1,12 @@
-"""Golden parity: pinned digests of small filter runs, plus a window check.
+"""Golden parity: pinned digests of small filter and PMMH runs, plus a window check.
 
-Each digest is the sha256 of a run's per-step outputs (parameter means
-and covariances, state means, ESS, update counts, discrete tables, log
-evidence) and of its fused posterior, every array in native byte order.
+Each filter digest is the sha256 of a run's per-step outputs (parameter
+means and covariances, state means, ESS, update counts, discrete tables,
+log evidence) and of its fused posterior, every array in native byte
+order.  A PMMH digest covers the chain, its log-likelihood estimates and
+its acceptances; the pf-log-likelihood digest covers the lean inner
+filter's estimates on the order-two model, where the order of the window
+shift and the ancestor gather matters.
 The digests were captured with numpy 2.4.6 and scipy 1.17.1 on x86-64;
 another numpy or BLAS build may round differently and move them.
 
@@ -18,14 +22,18 @@ import numpy as np
 import pytest
 
 from paramsmc.approx import gauss_hermite, monte_carlo
-from paramsmc.benchmarks import SinModel, slam_small
+from paramsmc.benchmarks import LinearGaussianModel, SinModel, slam_small
 from paramsmc.engine import (
     FilterConfig,
+    PmmhConfig,
+    PmmhResult,
     run_assumed_density_filter,
     run_bootstrap_filter,
     run_liu_west_filter,
+    run_pmmh,
 )
 from paramsmc.model import DynamicModel, gaussian_logpdf, simulate
+from paramsmc.oracles import pf_log_likelihood
 from paramsmc.rng import substream
 
 
@@ -85,8 +93,28 @@ def _order_two():
     return model, obs
 
 
+def _lg():
+    model = LinearGaussianModel()
+    _, obs = simulate(model, np.array([0.7]), 40, substream(12, 99))
+    return model, obs
+
+
 def _api(data, **config):
     return lambda: run_assumed_density_filter(*data(), FilterConfig(**config))
+
+
+def _pmmh(data, **config):
+    return lambda: run_pmmh(*data(), PmmhConfig(**config))
+
+
+def _pf_log_likelihoods():
+    model, obs = _order_two()
+    return np.array(
+        [
+            pf_log_likelihood(model, [theta], obs, 48, substream(13, i))
+            for i, theta in enumerate([-0.4, 0.2, 0.5, 0.9])
+        ]
+    )
 
 
 GH7 = gauss_hermite(7)
@@ -127,6 +155,9 @@ RUNS = {
         *_sin(), FilterConfig(n_particles=64, seed=9, permute_hook=(0, substream(6, 1).permutation(64)))
     ),
     "liu-west": lambda: run_liu_west_filter(*_sin(), FilterConfig(n_particles=64, seed=10)),
+    "pmmh-lg": _pmmh(_lg, inner_particles=32, iterations=40, proposal_sd=0.2, seed=14),
+    "pmmh-slam-small": _pmmh(_slam, inner_particles=32, iterations=40, seed=15),
+    "pf-log-likelihood-order-two": _pf_log_likelihoods,
 }
 
 GOLDEN = {
@@ -143,7 +174,10 @@ GOLDEN = {
     "mixture-update-first": "e3ed2759c76a08a1d6ffbb8ea1fa11d642991fac648303c95953e175208b2acf",
     "order-two": "b403f7f68a2dedc611d841c669b9d9ec20787c9a5c28a122b9d9340727904c0f",
     "pf": "b92066838a09be746d18160af61acc50ea5c9ab68bba18e329f67bdde3c30287",
+    "pf-log-likelihood-order-two": "6cf1c8bfc5de6eb5e74dd557f8cccc9eab248808491eecbd873f15955607018a",
     "pf-permuted": "4e809a0f3b8b980f2fab0f476228d671e29d2363b44cc35de044c91869751e43",
+    "pmmh-lg": "ab1874617d15e850bca0fb26c0a1cbaed9895ed5fa580bd79369dd46ef837f00",
+    "pmmh-slam-small": "db639f66bf357a2489a1498ccc2359a81c8d92e7275bcb654a90120e649f2cc6",
 }
 
 
@@ -159,6 +193,13 @@ def run_digest(result) -> str:
         h.update(str(arr.dtype).encode() + str(arr.shape).encode())
         h.update(np.ascontiguousarray(arr).tobytes())
 
+    if isinstance(result, np.ndarray):
+        add(result)
+        return h.hexdigest()
+    if isinstance(result, PmmhResult):
+        for value in (result.chain, result.log_liks, result.accepted, result.rejected_nonfinite):
+            add(value)
+        return h.hexdigest()
     for value in (
         result.param_mean,
         result.param_cov,

@@ -8,13 +8,70 @@ from scipy import integrate, stats
 
 from paramsmc.benchmarks import LinearGaussianModel, SinModel, get_model
 from paramsmc.errors import DimensionMismatchError
-from paramsmc.model import ParamLikelihood, make_param_likelihood, simulate
+from paramsmc.model import (
+    LOG_2PI,
+    ParamLikelihood,
+    gaussian_logpdf,
+    make_param_likelihood,
+    simulate,
+)
 from paramsmc.rng import RngStream, substream
 
 # Long-run moments of y under theta* = -0.5, frozen from a one-off
 # 10^6-step brute-force simulation (scripts/compute_frozen_oracles.py).
 SIN_LONGRUN_Y_MEAN = 0.001264
 SIN_LONGRUN_Y_SD = 1.217509
+
+
+def reference_gaussian_logpdf(x, mean, sd):
+    """The allocating formula gaussian_logpdf is required to equal bit for bit."""
+    sd = np.asarray(sd, dtype=np.float64)
+    if np.any(sd <= 0):
+        raise ValueError("gaussian_logpdf requires positive standard deviation")
+    z = (np.asarray(x) - np.asarray(mean)) / sd
+    return -0.5 * z * z - np.log(sd) - 0.5 * LOG_2PI
+
+
+def _logpdf_cases():
+    rng = substream(23, 0)
+    n = 50
+    return {
+        "python-scalars": (0.3, -0.2, 1.5),
+        "zero-d-arrays": (np.array(0.3), np.array(-0.2), np.array(1.5)),
+        "array-x": (rng.standard_normal(n), 0.4, 0.7),
+        "scalar-x-array-mean": (1.2, rng.standard_normal(n), 0.5),
+        "array-sd": (rng.standard_normal(n), rng.standard_normal(n), rng.random(n) + 0.1),
+        "broadcast-x-mean": (rng.standard_normal((5, 1)), rng.standard_normal((1, 4)), 2.0),
+        "sd-higher-rank": (rng.standard_normal(4), 0.1, rng.random((3, 4)) + 0.1),
+        "sd-broadcast-row": (rng.standard_normal((3, 4)), 0.0, rng.random(4) + 0.1),
+        "sd-size-one": (rng.standard_normal(6), 0.0, np.array([0.3])),
+        "int-x-mean": (np.arange(6), np.arange(6)[::-1], 1.5),
+        "float32-x": (rng.standard_normal(6).astype(np.float32), 0.5, 0.9),
+        "extreme": (np.array([1e300, -1e300, 1e-300, 0.0]), 0.0, 1e-200),
+        "large": (rng.standard_normal(28_600), 0.25, 0.3),
+    }
+
+
+class TestGaussianLogpdf:
+    @pytest.mark.parametrize("name", sorted(_logpdf_cases()))
+    def test_matches_reference_bits(self, name):
+        x, mean, sd = _logpdf_cases()[name]
+        inputs = [np.array(v, copy=True) for v in (x, mean, sd)]
+        with np.errstate(over="ignore"):
+            got = gaussian_logpdf(x, mean, sd)
+            ref = reference_gaussian_logpdf(x, mean, sd)
+        assert type(got) is type(ref)
+        got, ref = np.asarray(got), np.asarray(ref)
+        assert got.dtype == ref.dtype and got.shape == ref.shape
+        assert got.tobytes() == ref.tobytes()
+        # the in-place arithmetic never writes to its inputs
+        for before, after in zip(inputs, (x, mean, sd)):
+            assert np.array_equal(before, np.asarray(after))
+
+    @pytest.mark.parametrize("sd", [0.0, -1.0, np.array([0.5, 0.0]), np.array([[1.0], [-2.0]])])
+    def test_nonpositive_sd_raises(self, sd):
+        with pytest.raises(ValueError, match="positive standard deviation"):
+            gaussian_logpdf(np.zeros(2), 0.0, sd)
 
 
 class TestParamLikelihood:

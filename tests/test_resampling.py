@@ -12,6 +12,8 @@ from scipy import stats
 
 from paramsmc.errors import TotalDegeneracyError
 from paramsmc.resampling import (
+    RESAMPLERS,
+    distinct_sorted,
     ess,
     log_mean_exp,
     multinomial_resample,
@@ -105,6 +107,107 @@ class TestEss:
         logw = substream(seed, 0).standard_normal(n) * 3
         val = ess(normalize_log_weights(logw))
         assert 1.0 - 1e-9 <= val <= n + 1e-9
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def reference_log_mean_exp(log_values):
+    """The np.max / np.mean formula log_mean_exp is required to equal bit for bit."""
+    lv = np.asarray(log_values, dtype=np.float64)
+    m = np.max(lv)
+    if not np.isfinite(m):
+        return float(m)
+    with np.errstate(under="ignore"):
+        return float(m + np.log(np.mean(np.exp(lv - m))))
+
+
+def reference_normalize_log_weights(log_weights):
+    """The separate-NaN-pass formula normalize_log_weights is required to equal."""
+    lw = np.asarray(log_weights, dtype=np.float64)
+    if np.any(np.isnan(lw)):
+        raise TotalDegeneracyError("NaN particle weight")
+    m = np.max(lw)
+    if not np.isfinite(m):
+        raise TotalDegeneracyError("every particle weight is zero")
+    with np.errstate(under="ignore"):
+        w = np.exp(lw - m)
+    return w / w.sum()
+
+
+def reference_inputs():
+    rng = substream(21, 0)
+    cases = [rng.standard_normal(n) * 30 for n in (1, 2, 7, 50, 1000, 4099)]
+    cases.append(np.array([-1000.0, -1001.0]))
+    cases.append(np.array([-np.inf, 0.5, -np.inf, -2.0]))
+    cases.append(rng.standard_normal(50) * 1e3 - 1e5)
+    return cases
+
+
+class TestAgainstReferenceFormulas:
+    @pytest.mark.parametrize("case", range(len(reference_inputs())))
+    def test_log_mean_exp_bits(self, case):
+        lv = reference_inputs()[case]
+        assert same_bits(log_mean_exp(lv), reference_log_mean_exp(lv))
+
+    def test_log_mean_exp_all_neg_inf_bits(self):
+        lv = np.full(50, -np.inf)
+        assert same_bits(log_mean_exp(lv), reference_log_mean_exp(lv))
+
+    @pytest.mark.parametrize("case", range(len(reference_inputs())))
+    def test_normalize_bits(self, case):
+        lw = reference_inputs()[case]
+        assert same_bits(normalize_log_weights(lw), reference_normalize_log_weights(lw))
+
+    @pytest.mark.parametrize(
+        "lw",
+        [
+            [0.0, np.nan],
+            [np.nan, -np.inf],
+            [-np.inf, np.nan, np.inf],
+            [np.inf, np.nan],
+            [-np.inf] * 8,
+            [-np.inf, np.inf],
+            [np.nan],
+        ],
+    )
+    def test_normalize_error_messages(self, lw):
+        with pytest.raises(TotalDegeneracyError) as expected:
+            reference_normalize_log_weights(np.array(lw))
+        with pytest.raises(TotalDegeneracyError) as got:
+            normalize_log_weights(np.array(lw))
+        assert str(got.value) == str(expected.value)
+
+    @pytest.mark.parametrize(
+        "ancestors",
+        [
+            np.array([3]),
+            np.zeros(7, dtype=np.int64),
+            np.full(5, 4, dtype=np.int64),
+            np.arange(6),
+            np.array([0, 0, 1, 4, 4, 4, 9]),
+            np.array([], dtype=np.int64),
+        ],
+    )
+    def test_distinct_sorted_matches_unique(self, ancestors):
+        unique, inverse = distinct_sorted(ancestors)
+        ref_unique, ref_inverse = np.unique(ancestors, return_inverse=True)
+        assert same_bits(unique, ref_unique)
+        assert same_bits(inverse, ref_inverse)
+
+    @pytest.mark.parametrize("name", sorted(RESAMPLERS))
+    @pytest.mark.parametrize("seed", range(5))
+    def test_distinct_sorted_on_resampler_output(self, name, seed):
+        rng = substream(22, seed)
+        w = normalize_log_weights(rng.standard_normal(200) * 2)
+        anc = RESAMPLERS[name](w, rng)
+        unique, inverse = distinct_sorted(anc)
+        ref_unique, ref_inverse = np.unique(anc, return_inverse=True)
+        assert same_bits(unique, ref_unique)
+        assert same_bits(inverse, ref_inverse)
+        assert np.array_equal(unique[inverse], anc)
 
 
 class TestLogMeanExp:
