@@ -227,9 +227,10 @@ def batch_gaussian_points(
     if p == 1:
         sd = chols[:, :, 0]
         if z.ndim == 2:
-            points = means[:, None, :] + sd[:, None, :] * z[None, :, :]
+            points = sd[:, None, :] * z[None, :, :]
         else:
-            points = means[:, None, :] + sd[:, None, :] * z
+            points = sd[:, None, :] * z
+        points += means[:, None, :]  # means + sd * z, in place
     elif z.ndim == 2:
         points = means[:, None, :] + np.einsum("bij,kj->bki", chols, z)
     else:
@@ -260,8 +261,9 @@ def batch_moment_match(
     Returns (means, covs, log_z, ok).
     """
     b, j, p = points.shape
+    # a, and r after it, are worked in place: each is the size of log_t
     a = log_t + log_weights[None, :]
-    a = np.where(np.isnan(a), -np.inf, a)
+    a[np.isnan(a)] = -np.inf
     # A max over a short innermost axis pays NumPy's per-row overhead;
     # over the leading axis of a contiguous copy it runs as whole-row maxima.
     shift = np.ascontiguousarray(a.T).max(axis=0)
@@ -269,7 +271,8 @@ def batch_moment_match(
     safe_shift = np.where(ok, shift, 0.0)
     with np.errstate(under="ignore"):
         # underflow to zero is exactly the max-shift semantics
-        r = np.exp(a - safe_shift[:, None])
+        a -= safe_shift[:, None]
+        r = np.exp(a, out=a)
     r[~ok] = 0.0
     total = r.sum(axis=1)
     with np.errstate(divide="ignore"):

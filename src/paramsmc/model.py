@@ -24,6 +24,10 @@ from .rng import substream
 
 LOG_2PI = np.log(2.0 * np.pi)
 HALF_LOG_2PI = 0.5 * LOG_2PI
+# Evaluations per model call when ParamLikelihood scores a large batch:
+# 64 KB arrays, so the factor's temporaries stay a few hundred KB however
+# many rows an update carries (see ParamLikelihood.__call__).
+FACTOR_BLOCK = 8192
 
 # Array conventions: a parameter vector is (p,) float64 (continuous) or
 # (p,) int64 codes (discrete); states are (d,) and observations (m,)
@@ -137,6 +141,11 @@ class ParamLikelihood:
     returns the (B, J) log values, row b scored against owner rows[b].
     A (J, p) array of parameters is scored against owner 0 alone and
     gives (J,) values.
+
+    Rows are scored in blocks of about FACTOR_BLOCK evaluations.  Every
+    value depends on its own row alone, so the blocks give the same bits;
+    they keep the model's temporaries small, and with them the memory a
+    step takes from the allocator and hands back.
     """
 
     model: DynamicModel
@@ -150,6 +159,19 @@ class ParamLikelihood:
             return self(np.atleast_2d(points)[None], np.zeros(1, dtype=np.intp))[0]
         b, j, p = points.shape
         flat = points.reshape(b * j, p)
+        step = max(1, FACTOR_BLOCK // j)
+        if b <= step:
+            return self._score(flat, rows, j).reshape(b, j)
+        out = None
+        for lo in range(0, b, step):
+            block = self._score(flat[lo * j : (lo + step) * j], rows[lo : lo + step], j)
+            if out is None:
+                out = np.empty(b * j, dtype=block.dtype)
+            out[lo * j : lo * j + block.shape[0]] = block
+        return out.reshape(b, j)
+
+    def _score(self, flat: np.ndarray, rows: np.ndarray, j: int) -> np.ndarray:
+        """Flat log values of J consecutive points per owner row."""
         owner = np.repeat(rows, j)
         x = self.states[owner]
         out = self.model.obs_logdensity(self.k, self.y, x, flat)
@@ -157,7 +179,7 @@ class ParamLikelihood:
             out = out + self.model.transition_logdensity(self.k, x, self.windows[owner], flat)
         elif self.model.state_prior_depends_on_params:
             out = out + self.model.state_prior_logdensity(x, flat)
-        return out.reshape(b, j)
+        return out
 
 
 def make_param_likelihood(

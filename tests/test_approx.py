@@ -13,11 +13,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from paramsmc.approx import (
+    JITTER_RELATIVE,
+    LOG_MASS_FLOOR,
     FactorizedDiscreteApprox,
     GaussianApprox,
     MixtureApprox,
     MomentScheme,
     approx_sample,
+    batch_gaussian_points,
+    batch_moment_match,
     discrete_update,
     gauss_hermite,
     gaussian_update,
@@ -343,6 +347,81 @@ class TestDiscreteUpdate:
         for i in range(4):
             axes = tuple(j for j in range(4) if j != i)
             assert np.allclose(out.table(i), joint.sum(axis=axes), atol=1e-12)
+
+
+def reference_gaussian_points(means, sd, z):
+    """The allocating p = 1 formula batch_gaussian_points must equal bit for bit."""
+    if z.ndim == 2:
+        return means[:, None, :] + sd[:, None, :] * z[None, :, :]
+    return means[:, None, :] + sd[:, None, :] * z
+
+
+def reference_moment_match(points, log_weights, log_t, prev_means, prev_covs):
+    """The allocating formula batch_moment_match must equal bit for bit."""
+    b, j, p = points.shape
+    a = log_t + log_weights[None, :]
+    a = np.where(np.isnan(a), -np.inf, a)
+    shift = np.max(a, axis=1)
+    ok = np.isfinite(shift)
+    safe_shift = np.where(ok, shift, 0.0)
+    with np.errstate(under="ignore"):
+        r = np.exp(a - safe_shift[:, None])
+    r[~ok] = 0.0
+    total = r.sum(axis=1)
+    with np.errstate(divide="ignore"):
+        log_z = safe_shift + np.log(total)
+    log_z[~ok] = -np.inf
+    ok = ok & (log_z >= LOG_MASS_FLOOR)
+    denom = np.where(total > 0, total, 1.0)
+    mu = np.einsum("bj,bjp->bp", r, points) / denom[:, None]
+    second = np.einsum("bj,bjp,bjq->bpq", r, points, points) / denom[:, None, None]
+    cov = second - np.einsum("bp,bq->bpq", mu, mu)
+    cov = 0.5 * (cov + np.transpose(cov, (0, 2, 1)))
+    eps = JITTER_RELATIVE * np.trace(cov, axis1=1, axis2=2) / p
+    cov += eps[:, None, None] * np.eye(p)[None, :, :]
+    means_out = np.where(ok[:, None], mu, prev_means)
+    covs_out = np.where(ok[:, None, None], cov, prev_covs)
+    return means_out, covs_out, log_z, ok
+
+
+class TestBatchKernels:
+    """The in-place kernels against the allocating formulas they replaced."""
+
+    @pytest.mark.parametrize("scheme", [gauss_hermite(7), monte_carlo(40)])
+    def test_gaussian_points_match_reference_bits(self, scheme):
+        gen = np.random.default_rng(3)
+        means = gen.standard_normal((300, 1))
+        covs = gen.random((300, 1, 1)) + 0.05
+        points, _ = batch_gaussian_points(means, covs, scheme, substream(3, 0))
+        if scheme.kind == "gauss_hermite":
+            z = batch_gaussian_points(np.zeros((1, 1)), np.ones((1, 1, 1)), scheme, None)[0][0]
+        else:
+            z = substream(3, 0).standard_normal((300, scheme.m, 1))
+        expected = reference_gaussian_points(means, np.sqrt(covs)[:, :, 0], z)
+        assert points.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_moment_match_matches_reference_bits(self, p):
+        gen = np.random.default_rng(p)
+        b, j = 400, 9
+        points = gen.standard_normal((b, j, p))
+        log_weights = np.log(gen.dirichlet(np.ones(j)))
+        log_t = 3.0 * gen.standard_normal((b, j))
+        log_t[::7, 2] = np.nan
+        log_t[5] = -np.inf  # every point at -inf
+        log_t[9] = np.nan
+        log_t[11] = -800.0  # mass below the floor
+        prev_means = gen.standard_normal((b, p))
+        prev_covs = np.broadcast_to(np.eye(p), (b, p, p)).copy()
+        before = log_t.copy()
+        got = batch_moment_match(points, log_weights, log_t, prev_means, prev_covs)
+        ref = reference_moment_match(points, log_weights, log_t, prev_means, prev_covs)
+        for g, r in zip(got, ref):
+            assert g.dtype == r.dtype and g.shape == r.shape
+            assert g.tobytes() == r.tobytes()
+        assert not got[3][[5, 9, 11]].any()
+        # the in-place arithmetic never writes to its inputs
+        assert before.tobytes() == log_t.tobytes()
 
 
 class TestSampling:

@@ -1,11 +1,14 @@
 """Model-interface contracts: likelihood factors, simulation, rng streams."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, stats
 
+import paramsmc.model as model_module
 from paramsmc.benchmarks import LinearGaussianModel, SinModel, get_model
 from paramsmc.errors import DimensionMismatchError
 from paramsmc.model import (
@@ -150,6 +153,53 @@ class TestParamLikelihood:
         lik = make_param_likelihood(model, 2, np.array([0.3]), [np.array([0.7])], np.array([0.1]))
         thetas = np.array([[0.25], [-1.5]])
         assert np.array_equal(lik(thetas), lik(thetas))
+
+    @staticmethod
+    def _large_factor(name, k, b, j):
+        model = get_model(name)
+        p, d, _ = model.dims()
+        rng = substream(17, k)
+        n = 600
+        if name == "slam-small":
+            cells = model.n_cells
+            states = rng.integers(0, cells, size=(n, 1)).astype(np.float64)
+            windows = rng.integers(0, cells, size=(n, 1, 1)).astype(np.float64)
+            points = rng.integers(0, model.n_labels, size=(b, j, p))
+            y = np.array([1.0])
+        else:
+            states = rng.standard_normal((n, d))
+            windows = rng.standard_normal((n, 1, d))
+            points = rng.standard_normal((b, j, p))
+            y = rng.standard_normal(1)
+        rows = np.sort(rng.integers(0, n, size=b))
+        return ParamLikelihood(model, k, y, states, windows if k > 0 else None), points, rows
+
+    @pytest.mark.parametrize("name,k,j", [("sin-bimodal", 3, 7), ("sin", 0, 7), ("slam-small", 4, 50)])
+    def test_blocked_scoring_matches_one_call_bits(self, monkeypatch, name, k, j):
+        # 3,001 rows span several FACTOR_BLOCK blocks and end in a partial one
+        lik, points, rows = self._large_factor(name, k, 3001, j)
+        got = lik(points, rows)
+        monkeypatch.setattr(model_module, "FACTOR_BLOCK", 10**9)
+        whole = lik(points, rows)
+        assert got.shape == whole.shape == (3001, j)
+        assert got.dtype == whole.dtype
+        assert got.tobytes() == whole.tobytes()
+
+    def test_scoring_temporaries_do_not_grow_with_the_batch(self):
+        # 40,000 rows x 7 points: one unblocked model call holds several
+        # 2.2 MB arrays at once; blocked scoring holds its output and a few
+        # FACTOR_BLOCK-sized arrays
+        lik, points, rows = self._large_factor("sin-bimodal", 3, 40_000, 7)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            out = lik(points, rows)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        extra = peak - before - out.nbytes
+        assert extra < 16 * model_module.FACTOR_BLOCK * 8
 
 
 class TestTransitionDensityNormalization:
