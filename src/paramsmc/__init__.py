@@ -5,7 +5,6 @@ from .approx import (
     GaussianApprox,
     MixtureApprox,
     MomentScheme,
-    approx_sample,
     discrete_update,
     gauss_hermite,
     gaussian_update,
@@ -40,7 +39,7 @@ from .oracles import (
 )
 from .quadrature import gauss_hermite_points, unscented_points
 from .resampling import ess, multinomial_resample, systematic_resample
-from .results import FusedPosterior, RunResult, fuse_param_posterior
+from .results import FusedPosterior, RunResult
 from .rng import RngStream, substream
 from .storage import ParticleStore
 
@@ -64,10 +63,8 @@ __all__ = [
     "RunResult",
     "SinModel",
     "SlamModel",
-    "approx_sample",
     "discrete_update",
     "ess",
-    "fuse_param_posterior",
     "gauss_hermite",
     "gauss_hermite_points",
     "gaussian_update",

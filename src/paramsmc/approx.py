@@ -179,14 +179,6 @@ class FactorizedDiscreteApprox:
         return codes[0] if size is None else codes
 
 
-ParamApprox = GaussianApprox | MixtureApprox | FactorizedDiscreteApprox
-
-
-def approx_sample(q: ParamApprox, rng: np.random.Generator, size: int | None = None) -> np.ndarray:
-    """Draw from whichever approximation family q belongs to."""
-    return q.sample(rng, size)
-
-
 # ---------------------------------------------------------------------------
 # Batched kernels.  B is the number of stacked distributions, J the number
 # of evaluation points per distribution, p the parameter dimension.
@@ -363,6 +355,14 @@ def sample_codes(
     for c in range(cmax - 1):
         codes += u >= cdf[:, None, :, c]
     return codes
+
+
+def code_tables(codes: np.ndarray, cardinalities: np.ndarray) -> np.ndarray:
+    """Marginal code frequencies (p, C) of an (S, p) sample of integer codes."""
+    codes = np.asarray(codes).astype(np.int64, copy=False)
+    cmax = int(np.max(cardinalities))
+    counts = [np.bincount(column, minlength=cmax) for column in codes.T]
+    return np.stack(counts) / codes.shape[0]
 
 
 def enumerate_codes(cardinalities: np.ndarray) -> np.ndarray:

@@ -67,7 +67,6 @@ RUN_KEYS = {
     "exact",
     "out",
     "resample",
-    "update_order",
     "shrinkage",
     "time_budget_s",
     "pmmh",
@@ -76,19 +75,21 @@ RUN_KEYS = {
     "approx_samples_list",
 }
 
-PMMH_KEYS = {"inner_particles", "iterations", "proposal_sd", "bounds"}
+# Converters for the pmmh keys a config may give; PmmhConfig holds their defaults.
+PMMH_CASTS = {"iterations": int, "proposal_sd": float, "bounds": tuple}
+PMMH_KEYS = {"inner_particles", *PMMH_CASTS}
 
+_FILTER_DEFAULTS = FilterConfig(n_particles=1000)
 DEFAULTS = {
     "algorithm": "api",
-    "n_particles": 1000,
-    "approx_samples": 7,
-    "mixture_size": 10,
-    "scheme": "gauss_hermite",
-    "family": "auto",
-    "seed": 0,
-    "resample": "multinomial",
-    "update_order": "resample_first",
-    "shrinkage": 0.98,
+    "n_particles": _FILTER_DEFAULTS.n_particles,
+    "approx_samples": _FILTER_DEFAULTS.scheme.m,
+    "scheme": _FILTER_DEFAULTS.scheme.kind,
+    "mixture_size": _FILTER_DEFAULTS.mixture_size,
+    "family": _FILTER_DEFAULTS.family,
+    "seed": _FILTER_DEFAULTS.seed,
+    "resample": _FILTER_DEFAULTS.resample,
+    "shrinkage": _FILTER_DEFAULTS.shrinkage,
     "model_overrides": {},
     "pmmh": {},
 }
@@ -195,7 +196,10 @@ def _resolve_data(cfg: dict, model) -> np.ndarray:
 
 
 def _scheme_from(cfg: dict) -> MomentScheme:
-    return MomentScheme(kind=cfg["scheme"], m=int(cfg["approx_samples"]))
+    try:
+        return MomentScheme(kind=cfg["scheme"], m=int(cfg["approx_samples"]))
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def run_experiment(cfg: dict) -> tuple[list[ResultRow], dict]:
@@ -209,17 +213,15 @@ def run_experiment(cfg: dict) -> tuple[list[ResultRow], dict]:
     p = model.dims()[0]
 
     if algorithm == "pmmh":
-        pm = dict(cfg.get("pmmh", {}))
+        pm = cfg.get("pmmh", {})
         pconfig = PmmhConfig(
             inner_particles=int(pm.get("inner_particles", cfg["n_particles"])),
-            iterations=int(pm.get("iterations", 1000)),
-            proposal_sd=float(pm.get("proposal_sd", 0.15)),
-            bounds=tuple(pm.get("bounds", (-5.0, 5.0))),
             seed=seed,
             time_budget_s=cfg.get("time_budget_s"),
+            **{key: cast(pm[key]) for key, cast in PMMH_CASTS.items() if key in pm},
         )
         result = run_pmmh(model, observations, pconfig)
-        rows = _pmmh_rows(cfg, run_id, model, result)
+        rows = _pmmh_rows(cfg, run_id, p, pconfig.inner_particles, result)
         summary = {
             "run_id": run_id,
             "config": cfg,
@@ -250,7 +252,6 @@ def run_experiment(cfg: dict) -> tuple[list[ResultRow], dict]:
         mixture_size=int(cfg["mixture_size"]),
         seed=seed,
         resample=cfg["resample"],
-        update_order=cfg["update_order"],
         shrinkage=float(cfg["shrinkage"]),
     )
     result = ALGORITHMS[algorithm](model, observations, fconfig)
@@ -304,8 +305,7 @@ def run_experiment(cfg: dict) -> tuple[list[ResultRow], dict]:
     return rows, summary
 
 
-def _pmmh_rows(cfg, run_id, model, result) -> list[ResultRow]:
-    p = model.dims()[0]
+def _pmmh_rows(cfg, run_id, p, inner_particles, result) -> list[ResultRow]:
     per_iter_ms = result.elapsed_s * 1e3 / max(1, result.chain.shape[0])
     rows = []
     for t in range(result.chain.shape[0]):
@@ -315,7 +315,7 @@ def _pmmh_rows(cfg, run_id, model, result) -> list[ResultRow]:
                 seed=int(cfg["seed"]),
                 algorithm="pmmh",
                 model=cfg["model"],
-                n_particles=int(cfg.get("pmmh", {}).get("inner_particles", cfg["n_particles"])),
+                n_particles=inner_particles,
                 approx_samples=0,
                 mixture_size=1,
                 timestep=t,
@@ -390,10 +390,6 @@ def _sweep_cells(cfg: dict) -> list[dict]:
     return cells
 
 
-def _run_cell(cell: dict):
-    return run_experiment(cell)
-
-
 def cmd_sweep(args) -> int:
     file_cfg = load_config(args.config)
     cfg = merged_config(args, file_cfg)
@@ -408,9 +404,9 @@ def cmd_sweep(args) -> int:
     results = []
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_run_cell, cells))
+            results = list(pool.map(run_experiment, cells))
     else:
-        results = [_run_cell(c) for c in cells]
+        results = [run_experiment(c) for c in cells]
     all_rows = []
     summaries = []
     for rows, summary in results:

@@ -15,10 +15,12 @@ scores each proposal with the lean fixed-parameter filter in
 oracles.pf_log_likelihood.
 
 Every step resamples with the resampler named by FilterConfig.resample
-(multinomial or systematic).  By default the joint filter resamples
-*before* the projection update and performs the update once per distinct
-surviving ancestor; the literal update-then-resample order is available
-behind ``update_order="update_first"`` so the two can be compared.
+(multinomial or systematic).  The joint filter resamples *before* the
+projection update and performs the update once per distinct surviving
+ancestor.  After every step each cloud collapses its N posteriors once,
+with its fuse method, into the step's FusedPosterior: its mean and
+covariance are the step's row of the run, and the last step's is the
+run's posterior.
 """
 
 import math
@@ -34,6 +36,7 @@ from .approx import (
     batch_gaussian_points,
     batch_mixture_match,
     batch_moment_match,
+    code_tables,
     enumerate_codes,
     exhaustive_log_prior,
     sample_codes,
@@ -48,14 +51,7 @@ from .resampling import (
     log_mean_exp,
     normalize_log_weights,
 )
-from .results import (
-    FusedPosterior,
-    RunResult,
-    fuse_discrete_points,
-    fuse_gaussians,
-    fuse_points,
-    fuse_tables,
-)
+from .results import FusedPosterior, RunResult
 from .rng import substream
 from .storage import ParticleStore
 
@@ -77,7 +73,6 @@ class FilterConfig:
     mixture_size: int = 10
     seed: int = 0
     resample: str = "multinomial"
-    update_order: str = "resample_first"
     shrinkage: float = 0.98
     permute_hook: tuple[int, np.ndarray] | None = None
 
@@ -91,8 +86,10 @@ class FilterConfig:
             raise ConfigError("need at least one particle")
         if self.resample not in RESAMPLERS:
             raise ConfigError(f"unknown resampler {self.resample!r}")
-        if self.update_order not in ("resample_first", "update_first"):
-            raise ConfigError(f"unknown update order {self.update_order!r}")
+        if self.mixture_size < 1:
+            raise ConfigError(f"mixture_size must be >= 1, got {self.mixture_size}")
+        if not 0.0 <= self.shrinkage <= 1.0:
+            raise ConfigError(f"shrinkage must be in [0, 1], got {self.shrinkage}")
         family = self.resolved_family(model)
         if family not in ("gaussian", "mixture", "discrete"):
             raise ConfigError(f"unknown approximation family {family!r}")
@@ -116,13 +113,13 @@ def resolve_scheme(scheme: MomentScheme, p: int) -> tuple[MomentScheme, str | No
 # Per-particle approximation clouds: the N posteriors as named stacked
 # arrays, particle axis first.  Every operation replaces the arrays rather
 # than writing into them, so a row gathered before an update never aliases
-# the cloud.
+# the cloud, and a FusedPosterior holding views of them stays valid.
 # ---------------------------------------------------------------------------
 
 
 class _Cloud:
-    """Shared row bookkeeping; subclasses supply sample_params, update,
-    step_summary, step_tables (discrete parameters) and fuse."""
+    """Shared row bookkeeping; subclasses supply sample_params, update and
+    fuse, which collapses the N rows into one FusedPosterior."""
 
     def __init__(self, **arrays: np.ndarray):
         self.arrays = arrays
@@ -132,18 +129,14 @@ class _Cloud:
         """Row i becomes old row rows[i]: permutation or resampling."""
         self.arrays = {k: np.take(v, rows, axis=0) for k, v in self.arrays.items()}
 
-    def assimilate(self, anc, factor: ParamLikelihood, update_order, scheme, rng) -> tuple[int, int]:
-        """Fold the step's likelihood factor into the rows, then resample to anc.
+    def assimilate(self, anc, factor: ParamLikelihood, scheme, rng) -> tuple[int, int]:
+        """Resample the rows to anc, folding the step's likelihood factor in.
 
-        resample_first updates each distinct ancestor once and scatters the
-        result to its copies; update_first updates every row and then
-        resamples.  Either way the factor's owners are the rows in
-        pre-resample order.  Returns (rows updated, degenerate updates).
+        Each distinct ancestor is updated once and the result scattered to
+        its copies; the factor's owners are the rows in pre-resample order.
+        Returns (rows updated, degenerate updates).
         """
-        if update_order == "update_first":
-            u, inv = np.arange(self.n), anc
-        else:
-            u, inv = distinct_sorted(anc)
+        u, inv = distinct_sorted(anc)
         prev = {k: np.take(v, u, axis=0) for k, v in self.arrays.items()}
         new, ok = self.update(prev, u, factor, scheme, rng)
         self.arrays = new
@@ -175,15 +168,16 @@ class _GaussianCloud(_Cloud):
         means, covs, _, ok = batch_moment_match(points, logw, logt, prev["means"], prev["covs"])
         return {"means": means, "covs": covs}, ok
 
-    def step_summary(self) -> tuple[np.ndarray, np.ndarray]:
+    def fuse(self) -> FusedPosterior:
+        """Equal-weight mixture of the N Gaussians, moments by total variance."""
         means, covs = self.arrays["means"], self.arrays["covs"]
         mean = means.mean(axis=0)
         dev = means - mean
         cov = covs.mean(axis=0) + dev.T @ dev / self.n
-        return mean, cov
-
-    def fuse(self) -> FusedPosterior:
-        return fuse_gaussians(self.arrays["means"], self.arrays["covs"])
+        weights = np.full(self.n, 1.0 / self.n)
+        return FusedPosterior(
+            "mixture", mean, cov, mixture_weights=weights, mixture_means=means, mixture_covs=covs
+        )
 
 
 class _MixtureCloud(_Cloud):
@@ -221,23 +215,16 @@ class _MixtureCloud(_Cloud):
         )
         return {"alphas": alphas, "means": means, "covs": covs}, ok
 
-    def _flat(self):
+    def fuse(self) -> FusedPosterior:
+        """All N * L components in one mixture, each weight alpha / N."""
         w = (self.arrays["alphas"] / self.n).ravel()
         means = self.arrays["means"].reshape(-1, self.p)
         covs = self.arrays["covs"].reshape(-1, self.p, self.p)
-        return w, means, covs
-
-    def step_summary(self) -> tuple[np.ndarray, np.ndarray]:
-        flat_w, flat_m, flat_c = self._flat()
-        mean = flat_w @ flat_m
-        dev = flat_m - mean
-        cov = np.einsum("k,kpq->pq", flat_w, flat_c)
-        cov += np.einsum("k,kp,kq->pq", flat_w, dev, dev)
-        return mean, cov
-
-    def fuse(self) -> FusedPosterior:
-        w, means, covs = self._flat()
-        return fuse_gaussians(means, covs, w)
+        mean = w @ means
+        dev = means - mean
+        cov = np.einsum("k,kpq->pq", w, covs)
+        cov += np.einsum("k,kp,kq->pq", w, dev, dev)
+        return FusedPosterior("mixture", mean, cov, mixture_weights=w, mixture_means=means, mixture_covs=covs)
 
 
 class _DiscreteCloud(_Cloud):
@@ -246,7 +233,6 @@ class _DiscreteCloud(_Cloud):
     def __init__(self, n: int, prior_tables: np.ndarray, cardinalities: np.ndarray, m_samples: int):
         p, cmax = prior_tables.shape
         super().__init__(tables=np.broadcast_to(prior_tables, (n, p, cmax)).copy())
-        self.cmax = cmax
         self.cards = np.asarray(cardinalities, dtype=np.int64)
         self.m_samples = m_samples
         joint = float(np.prod(self.cards.astype(np.float64)))
@@ -269,18 +255,15 @@ class _DiscreteCloud(_Cloud):
         new_tables, ok = batch_discrete_match(tables, codes_b, log_prior, logt)
         return {"tables": new_tables}, ok
 
-    def step_summary(self) -> tuple[np.ndarray, np.ndarray]:
-        fused = self.step_tables()
-        values = np.arange(self.cmax)
-        mean = fused @ values
-        second = fused @ (values * values)
-        return mean, np.diag(second - mean * mean)
-
-    def step_tables(self) -> np.ndarray:
-        return self.arrays["tables"].mean(axis=0)
-
     def fuse(self) -> FusedPosterior:
-        return fuse_tables(self.arrays["tables"], self.cards)
+        """The N factorized table sets averaged into one; each dimension's
+        expected code and its variance."""
+        tables = self.arrays["tables"].mean(axis=0)
+        values = np.arange(tables.shape[1])
+        mean = tables @ values
+        second = tables @ (values * values)
+        cov = np.diag(second - mean * mean)
+        return FusedPosterior("tables", mean, cov, tables=tables, cardinalities=self.cards)
 
 
 class _PointCloud(_Cloud):
@@ -307,25 +290,22 @@ class _PointCloud(_Cloud):
         self.started = True
         return self.arrays["thetas"]
 
-    def assimilate(self, anc, factor, update_order, scheme, rng) -> tuple[int, int]:
+    def assimilate(self, anc, factor, scheme, rng) -> tuple[int, int]:
         self.take(anc)
         return 0, 0
 
-    def step_summary(self) -> tuple[np.ndarray, np.ndarray]:
+    def fuse(self) -> FusedPosterior:
+        """Empirical mean and covariance of the draws; code frequencies too
+        when they are discrete."""
         thetas = self.arrays["thetas"]
         mean = thetas.mean(axis=0)
         dev = thetas - mean
-        return mean, dev.T @ dev / self.n
-
-    def step_tables(self) -> np.ndarray:
-        cmax = int(np.max(self.cards))
-        counts = [np.bincount(codes, minlength=cmax) for codes in self.arrays["thetas"].T]
-        return np.stack(counts) / self.n
-
-    def fuse(self) -> FusedPosterior:
+        cov = dev.T @ dev / self.n
         if self.cards is not None:
-            return fuse_discrete_points(self.arrays["thetas"], self.cards)
-        return fuse_points(self.arrays["thetas"])
+            tables = code_tables(thetas, self.cards)
+            return FusedPosterior("tables", mean, cov, tables=tables, cardinalities=self.cards)
+        weights = np.full(self.n, 1.0 / self.n)
+        return FusedPosterior("points", mean, cov, points=thetas, point_weights=weights)
 
 
 def _liu_west_perturb(thetas: np.ndarray, a: float, rng: np.random.Generator) -> np.ndarray:
@@ -465,15 +445,16 @@ def _run_filter(model: DynamicModel, observations, config: FilterConfig, mode: s
         anc = resample(w, rng_res)
         store.resample(anc)
         factor = ParamLikelihood(model, t, y, x, windows)
-        n_updates[t], deg = cloud.assimilate(anc, factor, config.update_order, scheme, rng_moment)
+        fused = None  # it holds views of the arrays this update replaces: let them go
+        n_updates[t], deg = cloud.assimilate(anc, factor, scheme, rng_moment)
         degenerate_updates += deg
 
-        param_mean[t], param_cov[t] = cloud.step_summary()
+        fused = cloud.fuse()
+        param_mean[t], param_cov[t] = fused.mean, fused.cov
         if tables_trace is not None:
-            tables_trace[t] = cloud.step_tables()
+            tables_trace[t] = fused.tables
         step_ms[t] = (time.perf_counter() - tic) * 1e3
 
-    fused = cloud.fuse()
     notes = {}
     if scheme_note:
         notes["scheme"] = scheme_note
@@ -565,13 +546,7 @@ class PmmhResult:
 
     def posterior_tables(self, cardinalities: np.ndarray) -> np.ndarray:
         """Marginal code frequencies of the post-burn-in chain."""
-        samples = self.burned_in().astype(np.int64)
-        cmax = int(np.max(cardinalities))
-        tables = np.zeros((samples.shape[1], cmax))
-        for i in range(samples.shape[1]):
-            counts = np.bincount(samples[:, i], minlength=cmax)
-            tables[i] = counts / counts.sum()
-        return tables
+        return code_tables(self.burned_in(), cardinalities)
 
 
 def _truncnorm_log_z(theta: np.ndarray, sd: float, lo: float, hi: float) -> float:

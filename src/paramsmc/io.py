@@ -144,7 +144,7 @@ def read_trajectory_csv(path) -> tuple[np.ndarray, np.ndarray]:
     return np.asarray(states), np.asarray(obs)
 
 
-def write_tables_csv(path, tables: np.ndarray, extra: dict | None = None) -> None:
+def write_tables_csv(path, tables: np.ndarray) -> None:
     """Factorized marginal tables (p, C), one dimension per row."""
     tables = np.atleast_2d(np.asarray(tables, dtype=np.float64))
     header = ["dim"] + [f"p{v}" for v in range(tables.shape[1])]

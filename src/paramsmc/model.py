@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .approx import code_tables
 from .errors import DimensionMismatchError
 from .rng import substream
 
@@ -32,9 +33,6 @@ FACTOR_BLOCK = 8192
 # Array conventions: a parameter vector is (p,) float64 (continuous) or
 # (p,) int64 codes (discrete); states are (d,) and observations (m,)
 # float64.  Batched variants stack along a leading axis.
-ParamVector = np.ndarray
-StateVector = np.ndarray
-ObsVector = np.ndarray
 
 
 class DynamicModel(ABC):
@@ -111,15 +109,8 @@ class DynamicModel(ABC):
     def param_prior_tables(self) -> np.ndarray:
         if self.param_cardinalities is None:
             raise NotImplementedError("model does not declare discrete parameters")
-        rng = substream(0x9E3779B9, 1)
-        draws = self.param_prior_sample(rng, 8192)
-        p = draws.shape[1]
-        cmax = int(np.max(self.param_cardinalities))
-        tables = np.zeros((p, cmax))
-        for i in range(p):
-            counts = np.bincount(draws[:, i].astype(int), minlength=cmax)
-            tables[i] = counts / counts.sum()
-        return tables
+        draws = self.param_prior_sample(substream(0x9E3779B9, 1), 8192)
+        return code_tables(draws, self.param_cardinalities)
 
 
 @dataclass(frozen=True)

@@ -4,16 +4,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .approx import FactorizedDiscreteApprox, GaussianApprox, MixtureApprox
-
 
 @dataclass
 class FusedPosterior:
     """A particle cloud's parameter posterior, collapsed to one object.
 
-    kind "mixture" carries an equal-or-weighted Gaussian mixture over all
-    per-particle components, "tables" averaged discrete marginals, and
-    "points" a weighted sample cloud.  mean and cov are always filled.
+    Each cloud builds one per step with its fuse method; mean and cov are
+    that step's row of the run, and the last step's object is the run's
+    posterior.  kind "mixture" carries the weighted Gaussian mixture over
+    all per-particle components, "tables" the averaged discrete marginals
+    (p, C), zero past each dimension's cardinality, and "points" an
+    equal-weight sample cloud.  The component arrays may be views of the
+    cloud's, which the cloud replaces and never writes into.
     """
 
     kind: str
@@ -43,123 +45,16 @@ class FusedPosterior:
         inside = (values >= lo) & (values <= hi)
         return float(np.sum(self.tables[dim, inside]))
 
-    def marginal_variances(self) -> np.ndarray:
-        return np.diag(self.cov).copy()
-
-
-def fuse_gaussians(means: np.ndarray, covs: np.ndarray, weights: np.ndarray | None = None) -> FusedPosterior:
-    """Collapse stacked Gaussians (K, p) / (K, p, p) into their mixture.
-
-    The fused covariance follows the law of total variance: the average
-    component covariance plus the covariance of component means.
-    """
-    means = np.asarray(means, dtype=np.float64)
-    covs = np.asarray(covs, dtype=np.float64)
-    k = means.shape[0]
-    w = np.full(k, 1.0 / k) if weights is None else np.asarray(weights, dtype=np.float64)
-    w = w / w.sum()
-    mean = w @ means
-    dev = means - mean
-    cov = np.einsum("k,kpq->pq", w, covs) + np.einsum("k,kp,kq->pq", w, dev, dev)
-    return FusedPosterior(
-        kind="mixture",
-        mean=mean,
-        cov=cov,
-        mixture_weights=w,
-        mixture_means=means,
-        mixture_covs=covs,
-    )
-
-
-def fuse_tables(tables: np.ndarray, cardinalities: np.ndarray, weights: np.ndarray | None = None) -> FusedPosterior:
-    """Average stacked factorized tables (K, p, C) into one table set."""
-    tables = np.asarray(tables, dtype=np.float64)
-    k = tables.shape[0]
-    w = np.full(k, 1.0 / k) if weights is None else np.asarray(weights, dtype=np.float64)
-    w = w / w.sum()
-    fused = np.einsum("k,kpc->pc", w, tables)
-    values = np.arange(tables.shape[2])
-    mean = fused @ values
-    second = fused @ (values * values)
-    cov = np.diag(second - mean * mean)
-    return FusedPosterior(
-        kind="tables",
-        mean=mean,
-        cov=cov,
-        tables=fused,
-        cardinalities=np.asarray(cardinalities, dtype=np.int64),
-    )
-
-
-def fuse_points(points: np.ndarray, weights: np.ndarray | None = None) -> FusedPosterior:
-    """Weighted mean and covariance of a plain parameter sample cloud."""
-    points = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    k = points.shape[0]
-    w = np.full(k, 1.0 / k) if weights is None else np.asarray(weights, dtype=np.float64)
-    w = w / w.sum()
-    mean = w @ points
-    dev = points - mean
-    cov = np.einsum("k,kp,kq->pq", w, dev, dev)
-    return FusedPosterior(
-        kind="points", mean=mean, cov=cov, points=points, point_weights=w
-    )
-
-
-def fuse_discrete_points(codes: np.ndarray, cardinalities: np.ndarray, weights: np.ndarray | None = None) -> FusedPosterior:
-    """Marginal code frequencies of an (N, p) integer parameter cloud."""
-    codes = np.asarray(codes, dtype=np.int64)
-    n, p = codes.shape
-    w = np.full(n, 1.0 / n) if weights is None else np.asarray(weights, dtype=np.float64)
-    w = w / w.sum()
-    cmax = int(np.max(cardinalities))
-    tables = np.zeros((1, p, cmax))
-    for i in range(p):
-        tables[0, i] = np.bincount(codes[:, i], weights=w, minlength=cmax)
-    return fuse_tables(tables, cardinalities)
-
-
-def fuse_param_posterior(particles, weights=None) -> FusedPosterior:
-    """Fuse a sequence of per-particle approximations (or raw draws).
-
-    Accepts a list of GaussianApprox, MixtureApprox, or
-    FactorizedDiscreteApprox objects, or an (N, p) array of parameter
-    vectors.  Mixture components are flattened with their within-particle
-    weights scaled by the particle weights.
-    """
-    if isinstance(particles, np.ndarray):
-        return fuse_points(particles, weights)
-    particles = list(particles)
-    n = len(particles)
-    w = np.full(n, 1.0 / n) if weights is None else np.asarray(weights, dtype=np.float64)
-    w = w / w.sum()
-    first = particles[0]
-    if isinstance(first, GaussianApprox):
-        means = np.stack([q.mean for q in particles])
-        covs = np.stack([q.cov for q in particles])
-        return fuse_gaussians(means, covs, w)
-    if isinstance(first, MixtureApprox):
-        all_w, all_m, all_c = [], [], []
-        for wi, q in zip(w, particles):
-            all_w.append(wi * q.weights / q.weights.sum())
-            all_m.append(q.means)
-            all_c.append(q.covs)
-        return fuse_gaussians(
-            np.concatenate(all_m), np.concatenate(all_c), np.concatenate(all_w)
-        )
-    if isinstance(first, FactorizedDiscreteApprox):
-        tables = np.stack([q.tables for q in particles])
-        return fuse_tables(tables, first.cardinalities, w)
-    raise TypeError(f"cannot fuse particles of type {type(first)!r}")
-
 
 @dataclass
 class RunResult:
     """Everything one filter run produces.
 
-    Per-step arrays have one entry per assimilated observation.  For
-    continuous parameters param_mean/param_cov hold the per-step fused
-    summaries; discrete runs fill param_tables instead (param_mean then
-    carries the per-dimension expected codes).
+    Per-step arrays have one entry per assimilated observation.
+    param_mean/param_cov hold each step's fused mean and covariance, and
+    discrete runs add each step's fused tables in param_tables (param_mean
+    then carries the per-dimension expected codes).  fused is the last
+    step's FusedPosterior, so it and estimate equal the last rows.
     """
 
     algorithm: str

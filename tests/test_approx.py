@@ -19,7 +19,6 @@ from paramsmc.approx import (
     GaussianApprox,
     MixtureApprox,
     MomentScheme,
-    approx_sample,
     batch_gaussian_points,
     batch_moment_match,
     discrete_update,
@@ -427,7 +426,7 @@ class TestBatchKernels:
 class TestSampling:
     def test_gaussian_sample_mean(self):
         q = GaussianApprox(np.zeros(2), np.eye(2))
-        draws = approx_sample(q, substream(1, 2), size=100_000)
+        draws = q.sample(substream(1, 2), size=100_000)
         assert np.all(np.abs(draws.mean(axis=0)) < 0.02)
 
     def test_mixture_point_mass_component(self):
@@ -436,13 +435,13 @@ class TestSampling:
             np.array([[0.0], [100.0]]),
             np.array([[[1.0]], [[1.0]]]),
         )
-        draws = approx_sample(q, substream(2, 2), size=10_000)
+        draws = q.sample(substream(2, 2), size=10_000)
         assert np.all(np.abs(draws[:, 0]) < 10.0)
 
     def test_factorized_joint_frequencies(self):
         q = FactorizedDiscreteApprox([np.array([0.3, 0.7]), np.array([0.5, 0.5])])
         n = 100_000
-        draws = approx_sample(q, substream(3, 3), size=n)
+        draws = q.sample(substream(3, 3), size=n)
         for a in (0, 1):
             for b in (0, 1):
                 p = q.table(0)[a] * q.table(1)[b]

@@ -189,6 +189,29 @@ class TestRun:
         cfg.write_text(json.dumps({"model": "sin", "particle_count": 10}))
         assert main(["run", "--config", str(cfg)]) == 2
 
+    def test_update_order_key_is_unknown(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"model": "sin", "update_order": "resample_first"}))
+        assert main(["run", "--config", str(cfg)]) == 2
+        assert "unknown config keys" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--family", "mixture", "--mixtures", "0"],
+            ["--family", "mixture", "--mixtures", "-2"],
+            ["--approx-samples", "0"],
+            ["--algorithm", "liu-west", "--shrinkage", "1.5"],
+            ["--algorithm", "liu-west", "--shrinkage", "nan"],
+        ],
+    )
+    def test_invalid_filter_config_exits_2(self, tmp_path, capsys, flags):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"data_seed": 1, "steps": 10}))
+        argv = ["run", "--config", str(cfg), "--model", "sin", "--particles", "50", *flags]
+        assert main([*argv, "--out", str(tmp_path / "res")]) == 2
+        assert "config error" in capsys.readouterr().err
+
     def test_missing_data_exits_2(self):
         assert main(["run", "--model", "sin", "--algorithm", "pf", "--particles", "4"]) == 2
 

@@ -7,7 +7,7 @@ import pytest
 from scipy import stats
 
 from paramsmc import engine
-from paramsmc.approx import GaussianApprox, MixtureApprox, gauss_hermite, monte_carlo
+from paramsmc.approx import gauss_hermite, monte_carlo
 from paramsmc.benchmarks import LinearGaussianModel, SinModel, slam_small
 from paramsmc.engine import (
     FilterConfig,
@@ -31,7 +31,7 @@ from paramsmc.model import (
 )
 from paramsmc.oracles import grid_posterior, kalman_filter, slam_exact_forward
 from paramsmc.resampling import RESAMPLERS
-from paramsmc.results import fuse_param_posterior
+from paramsmc.results import FusedPosterior
 from paramsmc.rng import substream
 
 
@@ -110,38 +110,58 @@ def sin_data(steps=120, seed=0):
 
 
 class TestFuse:
+    """Each cloud collapses its N rows into one FusedPosterior."""
+
     def test_single_particle_is_identity(self):
-        q = GaussianApprox(np.array([0.4]), np.array([[2.0]]))
-        fused = fuse_param_posterior([q])
-        assert np.allclose(fused.mean, q.mean)
-        assert np.allclose(fused.cov, q.cov)
+        fused = engine._GaussianCloud(1, np.array([0.4]), np.array([[2.0]])).fuse()
+        assert np.allclose(fused.mean, [0.4])
+        assert np.allclose(fused.cov, [[2.0]])
 
     def test_two_gaussians_total_variance(self):
-        qs = [
-            GaussianApprox(np.array([0.0]), np.array([[1.0]])),
-            GaussianApprox(np.array([2.0]), np.array([[1.0]])),
-        ]
-        fused = fuse_param_posterior(qs)
+        cloud = engine._GaussianCloud(2, np.zeros(1), np.eye(1))
+        cloud.arrays = {"means": np.array([[0.0], [2.0]]), "covs": np.ones((2, 1, 1))}
+        fused = cloud.fuse()
         assert np.isclose(fused.mean[0], 1.0)
         assert np.isclose(fused.cov[0, 0], 2.0)
 
     def test_mixture_particles_flatten(self):
-        qs = [
-            MixtureApprox(np.array([0.5, 0.5]), np.array([[-1.0], [1.0]]), np.array([[[1.0]], [[1.0]]])),
-            MixtureApprox(np.array([1.0]), np.array([[0.0]]), np.array([[[1.0]]])),
-        ]
-        fused = fuse_param_posterior(qs)
+        cloud = engine._MixtureCloud(2, 2, np.zeros((2, 1)), np.eye(1))
+        cloud.arrays = {
+            "alphas": np.array([[0.5, 0.5], [1.0, 0.0]]),
+            "means": np.array([[[-1.0], [1.0]], [[0.0], [5.0]]]),
+            "covs": np.ones((2, 2, 1, 1)),
+        }
+        fused = cloud.fuse()
+        assert np.allclose(fused.mixture_weights, [0.25, 0.25, 0.5, 0.0])
+        assert fused.mixture_means.shape == (4, 1)
+        assert fused.mixture_covs.shape == (4, 1, 1)
         assert np.isclose(fused.mean[0], 0.0)
-        assert fused.mixture_weights.shape == (3,)
+        assert np.isclose(fused.cov[0, 0], 1.5)
 
     def test_point_cloud(self):
-        fused = fuse_param_posterior(np.array([[0.0], [2.0]]))
+        fused = engine._PointCloud(np.array([[0.0], [2.0]])).fuse()
+        assert fused.kind == "points"
         assert np.isclose(fused.mean[0], 1.0)
         assert np.isclose(fused.cov[0, 0], 1.0)
+        assert np.allclose(fused.point_weights, 0.5)
+
+    def test_discrete_point_cloud(self):
+        codes = np.array([[0, 2], [1, 2], [1, 0], [1, 1]])
+        fused = engine._PointCloud(codes, cardinalities=np.array([2, 3])).fuse()
+        assert fused.kind == "tables"
+        assert np.allclose(fused.tables, [[0.25, 0.75, 0.0], [0.25, 0.25, 0.5]])
+        assert np.allclose(fused.mean, codes.mean(axis=0))
+        assert np.allclose(fused.cov, np.cov(codes.T, bias=True))
 
     def test_interval_mass_mixture(self):
-        q = GaussianApprox(np.zeros(1), np.eye(1))
-        fused = fuse_param_posterior([q])
+        fused = FusedPosterior(
+            "mixture",
+            np.zeros(1),
+            np.eye(1),
+            mixture_weights=np.ones(1),
+            mixture_means=np.zeros((1, 1)),
+            mixture_covs=np.ones((1, 1, 1)),
+        )
         assert np.isclose(fused.interval_mass(-1, 1), 0.6826894921370859, atol=1e-9)
 
 
@@ -191,28 +211,6 @@ class TestJointFilter:
         result = run_assumed_density_filter(model, obs, config)
         assert result.n_updates.max() <= 100
         assert result.n_updates[1:].mean() < 50
-
-    def test_update_orders_statistically_indistinguishable(self):
-        model, obs = sin_data(steps=250, seed=1)
-        diffs = []
-        for seed in range(12):
-            a = run_assumed_density_filter(
-                model, obs, FilterConfig(n_particles=300, scheme=gauss_hermite(7), seed=seed)
-            )
-            b = run_assumed_density_filter(
-                model,
-                obs,
-                FilterConfig(
-                    n_particles=300,
-                    scheme=gauss_hermite(7),
-                    seed=seed,
-                    update_order="update_first",
-                ),
-            )
-            diffs.append(a.estimate[0] - b.estimate[0])
-        diffs = np.asarray(diffs)
-        se = diffs.std(ddof=1) / np.sqrt(len(diffs))
-        assert abs(diffs.mean()) <= 3 * se + 5e-3
 
     def test_exchangeability_under_permutation(self):
         model, obs = sin_data(steps=80, seed=2)
@@ -267,16 +265,6 @@ class TestJointFilter:
         assert np.allclose(result.fused.tables.sum(axis=1), 1.0, atol=1e-9)
         assert result.param_tables.shape == (17, 8, 2)
 
-    def test_discrete_update_first_order(self):
-        model = slam_small()
-        _, obs = simulate(model, model.true_map.astype(float), 16, substream(7, 0))
-        config = FilterConfig(
-            n_particles=150, scheme=monte_carlo(50), seed=9, update_order="update_first"
-        )
-        result = run_assumed_density_filter(model, obs, config)
-        assert np.all(result.n_updates == 150)
-        assert np.allclose(result.fused.tables.sum(axis=1), 1.0, atol=1e-9)
-
     def test_mixture_prior_keeps_prior_moments_for_two_params(self):
         # a theta-free likelihood leaves the prior in place, so the fused
         # posterior after one step is the mixture prior the cloud starts from
@@ -294,17 +282,14 @@ class TestJointFilter:
         assert np.all(np.abs(fused.mean - model.MEAN) <= 0.1 * sd)
         assert np.all(np.abs(fused.cov - model.COV) <= 0.1 * np.outer(sd, sd))
 
-    @pytest.mark.parametrize("update_order", ["resample_first", "update_first"])
-    def test_state_prior_informs_parameter_at_step_zero(self, update_order):
+    def test_state_prior_informs_parameter_at_step_zero(self):
         # the t = 0 factor must carry log p(x_0 | theta); without it the
         # filter returns the N(0, 1) prior unchanged
         model = StatePriorModel()
         y0 = 2.0
-        config = FilterConfig(
-            n_particles=4000, scheme=gauss_hermite(7), seed=1, update_order=update_order
-        )
+        config = FilterConfig(n_particles=4000, scheme=gauss_hermite(7), seed=1)
         fused = run_assumed_density_filter(model, np.array([[y0]]), config).fused
-        # seeds 0-4 of both orders land within 0.014 (mean) and 0.006 (variance)
+        # seeds 0-4 land within 0.014 (mean) and 0.006 (variance)
         assert abs(fused.mean[0] - y0 / 2.25) < 0.04
         assert abs(fused.cov[0, 0] - 1.25 / 2.25) < 0.03
 
@@ -314,6 +299,21 @@ class TestJointFilter:
         thetas = np.linspace(-2, 2, 9)[:, None]
         expected = stats.norm.logpdf(2.0, 1.5, 0.5) + stats.norm.logpdf(1.5, thetas[:, 0], 1.0)
         assert np.allclose(lik(thetas), expected, atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"mixture_size": 0},
+            {"mixture_size": -2},
+            {"shrinkage": 1.5},
+            {"shrinkage": -0.1},
+            {"shrinkage": float("nan")},
+            {"shrinkage": float("inf")},
+        ],
+    )
+    def test_invalid_config_raises(self, bad):
+        with pytest.raises(ConfigError):
+            FilterConfig(n_particles=10, **bad).validate(SinModel())
 
     def test_family_mismatch_rejected(self):
         model = slam_small()

@@ -1,12 +1,16 @@
 """Golden parity: pinned digests of small filter and PMMH runs, plus a window check.
 
-Each filter digest is the sha256 of a run's per-step outputs (parameter
-means and covariances, state means, ESS, update counts, discrete tables,
-log evidence) and of its fused posterior, every array in native byte
-order.  A PMMH digest covers the chain, its log-likelihood estimates and
-its acceptances; the pf-log-likelihood digest covers the lean inner
-filter's estimates on the order-two model, where the order of the window
-shift and the ancestor gather matters.
+Each filter run has two sha256 digests, every array in native byte
+order.  "steps" covers the per-step outputs (parameter means and
+covariances, state means, ESS, update counts, discrete tables), the log
+evidence and the fused posterior's components (kind, mixture means and
+covariances, points); "fused" covers the collapsed posterior (estimate,
+mean, covariance, mixture and point weights, tables), so a change to how
+a cloud is summarised shows apart from a change to the filter itself.  A
+PMMH digest covers the chain, its log-likelihood estimates and its
+acceptances; the pf-log-likelihood digest covers the lean inner filter's
+estimates on the order-two model, where the order of the window shift
+and the ancestor gather matters.
 The digests were captured with numpy 2.4.6 and scipy 1.17.1 on x86-64;
 another numpy or BLAS build may round differently and move them.
 
@@ -121,7 +125,6 @@ GH7 = gauss_hermite(7)
 
 RUNS = {
     "gaussian": _api(_sin, n_particles=64, scheme=GH7, seed=1),
-    "gaussian-update-first": _api(_sin, n_particles=64, scheme=GH7, seed=1, update_order="update_first"),
     "gaussian-systematic": _api(_sin, n_particles=64, scheme=GH7, seed=2, resample="systematic"),
     "gaussian-permuted": _api(
         _sin, n_particles=64, scheme=GH7, seed=1, permute_hook=(4, substream(6, 0).permutation(64))
@@ -130,24 +133,12 @@ RUNS = {
     "mixture": _api(
         lambda: _sin("bimodal"), n_particles=48, scheme=GH7, family="mixture", mixture_size=4, seed=4
     ),
-    "mixture-update-first": _api(
-        lambda: _sin("bimodal"),
-        n_particles=48,
-        scheme=GH7,
-        family="mixture",
-        mixture_size=4,
-        seed=4,
-        update_order="update_first",
-    ),
     "discrete-sampled": _api(_slam, n_particles=64, scheme=monte_carlo(20), seed=5),
     "discrete-exhaustive": _api(
         lambda: _slam(n_cells=3, actions=["R", "R", "L", "R", "L", "L"], true_map=[1, 0, 1]),
         n_particles=64,
         scheme=monte_carlo(8),
         seed=6,
-    ),
-    "discrete-update-first": _api(
-        _slam, n_particles=48, scheme=monte_carlo(20), seed=7, update_order="update_first"
     ),
     "order-two": _api(_order_two, n_particles=64, scheme=GH7, seed=8),
     "pf": lambda: run_bootstrap_filter(*_sin(), FilterConfig(n_particles=64, seed=9)),
@@ -161,31 +152,74 @@ RUNS = {
 }
 
 GOLDEN = {
-    "discrete-exhaustive": "6effc3eaa2be4cee33df87efb3748c516dc12da4b393e61446619bc9a8c77b5f",
-    "discrete-sampled": "994667972607462b4233f840b505e1f26f7a0c0166e04cab64aa614e9004bbc4",
-    "discrete-update-first": "6c8ebe11325db2f0eeb1766f407b04e06d3288fbe0ebe5d39b162b5166e2df99",
-    "gaussian": "3cbcd66d0875c4796cf9eeaefeb4da2782617203b61b7a7ec2f8c5883667a49b",
-    "gaussian-monte-carlo": "edbb17927913d16749c973bbc0ebfde41dd58fb3df4d276a3a784b492cccc55f",
-    "gaussian-permuted": "c5dbefd615ebda7fbfb03bf47574a6145912d4e976f74875094ba42ff63e4bc4",
-    "gaussian-systematic": "91320c7ea51d30bb6391e4792bda385808989c2a46a3e7777960f0d5ef214642",
-    "gaussian-update-first": "9e7ec0ad09b8e1ef0006562d9ea70b45ab4f25c970e2e1ff2a6a4ab15553058e",
-    "liu-west": "106bd43244f2a9a4c08cc763a99952e74432a0e6e603bfd5fc0d25e8af308573",
-    "mixture": "d45e462d1d038198c258a6a5dba87bdba235882197656e9917e443fee225951c",
-    "mixture-update-first": "e3ed2759c76a08a1d6ffbb8ea1fa11d642991fac648303c95953e175208b2acf",
-    "order-two": "b403f7f68a2dedc611d841c669b9d9ec20787c9a5c28a122b9d9340727904c0f",
-    "pf": "b92066838a09be746d18160af61acc50ea5c9ab68bba18e329f67bdde3c30287",
-    "pf-log-likelihood-order-two": "6cf1c8bfc5de6eb5e74dd557f8cccc9eab248808491eecbd873f15955607018a",
-    "pf-permuted": "4e809a0f3b8b980f2fab0f476228d671e29d2363b44cc35de044c91869751e43",
-    "pmmh-lg": "ab1874617d15e850bca0fb26c0a1cbaed9895ed5fa580bd79369dd46ef837f00",
-    "pmmh-slam-small": "db639f66bf357a2489a1498ccc2359a81c8d92e7275bcb654a90120e649f2cc6",
+    "discrete-exhaustive": {
+        "steps": "4fda34719a094550fbfa10a3200689af1591d4b3ab1480ac40738c8cc23eae4c",
+        "fused": "867b5e5baaa39c87b535bc56be4b53da9fe31b13032bf5e7efbd852f7f6e2a8e",
+    },
+    "discrete-sampled": {
+        "steps": "640d8cbf21481fe0db78d1bc724a57c8f8e0c2a474e71da9096702ea0f0f3c53",
+        "fused": "a0c3dbff59342f0227cc6562db4fd9335f1766207ea2787935996582b1cfd990",
+    },
+    "gaussian": {
+        "steps": "ddeaa94d8e1d365ce9f5849bfa4df6744df3f0d5e1894893b10ab567b4b5b8a3",
+        "fused": "5013f3999b778f76c71d66af44ccc5b15f31bf3e15aef2b26368def2abc6ac0a",
+    },
+    "gaussian-monte-carlo": {
+        "steps": "927db3a8fe370a5593c48d01c89fbbf096372366548de25e42ad22498448e21a",
+        "fused": "92c9e156af95b8503be7dfc5d302c6714890c01d827f4be2b0eb75415dcae7d1",
+    },
+    "gaussian-permuted": {
+        "steps": "7b0f25cee335129e325279c7f5bf1b2bc86dae901806dc41f5c96897cd46f96e",
+        "fused": "498496d9d9b4516b5366abbe4b90fb42e6307c7b514bc9deafe397cecb10bc74",
+    },
+    "gaussian-systematic": {
+        "steps": "d2652b31a7c1cddbbe5e97a271eb4c2ff2c6fea018c4c757cc8d496954716ece",
+        "fused": "6007ab4a757ac18da00bddf71303f4540866f3c0f2379a0a341f36978ebe7795",
+    },
+    "liu-west": {
+        "steps": "8942397d5a102db9b46aa4a62c88272f749b3c8d28741a0982b3b4fe12cb2851",
+        "fused": "2cb1db22aa1a5a90f10fa4ba5b5374680b179a6b77313d21ce493feb22b85fc4",
+    },
+    "mixture": {
+        "steps": "bba2f368bfccfda32708e3ac3ef3485d97215dca8738cf8ae5784681cb19005f",
+        "fused": "59180211bfa8efa916cac6138f92ef1e5f5ff704692c78d81b0dfb3b203cfe44",
+    },
+    "order-two": {
+        "steps": "ee65203f213086737879df1ae8ae789fdc5bb1108c198c651aca24201f009d7f",
+        "fused": "0c2fa9e95b9ca559042b2d118d89b2e89c84e9c528b3b3b0729c9cba158da084",
+    },
+    "pf": {
+        "steps": "351a517677de46831f1c1869fd5035684f06fda78d331f8947369c379d36c888",
+        "fused": "caa02c648ae68795c66b2896400f9cbd50f6fd3ae310f755d19df41dd8bd5f39",
+    },
+    "pf-log-likelihood-order-two": {
+        "estimates": "6cf1c8bfc5de6eb5e74dd557f8cccc9eab248808491eecbd873f15955607018a",
+    },
+    "pf-permuted": {
+        "steps": "d13054e5915926fde1dfd15d5186887a6c74d61765de0bf34bda28ebf420e031",
+        "fused": "0a6860c5c5f91fb3c7cefc4856812ffbc53be7a215189baa0ef65d18d5576ba3",
+    },
+    "pmmh-lg": {
+        "chain": "ab1874617d15e850bca0fb26c0a1cbaed9895ed5fa580bd79369dd46ef837f00",
+    },
+    "pmmh-slam-small": {
+        "chain": "db639f66bf357a2489a1498ccc2359a81c8d92e7275bcb654a90120e649f2cc6",
+    },
 }
 
 
-def run_digest(result) -> str:
-    """sha256 over every output of a run that is not a timing."""
-    h = hashlib.sha256()
+def run_digests(result) -> dict[str, str]:
+    """sha256 digests over every output of a run that is not a timing.
 
-    def add(value):
+    A filter run gets two: "steps" covers the per-step arrays, the log
+    evidence and the fused posterior's components; "fused" covers the
+    collapsed moments (estimate, mean, cov), the mixture and point weights
+    and the fused tables.  A PMMH run or an array of estimates gets one.
+    """
+    hashes = {}
+
+    def add(part, value):
+        h = hashes.setdefault(part, hashlib.sha256())
         if value is None:
             h.update(b"none")
             return
@@ -194,42 +228,64 @@ def run_digest(result) -> str:
         h.update(np.ascontiguousarray(arr).tobytes())
 
     if isinstance(result, np.ndarray):
-        add(result)
-        return h.hexdigest()
-    if isinstance(result, PmmhResult):
+        add("estimates", result)
+    elif isinstance(result, PmmhResult):
         for value in (result.chain, result.log_liks, result.accepted, result.rejected_nonfinite):
-            add(value)
-        return h.hexdigest()
-    for value in (
-        result.param_mean,
-        result.param_cov,
-        result.state_mean,
-        result.ess,
-        result.n_updates,
-        result.param_tables,
-        result.estimate,
-        result.log_marginal_lik,
-    ):
-        add(value)
-    fused = result.fused
-    h.update(fused.kind.encode())
-    for value in (
-        fused.mean,
-        fused.cov,
-        fused.mixture_weights,
-        fused.mixture_means,
-        fused.mixture_covs,
-        fused.tables,
-        fused.points,
-        fused.point_weights,
-    ):
-        add(value)
-    return h.hexdigest()
+            add("chain", value)
+    else:
+        fused = result.fused
+        for value in (
+            result.param_mean,
+            result.param_cov,
+            result.state_mean,
+            result.ess,
+            result.n_updates,
+            result.param_tables,
+            result.log_marginal_lik,
+        ):
+            add("steps", value)
+        hashes["steps"].update(fused.kind.encode())
+        for value in (fused.mixture_means, fused.mixture_covs, fused.points):
+            add("steps", value)
+        for value in (
+            result.estimate,
+            fused.mean,
+            fused.cov,
+            fused.mixture_weights,
+            fused.tables,
+            fused.point_weights,
+        ):
+            add("fused", value)
+    return {part: h.hexdigest() for part, h in hashes.items()}
 
 
 @pytest.mark.parametrize("name", sorted(RUNS))
 def test_run_matches_golden_digest(name):
-    assert run_digest(RUNS[name]()) == GOLDEN[name]
+    assert run_digests(RUNS[name]()) == GOLDEN[name]
+
+
+NON_FILTER_RUNS = ("pf-log-likelihood-order-two", "pmmh-lg", "pmmh-slam-small")
+LAST_ROW_RUNS = {
+    **{name: run for name, run in RUNS.items() if name not in NON_FILTER_RUNS},
+    "pf-slam-small": lambda: run_bootstrap_filter(*_slam(), FilterConfig(n_particles=64, seed=16)),
+}
+
+
+def _bits(value) -> tuple:
+    arr = np.asarray(value)
+    return arr.dtype, arr.shape, arr.tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(LAST_ROW_RUNS))
+def test_fused_posterior_is_last_row(name):
+    """A run reports one posterior: its fused moments are its last row, to the bit."""
+    result = LAST_ROW_RUNS[name]()
+    fused = result.fused
+    assert _bits(fused.mean) == _bits(result.param_mean[-1])
+    assert _bits(result.estimate) == _bits(result.param_mean[-1])
+    assert _bits(fused.cov) == _bits(result.param_cov[-1])
+    if result.param_tables is not None:
+        assert _bits(fused.tables) == _bits(result.param_tables[-1])
 
 
 class WindowCheckingModel(OrderTwoModel):
@@ -263,11 +319,10 @@ class WindowCheckingModel(OrderTwoModel):
         return super().transition_logdensity(t, x_new, windows, thetas)
 
 
-@pytest.mark.parametrize("update_order", ["resample_first", "update_first"])
-def test_update_scores_each_owner_against_its_own_window(update_order):
+def test_update_scores_each_owner_against_its_own_window():
     _, obs = _order_two()
     model = WindowCheckingModel()
-    config = FilterConfig(n_particles=32, scheme=GH7, seed=11, update_order=update_order)
+    config = FilterConfig(n_particles=32, scheme=GH7, seed=11)
     run_assumed_density_filter(model, obs, config)
     assert model.scored > 0
     assert model.mismatches == 0
@@ -275,4 +330,7 @@ def test_update_scores_each_owner_against_its_own_window(update_order):
 
 if __name__ == "__main__":
     for name in sorted(RUNS):
-        print(f'    "{name}": "{run_digest(RUNS[name]())}",')
+        print(f'    "{name}": {{')
+        for part, digest in run_digests(RUNS[name]()).items():
+            print(f'        "{part}": "{digest}",')
+        print("    },")
