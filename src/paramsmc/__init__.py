@@ -7,10 +7,12 @@ from .approx import (
     MomentScheme,
     discrete_update,
     gauss_hermite,
+    gauss_hermite_points,
     gaussian_update,
     mixture_update,
     monte_carlo,
     unscented,
+    unscented_points,
 )
 from .benchmarks import (
     LinearGaussianModel,
@@ -37,7 +39,6 @@ from .oracles import (
     pf_log_likelihood,
     slam_exact_forward,
 )
-from .quadrature import gauss_hermite_points, unscented_points
 from .resampling import ess, multinomial_resample, systematic_resample
 from .results import FusedPosterior, RunResult
 from .rng import RngStream, substream

@@ -8,22 +8,27 @@ likelihood factor t(theta), followed by projection back into the family:
 
 Updates evaluate t at weighted points (Monte Carlo draws, a Gauss-Hermite
 tensor grid, or symmetric sigma points) and form the matched moments from
-the weighted sums.  All heavy lifting happens in batched kernels that
-operate on stacked arrays, so the particle engine can update thousands of
-per-particle approximations in a handful of vector operations; the public
-single-distribution functions are thin wrappers over the same kernels.
+the weighted sums.  Each family is implemented once, as a "cloud": many
+approximations held as stacked arrays, one row each, whose sample and
+update run batched kernels over every row in a handful of vector
+operations.  The particle engine keeps one row per particle.  The public
+single-distribution API (GaussianApprox.sample, gaussian_update, the point
+rules and the rest) is the same cloud at one row, or at `size` broadcast
+rows for sampling.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateUpdateError, PointBudgetError
+from .errors import DegenerateUpdateError, PointBudgetError, SingularCovarianceError
 from .quadrature import (
     DEFAULT_POINT_BUDGET,
     standard_gauss_hermite_grid,
     standard_unscented_grid,
 )
+from .resampling import distinct_sorted
+from .results import FusedPosterior
 
 # Updates whose total likelihood mass falls below exp(LOG_MASS_FLOOR) are
 # treated as degenerate: the previous approximation is retained.
@@ -57,17 +62,9 @@ class MomentScheme:
         if self.m < 1:
             raise ValueError("scheme needs m >= 1")
 
-    def n_points(self, p: int) -> int:
-        if self.kind == "gauss_hermite":
-            n = self.m**p
-            if n > self.point_budget:
-                raise PointBudgetError(
-                    f"{self.m}^{p} Gauss-Hermite points exceed budget {self.point_budget}"
-                )
-            return n
-        if self.kind == "unscented":
-            return 2 * p
-        return self.m
+    def over_budget(self, p: int) -> bool:
+        """Whether this scheme's Gauss-Hermite grid in p dimensions exceeds its budget."""
+        return self.kind == "gauss_hermite" and self.m**p > self.point_budget
 
 
 def monte_carlo(m: int) -> MomentScheme:
@@ -82,8 +79,23 @@ def unscented() -> MomentScheme:
     return MomentScheme(kind="unscented")
 
 
+def _rows(n: int, array: np.ndarray) -> np.ndarray:
+    """n read-only broadcast copies of array, stacked on a new leading axis."""
+    return np.broadcast_to(array, (n,) + array.shape)
+
+
+class _Distribution:
+    """One distribution of a family; cloud(n) is its family cloud over n
+    broadcast rows, and every operation runs on that cloud."""
+
+    def sample(self, rng: np.random.Generator, size: int | None = None) -> np.ndarray:
+        """One draw, or size draws stacked, as the cloud draws one per row."""
+        draws = self.cloud(1 if size is None else size).sample(rng)
+        return draws[0] if size is None else draws
+
+
 @dataclass
-class GaussianApprox:
+class GaussianApprox(_Distribution):
     """A single multivariate Gaussian q(theta) = N(mean, cov)."""
 
     mean: np.ndarray
@@ -93,19 +105,12 @@ class GaussianApprox:
         self.mean = np.atleast_1d(np.asarray(self.mean, dtype=np.float64))
         self.cov = np.atleast_2d(np.asarray(self.cov, dtype=np.float64))
 
-    @property
-    def dim(self) -> int:
-        return self.mean.shape[0]
-
-    def sample(self, rng: np.random.Generator, size: int | None = None) -> np.ndarray:
-        n = 1 if size is None else size
-        chol = np.linalg.cholesky(self.cov)
-        draws = self.mean[None, :] + rng.standard_normal((n, self.dim)) @ chol.T
-        return draws[0] if size is None else draws
+    def cloud(self, n: int = 1) -> "GaussianCloud":
+        return GaussianCloud(means=_rows(n, self.mean), covs=_rows(n, self.cov))
 
 
 @dataclass
-class MixtureApprox:
+class MixtureApprox(_Distribution):
     """A Gaussian mixture q(theta) = sum_m alpha_m N(mean_m, cov_m)."""
 
     weights: np.ndarray
@@ -120,28 +125,14 @@ class MixtureApprox:
         l, p = self.means.shape
         self.covs = np.asarray(self.covs, dtype=np.float64).reshape(l, p, p)
 
-    @property
-    def n_components(self) -> int:
-        return self.weights.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.means.shape[1]
-
-    def component(self, m: int) -> GaussianApprox:
-        return GaussianApprox(self.means[m], self.covs[m])
-
-    def sample(self, rng: np.random.Generator, size: int | None = None) -> np.ndarray:
-        n = 1 if size is None else size
-        comp = rng.choice(self.n_components, size=n, p=self.weights / self.weights.sum())
-        chols = np.linalg.cholesky(self.covs)
-        z = rng.standard_normal((n, self.dim))
-        draws = self.means[comp] + np.einsum("nij,nj->ni", chols[comp], z)
-        return draws[0] if size is None else draws
+    def cloud(self, n: int = 1) -> "MixtureCloud":
+        return MixtureCloud(
+            alphas=_rows(n, self.weights), means=_rows(n, self.means), covs=_rows(n, self.covs)
+        )
 
 
 @dataclass
-class FactorizedDiscreteApprox:
+class FactorizedDiscreteApprox(_Distribution):
     """Independent categorical marginals q(theta) = prod_i q_i(theta_i).
 
     Tables may have differing cardinalities per dimension; internally they
@@ -163,20 +154,11 @@ class FactorizedDiscreteApprox:
         self.tables = np.atleast_2d(np.asarray(tables, dtype=np.float64))
         self.cardinalities = np.asarray(cardinalities, dtype=np.int64)
 
-    @property
-    def dim(self) -> int:
-        return self.tables.shape[0]
-
     def table(self, i: int) -> np.ndarray:
         return self.tables[i, : self.cardinalities[i]]
 
-    def joint_cardinality(self) -> int:
-        return int(np.prod(self.cardinalities.astype(object)))
-
-    def sample(self, rng: np.random.Generator, size: int | None = None) -> np.ndarray:
-        n = 1 if size is None else size
-        codes = sample_codes(self.tables[None, :, :], self.cardinalities, rng, n)[0]
-        return codes[0] if size is None else codes
+    def cloud(self, n: int = 1, m_samples: int = 0) -> "DiscreteCloud":
+        return DiscreteCloud(_rows(n, self.tables), self.cardinalities, m_samples)
 
 
 # ---------------------------------------------------------------------------
@@ -186,10 +168,18 @@ class FactorizedDiscreteApprox:
 
 
 def batch_cholesky(covs: np.ndarray) -> np.ndarray:
-    """Stacked Cholesky factors, with a scalar fast path for p = 1."""
+    """Stacked Cholesky factors, with a scalar fast path for p = 1.
+
+    Raises SingularCovarianceError when a covariance is not positive definite.
+    """
     if covs.shape[-1] == 1:
+        if not (covs > 0).all():
+            raise SingularCovarianceError("a variance is not positive")
         return np.sqrt(covs)
-    return np.linalg.cholesky(covs)
+    try:
+        return np.linalg.cholesky(covs)
+    except np.linalg.LinAlgError as exc:
+        raise SingularCovarianceError("a covariance is not positive definite") from exc
 
 
 def batch_gaussian_points(
@@ -204,10 +194,12 @@ def batch_gaussian_points(
     requires a generator; the deterministic rules do not.
     """
     b, p = means.shape
+    if scheme.over_budget(p):
+        raise PointBudgetError(
+            f"Gauss-Hermite grid of {scheme.m}^{p} points exceeds budget {scheme.point_budget}"
+        )
     if scheme.kind == "gauss_hermite":
         z, logw = standard_gauss_hermite_grid(p, scheme.m)
-        if z.shape[0] > scheme.point_budget:
-            raise PointBudgetError("Gauss-Hermite grid exceeds point budget")
     elif scheme.kind == "unscented":
         z, logw = standard_unscented_grid(p)
     else:
@@ -217,17 +209,37 @@ def batch_gaussian_points(
         logw = np.full(scheme.m, -np.log(scheme.m))
     chols = batch_cholesky(covs)
     if p == 1:
-        sd = chols[:, :, 0]
-        if z.ndim == 2:
-            points = sd[:, None, :] * z[None, :, :]
-        else:
-            points = sd[:, None, :] * z
+        points = chols * z  # (B, 1, 1) standard deviations; a shared (J, 1) grid broadcasts
         points += means[:, None, :]  # means + sd * z, in place
     elif z.ndim == 2:
         points = means[:, None, :] + np.einsum("bij,kj->bki", chols, z)
     else:
         points = means[:, None, :] + np.einsum("bij,bkj->bki", chols, z)
     return points, logw
+
+
+def _shifted_mass(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Each row's linear weights exp(a - max a), worked in a's place.
+
+    NaN counts as -inf.  Returns (weights, total, log Z, ok): a row is ok
+    when its log total mass log Z is finite and at least LOG_MASS_FLOOR.
+    """
+    a[np.isnan(a)] = -np.inf
+    # A max over a short innermost axis pays NumPy's per-row overhead;
+    # over the leading axis of a contiguous copy it runs as whole-row maxima.
+    shift = np.ascontiguousarray(a.T).max(axis=0)
+    ok = np.isfinite(shift)
+    safe_shift = np.where(ok, shift, 0.0)
+    with np.errstate(under="ignore"):
+        # underflow to zero is exactly the max-shift semantics
+        a -= safe_shift[:, None]
+        r = np.exp(a, out=a)
+    r[~ok] = 0.0
+    total = r.sum(axis=1)
+    with np.errstate(divide="ignore"):
+        log_z = safe_shift + np.log(total)
+    log_z[~ok] = -np.inf
+    return r, total, log_z, ok & (log_z >= LOG_MASS_FLOOR)
 
 
 def batch_moment_match(
@@ -248,30 +260,13 @@ def batch_moment_match(
 
     in max-shifted linear space.  Rows whose total mass vanishes (log Z
     below LOG_MASS_FLOOR, or every point at -inf) are flagged and keep
-    their previous moments.
+    their previous moments, and so are rows whose matched variance is not
+    positive on some axis: all of their mass on one point.
 
     Returns (means, covs, log_z, ok).
     """
     b, j, p = points.shape
-    # a, and r after it, are worked in place: each is the size of log_t
-    a = log_t + log_weights[None, :]
-    a[np.isnan(a)] = -np.inf
-    # A max over a short innermost axis pays NumPy's per-row overhead;
-    # over the leading axis of a contiguous copy it runs as whole-row maxima.
-    shift = np.ascontiguousarray(a.T).max(axis=0)
-    ok = np.isfinite(shift)
-    safe_shift = np.where(ok, shift, 0.0)
-    with np.errstate(under="ignore"):
-        # underflow to zero is exactly the max-shift semantics
-        a -= safe_shift[:, None]
-        r = np.exp(a, out=a)
-    r[~ok] = 0.0
-    total = r.sum(axis=1)
-    with np.errstate(divide="ignore"):
-        log_z = safe_shift + np.log(total)
-    log_z[~ok] = -np.inf
-    ok = ok & (log_z >= LOG_MASS_FLOOR)
-
+    r, total, log_z, ok = _shifted_mass(log_t + log_weights[None, :])
     denom = np.where(total > 0, total, 1.0)
     mu = np.einsum("bj,bjp->bp", r, points) / denom[:, None]
     second = np.einsum("bj,bjp,bjq->bpq", r, points, points) / denom[:, None, None]
@@ -279,6 +274,8 @@ def batch_moment_match(
     cov = 0.5 * (cov + np.transpose(cov, (0, 2, 1)))
     eps = JITTER_RELATIVE * np.trace(cov, axis1=1, axis2=2) / p
     cov += eps[:, None, None] * np.eye(p)[None, :, :]
+    variances = np.ascontiguousarray(np.diagonal(cov, axis1=1, axis2=2).T)  # see _shifted_mass
+    ok &= variances.min(axis=0) > 0
 
     means_out = np.where(ok[:, None], mu, prev_means)
     covs_out = np.where(ok[:, None, None], cov, prev_covs)
@@ -318,13 +315,8 @@ def batch_mixture_match(
     with np.errstate(divide="ignore"):
         log_alpha = np.log(alphas)
     log_post = np.where(comp_ok, log_alpha + log_beta, -np.inf)
-    shift = np.ascontiguousarray(log_post.T).max(axis=0)  # see batch_moment_match
-    ok = np.isfinite(shift)
-    safe_shift = np.where(ok, shift, 0.0)
-    with np.errstate(under="ignore"):
-        w = np.exp(log_post - safe_shift[:, None])
-    w[~ok] = 0.0
-    totals = w.sum(axis=1)
+    w, totals, log_mass, _ = _shifted_mass(log_post)
+    ok = np.isfinite(log_mass)  # some component kept its mass; no floor on the sum
     w = w / np.where(totals > 0, totals, 1.0)[:, None]
     # Weight floor: drop tiny components, keep remaining ratios intact.
     w = np.where(w < COMPONENT_WEIGHT_FLOOR, 0.0, w)
@@ -388,8 +380,7 @@ def batch_discrete_match(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Marginal-matching update for stacked factorized tables.
 
-    codes is (B, J, p) (or (J, p) shared across rows, as in exhaustive
-    enumeration); log_prior_w carries per-code log q_prev mass in
+    codes is (B, J, p); log_prior_w carries per-code log q_prev mass in
     exhaustive mode and is None when codes were sampled from q_prev.  New
     marginals are the weight-suffixed code frequencies, renormalized per
     dimension.  Rows with vanishing total mass are flagged and keep their
@@ -398,20 +389,8 @@ def batch_discrete_match(
     Returns (tables, ok).
     """
     b, p, cmax = tables.shape
-    if codes.ndim == 2:
-        codes = np.broadcast_to(codes[None, :, :], (b,) + codes.shape)
-    a = log_t if log_prior_w is None else log_t + log_prior_w
-    a = np.where(np.isnan(a), -np.inf, a)
-    shift = np.max(a, axis=1)
-    finite = np.isfinite(shift)
-    safe_shift = np.where(finite, shift, 0.0)
-    with np.errstate(under="ignore"):
-        r = np.exp(a - safe_shift[:, None])
-    r[~finite] = 0.0
-    total = r.sum(axis=1)
-    with np.errstate(divide="ignore"):
-        log_z = safe_shift + np.log(np.where(total > 0, total, 1.0))
-    ok = finite & (total > 0) & (log_z >= LOG_MASS_FLOOR)
+    a = np.array(log_t, dtype=np.float64) if log_prior_w is None else log_t + log_prior_w
+    r, total, _, ok = _shifted_mass(a)
 
     out = np.zeros_like(tables)
     offsets = (np.arange(b) * cmax)[:, None]
@@ -427,8 +406,178 @@ def batch_discrete_match(
 
 
 # ---------------------------------------------------------------------------
-# Public single-distribution updates.
+# Family clouds: stacked approximations as named arrays, row axis first.
+# Every operation replaces the arrays rather than writing into them, so a
+# row gathered before an update never aliases the cloud, and a
+# FusedPosterior holding views of them stays valid.
 # ---------------------------------------------------------------------------
+
+# One Monte Carlo point per row: a draw from each row's Gaussian.
+_ONE_DRAW = MomentScheme(kind="monte_carlo", m=1)
+
+
+class Cloud:
+    """Shared row bookkeeping.  Subclasses supply sample, one parameter
+    draw per row; update(prev, rows, factor, scheme, rng), which folds the
+    likelihood factor into the rows prev and returns (arrays, ok); and
+    fuse, which collapses the rows into one FusedPosterior."""
+
+    def __init__(self, **arrays: np.ndarray):
+        self.arrays = arrays
+        self.n = next(iter(arrays.values())).shape[0]
+
+    def take(self, rows: np.ndarray) -> None:
+        """Row i becomes old row rows[i]: permutation or resampling."""
+        self.arrays = {k: np.take(v, rows, axis=0) for k, v in self.arrays.items()}
+
+    def assimilate(self, anc, factor, scheme, rng) -> tuple[int, int]:
+        """Resample the rows to anc, folding the step's likelihood factor in.
+
+        Each distinct ancestor is updated once and the result scattered to
+        its copies; the factor's owners are the rows in pre-resample order.
+        Returns (rows updated, degenerate updates).
+        """
+        u, inv = distinct_sorted(anc)
+        prev = {k: np.take(v, u, axis=0) for k, v in self.arrays.items()}
+        new, ok = self.update(prev, u, factor, scheme, rng)
+        self.arrays = new
+        self.take(inv)
+        return len(u), int(np.sum(~ok))
+
+
+class GaussianCloud(Cloud):
+    """Rows of Gaussians: means (n, p) and covs (n, p, p)."""
+
+    kind = "gaussian"
+
+    def sample(self, rng: np.random.Generator) -> np.ndarray:
+        points, _ = batch_gaussian_points(self.arrays["means"], self.arrays["covs"], _ONE_DRAW, rng)
+        return points[:, 0, :]
+
+    def update(self, prev, rows, factor, scheme, rng):
+        points, logw = batch_gaussian_points(prev["means"], prev["covs"], scheme, rng)
+        logt = factor(points, rows)
+        means, covs, _, ok = batch_moment_match(points, logw, logt, prev["means"], prev["covs"])
+        return {"means": means, "covs": covs}, ok
+
+    def fuse(self) -> FusedPosterior:
+        """Equal-weight mixture of the N Gaussians, moments by total variance."""
+        means, covs = self.arrays["means"], self.arrays["covs"]
+        mean = means.mean(axis=0)
+        dev = means - mean
+        cov = covs.mean(axis=0) + dev.T @ dev / self.n
+        weights = np.full(self.n, 1.0 / self.n)
+        return FusedPosterior(
+            "mixture", mean, cov, mixture_weights=weights, mixture_means=means, mixture_covs=covs
+        )
+
+
+class MixtureCloud(Cloud):
+    """Rows of L-component Gaussian mixtures: alphas (n, L), means
+    (n, L, p) and covs (n, L, p, p)."""
+
+    kind = "mixture"
+
+    def sample(self, rng: np.random.Generator) -> np.ndarray:
+        alphas, means, covs = self.arrays["alphas"], self.arrays["means"], self.arrays["covs"]
+        n = alphas.shape[0]
+        # A draw counts the cumulative weights it reaches.  Those that equal
+        # the row's total, from its last positive weight on, are out of
+        # reach, so no draw lands on a zero-weight component even when the
+        # total rounds below the draw.
+        cdf = np.cumsum(alphas, axis=1)
+        cdf[cdf >= cdf[:, -1:]] = np.inf
+        comp = (rng.random((n, 1)) >= cdf).sum(axis=1)
+        rows = np.arange(n)
+        points, _ = batch_gaussian_points(means[rows, comp], covs[rows, comp], _ONE_DRAW, rng)
+        return points[:, 0, :]
+
+    def update(self, prev, rows, factor, scheme, rng):
+        k, l, p = prev["means"].shape
+        flat_m = prev["means"].reshape(k * l, p)
+        flat_c = prev["covs"].reshape(k * l, p, p)
+        points, logw = batch_gaussian_points(flat_m, flat_c, scheme, rng)
+        logt = factor(points, np.repeat(rows, l))
+        alphas, means, covs, ok = batch_mixture_match(
+            prev["alphas"], prev["means"], prev["covs"], points, logw, logt
+        )
+        return {"alphas": alphas, "means": means, "covs": covs}, ok
+
+    def fuse(self) -> FusedPosterior:
+        """All N * L components in one mixture, each weight alpha / N."""
+        p = self.arrays["means"].shape[-1]
+        w = (self.arrays["alphas"] / self.n).ravel()
+        means = self.arrays["means"].reshape(-1, p)
+        covs = self.arrays["covs"].reshape(-1, p, p)
+        mean = w @ means
+        dev = means - mean
+        cov = np.einsum("k,kpq->pq", w, covs)
+        cov += np.einsum("k,kp,kq->pq", w, dev, dev)
+        return FusedPosterior("mixture", mean, cov, mixture_weights=w, mixture_means=means, mixture_covs=covs)
+
+
+class DiscreteCloud(Cloud):
+    """Rows of factorized tables (n, p, C) over codes below cardinalities (p,).
+
+    An update enumerates the joint when it has at most m_samples codes,
+    which is exact, and otherwise weights m_samples joint draws from each
+    row's tables.
+    """
+
+    kind = "discrete"
+
+    def __init__(self, tables: np.ndarray, cardinalities: np.ndarray, m_samples: int = 0):
+        super().__init__(tables=tables)
+        self.cards = np.asarray(cardinalities, dtype=np.int64)
+        self.m_samples = m_samples
+        joint = float(np.prod(self.cards.astype(np.float64)))
+        self.joint_codes = enumerate_codes(self.cards) if joint <= m_samples else None
+
+    def sample(self, rng: np.random.Generator) -> np.ndarray:
+        return sample_codes(self.arrays["tables"], self.cards, rng, 1)[:, 0, :]
+
+    def update(self, prev, rows, factor, scheme, rng):
+        tables = prev["tables"]
+        if self.joint_codes is None:
+            if rng is None:
+                raise ValueError("sampled discrete update needs a generator")
+            codes = sample_codes(tables, self.cards, rng, self.m_samples)
+            log_prior = None
+        else:
+            log_prior = exhaustive_log_prior(tables, self.joint_codes)
+            codes = np.broadcast_to(self.joint_codes, (len(rows),) + self.joint_codes.shape)
+        logt = factor(codes, rows)
+        new_tables, ok = batch_discrete_match(tables, codes, log_prior, logt)
+        return {"tables": new_tables}, ok
+
+    def fuse(self) -> FusedPosterior:
+        """The N factorized table sets averaged into one; each dimension's
+        expected code and its variance."""
+        tables = self.arrays["tables"].mean(axis=0)
+        values = np.arange(tables.shape[1])
+        mean = tables @ values
+        second = tables @ (values * values)
+        cov = np.diag(second - mean * mean)
+        return FusedPosterior("tables", mean, cov, tables=tables, cardinalities=self.cards)
+
+
+# ---------------------------------------------------------------------------
+# Public single-distribution API: the clouds above at one row.
+# ---------------------------------------------------------------------------
+
+
+def _update_one(cloud: Cloud, log_t, scheme: MomentScheme | None, rng) -> dict:
+    """A one-row cloud's updated arrays; log_t scores (J, p) points, where
+    the engine's factors score stacked (B, J, p) points of owner rows."""
+
+    def factor(points, rows):
+        values = log_t(points.reshape(-1, points.shape[-1]))
+        return np.asarray(values).reshape(points.shape[:2])
+
+    arrays, ok = cloud.update(cloud.arrays, np.zeros(1, dtype=np.int64), factor, scheme, rng)
+    if not ok[0]:
+        raise DegenerateUpdateError("likelihood mass vanished or fell on a single point")
+    return arrays
 
 
 def gaussian_update(
@@ -444,16 +593,11 @@ def gaussian_update(
     A single-state ParamLikelihood from make_param_likelihood is one.  It
     must leave out the parameter prior, whose role q_prev plays.  Raises
     DegenerateUpdateError when the total mass under the scheme's points
-    vanishes, in which case callers should keep q_prev.
+    vanishes or the matched variance is not positive, in which case
+    callers should keep q_prev.
     """
-    means = q_prev.mean[None, :]
-    covs = q_prev.cov[None, :, :]
-    points, logw = batch_gaussian_points(means, covs, scheme, rng)
-    log_t_vals = np.asarray(log_t(points[0])).reshape(1, -1)
-    new_means, new_covs, _, ok = batch_moment_match(points, logw, log_t_vals, means, covs)
-    if not ok[0]:
-        raise DegenerateUpdateError("likelihood mass vanished at every evaluation point")
-    return GaussianApprox(new_means[0], new_covs[0])
+    new = _update_one(q_prev.cloud(), log_t, scheme, rng)
+    return GaussianApprox(new["means"][0], new["covs"][0])
 
 
 def mixture_update(
@@ -470,22 +614,10 @@ def mixture_update(
     dropped and the remainder renormalized.  log_t follows the call
     contract of gaussian_update.
     """
-    l = q_prev.n_components
-    p = q_prev.dim
-    points, logw = batch_gaussian_points(q_prev.means, q_prev.covs, scheme, rng)
-    log_t_vals = np.asarray(log_t(points.reshape(l * points.shape[1], p))).reshape(l, -1)
-    alphas, means, covs, ok = batch_mixture_match(
-        q_prev.weights[None, :],
-        q_prev.means[None, :, :],
-        q_prev.covs[None, :, :, :],
-        points,
-        logw,
-        log_t_vals,
-    )
-    if not ok[0]:
-        raise DegenerateUpdateError("all mixture components lost their likelihood mass")
-    keep = alphas[0] > 0
-    return MixtureApprox(alphas[0][keep] / alphas[0][keep].sum(), means[0][keep], covs[0][keep])
+    new = _update_one(q_prev.cloud(), log_t, scheme, rng)
+    alphas = new["alphas"][0]
+    keep = alphas > 0
+    return MixtureApprox(alphas[keep] / alphas[keep].sum(), new["means"][0][keep], new["covs"][0][keep])
 
 
 def discrete_update(
@@ -501,18 +633,46 @@ def discrete_update(
     joint samples are drawn from q_prev and weighted by t.  log_t follows
     the call contract of gaussian_update, with (J, p) integer codes.
     """
-    tables = q_prev.tables[None, :, :]
-    cards = q_prev.cardinalities
-    if q_prev.joint_cardinality() <= m:
-        codes = enumerate_codes(cards)
-        log_prior = exhaustive_log_prior(tables, codes)
-    else:
-        if rng is None:
-            raise ValueError("sampled discrete update needs a generator")
-        codes = sample_codes(tables, cards, rng, m)[0]
-        log_prior = None
-    log_t_vals = np.asarray(log_t(codes)).reshape(1, -1)
-    new_tables, ok = batch_discrete_match(tables, codes[None, :, :], log_prior, log_t_vals)
-    if not ok[0]:
-        raise DegenerateUpdateError("likelihood mass vanished at every sampled code")
-    return FactorizedDiscreteApprox(new_tables[0], cards)
+    new = _update_one(q_prev.cloud(1, m), log_t, None, rng)
+    return FactorizedDiscreteApprox(new["tables"][0], q_prev.cardinalities)
+
+
+def gauss_hermite_points(
+    mean: np.ndarray,
+    cov: np.ndarray,
+    m: int,
+    point_budget: int = DEFAULT_POINT_BUDGET,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Tensor-grid Gauss-Hermite rule for N(mean, cov).
+
+    Args:
+        mean: (p,) location.
+        cov: (p, p) positive definite covariance.
+        m: points per axis; the grid has m**p points total.
+        point_budget: hard cap on m**p, since the tensor grid blows up
+            exponentially in p.  Callers are expected to fall back to a
+            sampling scheme when this raises.
+
+    Returns:
+        (points, weights): (m**p, p) locations and (m**p,) positive
+        weights summing to one.
+    """
+    return _point_rule(mean, cov, MomentScheme(kind="gauss_hermite", m=m, point_budget=point_budget))
+
+
+def unscented_points(mean: np.ndarray, cov: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Symmetric 2p-point rule: mean +/- sqrt(p) times the columns of chol(cov).
+
+    The point set reproduces the mean and covariance of N(mean, cov)
+    exactly; all weights equal 1/(2p).
+    """
+    return _point_rule(mean, cov, unscented())
+
+
+def _point_rule(mean, cov, scheme: MomentScheme) -> tuple[np.ndarray, np.ndarray]:
+    """One row of batch_gaussian_points, with linear weights summing to one."""
+    mean = np.atleast_1d(np.asarray(mean, dtype=np.float64))
+    cov = np.atleast_2d(np.asarray(cov, dtype=np.float64))
+    points, logw = batch_gaussian_points(mean[None, :], cov[None, :, :], scheme, None)
+    weights = np.exp(logw)
+    return points[0], weights / weights.sum()

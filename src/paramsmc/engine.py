@@ -4,7 +4,8 @@ Three filters run one bootstrap step loop over states and differ only in
 the parameter "cloud" each particle carries:
 
 * the joint filter: per-particle parameter posteriors maintained by
-  assumed-density projection updates (algorithm id "api"),
+  assumed-density projection updates (algorithm id "api"); its clouds
+  are the approximation families of approx.py, one row per particle,
 * the bootstrap particle filter: parameters frozen at their prior draws
   (id "pf"),
 * the Liu-West filter: parameter draws kernel-perturbed with shrinkage
@@ -31,26 +32,18 @@ import numpy as np
 
 from . import rng as streams
 from .approx import (
+    Cloud,
+    FactorizedDiscreteApprox,
+    GaussianApprox,
+    MixtureApprox,
+    MixtureCloud,
     MomentScheme,
-    batch_discrete_match,
-    batch_gaussian_points,
-    batch_mixture_match,
-    batch_moment_match,
     code_tables,
-    enumerate_codes,
-    exhaustive_log_prior,
-    sample_codes,
 )
 from .errors import ConfigError, UnsupportedParameterKindError
 from .model import DynamicModel, ParamLikelihood
 from .oracles import pf_log_likelihood
-from .resampling import (
-    RESAMPLERS,
-    distinct_sorted,
-    ess,
-    log_mean_exp,
-    normalize_log_weights,
-)
+from .resampling import RESAMPLERS, ess, log_mean_exp, normalize_log_weights
 from .results import FusedPosterior, RunResult
 from .rng import substream
 from .storage import ParticleStore
@@ -101,178 +94,20 @@ class FilterConfig:
 
 def resolve_scheme(scheme: MomentScheme, p: int) -> tuple[MomentScheme, str | None]:
     """Swap in a feasible scheme when the tensor grid would blow up."""
-    if scheme.kind == "gauss_hermite":
-        if p > 4 or scheme.m**p > scheme.point_budget:
-            return replace(scheme, kind="unscented"), (
-                f"gauss_hermite infeasible at p={p}; fell back to unscented"
-            )
+    if scheme.kind == "gauss_hermite" and (p > 4 or scheme.over_budget(p)):
+        return replace(scheme, kind="unscented"), (
+            f"gauss_hermite infeasible at p={p}; fell back to unscented"
+        )
     return scheme, None
 
 
-# ---------------------------------------------------------------------------
-# Per-particle approximation clouds: the N posteriors as named stacked
-# arrays, particle axis first.  Every operation replaces the arrays rather
-# than writing into them, so a row gathered before an update never aliases
-# the cloud, and a FusedPosterior holding views of them stays valid.
-# ---------------------------------------------------------------------------
-
-
-class _Cloud:
-    """Shared row bookkeeping; subclasses supply sample_params, update and
-    fuse, which collapses the N rows into one FusedPosterior."""
-
-    def __init__(self, **arrays: np.ndarray):
-        self.arrays = arrays
-        self.n = next(iter(arrays.values())).shape[0]
-
-    def take(self, rows: np.ndarray) -> None:
-        """Row i becomes old row rows[i]: permutation or resampling."""
-        self.arrays = {k: np.take(v, rows, axis=0) for k, v in self.arrays.items()}
-
-    def assimilate(self, anc, factor: ParamLikelihood, scheme, rng) -> tuple[int, int]:
-        """Resample the rows to anc, folding the step's likelihood factor in.
-
-        Each distinct ancestor is updated once and the result scattered to
-        its copies; the factor's owners are the rows in pre-resample order.
-        Returns (rows updated, degenerate updates).
-        """
-        u, inv = distinct_sorted(anc)
-        prev = {k: np.take(v, u, axis=0) for k, v in self.arrays.items()}
-        new, ok = self.update(prev, u, factor, scheme, rng)
-        self.arrays = new
-        self.take(inv)
-        return len(u), int(np.sum(~ok))
-
-
-class _GaussianCloud(_Cloud):
-    kind = "gaussian"
-
-    def __init__(self, n: int, prior_mean: np.ndarray, prior_cov: np.ndarray):
-        p = prior_mean.shape[0]
-        super().__init__(
-            means=np.broadcast_to(prior_mean, (n, p)).copy(),
-            covs=np.broadcast_to(prior_cov, (n, p, p)).copy(),
-        )
-        self.p = p
-
-    def sample_params(self, rng: np.random.Generator) -> np.ndarray:
-        means, covs = self.arrays["means"], self.arrays["covs"]
-        z = rng.standard_normal((self.n, self.p))
-        if self.p == 1:
-            return np.sqrt(covs[:, :, 0]) * z + means
-        return np.einsum("nij,nj->ni", np.linalg.cholesky(covs), z) + means
-
-    def update(self, prev, u, factor, scheme, rng):
-        points, logw = batch_gaussian_points(prev["means"], prev["covs"], scheme, rng)
-        logt = factor(points, u)
-        means, covs, _, ok = batch_moment_match(points, logw, logt, prev["means"], prev["covs"])
-        return {"means": means, "covs": covs}, ok
-
-    def fuse(self) -> FusedPosterior:
-        """Equal-weight mixture of the N Gaussians, moments by total variance."""
-        means, covs = self.arrays["means"], self.arrays["covs"]
-        mean = means.mean(axis=0)
-        dev = means - mean
-        cov = covs.mean(axis=0) + dev.T @ dev / self.n
-        weights = np.full(self.n, 1.0 / self.n)
-        return FusedPosterior(
-            "mixture", mean, cov, mixture_weights=weights, mixture_means=means, mixture_covs=covs
-        )
-
-
-class _MixtureCloud(_Cloud):
-    kind = "mixture"
-
-    def __init__(self, n: int, l: int, prior_means: np.ndarray, prior_cov: np.ndarray):
-        p = prior_cov.shape[0]
-        super().__init__(
-            alphas=np.full((n, l), 1.0 / l),
-            means=np.broadcast_to(prior_means, (n, l, p)).copy(),
-            covs=np.broadcast_to(prior_cov, (n, l, p, p)).copy(),
-        )
-        self.l, self.p = l, p
-
-    def sample_params(self, rng: np.random.Generator) -> np.ndarray:
-        alphas, means, covs = self.arrays["alphas"], self.arrays["means"], self.arrays["covs"]
-        cdf = np.cumsum(alphas, axis=1)
-        u = rng.random((self.n, 1))
-        comp = (u >= cdf).sum(axis=1).clip(max=self.l - 1)
-        rows = np.arange(self.n)
-        sel_means = means[rows, comp]
-        z = rng.standard_normal((self.n, self.p))
-        if self.p == 1:
-            return np.sqrt(covs[rows, comp][:, :, 0]) * z + sel_means
-        return np.einsum("nij,nj->ni", np.linalg.cholesky(covs[rows, comp]), z) + sel_means
-
-    def update(self, prev, u, factor, scheme, rng):
-        k = len(u)
-        flat_m = prev["means"].reshape(k * self.l, self.p)
-        flat_c = prev["covs"].reshape(k * self.l, self.p, self.p)
-        points, logw = batch_gaussian_points(flat_m, flat_c, scheme, rng)
-        logt = factor(points, np.repeat(u, self.l))
-        alphas, means, covs, ok = batch_mixture_match(
-            prev["alphas"], prev["means"], prev["covs"], points, logw, logt
-        )
-        return {"alphas": alphas, "means": means, "covs": covs}, ok
-
-    def fuse(self) -> FusedPosterior:
-        """All N * L components in one mixture, each weight alpha / N."""
-        w = (self.arrays["alphas"] / self.n).ravel()
-        means = self.arrays["means"].reshape(-1, self.p)
-        covs = self.arrays["covs"].reshape(-1, self.p, self.p)
-        mean = w @ means
-        dev = means - mean
-        cov = np.einsum("k,kpq->pq", w, covs)
-        cov += np.einsum("k,kp,kq->pq", w, dev, dev)
-        return FusedPosterior("mixture", mean, cov, mixture_weights=w, mixture_means=means, mixture_covs=covs)
-
-
-class _DiscreteCloud(_Cloud):
-    kind = "discrete"
-
-    def __init__(self, n: int, prior_tables: np.ndarray, cardinalities: np.ndarray, m_samples: int):
-        p, cmax = prior_tables.shape
-        super().__init__(tables=np.broadcast_to(prior_tables, (n, p, cmax)).copy())
-        self.cards = np.asarray(cardinalities, dtype=np.int64)
-        self.m_samples = m_samples
-        joint = float(np.prod(self.cards.astype(np.float64)))
-        self.exhaustive = joint <= m_samples
-        self._exh_codes = enumerate_codes(self.cards) if self.exhaustive else None
-
-    def sample_params(self, rng: np.random.Generator) -> np.ndarray:
-        return sample_codes(self.arrays["tables"], self.cards, rng, 1)[:, 0, :]
-
-    def update(self, prev, u, factor, scheme, rng):
-        tables = prev["tables"]
-        if self.exhaustive:
-            codes = self._exh_codes
-            log_prior = exhaustive_log_prior(tables, codes)
-            codes_b = np.broadcast_to(codes[None, :, :], (len(u),) + codes.shape)
-        else:
-            codes_b = sample_codes(tables, self.cards, rng, self.m_samples)
-            log_prior = None
-        logt = factor(codes_b, u)
-        new_tables, ok = batch_discrete_match(tables, codes_b, log_prior, logt)
-        return {"tables": new_tables}, ok
-
-    def fuse(self) -> FusedPosterior:
-        """The N factorized table sets averaged into one; each dimension's
-        expected code and its variance."""
-        tables = self.arrays["tables"].mean(axis=0)
-        values = np.arange(tables.shape[1])
-        mean = tables @ values
-        second = tables @ (values * values)
-        cov = np.diag(second - mean * mean)
-        return FusedPosterior("tables", mean, cov, tables=tables, cardinalities=self.cards)
-
-
-class _PointCloud(_Cloud):
+class _PointCloud(Cloud):
     """Parameters as plain draws, one per particle: the pf and liu-west clouds.
 
-    The cloud starts at prior draws.  With a shrinkage a, sample_params
-    moves the draws by the Liu-West kernel before every step after the
-    first, from the rng given here (the PERTURB substream); without one
-    they stay the prior draws.  No likelihood factor is folded in, so
+    The cloud starts at prior draws.  With a shrinkage a, sample moves
+    the draws by the Liu-West kernel before every step after the first,
+    from the rng given here (the PERTURB substream); without one they stay
+    the prior draws.  No likelihood factor is folded in, so
     assimilation is resampling alone.
     """
 
@@ -284,7 +119,7 @@ class _PointCloud(_Cloud):
         self.shrinkage, self.rng = shrinkage, rng
         self.started = False
 
-    def sample_params(self, rng: np.random.Generator) -> np.ndarray:
+    def sample(self, rng: np.random.Generator) -> np.ndarray:
         if self.started and self.shrinkage is not None:
             self.arrays["thetas"] = _liu_west_perturb(self.arrays["thetas"], self.shrinkage, self.rng)
         self.started = True
@@ -324,7 +159,8 @@ def _liu_west_perturb(thetas: np.ndarray, a: float, rng: np.random.Generator) ->
 
 
 def _stratified_split(mean: np.ndarray, cov: np.ndarray, l: int) -> tuple[np.ndarray, np.ndarray]:
-    """Deterministic l-component mixture representation of a 1-d prior.
+    """Deterministic l-component mixture representation of a 1-d prior:
+    component means (l, 1) and covariances (l, 1, 1).
 
     Component means sit at symmetric prior quantiles (built as mirrored
     pairs, so even posteriors stay exactly balanced) and the shared
@@ -338,7 +174,7 @@ def _stratified_split(mean: np.ndarray, cov: np.ndarray, l: int) -> tuple[np.nda
     z = np.concatenate([-upper[::-1], [0.0] * (l % 2), upper])
     means = (mean[0] + sd * z)[:, None]
     comp_var = cov[0, 0] * max(1.0 - float(np.mean(z * z)), 0.05)
-    return means, np.array([[comp_var]])
+    return means, np.full((l, 1, 1), comp_var)
 
 
 def _build_cloud(model: DynamicModel, config: FilterConfig, scheme: MomentScheme, mode: str):
@@ -360,14 +196,13 @@ def _build_cloud(model: DynamicModel, config: FilterConfig, scheme: MomentScheme
     if p == 0:
         raise ConfigError("model has no parameters to approximate")
     if family == "gaussian":
-        mean, cov = model.param_prior_moments()
-        return _GaussianCloud(n, mean, cov)
+        return GaussianApprox(*model.param_prior_moments()).cloud(n)
     if family == "mixture":
         mean, cov = model.param_prior_moments()
         l = config.mixture_size
+        alphas = np.full(l, 1.0 / l)
         if p == 1:
-            comp_means, comp_cov = _stratified_split(mean, cov, l)
-            return _MixtureCloud(n, l, comp_means, comp_cov)
+            return MixtureApprox(alphas, *_stratified_split(mean, cov, l)).cloud(n)
         # Liu-West-style kernel over prior draws: shrinking the draws toward
         # the prior mean by a = sqrt(1 - 1/L) leaves (1 - 1/L) of the prior
         # covariance in the component means, and each component carries the
@@ -375,9 +210,13 @@ def _build_cloud(model: DynamicModel, config: FilterConfig, scheme: MomentScheme
         rng = substream(config.seed, streams.PARAM_INIT)
         draws = model.param_prior_sample(rng, n * l).reshape(n, l, p)
         a = np.sqrt(1.0 - 1.0 / l)
-        return _MixtureCloud(n, l, a * draws + (1.0 - a) * mean, cov / l)
-    tables = model.param_prior_tables()
-    return _DiscreteCloud(n, tables, model.param_cardinalities, scheme.m)
+        return MixtureCloud(
+            alphas=np.broadcast_to(alphas, (n, l)),
+            means=a * draws + (1.0 - a) * mean,
+            covs=np.broadcast_to(cov / l, (n, l, p, p)),
+        )
+    tables = FactorizedDiscreteApprox(model.param_prior_tables(), model.param_cardinalities)
+    return tables.cloud(n, scheme.m)
 
 
 def _run_filter(model: DynamicModel, observations, config: FilterConfig, mode: str) -> RunResult:
@@ -427,7 +266,7 @@ def _run_filter(model: DynamicModel, observations, config: FilterConfig, mode: s
             perm = np.asarray(config.permute_hook[1])
             cloud.take(perm)
             store.resample(perm)
-        thetas = cloud.sample_params(rng_param_draw)
+        thetas = cloud.sample(rng_param_draw)
         if t == 0:
             windows = None
             x = model.state_prior_sample(rng_state_init, thetas)

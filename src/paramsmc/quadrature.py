@@ -1,29 +1,21 @@
-"""Deterministic point rules for Gaussian expectations.
+"""Deterministic point rules for the standard normal in p dimensions.
 
 Two rules are provided: tensor-grid Gauss-Hermite quadrature (exact for
 polynomial integrands up to degree 2M-1 per axis) and the symmetric 2p
-sigma-point rule that reproduces the first two moments exactly.
+sigma-point rule that reproduces the first two moments exactly.  Both
+are cached, read-only grids; approx.batch_gaussian_points maps them onto
+any N(mean, cov), and approx.gauss_hermite_points and unscented_points
+are that map at one row.
 """
 
 from functools import lru_cache
 
 import numpy as np
 
-from .errors import PointBudgetError, SingularCovarianceError
-
 DEFAULT_POINT_BUDGET = 100_000
 
 
 @lru_cache(maxsize=64)
-def _gauss_hermite_1d_cached(m: int) -> tuple[np.ndarray, np.ndarray]:
-    x, w = np.polynomial.hermite.hermgauss(m)
-    x = x * np.sqrt(2.0)
-    w = w / np.sqrt(np.pi)
-    x.setflags(write=False)
-    w.setflags(write=False)
-    return x, w
-
-
 def gauss_hermite_1d(m: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights for E[f(Z)] with Z ~ N(0, 1).
 
@@ -33,51 +25,12 @@ def gauss_hermite_1d(m: int) -> tuple[np.ndarray, np.ndarray]:
     """
     if m < 1:
         raise ValueError("need at least one quadrature point")
-    return _gauss_hermite_1d_cached(m)
-
-
-def _cholesky(cov: np.ndarray) -> np.ndarray:
-    try:
-        return np.linalg.cholesky(cov)
-    except np.linalg.LinAlgError as exc:
-        raise SingularCovarianceError(
-            f"covariance is not positive definite: {cov!r}"
-        ) from exc
-
-
-def gauss_hermite_points(
-    mean: np.ndarray,
-    cov: np.ndarray,
-    m: int,
-    point_budget: int = DEFAULT_POINT_BUDGET,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Tensor-grid Gauss-Hermite rule for N(mean, cov).
-
-    Args:
-        mean: (p,) location.
-        cov: (p, p) positive definite covariance.
-        m: points per axis; the grid has m**p points total.
-        point_budget: hard cap on m**p, since the tensor grid blows up
-            exponentially in p.  Callers are expected to fall back to a
-            sampling scheme when this raises.
-
-    Returns:
-        (points, weights): (m**p, p) locations and (m**p,) positive
-        weights summing to one.
-    """
-    mean = np.atleast_1d(np.asarray(mean, dtype=np.float64))
-    cov = np.atleast_2d(np.asarray(cov, dtype=np.float64))
-    p = mean.shape[0]
-    if m**p > point_budget:
-        raise PointBudgetError(
-            f"Gauss-Hermite grid of {m}^{p} points exceeds budget {point_budget}"
-        )
-    z, logw = standard_gauss_hermite_grid(p, m)
-    chol = _cholesky(cov)
-    points = mean[None, :] + z @ chol.T
-    weights = np.exp(logw)
-    weights /= weights.sum()
-    return points, weights
+    x, w = np.polynomial.hermite.hermgauss(m)
+    x = x * np.sqrt(2.0)
+    w = w / np.sqrt(np.pi)
+    x.setflags(write=False)
+    w.setflags(write=False)
+    return x, w
 
 
 @lru_cache(maxsize=64)
@@ -102,21 +55,6 @@ def standard_gauss_hermite_grid(p: int, m: int) -> tuple[np.ndarray, np.ndarray]
     z.setflags(write=False)
     logw.setflags(write=False)
     return z, logw
-
-
-def unscented_points(mean: np.ndarray, cov: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Symmetric 2p-point rule: mean +/- columns of a square root of p*cov.
-
-    The point set reproduces the mean and covariance of N(mean, cov)
-    exactly; all weights equal 1/(2p).
-    """
-    mean = np.atleast_1d(np.asarray(mean, dtype=np.float64))
-    cov = np.atleast_2d(np.asarray(cov, dtype=np.float64))
-    p = mean.shape[0]
-    root = _cholesky(p * cov)
-    points = np.concatenate([mean[None, :] + root.T, mean[None, :] - root.T], axis=0)
-    weights = np.full(2 * p, 1.0 / (2 * p))
-    return points, weights
 
 
 @lru_cache(maxsize=64)

@@ -25,12 +25,13 @@ from paramsmc.approx import (
     GaussianApprox,
     MixtureApprox,
     gauss_hermite,
+    gauss_hermite_points,
     monte_carlo,
+    unscented_points,
 )
 from paramsmc.engine import FilterConfig, PmmhConfig
 from paramsmc.model import gaussian_logpdf
 from paramsmc.oracles import kalman_filter, kl_factorized, mse
-from paramsmc.quadrature import gauss_hermite_points, unscented_points
 from paramsmc.rng import substream
 
 pytestmark = pytest.mark.acceptance

@@ -29,8 +29,9 @@ from paramsmc.approx import (
     sample_codes,
     unscented,
 )
-from paramsmc.errors import DegenerateUpdateError
+from paramsmc.errors import DegenerateUpdateError, PointBudgetError
 from paramsmc.model import gaussian_logpdf
+from paramsmc.quadrature import standard_gauss_hermite_grid
 from paramsmc.rng import substream
 
 
@@ -121,6 +122,20 @@ class TestGaussianUpdate:
         q = GaussianApprox(np.zeros(1), np.eye(1))
         with pytest.raises(DegenerateUpdateError):
             gaussian_update(q, lambda th: np.full(th.shape[0], -np.inf), gauss_hermite(7))
+
+    def test_zero_variance_match_is_degenerate(self):
+        # All of the likelihood mass lands on one of the seven points, so
+        # the matched variance cancels to -2.2e-16 instead of a positive value.
+        q = GaussianApprox(np.zeros(1), np.eye(1))
+        with pytest.raises(DegenerateUpdateError):
+            gaussian_update(q, lambda th: -30.0 * (th[:, 0] - 1.272) ** 2, gauss_hermite(7))
+
+    def test_point_budget_checked_before_the_grid_is_built(self):
+        standard_gauss_hermite_grid.cache_clear()
+        q = GaussianApprox(np.zeros(3), np.eye(3))
+        with pytest.raises(PointBudgetError):
+            gaussian_update(q, lambda th: np.zeros(th.shape[0]), MomentScheme("gauss_hermite", 11, 100))
+        assert standard_gauss_hermite_grid.cache_info().misses == 0
 
     def test_monte_carlo_convergence_rate(self):
         # error vs the conjugate oracle should decay like M^(-1/2)
@@ -437,6 +452,19 @@ class TestSampling:
         )
         draws = q.sample(substream(2, 2), size=10_000)
         assert np.all(np.abs(draws[:, 0]) < 10.0)
+
+    def test_mixture_never_draws_a_zero_weight_component(self):
+        # Ten 0.1s sum to 1 - 2**-53, so a draw just below 1 passes the
+        # last positive component's cumulative weight.
+        class TopRng:
+            def random(self, shape):
+                return np.full(shape, np.nextafter(1.0, 0.0))
+
+            def standard_normal(self, shape):
+                return np.zeros(shape)
+
+        q = MixtureApprox(np.array([0.1] * 10 + [0.0]), np.arange(11.0)[:, None], np.ones((11, 1, 1)))
+        assert q.sample(TopRng(), size=3).tolist() == [[9.0]] * 3
 
     def test_factorized_joint_frequencies(self):
         q = FactorizedDiscreteApprox([np.array([0.3, 0.7]), np.array([0.5, 0.5])])

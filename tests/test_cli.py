@@ -212,6 +212,20 @@ class TestRun:
         assert main([*argv, "--out", str(tmp_path / "res")]) == 2
         assert "config error" in capsys.readouterr().err
 
+    def test_zero_variance_matches_are_degenerate_not_fatal(self, tmp_path):
+        # With a narrow transition, one Gauss-Hermite point carries all of
+        # some rows' likelihood mass and their matched variance is 0 or
+        # slightly negative: 10 of the distinct-ancestor updates at step 1.
+        # Those rows keep their previous moments and are counted; accepted,
+        # they led to a negative variance and a NaN weight at step 7.
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"model_overrides": {"trans_sd": 0.1}, "data_seed": 1, "steps": 200}))
+        out = tmp_path / "res"
+        code = main(["run", "--config", str(cfg), "--model", "lg", "--particles", "200", "--out", str(out)])
+        assert code == 0
+        summary = json.loads((tmp_path / "res.json").read_text())
+        assert summary["notes"]["degenerate_updates"] == 10
+
     def test_missing_data_exits_2(self):
         assert main(["run", "--model", "sin", "--algorithm", "pf", "--particles", "4"]) == 2
 

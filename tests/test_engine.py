@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from paramsmc import engine
+from paramsmc import approx, engine
 from paramsmc.approx import gauss_hermite, monte_carlo
 from paramsmc.benchmarks import LinearGaussianModel, SinModel, slam_small
 from paramsmc.engine import (
@@ -109,28 +109,32 @@ def sin_data(steps=120, seed=0):
     return model, obs
 
 
+def slam_data(steps):
+    model = slam_small()
+    _, obs = simulate(model, model.true_map.astype(float), steps, substream(4, 99))
+    return model, obs
+
+
 class TestFuse:
     """Each cloud collapses its N rows into one FusedPosterior."""
 
     def test_single_particle_is_identity(self):
-        fused = engine._GaussianCloud(1, np.array([0.4]), np.array([[2.0]])).fuse()
+        fused = approx.GaussianCloud(means=np.array([[0.4]]), covs=np.array([[[2.0]]])).fuse()
         assert np.allclose(fused.mean, [0.4])
         assert np.allclose(fused.cov, [[2.0]])
 
     def test_two_gaussians_total_variance(self):
-        cloud = engine._GaussianCloud(2, np.zeros(1), np.eye(1))
-        cloud.arrays = {"means": np.array([[0.0], [2.0]]), "covs": np.ones((2, 1, 1))}
+        cloud = approx.GaussianCloud(means=np.array([[0.0], [2.0]]), covs=np.ones((2, 1, 1)))
         fused = cloud.fuse()
         assert np.isclose(fused.mean[0], 1.0)
         assert np.isclose(fused.cov[0, 0], 2.0)
 
     def test_mixture_particles_flatten(self):
-        cloud = engine._MixtureCloud(2, 2, np.zeros((2, 1)), np.eye(1))
-        cloud.arrays = {
-            "alphas": np.array([[0.5, 0.5], [1.0, 0.0]]),
-            "means": np.array([[[-1.0], [1.0]], [[0.0], [5.0]]]),
-            "covs": np.ones((2, 2, 1, 1)),
-        }
+        cloud = approx.MixtureCloud(
+            alphas=np.array([[0.5, 0.5], [1.0, 0.0]]),
+            means=np.array([[[-1.0], [1.0]], [[0.0], [5.0]]]),
+            covs=np.ones((2, 2, 1, 1)),
+        )
         fused = cloud.fuse()
         assert np.allclose(fused.mixture_weights, [0.25, 0.25, 0.5, 0.0])
         assert fused.mixture_means.shape == (4, 1)
@@ -503,36 +507,86 @@ class TestPmmh:
         assert result.elapsed_s < 5.0
 
 
+def counting(calls: Counter, name: str, fn):
+    """fn, counting each call in calls[name]."""
+
+    def wrapped(*args, **kwargs):
+        calls[name] += 1
+        return fn(*args, **kwargs)
+
+    return wrapped
+
+
 class TestEngineRunsTheTestedCode:
-    """The filters resample, measure ESS and build the likelihood factor
-    with the functions the unit tests check, not with private copies."""
+    """The filters resample, measure ESS, build the likelihood factor and
+    sample and update each approximation family with the functions the
+    unit tests check, not with private copies; so do the public
+    single-distribution functions."""
 
     @pytest.mark.parametrize("resample", sorted(RESAMPLERS))
     @pytest.mark.parametrize("run", [run_assumed_density_filter, run_bootstrap_filter])
     def test_run_calls_tested_functions(self, monkeypatch, run, resample):
         calls = Counter()
 
-        def counting(name, fn):
-            def wrapped(*args, **kwargs):
-                calls[name] += 1
-                return fn(*args, **kwargs)
-
-            return wrapped
-
         class CountingFactor(ParamLikelihood):
             def __call__(self, *args):
                 calls["factor evaluated"] += 1
                 return super().__call__(*args)
 
-        monkeypatch.setitem(RESAMPLERS, resample, counting("resample", RESAMPLERS[resample]))
-        monkeypatch.setattr(engine, "ess", counting("ess", engine.ess))
-        monkeypatch.setattr(engine, "ParamLikelihood", counting("factor built", CountingFactor))
+        monkeypatch.setitem(RESAMPLERS, resample, counting(calls, "resample", RESAMPLERS[resample]))
+        monkeypatch.setattr(engine, "ess", counting(calls, "ess", engine.ess))
+        monkeypatch.setattr(engine, "ParamLikelihood", counting(calls, "factor built", CountingFactor))
         model, obs = sin_data(steps=9)
         config = FilterConfig(n_particles=32, scheme=gauss_hermite(5), seed=0, resample=resample)
         run(model, obs, config)
         assert calls["resample"] == calls["ess"] == calls["factor built"] == 10
         evaluated = 10 if run is run_assumed_density_filter else 0
         assert calls["factor evaluated"] == evaluated
+
+    @staticmethod
+    def count_family_calls(monkeypatch) -> Counter:
+        """Wrap each family cloud's sample and update, and the point kernel."""
+        calls = Counter()
+        for cls in (approx.GaussianCloud, approx.MixtureCloud, approx.DiscreteCloud):
+            for meth in ("sample", "update"):
+                monkeypatch.setattr(cls, meth, counting(calls, f"{cls.kind}.{meth}", vars(cls)[meth]))
+        points = counting(calls, "points", approx.batch_gaussian_points)
+        monkeypatch.setattr(approx, "batch_gaussian_points", points)
+        return calls
+
+    def test_public_api_runs_the_family_clouds(self, monkeypatch):
+        calls = self.count_family_calls(monkeypatch)
+        rng = substream(0, 0)
+        zero = lambda th: np.zeros(th.shape[0])  # noqa: E731
+        gaussian = approx.GaussianApprox(np.zeros(1), np.eye(1))
+        mixture = approx.MixtureApprox(np.array([0.5, 0.5]), np.array([[0.0], [1.0]]), np.ones((2, 1, 1)))
+        tables = approx.FactorizedDiscreteApprox([np.array([0.3, 0.7])])
+        approx.gaussian_update(gaussian, zero, gauss_hermite(5))
+        approx.mixture_update(mixture, zero, gauss_hermite(5))
+        approx.discrete_update(tables, zero, m=4)
+        assert calls == {"gaussian.update": 1, "mixture.update": 1, "discrete.update": 1, "points": 2}
+        gaussian.sample(rng, size=3)
+        mixture.sample(rng)
+        tables.sample(rng, size=3)
+        assert calls["gaussian.sample"] == calls["mixture.sample"] == calls["discrete.sample"] == 1
+        assert calls["points"] == 4
+        approx.gauss_hermite_points(np.zeros(2), np.eye(2), 3)
+        approx.unscented_points(np.zeros(2), np.eye(2))
+        assert calls["points"] == 6
+
+    @pytest.mark.parametrize(
+        "family, data",
+        [("gaussian", sin_data), ("mixture", sin_data), ("discrete", slam_data)],
+    )
+    def test_api_run_calls_the_family_cloud(self, monkeypatch, family, data):
+        calls = self.count_family_calls(monkeypatch)
+        model, obs = data(steps=9)
+        config = FilterConfig(n_particles=32, scheme=gauss_hermite(5), family=family, mixture_size=3, seed=0)
+        run_assumed_density_filter(model, obs, config)
+        assert calls[f"{family}.sample"] == calls[f"{family}.update"] == len(obs)
+        # one call for the evaluation points, one for the parameter draws
+        assert calls["points"] == (0 if family == "discrete" else 2 * len(obs))
+        assert sum(calls.values()) == 2 * len(obs) + calls["points"]
 
 
 def _effective_draws(chain: np.ndarray) -> float:

@@ -11,6 +11,9 @@ PMMH digest covers the chain, its log-likelihood estimates and its
 acceptances; the pf-log-likelihood digest covers the lean inner filter's
 estimates on the order-two model, where the order of the window shift
 and the ancestor gather matters.
+The public single-distribution API (the *_update functions, the point
+rules and each family's sample) has one digest per call, over every
+array it returns.
 The digests were captured with numpy 2.4.6 and scipy 1.17.1 on x86-64;
 another numpy or BLAS build may round differently and move them.
 
@@ -20,12 +23,25 @@ a change alters outputs on purpose, regenerate the table with
 ``PYTHONPATH=src python tests/test_golden.py`` and say why in CHANGES.md.
 """
 
+import dataclasses
 import hashlib
 
 import numpy as np
 import pytest
 
-from paramsmc.approx import gauss_hermite, monte_carlo
+from paramsmc.approx import (
+    FactorizedDiscreteApprox,
+    GaussianApprox,
+    MixtureApprox,
+    discrete_update,
+    gauss_hermite,
+    gauss_hermite_points,
+    gaussian_update,
+    mixture_update,
+    monte_carlo,
+    unscented,
+    unscented_points,
+)
 from paramsmc.benchmarks import LinearGaussianModel, SinModel, slam_small
 from paramsmc.engine import (
     FilterConfig,
@@ -79,6 +95,41 @@ class OrderTwoModel(DynamicModel):
         return gaussian_logpdf(y[0], states[:, 0], 0.5)
 
 
+class DriftModel(DynamicModel):
+    """AR(1) with two parameters, x_t = theta_0 * x_{t-1} + theta_1 + noise, observed in noise."""
+
+    def dims(self):
+        return (2, 1, 1)
+
+    def param_prior_sample(self, rng, n):
+        return 0.5 * rng.standard_normal((n, 2))
+
+    def param_prior_logdensity(self, thetas):
+        return gaussian_logpdf(thetas[:, 0], 0.0, 0.5) + gaussian_logpdf(thetas[:, 1], 0.0, 0.5)
+
+    def param_prior_moments(self):
+        return np.zeros(2), 0.25 * np.eye(2)
+
+    def state_prior_sample(self, rng, thetas):
+        return rng.standard_normal((thetas.shape[0], 1))
+
+    def _mean(self, windows, thetas):
+        return thetas[:, 0] * windows[:, -1, 0] + thetas[:, 1]
+
+    def transition_sample(self, rng, t, windows, thetas):
+        mean = self._mean(windows, thetas)
+        return (mean + rng.standard_normal(mean.shape[0]))[:, None]
+
+    def transition_logdensity(self, t, x_new, windows, thetas):
+        return gaussian_logpdf(x_new[:, 0], self._mean(windows, thetas), 1.0)
+
+    def obs_sample(self, rng, t, states, thetas):
+        return states + 0.5 * rng.standard_normal(states.shape)
+
+    def obs_logdensity(self, t, y, states, thetas):
+        return gaussian_logpdf(y[0], states[:, 0], 0.5)
+
+
 def _sin(variant="plain", steps=40):
     model = SinModel(variant=variant)
     _, obs = simulate(model, np.array([-0.5 if variant == "plain" else 0.7]), steps, substream(3, 99))
@@ -100,6 +151,12 @@ def _order_two():
 def _lg():
     model = LinearGaussianModel()
     _, obs = simulate(model, np.array([0.7]), 40, substream(12, 99))
+    return model, obs
+
+
+def _drift():
+    model = DriftModel()
+    _, obs = simulate(model, np.array([0.6, 0.4]), 30, substream(17, 99))
     return model, obs
 
 
@@ -146,6 +203,10 @@ RUNS = {
         *_sin(), FilterConfig(n_particles=64, seed=9, permute_hook=(0, substream(6, 1).permutation(64)))
     ),
     "liu-west": lambda: run_liu_west_filter(*_sin(), FilterConfig(n_particles=64, seed=10)),
+    "gaussian-p2": _api(_drift, n_particles=48, scheme=GH7, seed=18),
+    "mixture-p2": _api(
+        _drift, n_particles=32, scheme=gauss_hermite(5), family="mixture", mixture_size=3, seed=19
+    ),
     "pmmh-lg": _pmmh(_lg, inner_particles=32, iterations=40, proposal_sd=0.2, seed=14),
     "pmmh-slam-small": _pmmh(_slam, inner_particles=32, iterations=40, seed=15),
     "pf-log-likelihood-order-two": _pf_log_likelihoods,
@@ -168,6 +229,10 @@ GOLDEN = {
         "steps": "927db3a8fe370a5593c48d01c89fbbf096372366548de25e42ad22498448e21a",
         "fused": "92c9e156af95b8503be7dfc5d302c6714890c01d827f4be2b0eb75415dcae7d1",
     },
+    "gaussian-p2": {
+        "steps": "b53935d8a78b4ad36a543741a159d79d1c113c666f6082156fbc331ca2a58409",
+        "fused": "05b91a209bc8a53e33522ce86b15fe93e3051bb705b71865df746db01ac1b45d",
+    },
     "gaussian-permuted": {
         "steps": "7b0f25cee335129e325279c7f5bf1b2bc86dae901806dc41f5c96897cd46f96e",
         "fused": "498496d9d9b4516b5366abbe4b90fb42e6307c7b514bc9deafe397cecb10bc74",
@@ -183,6 +248,10 @@ GOLDEN = {
     "mixture": {
         "steps": "bba2f368bfccfda32708e3ac3ef3485d97215dca8738cf8ae5784681cb19005f",
         "fused": "59180211bfa8efa916cac6138f92ef1e5f5ff704692c78d81b0dfb3b203cfe44",
+    },
+    "mixture-p2": {
+        "steps": "3b2effd534eaf76cf79f8f2a7015a0fd5ae045540208d94141c45f6fbc50d036",
+        "fused": "9a0f254461e68f2d7a982898b079a20e7844b0f5023cf114ecc66ea343b22613",
     },
     "order-two": {
         "steps": "ee65203f213086737879df1ae8ae789fdc5bb1108c198c651aca24201f009d7f",
@@ -208,6 +277,15 @@ GOLDEN = {
 }
 
 
+def _hash_value(h, value) -> None:
+    if value is None:
+        h.update(b"none")
+        return
+    arr = np.asarray(value)
+    h.update(str(arr.dtype).encode() + str(arr.shape).encode())
+    h.update(np.ascontiguousarray(arr).tobytes())
+
+
 def run_digests(result) -> dict[str, str]:
     """sha256 digests over every output of a run that is not a timing.
 
@@ -219,13 +297,7 @@ def run_digests(result) -> dict[str, str]:
     hashes = {}
 
     def add(part, value):
-        h = hashes.setdefault(part, hashlib.sha256())
-        if value is None:
-            h.update(b"none")
-            return
-        arr = np.asarray(value)
-        h.update(str(arr.dtype).encode() + str(arr.shape).encode())
-        h.update(np.ascontiguousarray(arr).tobytes())
+        _hash_value(hashes.setdefault(part, hashlib.sha256()), value)
 
     if isinstance(result, np.ndarray):
         add("estimates", result)
@@ -262,6 +334,84 @@ def run_digests(result) -> dict[str, str]:
 @pytest.mark.parametrize("name", sorted(RUNS))
 def test_run_matches_golden_digest(name):
     assert run_digests(RUNS[name]()) == GOLDEN[name]
+
+
+def _gaussian_loglik(mean, sd):
+    return lambda thetas: gaussian_logpdf(thetas[:, 0], mean, sd)
+
+
+def _drift_loglik(thetas):
+    return gaussian_logpdf(thetas[:, 0], 0.5, 0.8) + gaussian_logpdf(thetas[:, 1], -0.3, 1.2)
+
+
+CODE_FACTOR = np.arange(1.0, 19.0).reshape(2, 3, 3)
+
+
+def _code_loglik(codes):
+    return np.log(CODE_FACTOR[codes[:, 0], codes[:, 1], codes[:, 2]])
+
+
+Q1 = GaussianApprox(0.3, 1.7)
+Q2 = GaussianApprox([0.2, -0.1], [[1.1, 0.3], [0.3, 0.8]])
+MIX = MixtureApprox([0.5, 0.3, 0.2], [[-1.0], [0.0], [1.5]], [[[0.3]], [[0.5]], [[0.2]]])
+FAR_MIX = MixtureApprox([0.4, 0.4, 0.2], [[0.0], [0.5], [500.0]], [[[0.25]]] * 3)
+TABLES = FactorizedDiscreteApprox([[0.2, 0.8], [0.5, 0.3, 0.2], [0.1, 0.6, 0.3]])
+COV2 = [[2.0, 0.6], [0.6, 1.0]]
+
+PUBLIC_CALLS = {
+    "gaussian-update-gh7": lambda: gaussian_update(Q1, _gaussian_loglik(1.0, 0.8), GH7),
+    "gaussian-update-monte-carlo": lambda: gaussian_update(
+        Q2, _drift_loglik, monte_carlo(64), substream(20, 0)
+    ),
+    "gaussian-update-unscented-p2": lambda: gaussian_update(Q2, _drift_loglik, unscented()),
+    "mixture-update": lambda: mixture_update(MIX, _gaussian_loglik(0.5, 0.6), GH7),
+    "mixture-update-floor-drop": lambda: mixture_update(
+        FAR_MIX, _gaussian_loglik(0.2, 0.3), gauss_hermite(9)
+    ),
+    "discrete-update-exhaustive": lambda: discrete_update(TABLES, _code_loglik, m=18),
+    "discrete-update-sampled": lambda: discrete_update(TABLES, _code_loglik, m=10, rng=substream(21, 0)),
+    "gauss-hermite-points-p1-m7": lambda: gauss_hermite_points([1.3], [[2.25]], 7),
+    "gauss-hermite-points-p2-m5": lambda: gauss_hermite_points([0.5, -1.0], COV2, 5),
+    "unscented-points-p2": lambda: unscented_points([0.5, -1.0], COV2),
+    "gaussian-sample-p1": lambda: Q1.sample(substream(22, 0), size=50),
+    "gaussian-sample-p2": lambda: Q2.sample(substream(22, 1), size=50),
+    "mixture-sample": lambda: MIX.sample(substream(22, 2), size=50),
+    "discrete-sample": lambda: TABLES.sample(substream(22, 3), size=50),
+}
+
+PUBLIC_GOLDEN = {
+    "discrete-sample": "531d76d84f798595e403e10e887ab4f0ef904123ad870be52f4d409bfe98ceb8",
+    "discrete-update-exhaustive": "244bafd0da2c4072d92c1764aa3a00473f631aaccfd55a31435c3e44ffb44c65",
+    "discrete-update-sampled": "7a20d87dba17ddae5cbc270774587b894d63bebba6546f6e95a72bc2d214b67f",
+    "gauss-hermite-points-p1-m7": "ab036529742e9f385a574c8511b5b0fb0dc9c13d0fd14440508693d8e3b81e78",
+    "gauss-hermite-points-p2-m5": "ca0bcd15af9c6a44218c7bcc8c240e6a65388642741391f9be147674ab186161",
+    "gaussian-sample-p1": "a7177dd50411bb1486f61c9b986ab040e9663756a55090434de00c0060fa4d6e",
+    "gaussian-sample-p2": "bea5e1294cb5305bb1345d50bf5bf898ed02e194d239d0119f6b4935b34c4840",
+    "gaussian-update-gh7": "2e42b04fc5af1893ba67950910d07a6e6dbb804462ac10b864067d663dd84665",
+    "gaussian-update-monte-carlo": "eb6d627a1dd4150f47e01337fc2733544059a31b97347b4b7a40f6cd3124b27b",
+    "gaussian-update-unscented-p2": "757446f209c3a45ce8416c2d6bb902de0b1e65d2e065aee7afaf507fe6dad8d7",
+    "mixture-sample": "941b95126c09f2180b88a5fe0da04c0005aa9d019414bade46be7a33321bd567",
+    "mixture-update": "482fdaa240ff7d36d00f693a6c7e3e80a2521f7c6bfb5e840e274753d3bebf8b",
+    "mixture-update-floor-drop": "f755f5f457ebf22da827b468d90bb461f7017c3c13c1858ccb33ae5992032fe7",
+    "unscented-points-p2": "155aae4fdda7ce9d62c5f9621f1927742b8823b272fd3aea464829391e89cb3c",
+}
+
+
+def public_digest(value) -> str:
+    """sha256 over every array a public call returns, in field or tuple order."""
+    if dataclasses.is_dataclass(value):
+        value = [getattr(value, f.name) for f in dataclasses.fields(value)]
+    elif not isinstance(value, tuple):
+        value = [value]
+    h = hashlib.sha256()
+    for part in value:
+        _hash_value(h, part)
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(PUBLIC_CALLS))
+def test_public_call_matches_golden_digest(name):
+    assert public_digest(PUBLIC_CALLS[name]()) == PUBLIC_GOLDEN[name]
 
 
 NON_FILTER_RUNS = ("pf-log-likelihood-order-two", "pmmh-lg", "pmmh-slam-small")
@@ -334,3 +484,5 @@ if __name__ == "__main__":
         for part, digest in run_digests(RUNS[name]()).items():
             print(f'        "{part}": "{digest}",')
         print("    },")
+    for name in sorted(PUBLIC_CALLS):
+        print(f'    "{name}": "{public_digest(PUBLIC_CALLS[name]())}",')

@@ -9,12 +9,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from paramsmc.approx import gauss_hermite_points, unscented_points
 from paramsmc.errors import PointBudgetError, SingularCovarianceError
-from paramsmc.quadrature import (
-    gauss_hermite_1d,
-    gauss_hermite_points,
-    unscented_points,
-)
+from paramsmc.quadrature import gauss_hermite_1d
 
 
 def gaussian_moment(r: int) -> float:
