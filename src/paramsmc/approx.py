@@ -42,6 +42,11 @@ JITTER_RELATIVE = 1e-9
 
 SCHEME_KINDS = ("monte_carlo", "gauss_hermite", "unscented")
 
+# Code entries (rows x m x p) a sampled discrete update draws, scores and
+# matches at once: 65 rows at m = 50, p = 20, whose scratch arrays take
+# about 1 MB however many rows the update carries (see DiscreteCloud).
+CODE_BLOCK = 65_536
+
 
 @dataclass(frozen=True)
 class MomentScheme:
@@ -330,7 +335,11 @@ def batch_mixture_match(
 
 
 def sample_codes(
-    tables: np.ndarray, cardinalities: np.ndarray, rng: np.random.Generator, m: int
+    tables: np.ndarray,
+    cardinalities: np.ndarray,
+    rng: np.random.Generator,
+    m: int,
+    out: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> np.ndarray:
     """Draw (B, m, p) integer codes from stacked factorized tables (B, p, C).
 
@@ -338,14 +347,25 @@ def sample_codes(
     (B, m, p, C) comparison is built.  Columns at or past a dimension's
     last code are unreachable, so every code is below its cardinality even
     when a table's cumulative sum rounds below the draw.
+
+    out, when given, is (draws, codes) scratch of shape (B, m, p), float64
+    and int64.  The uniforms are drawn into draws, the same bits as a
+    fresh draw, and the codes counted into codes, which is returned; with
+    C <= 2 nothing of size (B, m, p) is allocated.
     """
     b, p, cmax = tables.shape
     cdf = np.cumsum(tables[:, :, :-1], axis=-1)
     cdf[:, np.arange(cmax - 1) >= cardinalities[:, None] - 1] = np.inf
-    u = rng.random((b, m, p))
-    codes = np.zeros((b, m, p), dtype=np.int64)
-    for c in range(cmax - 1):
-        codes += u >= cdf[:, None, :, c]
+    if out is None:
+        draws, codes = rng.random((b, m, p)), np.empty((b, m, p), dtype=np.int64)
+    else:
+        draws, codes = out
+        rng.random(out=draws)
+    # The first interior column counts straight into codes; with C = 1
+    # there is none and every code is 0.
+    np.greater_equal(draws, cdf[:, None, :, 0] if cmax > 1 else np.inf, out=codes)
+    for c in range(1, cmax - 1):
+        codes += draws >= cdf[:, None, :, c]
     return codes
 
 
@@ -377,14 +397,20 @@ def batch_discrete_match(
     codes: np.ndarray,
     log_prior_w: np.ndarray | None,
     log_t: np.ndarray,
+    weights: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Marginal-matching update for stacked factorized tables.
 
     codes is (B, J, p); log_prior_w carries per-code log q_prev mass in
     exhaustive mode and is None when codes were sampled from q_prev.  New
-    marginals are the weight-suffixed code frequencies, renormalized per
+    marginals are the weight-summed code frequencies, renormalized per
     dimension.  Rows with vanishing total mass are flagged and keep their
     previous tables.
+
+    One bincount sums every (row, dimension, code) bin, each bin adding
+    its weights in point order.  Given a float64 (B, J, p) weights buffer
+    the kernel allocates nothing of that size: it turns codes into their
+    bin numbers in place and broadcasts the point weights into weights.
 
     Returns (tables, ok).
     """
@@ -392,15 +418,15 @@ def batch_discrete_match(
     a = np.array(log_t, dtype=np.float64) if log_prior_w is None else log_t + log_prior_w
     r, total, _, ok = _shifted_mass(a)
 
-    out = np.zeros_like(tables)
-    offsets = (np.arange(b) * cmax)[:, None]
-    flat_r = r.ravel()
-    for i in range(p):
-        idx = (codes[:, :, i] + offsets).ravel()
-        acc = np.bincount(idx, weights=flat_r, minlength=b * cmax).reshape(b, cmax)
-        out[:, i, :] = acc
-    denom = np.where(total > 0, total, 1.0)
-    out = out / denom[:, None, None]
+    bins = (np.arange(b)[:, None, None] * p + np.arange(p)) * cmax
+    if weights is None:
+        codes = codes + bins
+        weights = np.empty(codes.shape)
+    else:
+        codes += bins
+    weights[...] = r[:, :, None]
+    out = np.bincount(codes.ravel(), weights=weights.ravel(), minlength=b * p * cmax)
+    out = out.reshape(b, p, cmax) / np.where(total > 0, total, 1.0)[:, None, None]
     tables_out = np.where(ok[:, None, None], out, tables)
     return tables_out, ok
 
@@ -521,7 +547,9 @@ class DiscreteCloud(Cloud):
 
     An update enumerates the joint when it has at most m_samples codes,
     which is exact, and otherwise weights m_samples joint draws from each
-    row's tables.
+    row's tables.  A sampled update runs in blocks of rows holding at most
+    CODE_BLOCK codes, and draws, scores and matches each block in scratch
+    arrays that the cloud keeps from one update to the next.
     """
 
     kind = "discrete"
@@ -532,22 +560,39 @@ class DiscreteCloud(Cloud):
         self.m_samples = m_samples
         joint = float(np.prod(self.cards.astype(np.float64)))
         self.joint_codes = enumerate_codes(self.cards) if joint <= m_samples else None
+        self._scratch = None  # sample_codes' out for the largest block so far
 
     def sample(self, rng: np.random.Generator) -> np.ndarray:
         return sample_codes(self.arrays["tables"], self.cards, rng, 1)[:, 0, :]
 
     def update(self, prev, rows, factor, scheme, rng):
         tables = prev["tables"]
-        if self.joint_codes is None:
-            if rng is None:
-                raise ValueError("sampled discrete update needs a generator")
-            codes = sample_codes(tables, self.cards, rng, self.m_samples)
-            log_prior = None
-        else:
+        if self.joint_codes is not None:
             log_prior = exhaustive_log_prior(tables, self.joint_codes)
             codes = np.broadcast_to(self.joint_codes, (len(rows),) + self.joint_codes.shape)
-        logt = factor(codes, rows)
-        new_tables, ok = batch_discrete_match(tables, codes, log_prior, logt)
+            new_tables, ok = batch_discrete_match(tables, codes, log_prior, factor(codes, rows))
+            return {"tables": new_tables}, ok
+        if rng is None:
+            raise ValueError("sampled discrete update needs a generator")
+        m = self.m_samples
+        if m < 1:
+            raise ValueError(f"sampled discrete update needs m >= 1 codes per row, got {m}")
+        b, p, _ = tables.shape
+        step = max(1, CODE_BLOCK // (m * p))
+        if self._scratch is None or self._scratch[0].shape[0] < min(step, b):
+            shape = (min(step, b), m, p)
+            self._scratch = (np.empty(shape), np.empty(shape, dtype=np.int64))
+        new_tables = np.empty(tables.shape)
+        ok = np.empty(b, dtype=bool)
+        # The blocks draw the uniforms of one (b, m, p) draw in order.  The
+        # factor must not keep the codes it scores: the next block reuses them.
+        for lo in range(0, b, step):
+            block = slice(lo, lo + step)
+            draws, codes = (a[: min(step, b - lo)] for a in self._scratch)
+            codes = sample_codes(tables[block], self.cards, rng, m, out=(draws, codes))
+            logt = factor(codes, rows[block])
+            # the draws are spent once the codes are counted; their buffer takes the weights
+            new_tables[block], ok[block] = batch_discrete_match(tables[block], codes, None, logt, draws)
         return {"tables": new_tables}, ok
 
     def fuse(self) -> FusedPosterior:

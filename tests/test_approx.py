@@ -7,14 +7,18 @@ Oracles used here:
 * brute-force joint enumeration for factorized discrete tables.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from paramsmc.approx import (
+    CODE_BLOCK,
     JITTER_RELATIVE,
     LOG_MASS_FLOOR,
+    DiscreteCloud,
     FactorizedDiscreteApprox,
     GaussianApprox,
     MixtureApprox,
@@ -326,6 +330,12 @@ class TestDiscreteUpdate:
         with pytest.raises(DegenerateUpdateError):
             discrete_update(q, lambda c: np.full(c.shape[0], -np.inf), m=4)
 
+    @pytest.mark.parametrize("m", [0, -3])
+    def test_sampled_update_needs_a_code_per_row(self, m):
+        q = FactorizedDiscreteApprox([np.array([0.5, 0.5])])
+        with pytest.raises(ValueError, match="m >= 1"):
+            discrete_update(q, lambda c: np.zeros(c.shape[0]), m=m, rng=substream(1, 0))
+
     def test_tables_stay_normalized(self):
         rng = substream(5, 5)
         q = FactorizedDiscreteApprox([np.full(4, 0.25)] * 3)
@@ -398,6 +408,37 @@ def reference_moment_match(points, log_weights, log_t, prev_means, prev_covs):
     return means_out, covs_out, log_z, ok
 
 
+def reference_sampled_update(tables, cards, rng, m, factor, rows):
+    """The one-shot sampled update the blocked one must equal bit for bit:
+    every row's codes from one (B, m, p) draw, matched one dimension at a
+    time."""
+    b, p, cmax = tables.shape
+    cdf = np.cumsum(tables[:, :, :-1], axis=-1)
+    cdf[:, np.arange(cmax - 1) >= cards[:, None] - 1] = np.inf
+    u = rng.random((b, m, p))
+    codes = np.zeros((b, m, p), dtype=np.int64)
+    for c in range(cmax - 1):
+        codes += u >= cdf[:, None, :, c]
+    a = factor(codes, rows)
+    a = np.where(np.isnan(a), -np.inf, a)
+    shift = np.max(a, axis=1)
+    ok = np.isfinite(shift)
+    with np.errstate(under="ignore"):
+        r = np.exp(a - np.where(ok, shift, 0.0)[:, None])
+    r[~ok] = 0.0
+    total = r.sum(axis=1)
+    with np.errstate(divide="ignore"):
+        log_z = np.where(ok, shift, 0.0) + np.log(total)
+    ok = ok & (log_z >= LOG_MASS_FLOOR)
+    out = np.zeros_like(tables)
+    offsets = (np.arange(b) * cmax)[:, None]
+    for i in range(p):
+        idx = (codes[:, :, i] + offsets).ravel()
+        out[:, i, :] = np.bincount(idx, weights=r.ravel(), minlength=b * cmax).reshape(b, cmax)
+    out = out / np.where(total > 0, total, 1.0)[:, None, None]
+    return np.where(ok[:, None, None], out, tables), ok
+
+
 class TestBatchKernels:
     """The in-place kernels against the allocating formulas they replaced."""
 
@@ -436,6 +477,51 @@ class TestBatchKernels:
         assert not got[3][[5, 9, 11]].any()
         # the in-place arithmetic never writes to its inputs
         assert before.tobytes() == log_t.tobytes()
+
+    @pytest.mark.parametrize("cmax", [2, 3])
+    def test_blocked_discrete_update_matches_one_shot_bits(self, cmax):
+        gen = np.random.default_rng(10 + cmax)
+        b, p, m = 500, 10, 40
+        step = CODE_BLOCK // (m * p)
+        assert b > 2 * step and b % step  # four blocks, the last one partial
+        cards = gen.integers(1, cmax + 1, size=p)
+        cards[:6] = cmax  # a joint of more than m codes, so the update samples
+        tables = gen.dirichlet(np.ones(cmax), size=(b, p))
+        tables[:, np.arange(cmax) >= cards[:, None]] = 0.0
+        tables /= tables.sum(axis=-1, keepdims=True)
+        score = gen.standard_normal((b, p, cmax))
+        score[7] = -np.inf  # owner 7 vanishes
+        score[8] = -800.0  # owner 8 falls below the mass floor
+
+        def factor(codes, rows):
+            return score[rows[:, None, None], np.arange(p), codes].sum(axis=-1)
+
+        rows = gen.permutation(b)
+        cloud = DiscreteCloud(tables, cards, m)
+        assert cloud.joint_codes is None
+        got = cloud.update(cloud.arrays, rows, factor, None, substream(8, cmax))
+        ref = reference_sampled_update(tables, cards, substream(8, cmax), m, factor, rows)
+        assert got[0]["tables"].tobytes() == ref[0].tobytes()
+        assert got[1].tobytes() == ref[1].tobytes()
+        assert not got[1][np.isin(rows, [7, 8])].any() and got[1].sum() == b - 2
+        assert np.allclose(got[0]["tables"].sum(axis=-1), 1.0)
+
+    def test_sampled_discrete_update_memory_is_bounded(self):
+        """One update's traced peak is one block's scratch plus the new
+        tables, whatever B is; one (B, m, p) draw took 26 MB here."""
+        b, p, m = 1500, 20, 50
+        cloud = DiscreteCloud(np.full((b, p, 2), 0.5), np.full(p, 2), m)
+
+        def factor(codes, rows):
+            return -0.1 * codes.sum(axis=-1)
+
+        tracemalloc.start()
+        try:
+            cloud.update(cloud.arrays, np.arange(b), factor, None, substream(9, 0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 2**20
 
 
 class TestSampling:

@@ -588,6 +588,46 @@ class TestEngineRunsTheTestedCode:
         assert calls["points"] == (0 if family == "discrete" else 2 * len(obs))
         assert sum(calls.values()) == 2 * len(obs) + calls["points"]
 
+    def test_sampled_discrete_run_calls_the_kernels_in_every_block(self, monkeypatch):
+        """Each block of a sampled update draws its codes with sample_codes
+        and matches them with batch_discrete_match, and the update's tables
+        are those kernels' results."""
+        updates, blocks = [], {"sample_codes": [], "batch_discrete_match": []}
+
+        def recording(name, fn):
+            def wrapped(*args, **kwargs):
+                result = fn(*args, **kwargs)
+                blocks[name].append(np.copy(result[0] if isinstance(result, tuple) else result))
+                return result
+
+            return wrapped
+
+        update = approx.DiscreteCloud.update
+
+        def recorded_update(cloud, prev, rows, *args):
+            arrays, ok = update(cloud, prev, rows, *args)
+            updates.append(arrays["tables"])
+            return arrays, ok
+
+        for name in blocks:
+            monkeypatch.setattr(approx, name, recording(name, getattr(approx, name)))
+        monkeypatch.setattr(approx.DiscreteCloud, "update", recorded_update)
+        model, obs = slam_data(steps=9)
+        m, p = 50, model.dims()[0]
+        run_assumed_density_filter(model, obs, FilterConfig(n_particles=500, scheme=monte_carlo(m), seed=0))
+
+        step = approx.CODE_BLOCK // (m * p)
+        drawn = [codes for codes in blocks["sample_codes"] if codes.shape[1] == m]
+        matched = blocks["batch_discrete_match"]
+        assert len(blocks["sample_codes"]) - len(drawn) == len(obs)  # one parameter draw a step
+        assert len(updates) == len(obs) and len(matched) == len(drawn) > len(obs)
+        for tables in updates:
+            sizes = [min(step, len(tables) - lo) for lo in range(0, len(tables), step)]
+            assert [len(codes) for codes in drawn[: len(sizes)]] == sizes
+            assert np.concatenate(matched[: len(sizes)]).tobytes() == tables.tobytes()
+            drawn, matched = drawn[len(sizes) :], matched[len(sizes) :]
+        assert not drawn and not matched
+
 
 def _effective_draws(chain: np.ndarray) -> float:
     """Crude autocorrelation-adjusted sample size for a scalar chain."""

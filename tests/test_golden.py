@@ -42,7 +42,7 @@ from paramsmc.approx import (
     unscented,
     unscented_points,
 )
-from paramsmc.benchmarks import LinearGaussianModel, SinModel, slam_small
+from paramsmc.benchmarks import LinearGaussianModel, SinModel, slam_large, slam_small
 from paramsmc.engine import (
     FilterConfig,
     PmmhConfig,
@@ -142,6 +142,12 @@ def _slam(**overrides):
     return model, obs
 
 
+def _slam_large():
+    model = slam_large()
+    _, obs = simulate(model, model.true_map.astype(float), 12, substream(23, 99))
+    return model, obs
+
+
 def _order_two():
     model = OrderTwoModel()
     _, obs = simulate(model, np.array([0.5]), 40, substream(5, 99))
@@ -191,6 +197,8 @@ RUNS = {
         lambda: _sin("bimodal"), n_particles=48, scheme=GH7, family="mixture", mixture_size=4, seed=4
     ),
     "discrete-sampled": _api(_slam, n_particles=64, scheme=monte_carlo(20), seed=5),
+    # 271-354 distinct ancestors a step: 5 or 6 blocks of 65 rows, the last one partial
+    "discrete-sampled-blocks": _api(_slam_large, n_particles=600, scheme=monte_carlo(50), seed=24),
     "discrete-exhaustive": _api(
         lambda: _slam(n_cells=3, actions=["R", "R", "L", "R", "L", "L"], true_map=[1, 0, 1]),
         n_particles=64,
@@ -220,6 +228,10 @@ GOLDEN = {
     "discrete-sampled": {
         "steps": "640d8cbf21481fe0db78d1bc724a57c8f8e0c2a474e71da9096702ea0f0f3c53",
         "fused": "a0c3dbff59342f0227cc6562db4fd9335f1766207ea2787935996582b1cfd990",
+    },
+    "discrete-sampled-blocks": {
+        "steps": "2d9ca9009eb6cded836ee6bce313fd6a7845361f65d676202c65055ca2c4a0e1",
+        "fused": "3abc57c39a31f827a77fd793d3ce9f3f33ccc269e5d0c8051ac396129386f42f",
     },
     "gaussian": {
         "steps": "ddeaa94d8e1d365ce9f5849bfa4df6744df3f0d5e1894893b10ab567b4b5b8a3",
