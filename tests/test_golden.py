@@ -14,6 +14,12 @@ and the ancestor gather matters.
 The public single-distribution API (the *_update functions, the point
 rules and each family's sample) has one digest per call, over every
 array it returns.
+Each command-line invocation has one digest over its exit code, its
+stdout and stderr and every file it writes, with the temporary directory
+in them replaced by a placeholder.  The wall_clock_ms column of result
+CSVs and every elapsed_s entry of summary JSON are timings and are left
+out; the path-valued config entries (data, exact, out) hash as a
+placeholder.
 The digests were captured with numpy 2.4.6 and scipy 1.17.1 on x86-64;
 another numpy or BLAS build may round differently and move them.
 
@@ -23,8 +29,13 @@ a change alters outputs on purpose, regenerate the table with
 ``PYTHONPATH=src python tests/test_golden.py`` and say why in CHANGES.md.
 """
 
+import contextlib
 import dataclasses
 import hashlib
+import io
+import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -43,6 +54,7 @@ from paramsmc.approx import (
     unscented_points,
 )
 from paramsmc.benchmarks import LinearGaussianModel, SinModel, slam_large, slam_small
+from paramsmc.cli import main
 from paramsmc.engine import (
     FilterConfig,
     PmmhConfig,
@@ -52,8 +64,9 @@ from paramsmc.engine import (
     run_liu_west_filter,
     run_pmmh,
 )
+from paramsmc.io import write_tables_csv, write_trajectory_csv
 from paramsmc.model import DynamicModel, gaussian_logpdf, simulate
-from paramsmc.oracles import pf_log_likelihood
+from paramsmc.oracles import pf_log_likelihood, slam_exact_forward
 from paramsmc.rng import substream
 
 
@@ -426,6 +439,139 @@ def test_public_call_matches_golden_digest(name):
     assert public_digest(PUBLIC_CALLS[name]()) == PUBLIC_GOLDEN[name]
 
 
+def _cli_inputs(root: Path) -> None:
+    """Write the trajectories, exact tables and config files the CLI runs read."""
+    root.mkdir()
+    slam = slam_small()
+    for name, model, theta, steps, seed in (
+        ("sin", SinModel(), [-0.5], 20, 31),
+        ("bimodal", SinModel(variant="bimodal"), [0.7], 15, 32),
+        ("lg", LinearGaussianModel(), [0.7], 25, 33),
+        ("slam", slam, slam.true_map, slam.n_steps(), 34),
+    ):
+        states, obs = simulate(model, np.asarray(theta, dtype=float), steps, substream(seed, 99))
+        write_trajectory_csv(root / f"{name}.csv", states, obs)
+        if model is slam:
+            write_tables_csv(root / "slam_tables.csv", slam_exact_forward(slam, obs).map_marginals)
+    configs = {
+        "pmmh_lg": {
+            "model": "lg",
+            "algorithm": "pmmh",
+            "data": str(root / "lg.csv"),
+            "pmmh": {"inner_particles": 20, "iterations": 15, "proposal_sd": 0.3},
+        },
+        "pmmh_slam": {"algorithm": "pmmh", "pmmh": {"inner_particles": 20, "iterations": 15}},
+        "data_seed": {"data_seed": 2, "steps": 15, "true_params": [0.4], "model_overrides": {"obs_sd": 0.8}},
+        "simulate": {"model": "lg", "steps": 6, "seed": 2, "model_overrides": {"trans_sd": 0.5}},
+        "oracle_seed": {"data_seed": 3, "steps": 12},
+        "unknown_key": {"model": "sin", "particle_count": 10},
+    }
+    for name, cfg in configs.items():
+        (root / f"{name}.json").write_text(json.dumps(cfg))
+
+
+# {i}: the input directory, {o}: the output prefix
+CLI_RUNS = {
+    "simulate-sin": "simulate --model sin --steps 12 --seed 3 --out {o}.csv",
+    "simulate-bimodal-theta": "simulate --model sin-bimodal --steps 8 --seed 4 --theta 0.6 --out {o}.csv",
+    "simulate-lg-config": "simulate --config {i}/simulate.json --out {o}.csv",
+    "simulate-slam-small": "simulate --model slam-small --seed 6 --out {o}.csv",
+    "run-api-truth": "run --model sin --algorithm api --particles 40 --data {i}/sin.csv --seed 1 --truth=-0.5 --out {o}",
+    "run-pf-systematic": "run --model sin --algorithm pf --particles 40 --data {i}/sin.csv --seed 2 --resample systematic --out {o}",
+    "run-liu-west": "run --model sin --algorithm liu-west --particles 40 --data {i}/sin.csv --seed 3 --shrinkage 0.95 --out {o}",
+    "run-mixture": "run --model sin-bimodal --algorithm api --family mixture --mixtures 3 --particles 24 --data {i}/bimodal.csv --seed 4 --out {o}",
+    "run-monte-carlo": "run --model sin --algorithm api --scheme monte_carlo --approx-samples 12 --particles 30 --data {i}/sin.csv --seed 5 --out {o}.csv",
+    "run-slam-exact-truth": "run --model slam-small --algorithm api --particles 60 --approx-samples 20 --data {i}/slam.csv --exact {i}/slam_tables.csv --truth 0,1,1,0,1,0,0,1 --seed 6 --out {o}",
+    "run-pf-slam-exact": "run --model slam-small --algorithm pf --particles 50 --data {i}/slam.csv --exact {i}/slam_tables.csv --seed 7 --out {o}",
+    "run-pmmh-lg-truth": "run --config {i}/pmmh_lg.json --seed 8 --truth 0.7 --out {o}",
+    "run-pmmh-slam-exact": "run --config {i}/pmmh_slam.json --model slam-small --data {i}/slam.csv --exact {i}/slam_tables.csv --budget 1000 --seed 9 --out {o}",
+    "run-data-seed": "run --config {i}/data_seed.json --model lg --algorithm api --particles 30 --seed 10 --out {o}",
+    "sweep-2x2x2": "sweep --model sin --algorithm api --particles-list 10,20 --samples-list 3,5 --seeds 1,2 --data {i}/sin.csv --workers 1 --out {o}",
+    "oracle-slam-exact": "oracle --model slam-small --data {i}/slam.csv --out {o}",
+    "oracle-grid-lg": "oracle --model lg --data {i}/lg.csv --grid-points 41 --out {o}",
+    "oracle-grid-sin": "oracle --model sin --data {i}/sin.csv --grid-lo -1 --grid-hi 1 --grid-points 9 --pf-particles 50 --pf-reps 2 --seed 3 --out {o}",
+    "oracle-grid-data-seed": "oracle --config {i}/oracle_seed.json --model lg --kind grid --grid-points 21 --out {o}.csv",
+    "oracle-kalman": "oracle --model lg --kind kalman --theta 0.7 --data {i}/lg.csv --out {o}",
+    "exit2-unknown-key": "run --config {i}/unknown_key.json --out {o}",
+    "exit2-no-data": "run --model sin --algorithm pf --particles 4 --out {o}",
+}
+
+CLI_GOLDEN = {
+    "unscented-points-p2": "155aae4fdda7ce9d62c5f9621f1927742b8823b272fd3aea464829391e89cb3c",
+    "exit2-no-data": "596a805d3143f1d04dacd6f2460475fd1222aa6e1dbe446159138c243696f465",
+    "exit2-unknown-key": "83ce882fc8d62763485c88f465558d173fbce17738fd4c7ceaf77f8f367f2aaf",
+    "oracle-grid-data-seed": "0ce31565ca46ab6e1b12649e9f0948062a178e413df5b6bcc975725853546ec2",
+    "oracle-grid-lg": "b7b7e31d541cd6ac68dfdbd3e1eb1a11732dcc39fae13774dbe6e496327d716e",
+    "oracle-grid-sin": "ee4993284bae5b6a7fb0cf446ce0b89ce3f6405ed9cfa0e7f526639fa5e4955b",
+    "oracle-kalman": "d34165fc0744a0225a8b21085831c79d0551536a86f3d49b1a69b7e1dea0011b",
+    "oracle-slam-exact": "b8d1a40952672d43e43516838769eb93cdfcc9149bc831b4df417679db25f17a",
+    "run-api-truth": "9a44d06c6e11fb79f2c119c0f2760d2cc3418313b3636ad96d1f7df7d1018f2a",
+    "run-data-seed": "3b7ddd1a8187c5a6a9542509d9152bc26015630c831c9d82e9d154ead15603b9",
+    "run-liu-west": "f702650440c0992a0be95e6d52f1f0ce4b707e7ea48be0714085c4961c9b07e1",
+    "run-mixture": "0c1ed8161200d1070caa196a4b2806a9b898b69e1203a7ea85569682a97eedeb",
+    "run-monte-carlo": "a5f238d3f7e8005004daecc8058612b5a0576f70e007f76b519720bd89f36f85",
+    "run-pf-slam-exact": "4b02bde9110ece17269bc78400c5fc31d966193a0443b9255499e9c955e47edb",
+    "run-pf-systematic": "d4cbe5ff88f4ffc238059d2257f2d890c39c60932c3a18915507df0ff2ba26c3",
+    "run-pmmh-lg-truth": "3297bcb3208979b3f08ceb3f68e716642caeb2363eaf5a0b2343ea78aad59566",
+    "run-pmmh-slam-exact": "d6c4af9138fd97f6b3c3da56f8180e6e2ceb579d74c9b4ed989edb99eeb6519d",
+    "run-slam-exact-truth": "609fa66b63deb1de16064938e8ec1ddd32594b00a3411e609e095f9545b1e236",
+    "simulate-bimodal-theta": "e823a531b3b38e542d866c1b2991287741ec08662c8c0c200dd89532d448c48c",
+    "simulate-lg-config": "55e515a22b4fd780fba0168fdd37eb91be57bbf8a63461e3682ff9c816e9d22f",
+    "simulate-sin": "39c107a24af271e934b7ce8e15795781a9818c85e15a3b81e6a6f992c7015907",
+    "simulate-slam-small": "d77086cc204db022309e812e5f55f77f8124d8c9810dc37f227c2782cb29d2a1",
+    "sweep-2x2x2": "8715b923578bb736ba717fea5b582954980c2e373206da34f38f08e87952084d",
+}
+
+PATH_KEYS = ("data", "exact", "out")
+
+
+def _strip_timings(value, in_config=False):
+    """A summary with every elapsed_s dropped and the config's paths as placeholders."""
+    if isinstance(value, list):
+        return [_strip_timings(v) for v in value]
+    if not isinstance(value, dict):
+        return value
+    return {
+        k: "<path>" if in_config and k in PATH_KEYS and v is not None else _strip_timings(v, k == "config")
+        for k, v in value.items()
+        if k != "elapsed_s"
+    }
+
+
+def _canonical(path: Path) -> bytes:
+    text = path.read_text()
+    if path.suffix == ".json":
+        return json.dumps(_strip_timings(json.loads(text)), indent=2, sort_keys=True).encode()
+    lines = text.splitlines()
+    header = lines[0].split(",") if lines else []
+    if "wall_clock_ms" not in header:
+        return text.encode()
+    drop = header.index("wall_clock_ms")
+    return "\n".join(",".join(c for j, c in enumerate(line.split(",")) if j != drop) for line in lines).encode()
+
+
+def cli_digest(name: str, root: Path) -> str:
+    """sha256 over one invocation's exit code, stdout, stderr and output files."""
+    inputs, outputs = root / "in", root / "out"
+    _cli_inputs(inputs)
+    outputs.mkdir()
+    argv = CLI_RUNS[name].format(i=inputs, o=outputs / "res").split()
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = main(argv)
+    h = hashlib.sha256(f"exit {code}\n".encode())
+    for stream in (stdout, stderr):
+        h.update(stream.getvalue().replace(str(root), "<dir>").encode() + b"\0")
+    for path in sorted(outputs.iterdir()):
+        h.update(path.name.encode() + b"\0" + _canonical(path) + b"\0")
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(CLI_RUNS))
+def test_cli_matches_golden_digest(name, tmp_path):
+    assert cli_digest(name, tmp_path) == CLI_GOLDEN[name]
+
+
 NON_FILTER_RUNS = ("pf-log-likelihood-order-two", "pmmh-lg", "pmmh-slam-small")
 LAST_ROW_RUNS = {
     **{name: run for name, run in RUNS.items() if name not in NON_FILTER_RUNS},
@@ -498,3 +644,6 @@ if __name__ == "__main__":
         print("    },")
     for name in sorted(PUBLIC_CALLS):
         print(f'    "{name}": "{public_digest(PUBLIC_CALLS[name]())}",')
+    for name in sorted(CLI_RUNS):
+        with tempfile.TemporaryDirectory() as tmp:
+            print(f'    "{name}": "{cli_digest(name, Path(tmp))}",')
