@@ -21,12 +21,13 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from pathlib import Path
 
 import numpy as np
 
 from . import rng as streams
 from .approx import MomentScheme
-from .benchmarks import SlamModel, default_true_params, get_model
+from .benchmarks import LinearGaussianModel, SlamModel, default_true_params, get_model
 from .engine import (
     ALGORITHMS,
     FilterConfig,
@@ -113,44 +114,22 @@ def load_config(path: str | None) -> dict:
     return cfg
 
 
-def merged_config(args, file_cfg: dict) -> dict:
+def merged_config(args) -> dict:
+    """Defaults, then the config file, then every flag given: each flag's dest is its key."""
     cfg = dict(DEFAULTS)
-    cfg.update(file_cfg)
-    overrides = {
-        "model": args.model,
-        "algorithm": getattr(args, "algorithm", None),
-        "n_particles": getattr(args, "particles", None),
-        "approx_samples": getattr(args, "approx_samples", None),
-        "mixture_size": getattr(args, "mixtures", None),
-        "scheme": getattr(args, "scheme", None),
-        "family": getattr(args, "family", None),
-        "seed": getattr(args, "seed", None),
-        "data": getattr(args, "data", None),
-        "steps": getattr(args, "steps", None),
-        "out": getattr(args, "out", None),
-        "truth": _parse_vector(getattr(args, "truth", None)),
-        "exact": getattr(args, "exact", None),
-        "shrinkage": getattr(args, "shrinkage", None),
-        "time_budget_s": getattr(args, "budget", None),
-        "resample": getattr(args, "resample", None),
-    }
-    for key, value in overrides.items():
-        if value is not None:
-            cfg[key] = value
-    if "model" not in cfg or cfg.get("model") is None:
+    cfg.update(load_config(args.config))
+    cfg.update({k: v for k, v in vars(args).items() if k in RUN_KEYS and v is not None})
+    if cfg.get("model") is None:
         raise ConfigError("a model name is required (--model or config file)")
     return cfg
 
 
-def _parse_vector(text):
-    if text is None:
-        return None
-    return [float(v) for v in str(text).split(",") if v != ""]
+def _parse_vector(text: str) -> list[float]:
+    return [float(v) for v in text.split(",") if v != ""]
 
 
-def _file_sha256(path) -> str:
-    with open(path, "rb") as fh:
-        return hashlib.sha256(fh.read()).hexdigest()
+def _parse_ints(text: str) -> list[int]:
+    return [int(v) for v in text.split(",")]
 
 
 def _run_id(cfg: dict) -> str:
@@ -163,7 +142,7 @@ def _run_id(cfg: dict) -> str:
     semantic = {k: v for k, v in cfg.items() if k not in ("out", "workers")}
     for key in ("data", "exact"):
         if semantic.get(key):
-            semantic[key] = _file_sha256(semantic[key])
+            semantic[key] = hashlib.sha256(Path(semantic[key]).read_bytes()).hexdigest()
     canon = json.dumps(semantic, sort_keys=True, default=str)
     return hashlib.sha1(canon.encode()).hexdigest()[:12]
 
@@ -172,27 +151,32 @@ def _build_model(cfg: dict):
     return get_model(cfg["model"], **cfg.get("model_overrides", {}))
 
 
+def _simulate(cfg: dict, model, theta, seed) -> tuple[np.ndarray, np.ndarray]:
+    """A trajectory from the DATA substream of seed.
+
+    theta defaults to the model's generating parameters and steps to a
+    SLAM model's action count.
+    """
+    theta = default_true_params(cfg["model"], model) if theta is None else np.asarray(theta, dtype=np.float64)
+    if theta.shape != (model.dims()[0],):
+        raise ConfigError(f"generating parameters need {model.dims()[0]} values, got {theta.size}")
+    steps = cfg.get("steps")
+    if steps is None:
+        if not isinstance(model, SlamModel):
+            raise ConfigError("steps is required for this model")
+        steps = model.n_steps()
+    if int(steps) < 0:
+        raise ConfigError(f"steps must be >= 0, got {steps}")
+    rng = substream(int(seed), streams.DATA)
+    return simulate(model, theta, int(steps), rng)
+
+
 def _resolve_data(cfg: dict, model) -> np.ndarray:
     if cfg.get("data"):
-        _, obs = read_trajectory_csv(cfg["data"])
-        return obs
-    if cfg.get("data_seed") is not None:
-        theta = cfg.get("true_params")
-        theta = (
-            np.asarray(theta, dtype=np.float64)
-            if theta is not None
-            else default_true_params(cfg["model"], model)
-        )
-        steps = cfg.get("steps")
-        if steps is None:
-            if isinstance(model, SlamModel):
-                steps = model.n_steps()
-            else:
-                raise ConfigError("steps is required when simulating data in memory")
-        rng = substream(int(cfg["data_seed"]), streams.DATA)
-        _, obs = simulate(model, theta, int(steps), rng)
-        return obs
-    raise ConfigError("no dataset: give data (trajectory CSV) or data_seed")
+        return read_trajectory_csv(cfg["data"])[1]
+    if cfg.get("data_seed") is None:
+        raise ConfigError("no dataset: give data (trajectory CSV) or data_seed")
+    return _simulate(cfg, model, cfg.get("true_params"), cfg["data_seed"])[1]
 
 
 def _scheme_from(cfg: dict) -> MomentScheme:
@@ -202,15 +186,43 @@ def _scheme_from(cfg: dict) -> MomentScheme:
         raise ConfigError(str(exc)) from exc
 
 
+def _rows(cfg, algorithm, sizes, estimates, spreads, ess=None, ms=None, first_step=0) -> list[ResultRow]:
+    """One result row per step; sizes is (n_particles, approx_samples, mixture_size).
+
+    Reference posteriors reuse the run-row schema so files diff cleanly.
+    """
+    run_id, seed = _run_id(cfg), int(cfg["seed"])
+    return [
+        ResultRow(
+            run_id=run_id,
+            seed=seed,
+            algorithm=algorithm,
+            model=cfg["model"],
+            n_particles=sizes[0],
+            approx_samples=sizes[1],
+            mixture_size=sizes[2],
+            timestep=first_step + t,
+            estimate=tuple(estimate),
+            spread=tuple(spread),
+            ess=None if ess is None else float(ess[t]),
+            wall_clock_ms=0.0 if ms is None else float(ms[t]),
+            mse=None,
+            kl=None,
+        )
+        for t, (estimate, spread) in enumerate(zip(estimates, spreads))
+    ]
+
+
 def run_experiment(cfg: dict) -> tuple[list[ResultRow], dict]:
     """Execute one (algorithm, dataset, seed) cell; pure given the config."""
     model = _build_model(cfg)
     observations = _resolve_data(cfg, model)
     algorithm = cfg["algorithm"]
-    run_id = _run_id(cfg)
     seed = int(cfg["seed"])
     truth = cfg.get("truth")
     p = model.dims()[0]
+    if truth is not None and len(truth) != p:
+        raise ConfigError(f"truth has {len(truth)} values but the model has {p} parameters")
 
     if algorithm == "pmmh":
         pm = cfg.get("pmmh", {})
@@ -221,113 +233,57 @@ def run_experiment(cfg: dict) -> tuple[list[ResultRow], dict]:
             **{key: cast(pm[key]) for key, cast in PMMH_CASTS.items() if key in pm},
         )
         result = run_pmmh(model, observations, pconfig)
-        rows = _pmmh_rows(cfg, run_id, p, pconfig.inner_particles, result)
+        sizes = (pconfig.inner_particles, 0, 1)
+        rows = _rows(cfg, algorithm, sizes, result.chain, np.zeros_like(result.chain), ms=result.iter_ms)
         summary = {
-            "run_id": run_id,
-            "config": cfg,
-            "algorithm": algorithm,
-            "estimate": result.estimate,
             "acceptance_rate": result.acceptance_rate,
             "iterations": result.n_iterations,
-            "elapsed_s": result.elapsed_s,
             "rejected_nonfinite": result.rejected_nonfinite,
         }
-        if truth is not None:
-            sq = float(np.sum((result.estimate - np.asarray(truth)) ** 2))
-            rows[-1].mse = sq
-            summary["squared_error"] = sq
-        if cfg.get("exact") and model.param_kind == "discrete":
-            exact_tables = read_tables_csv(cfg["exact"])
-            kl = kl_factorized(result.posterior_tables(model.param_cardinalities), exact_tables)
-            rows[-1].kl = kl
-            summary["kl"] = kl
-        return rows, summary
+        discrete = model.param_kind == "discrete"
+        tables = result.posterior_tables(model.param_cardinalities) if discrete else None
+    else:
+        if algorithm not in ALGORITHMS:
+            raise ConfigError(f"unknown algorithm {algorithm!r}")
+        fconfig = FilterConfig(
+            n_particles=int(cfg["n_particles"]),
+            scheme=_scheme_from(cfg),
+            family=cfg["family"],
+            mixture_size=int(cfg["mixture_size"]),
+            seed=seed,
+            resample=cfg["resample"],
+            shrinkage=float(cfg["shrinkage"]),
+        )
+        result = ALGORITHMS[algorithm](model, observations, fconfig)
+        sizes = (result.n_particles, result.approx_samples, result.mixture_size)
+        spreads = np.diagonal(result.param_cov, axis1=1, axis2=2)
+        rows = _rows(cfg, algorithm, sizes, result.param_mean, spreads, result.ess, result.step_ms)
+        summary = {"log_marginal_lik": result.log_marginal_lik, "notes": result.notes}
+        fused = result.fused
+        if fused.kind == "mixture":
+            summary["fused"] = {
+                "weights": fused.mixture_weights,
+                "means": fused.mixture_means,
+                "covs": fused.mixture_covs,
+            }
+        tables = fused.tables
+        if tables is not None:
+            summary["fused_tables"] = tables
 
-    if algorithm not in ALGORITHMS:
-        raise ConfigError(f"unknown algorithm {algorithm!r}")
-    fconfig = FilterConfig(
-        n_particles=int(cfg["n_particles"]),
-        scheme=_scheme_from(cfg),
-        family=cfg["family"],
-        mixture_size=int(cfg["mixture_size"]),
-        seed=seed,
-        resample=cfg["resample"],
-        shrinkage=float(cfg["shrinkage"]),
+    summary.update(
+        run_id=rows[0].run_id,
+        config=cfg,
+        algorithm=algorithm,
+        estimate=result.estimate,
+        elapsed_s=result.elapsed_s,
     )
-    result = ALGORITHMS[algorithm](model, observations, fconfig)
-
-    rows = []
-    for t in range(result.n_steps):
-        rows.append(
-            ResultRow(
-                run_id=run_id,
-                seed=seed,
-                algorithm=algorithm,
-                model=cfg["model"],
-                n_particles=result.n_particles,
-                approx_samples=result.approx_samples,
-                mixture_size=result.mixture_size,
-                timestep=t,
-                estimate=tuple(result.param_mean[t]),
-                spread=tuple(np.diag(result.param_cov[t])),
-                ess=float(result.ess[t]),
-                wall_clock_ms=float(result.step_ms[t]),
-                mse=None,
-                kl=None,
-            )
-        )
-    summary = {
-        "run_id": run_id,
-        "config": cfg,
-        "algorithm": algorithm,
-        "estimate": result.estimate,
-        "log_marginal_lik": result.log_marginal_lik,
-        "elapsed_s": result.elapsed_s,
-        "notes": result.notes,
-    }
-    if result.fused.kind == "mixture":
-        summary["fused"] = {
-            "weights": result.fused.mixture_weights,
-            "means": result.fused.mixture_means,
-            "covs": result.fused.mixture_covs,
-        }
-    elif result.fused.kind == "tables":
-        summary["fused_tables"] = result.fused.tables
-    if truth is not None and p > 0:
+    if truth is not None:
         sq = float(np.sum((result.estimate - np.asarray(truth)) ** 2))
-        rows[-1].mse = sq
-        summary["squared_error"] = sq
-    if cfg.get("exact") and result.fused.kind == "tables":
-        exact_tables = read_tables_csv(cfg["exact"])
-        kl = kl_factorized(result.fused.tables, exact_tables)
-        rows[-1].kl = kl
-        summary["kl"] = kl
+        rows[-1].mse = summary["squared_error"] = sq
+    if cfg.get("exact") and tables is not None:
+        kl = kl_factorized(tables, read_tables_csv(cfg["exact"]))
+        rows[-1].kl = summary["kl"] = kl
     return rows, summary
-
-
-def _pmmh_rows(cfg, run_id, p, inner_particles, result) -> list[ResultRow]:
-    per_iter_ms = result.elapsed_s * 1e3 / max(1, result.chain.shape[0])
-    rows = []
-    for t in range(result.chain.shape[0]):
-        rows.append(
-            ResultRow(
-                run_id=run_id,
-                seed=int(cfg["seed"]),
-                algorithm="pmmh",
-                model=cfg["model"],
-                n_particles=inner_particles,
-                approx_samples=0,
-                mixture_size=1,
-                timestep=t,
-                estimate=tuple(result.chain[t]),
-                spread=tuple(np.zeros(p)),
-                ess=None,
-                wall_clock_ms=per_iter_ms,
-                mse=None,
-                kl=None,
-            )
-        )
-    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -336,193 +292,130 @@ def _pmmh_rows(cfg, run_id, p, inner_particles, result) -> list[ResultRow]:
 
 
 def cmd_simulate(args) -> int:
-    cfg = merged_config(args, load_config(args.config))
-    model = _build_model(cfg)
-    theta = (
-        np.asarray(_parse_vector(args.theta), dtype=np.float64)
-        if args.theta
-        else default_true_params(cfg["model"], model)
-    )
-    steps = cfg.get("steps")
-    if steps is None:
-        if isinstance(model, SlamModel):
-            steps = model.n_steps()
-        else:
-            raise ConfigError("--steps is required for this model")
-    rng = substream(int(cfg["seed"]), streams.DATA)
-    states, obs = simulate(model, theta, int(steps), rng)
+    cfg = merged_config(args)
+    states, obs = _simulate(cfg, _build_model(cfg), args.theta, cfg["seed"])
     out = cfg.get("out") or "trajectory.csv"
     write_trajectory_csv(out, states, obs)
     print(f"wrote {states.shape[0]} rows to {out}")
     return 0
 
 
-def _out_paths(cfg: dict) -> tuple[str, str]:
-    out = cfg.get("out") or "result"
-    base = out[:-4] if out.endswith(".csv") else out
-    return base + ".csv", base + ".json"
+def _out_base(cfg: dict, default: str) -> str:
+    out = cfg.get("out") or default
+    return out[:-4] if out.endswith(".csv") else out
+
+
+def _write_results(base: str, rows: list[ResultRow], summary: dict) -> str:
+    write_result_csv(base + ".csv", rows)
+    write_summary_json(base + ".json", summary)
+    return base + ".csv"
+
+
+def _write_columns(path: str, header: str, *columns) -> None:
+    """A CSV with one repr-formatted value of each column per row."""
+    with open(path, "w") as fh:
+        fh.write(header + "\n")
+        for row in zip(*columns):
+            fh.write(",".join(map(repr, row)) + "\n")
 
 
 def cmd_run(args) -> int:
-    cfg = merged_config(args, load_config(args.config))
+    cfg = merged_config(args)
     rows, summary = run_experiment(cfg)
-    csv_path, json_path = _out_paths(cfg)
-    write_result_csv(csv_path, rows)
-    write_summary_json(json_path, summary)
+    csv_path = _write_results(_out_base(cfg, "result"), rows, summary)
     est = ", ".join(f"{v:.6g}" for v in np.atleast_1d(summary["estimate"]))
     print(f"{cfg['algorithm']} on {cfg['model']}: estimate [{est}] -> {csv_path}")
     return 0
 
 
 def _sweep_cells(cfg: dict) -> list[dict]:
-    particles = cfg.get("particles") or [cfg["n_particles"]]
-    samples = cfg.get("approx_samples_list") or [cfg["approx_samples"]]
-    seeds = cfg.get("seeds") or [cfg["seed"]]
-    cells = []
-    for n in particles:
-        for m in samples:
-            for s in seeds:
-                cell = {k: v for k, v in cfg.items() if k not in ("particles", "approx_samples_list", "seeds", "workers")}
-                cell["n_particles"] = int(n)
-                cell["approx_samples"] = int(m)
-                cell["seed"] = int(s)
-                cells.append(cell)
-    return cells
+    cell = {k: v for k, v in cfg.items() if k not in ("particles", "approx_samples_list", "seeds", "workers")}
+    return [
+        {**cell, "n_particles": int(n), "approx_samples": int(m), "seed": int(s)}
+        for n in cfg.get("particles") or [cfg["n_particles"]]
+        for m in cfg.get("approx_samples_list") or [cfg["approx_samples"]]
+        for s in cfg.get("seeds") or [cfg["seed"]]
+    ]
 
 
 def cmd_sweep(args) -> int:
-    file_cfg = load_config(args.config)
-    cfg = merged_config(args, file_cfg)
-    if args.particles_list:
-        cfg["particles"] = [int(v) for v in args.particles_list.split(",")]
-    if args.samples_list:
-        cfg["approx_samples_list"] = [int(v) for v in args.samples_list.split(",")]
-    if args.seeds:
-        cfg["seeds"] = [int(v) for v in args.seeds.split(",")]
+    cfg = merged_config(args)
     cells = _sweep_cells(cfg)
-    workers = int(args.workers or cfg.get("workers") or min(len(cells), os.cpu_count() or 1))
-    results = []
+    workers = int(cfg.get("workers") or min(len(cells), os.cpu_count() or 1))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(run_experiment, cells))
     else:
         results = [run_experiment(c) for c in cells]
-    all_rows = []
-    summaries = []
-    for rows, summary in results:
-        all_rows.extend(rows)
-        summaries.append(summary)
-    csv_path, json_path = _out_paths(cfg)
-    write_result_csv(csv_path, all_rows)
-    write_summary_json(json_path, {"runs": summaries})
+    all_rows = [row for rows, _ in results for row in rows]
+    summaries = [summary for _, summary in results]
+    csv_path = _write_results(_out_base(cfg, "result"), all_rows, {"runs": summaries})
     print(f"sweep of {len(cells)} cells -> {csv_path}")
     return 0
 
 
+# What each oracle kind needs of the model.
+ORACLE_FITS = {
+    "slam-exact": ("a SLAM model", lambda model: isinstance(model, SlamModel)),
+    "grid": (
+        "one continuous parameter",
+        lambda model: model.param_kind == "continuous" and model.dims()[0] == 1,
+    ),
+    "kalman": ("the linear-Gaussian model", lambda model: isinstance(model, LinearGaussianModel)),
+}
+
+
 def cmd_oracle(args) -> int:
-    cfg = merged_config(args, load_config(args.config))
+    cfg = merged_config(args)
     model = _build_model(cfg)
-    kind = args.kind
-    if kind is None:
-        kind = "slam-exact" if isinstance(model, SlamModel) else "grid"
-    out = cfg.get("out") or "oracle"
-    base = out[:-4] if out.endswith(".csv") else out
+    kind = args.kind or ("slam-exact" if isinstance(model, SlamModel) else "grid")
+    needs, fits = ORACLE_FITS[kind]
+    if not fits(model):
+        raise ConfigError(f"oracle kind {kind!r} needs {needs}; model {cfg['model']!r} is not one")
+    if kind == "kalman" and args.theta is None:
+        raise ConfigError("kalman oracle needs --theta")
+    observations = _resolve_data(cfg, model)
+    base = _out_base(cfg, "oracle")
+
+    if kind == "kalman":
+        res = kalman_filter(model, args.theta[0], observations)
+        _write_columns(base + "_kalman.csv", "t,mean,variance", range(res.means.shape[0]), res.means, res.variances)
+        write_summary_json(base + ".json", {"kind": kind, "log_likelihood": res.log_likelihood})
+        print(f"kalman filter loglik {res.log_likelihood:.4f} -> {base}_kalman.csv")
+        return 0
 
     if kind == "slam-exact":
-        observations = _resolve_data(cfg, model)
         post = slam_exact_forward(model, observations)
         write_tables_csv(base + "_tables.csv", post.map_marginals)
         values = np.arange(post.map_marginals.shape[1])
         est = post.map_marginals @ values
         spread = post.map_marginals @ (values * values) - est * est
-        write_result_csv(
-            base + ".csv",
-            [_oracle_row(cfg, model, kind, observations.shape[0] - 1, est, spread)],
-        )
-        write_summary_json(
-            base + ".json",
-            {
-                "kind": kind,
-                "map_marginals": post.map_marginals,
-                "location_marginal": post.location_marginal,
-                "log_evidence": post.log_evidence,
-            },
-        )
-        print(f"exact posterior -> {base}_tables.csv")
-        return 0
-
-    if kind == "grid":
-        observations = _resolve_data(cfg, model)
+        summary = {
+            "kind": kind,
+            "map_marginals": post.map_marginals,
+            "location_marginal": post.location_marginal,
+            "log_evidence": post.log_evidence,
+        }
+        message = f"exact posterior -> {base}_tables.csv"
+    else:
         grid = np.linspace(args.grid_lo, args.grid_hi, args.grid_points)
-        likelihood = "exact" if cfg["model"] == "lg" else "pf"
         post = grid_posterior(
             model,
             observations,
             grid,
-            likelihood=likelihood,
+            likelihood="exact" if isinstance(model, LinearGaussianModel) else "pf",
             n_particles=int(args.pf_particles),
             n_replications=int(args.pf_reps),
             seed=int(cfg["seed"]),
         )
-        with open(base + "_grid.csv", "w") as fh:
-            fh.write("theta,mass\n")
-            for g, mass in zip(post.grid, post.masses):
-                fh.write(f"{g!r},{mass!r}\n")
-        write_result_csv(
-            base + ".csv",
-            [
-                _oracle_row(
-                    cfg,
-                    model,
-                    kind,
-                    observations.shape[0] - 1,
-                    np.array([post.mean()]),
-                    np.array([post.variance()]),
-                )
-            ],
-        )
-        write_summary_json(
-            base + ".json",
-            {"kind": kind, "mean": post.mean(), "variance": post.variance(), "mode": post.mode()},
-        )
-        print(f"grid posterior (mean {post.mean():.4f}) -> {base}_grid.csv")
-        return 0
-
-    if kind == "kalman":
-        observations = _resolve_data(cfg, model)
-        theta = _parse_vector(args.theta)
-        if theta is None:
-            raise ConfigError("kalman oracle needs --theta")
-        res = kalman_filter(model, theta[0], observations)
-        with open(base + "_kalman.csv", "w") as fh:
-            fh.write("t,mean,variance\n")
-            for t in range(res.means.shape[0]):
-                fh.write(f"{t},{res.means[t]!r},{res.variances[t]!r}\n")
-        write_summary_json(base + ".json", {"kind": kind, "log_likelihood": res.log_likelihood})
-        print(f"kalman filter loglik {res.log_likelihood:.4f} -> {base}_kalman.csv")
-        return 0
-
-    raise ConfigError(f"unknown oracle kind {kind!r}")
-
-
-def _oracle_row(cfg, model, kind, timestep, estimate, spread) -> ResultRow:
-    """Reference posteriors reuse the run-row schema so files diff cleanly."""
-    return ResultRow(
-        run_id=_run_id(cfg),
-        seed=int(cfg["seed"]),
-        algorithm=f"oracle-{kind}",
-        model=cfg["model"],
-        n_particles=0,
-        approx_samples=0,
-        mixture_size=1,
-        timestep=int(timestep),
-        estimate=tuple(np.atleast_1d(estimate)),
-        spread=tuple(np.atleast_1d(spread)),
-        ess=None,
-        wall_clock_ms=0.0,
-        mse=None,
-        kl=None,
-    )
+        _write_columns(base + "_grid.csv", "theta,mass", post.grid, post.masses)
+        est, spread = [post.mean()], [post.variance()]
+        summary = {"kind": kind, "mean": post.mean(), "variance": post.variance(), "mode": post.mode()}
+        message = f"grid posterior (mean {post.mean():.4f}) -> {base}_grid.csv"
+    rows = _rows(cfg, f"oracle-{kind}", (0, 0, 1), [est], [spread], first_step=observations.shape[0] - 1)
+    _write_results(base, rows, summary)
+    print(message)
+    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -538,24 +431,28 @@ def build_parser() -> argparse.ArgumentParser:
 
     sim = sub.add_parser("simulate", help="draw and store a trajectory")
     common(sim)
-    sim.add_argument("--theta", help="comma-separated generating parameters")
+    sim.add_argument("--theta", type=_parse_vector, help="comma-separated generating parameters")
     sim.set_defaults(func=cmd_simulate)
 
     def algorithm_flags(p):
         """Flags shared by run and sweep."""
         common(p)
         p.add_argument("--algorithm", choices=[*ALGORITHMS, "pmmh"])
-        p.add_argument("--particles", type=int, help="particle count N")
+        p.add_argument("--particles", dest="n_particles", type=int, help="particle count N")
         p.add_argument("--approx-samples", dest="approx_samples", type=int, help="moment samples M")
-        p.add_argument("--mixtures", type=int, help="mixture components L")
+        p.add_argument("--mixtures", dest="mixture_size", type=int, help="mixture components L")
         p.add_argument("--scheme", choices=["gauss_hermite", "monte_carlo", "unscented"])
         p.add_argument("--family", choices=["auto", "gaussian", "mixture", "discrete"])
         p.add_argument("--data", help="trajectory CSV")
-        p.add_argument("--truth", help="comma-separated generating parameters for the error column")
+        p.add_argument(
+            "--truth", type=_parse_vector, help="comma-separated generating parameters for the error column"
+        )
         p.add_argument("--exact", help="exact-posterior tables CSV for the KL column")
         p.add_argument("--shrinkage", type=float)
         p.add_argument("--resample", choices=list(RESAMPLERS))
-        p.add_argument("--budget", type=float, help="wall-clock budget in seconds (pmmh only)")
+        p.add_argument(
+            "--budget", dest="time_budget_s", type=float, help="wall-clock budget in seconds (pmmh only)"
+        )
 
     run = sub.add_parser("run", help="run one algorithm on one dataset")
     algorithm_flags(run)
@@ -563,9 +460,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     sweep = sub.add_parser("sweep", help="grid over N, M, seeds")
     algorithm_flags(sweep)
-    sweep.add_argument("--particles-list", dest="particles_list", help="comma list of N values")
-    sweep.add_argument("--samples-list", dest="samples_list", help="comma list of M values")
-    sweep.add_argument("--seeds", help="comma list of seeds")
+    sweep.add_argument("--particles-list", dest="particles", type=_parse_ints, help="comma list of N values")
+    sweep.add_argument(
+        "--samples-list", dest="approx_samples_list", type=_parse_ints, help="comma list of M values"
+    )
+    sweep.add_argument("--seeds", type=_parse_ints, help="comma list of seeds")
     sweep.add_argument("--workers", type=int)
     sweep.set_defaults(func=cmd_sweep)
 
@@ -573,7 +472,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(oracle)
     oracle.add_argument("--kind", choices=["slam-exact", "grid", "kalman"])
     oracle.add_argument("--data", help="trajectory CSV")
-    oracle.add_argument("--theta", help="fixed parameters (kalman oracle)")
+    oracle.add_argument("--theta", type=_parse_vector, help="fixed parameters (kalman oracle)")
     oracle.add_argument("--grid-lo", type=float, default=-3.0)
     oracle.add_argument("--grid-hi", type=float, default=3.0)
     oracle.add_argument("--grid-points", type=int, default=121)

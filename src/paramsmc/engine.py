@@ -303,9 +303,7 @@ def _run_filter(model: DynamicModel, observations, config: FilterConfig, mode: s
     approximating = cloud.kind != "points"
     return RunResult(
         algorithm={"api": "api", "pf": "pf", "liu_west": "liu-west"}[mode],
-        model_name=type(model).__name__,
         n_particles=n,
-        seed=config.seed,
         approx_samples=scheme.m if approximating else 0,
         mixture_size=config.mixture_size if cloud.kind == "mixture" else 1,
         param_mean=param_mean,
@@ -319,7 +317,6 @@ def _run_filter(model: DynamicModel, observations, config: FilterConfig, mode: s
         log_marginal_lik=float(log_ml),
         elapsed_s=time.perf_counter() - run_start,
         param_tables=tables_trace,
-        scheme_kind=scheme.kind if approximating else "",
         notes=notes,
     )
 
@@ -374,6 +371,7 @@ class PmmhResult:
     acceptance_rate: float
     elapsed_s: float
     rejected_nonfinite: int
+    iter_ms: np.ndarray
     param_kind: str = "continuous"
 
     @property
@@ -407,7 +405,8 @@ def run_pmmh(model: DynamicModel, observations, config: PmmhConfig) -> PmmhResul
     non-finite estimate are rejected and counted.
 
     The returned estimate is the mean of the last half of the chain, the
-    first half being discarded as burn-in.
+    first half being discarded as burn-in.  iter_ms holds each chain
+    entry's measured milliseconds; entry 0 is the initial likelihood.
     """
     config.validate()
     from scipy.stats import truncnorm  # imported here: scipy is most of the package import time
@@ -439,6 +438,8 @@ def run_pmmh(model: DynamicModel, observations, config: PmmhConfig) -> PmmhResul
     lls = [ll]
     accepted = [True]
     rejected_nonfinite = 0
+    tic = time.perf_counter()
+    iter_ms = [(tic - started) * 1e3]
 
     it = 0
     while it < config.iterations:
@@ -476,6 +477,9 @@ def run_pmmh(model: DynamicModel, observations, config: PmmhConfig) -> PmmhResul
         chain.append(theta.copy())
         lls.append(ll)
         accepted.append(bool(accept))
+        toc = time.perf_counter()
+        iter_ms.append((toc - tic) * 1e3)
+        tic = toc
 
     chain_arr = np.asarray(chain)
     estimate = chain_arr[chain_arr.shape[0] // 2 :].mean(axis=0)
@@ -487,6 +491,7 @@ def run_pmmh(model: DynamicModel, observations, config: PmmhConfig) -> PmmhResul
         acceptance_rate=float(np.mean(accepted[1:])) if len(accepted) > 1 else 0.0,
         elapsed_s=time.perf_counter() - started,
         rejected_nonfinite=rejected_nonfinite,
+        iter_ms=np.asarray(iter_ms),
         param_kind=model.param_kind,
     )
 

@@ -58,9 +58,7 @@ class RunResult:
     """
 
     algorithm: str
-    model_name: str
     n_particles: int
-    seed: int
     approx_samples: int
     mixture_size: int
     param_mean: np.ndarray
@@ -74,7 +72,6 @@ class RunResult:
     log_marginal_lik: float
     elapsed_s: float
     param_tables: np.ndarray | None = None
-    scheme_kind: str = ""
     notes: dict = field(default_factory=dict)
 
     @property

@@ -59,6 +59,13 @@ class TestSimulate:
         header = out.read_text().splitlines()[0]
         assert header == "t,x0,y0"
 
+    @pytest.mark.parametrize("flags", [["--steps", "-1"], ["--steps", "3", "--theta", "1,2"]])
+    def test_bad_steps_or_theta_exit_2(self, tmp_path, capsys, flags):
+        out = tmp_path / "traj.csv"
+        assert main(["simulate", "--model", "sin", *flags, "--out", str(out)]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_slam_defaults_to_action_count(self, tmp_path):
         out = tmp_path / "slam.csv"
         main(["simulate", "--model", "slam-small", "--seed", "2", "--out", str(out)])
@@ -169,6 +176,24 @@ class TestRun:
         assert rows[-1].mse is not None
         assert all(r.mse is None for r in rows[:-1])
 
+    @pytest.mark.parametrize("truth", ["1,2", ""])
+    def test_truth_of_wrong_length_exits_2(self, tmp_path, capsys, truth):
+        # a 2-vector broadcast against the 1-parameter estimate and wrote a wrong error
+        traj = tmp_path / "traj.csv"
+        main(["simulate", "--model", "sin", "--steps", "5", "--seed", "9", "--out", str(traj)])
+        out = tmp_path / "res"
+        argv = ["run", "--model", "sin", "--particles", "10", "--data", str(traj), f"--truth={truth}"]
+        assert main([*argv, "--out", str(out)]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "res.csv").exists()
+
+    def test_simulated_data_with_negative_steps_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"data_seed": 1, "steps": -3}))
+        argv = ["run", "--config", str(cfg), "--model", "sin", "--particles", "10"]
+        assert main([*argv, "--out", str(tmp_path / "res")]) == 2
+        assert "config error" in capsys.readouterr().err
+
     def test_summary_json_contains_fused(self, tmp_path):
         traj = tmp_path / "traj.csv"
         main(["simulate", "--model", "sin", "--steps", "20", "--seed", "10", "--out", str(traj)])
@@ -264,6 +289,12 @@ class TestRun:
         assert code == 0
         rows = read_result_csv(tmp_path / "res.csv")
         assert len(rows) == 41  # initial state plus one row per iteration
+        # each row carries its own iteration's measured time, not the run's average
+        ms = np.array([r.wall_clock_ms for r in rows])
+        assert np.all(ms >= 0)
+        assert len(set(ms)) > 1
+        summary = json.loads((tmp_path / "res.json").read_text())
+        assert ms.sum() / 1e3 <= summary["elapsed_s"]
 
     @pytest.mark.parametrize("bad", [{"inner_particles": 0}, {"proposal_sd": 0}])
     def test_invalid_pmmh_config_exits_2(self, tmp_path, capsys, bad):
@@ -363,6 +394,29 @@ class TestOracleVerb:
         lines = (tmp_path / "oracle_kalman.csv").read_text().splitlines()
         assert lines[0] == "t,mean,variance"
         assert len(lines) == 12
+
+    @pytest.mark.parametrize(
+        "model, kind",
+        [
+            ("sin", "kalman"),  # exited 0 with a linear-Gaussian answer
+            ("slam-small", "kalman"),
+            ("lg", "slam-exact"),
+            ("slam-small", "grid"),
+            ("lg-fixed", "grid"),  # no parameter left to put on a grid
+        ],
+    )
+    def test_kind_that_does_not_fit_the_model_exits_2(self, tmp_path, capsys, model, kind):
+        cfg = tmp_path / "cfg.json"
+        fixed = model == "lg-fixed"
+        cfg.write_text(json.dumps({"model_overrides": {"theta_fixed": 0.5} if fixed else {}}))
+        model = "lg" if fixed else model
+        traj = tmp_path / "traj.csv"
+        main(["simulate", "--model", model, "--steps", "6", "--seed", "3", "--out", str(traj)])
+        argv = ["oracle", "--config", str(cfg), "--model", model, "--kind", kind, "--theta", "0.5"]
+        code = main([*argv, "--data", str(traj), "--out", str(tmp_path / "oracle")])
+        assert code == 2
+        assert "config error" in capsys.readouterr().err
+        assert list(tmp_path.glob("oracle*")) == []
 
     def test_oracle_rows_share_result_schema(self, tmp_path):
         traj = tmp_path / "traj.csv"
