@@ -179,13 +179,6 @@ def _resolve_data(cfg: dict, model) -> np.ndarray:
     return _simulate(cfg, model, cfg.get("true_params"), cfg["data_seed"])[1]
 
 
-def _scheme_from(cfg: dict) -> MomentScheme:
-    try:
-        return MomentScheme(kind=cfg["scheme"], m=int(cfg["approx_samples"]))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
 def _rows(cfg, algorithm, sizes, estimates, spreads, ess=None, ms=None, first_step=0) -> list[ResultRow]:
     """One result row per step; sizes is (n_particles, approx_samples, mixture_size).
 
@@ -245,9 +238,13 @@ def run_experiment(cfg: dict) -> tuple[list[ResultRow], dict]:
     else:
         if algorithm not in ALGORITHMS:
             raise ConfigError(f"unknown algorithm {algorithm!r}")
+        try:
+            scheme = MomentScheme(kind=cfg["scheme"], m=int(cfg["approx_samples"]))
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
         fconfig = FilterConfig(
             n_particles=int(cfg["n_particles"]),
-            scheme=_scheme_from(cfg),
+            scheme=scheme,
             family=cfg["family"],
             mixture_size=int(cfg["mixture_size"]),
             seed=seed,
@@ -379,7 +376,7 @@ def cmd_oracle(args) -> int:
 
     if kind == "kalman":
         res = kalman_filter(model, args.theta[0], observations)
-        _write_columns(base + "_kalman.csv", "t,mean,variance", range(res.means.shape[0]), res.means, res.variances)
+        _write_columns(base + "_kalman.csv", "t,mean,variance", range(len(res.means)), res.means, res.variances)
         write_summary_json(base + ".json", {"kind": kind, "log_likelihood": res.log_likelihood})
         print(f"kalman filter loglik {res.log_likelihood:.4f} -> {base}_kalman.csv")
         return 0

@@ -476,21 +476,55 @@ CLI_RUNS = {
     "simulate-bimodal-theta": "simulate --model sin-bimodal --steps 8 --seed 4 --theta 0.6 --out {o}.csv",
     "simulate-lg-config": "simulate --config {i}/simulate.json --out {o}.csv",
     "simulate-slam-small": "simulate --model slam-small --seed 6 --out {o}.csv",
-    "run-api-truth": "run --model sin --algorithm api --particles 40 --data {i}/sin.csv --seed 1 --truth=-0.5 --out {o}",
-    "run-pf-systematic": "run --model sin --algorithm pf --particles 40 --data {i}/sin.csv --seed 2 --resample systematic --out {o}",
-    "run-liu-west": "run --model sin --algorithm liu-west --particles 40 --data {i}/sin.csv --seed 3 --shrinkage 0.95 --out {o}",
-    "run-mixture": "run --model sin-bimodal --algorithm api --family mixture --mixtures 3 --particles 24 --data {i}/bimodal.csv --seed 4 --out {o}",
-    "run-monte-carlo": "run --model sin --algorithm api --scheme monte_carlo --approx-samples 12 --particles 30 --data {i}/sin.csv --seed 5 --out {o}.csv",
-    "run-slam-exact-truth": "run --model slam-small --algorithm api --particles 60 --approx-samples 20 --data {i}/slam.csv --exact {i}/slam_tables.csv --truth 0,1,1,0,1,0,0,1 --seed 6 --out {o}",
-    "run-pf-slam-exact": "run --model slam-small --algorithm pf --particles 50 --data {i}/slam.csv --exact {i}/slam_tables.csv --seed 7 --out {o}",
+    "run-api-truth": (
+        "run --model sin --algorithm api --particles 40 --data {i}/sin.csv --seed 1 --truth=-0.5 "
+        "--out {o}"
+    ),
+    "run-pf-systematic": (
+        "run --model sin --algorithm pf --particles 40 --data {i}/sin.csv --seed 2 "
+        "--resample systematic --out {o}"
+    ),
+    "run-liu-west": (
+        "run --model sin --algorithm liu-west --particles 40 --data {i}/sin.csv --seed 3 "
+        "--shrinkage 0.95 --out {o}"
+    ),
+    "run-mixture": (
+        "run --model sin-bimodal --algorithm api --family mixture --mixtures 3 --particles 24 "
+        "--data {i}/bimodal.csv --seed 4 --out {o}"
+    ),
+    "run-monte-carlo": (
+        "run --model sin --algorithm api --scheme monte_carlo --approx-samples 12 --particles 30 "
+        "--data {i}/sin.csv --seed 5 --out {o}.csv"
+    ),
+    "run-slam-exact-truth": (
+        "run --model slam-small --algorithm api --particles 60 --approx-samples 20 "
+        "--data {i}/slam.csv --exact {i}/slam_tables.csv --truth 0,1,1,0,1,0,0,1 --seed 6 --out {o}"
+    ),
+    "run-pf-slam-exact": (
+        "run --model slam-small --algorithm pf --particles 50 --data {i}/slam.csv "
+        "--exact {i}/slam_tables.csv --seed 7 --out {o}"
+    ),
     "run-pmmh-lg-truth": "run --config {i}/pmmh_lg.json --seed 8 --truth 0.7 --out {o}",
-    "run-pmmh-slam-exact": "run --config {i}/pmmh_slam.json --model slam-small --data {i}/slam.csv --exact {i}/slam_tables.csv --budget 1000 --seed 9 --out {o}",
-    "run-data-seed": "run --config {i}/data_seed.json --model lg --algorithm api --particles 30 --seed 10 --out {o}",
-    "sweep-2x2x2": "sweep --model sin --algorithm api --particles-list 10,20 --samples-list 3,5 --seeds 1,2 --data {i}/sin.csv --workers 1 --out {o}",
+    "run-pmmh-slam-exact": (
+        "run --config {i}/pmmh_slam.json --model slam-small --data {i}/slam.csv "
+        "--exact {i}/slam_tables.csv --budget 1000 --seed 9 --out {o}"
+    ),
+    "run-data-seed": (
+        "run --config {i}/data_seed.json --model lg --algorithm api --particles 30 --seed 10 --out {o}"
+    ),
+    "sweep-2x2x2": (
+        "sweep --model sin --algorithm api --particles-list 10,20 --samples-list 3,5 --seeds 1,2 "
+        "--data {i}/sin.csv --workers 1 --out {o}"
+    ),
     "oracle-slam-exact": "oracle --model slam-small --data {i}/slam.csv --out {o}",
     "oracle-grid-lg": "oracle --model lg --data {i}/lg.csv --grid-points 41 --out {o}",
-    "oracle-grid-sin": "oracle --model sin --data {i}/sin.csv --grid-lo -1 --grid-hi 1 --grid-points 9 --pf-particles 50 --pf-reps 2 --seed 3 --out {o}",
-    "oracle-grid-data-seed": "oracle --config {i}/oracle_seed.json --model lg --kind grid --grid-points 21 --out {o}.csv",
+    "oracle-grid-sin": (
+        "oracle --model sin --data {i}/sin.csv --grid-lo -1 --grid-hi 1 --grid-points 9 "
+        "--pf-particles 50 --pf-reps 2 --seed 3 --out {o}"
+    ),
+    "oracle-grid-data-seed": (
+        "oracle --config {i}/oracle_seed.json --model lg --kind grid --grid-points 21 --out {o}.csv"
+    ),
     "oracle-kalman": "oracle --model lg --kind kalman --theta 0.7 --data {i}/lg.csv --out {o}",
     "exit2-unknown-key": "run --config {i}/unknown_key.json --out {o}",
     "exit2-no-data": "run --model sin --algorithm pf --particles 4 --out {o}",
@@ -547,7 +581,8 @@ def _canonical(path: Path) -> bytes:
     if "wall_clock_ms" not in header:
         return text.encode()
     drop = header.index("wall_clock_ms")
-    return "\n".join(",".join(c for j, c in enumerate(line.split(",")) if j != drop) for line in lines).encode()
+    kept = (",".join(c for j, c in enumerate(line.split(",")) if j != drop) for line in lines)
+    return "\n".join(kept).encode()
 
 
 def cli_digest(name: str, root: Path) -> str:
