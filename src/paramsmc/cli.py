@@ -369,8 +369,8 @@ def cmd_oracle(args) -> int:
     needs, fits = ORACLE_FITS[kind]
     if not fits(model):
         raise ConfigError(f"oracle kind {kind!r} needs {needs}; model {cfg['model']!r} is not one")
-    if kind == "kalman" and args.theta is None:
-        raise ConfigError("kalman oracle needs --theta")
+    if kind == "kalman" and len(args.theta or ()) != 1:
+        raise ConfigError("kalman oracle needs --theta with one value")
     observations = _resolve_data(cfg, model)
     base = _out_base(cfg, "oracle")
 

@@ -418,6 +418,14 @@ class TestOracleVerb:
         assert "config error" in capsys.readouterr().err
         assert list(tmp_path.glob("oracle*")) == []
 
+    @pytest.mark.parametrize("theta", [None, "", "0.5,0.7"])
+    def test_kalman_needs_one_theta(self, tmp_path, capsys, theta):
+        traj = tmp_path / "traj.csv"
+        main(["simulate", "--model", "lg", "--steps", "6", "--seed", "3", "--out", str(traj)])
+        argv = ["oracle", "--model", "lg", "--kind", "kalman", "--data", str(traj), "--out", str(tmp_path / "o")]
+        assert main(argv + ([] if theta is None else [f"--theta={theta}"])) == 2
+        assert "config error" in capsys.readouterr().err
+
     def test_oracle_rows_share_result_schema(self, tmp_path):
         traj = tmp_path / "traj.csv"
         main(["simulate", "--model", "slam-small", "--seed", "18", "--out", str(traj)])
