@@ -13,7 +13,8 @@ estimates on the order-two model, where the order of the window shift
 and the ancestor gather matters.
 The public single-distribution API (the *_update functions, the point
 rules and each family's sample) has one digest per call, over every
-array it returns.
+array it returns; one more covers every field, name and value, of the
+two bundled SLAM instances.
 Each command-line invocation has one digest over its exit code, its
 stdout and stderr and every file it writes, with the temporary directory
 in them replaced by a placeholder.  The wall_clock_ms column of result
@@ -173,6 +174,12 @@ def _lg():
     return model, obs
 
 
+def _lg_fixed():
+    model = LinearGaussianModel(theta_fixed=0.5)
+    _, obs = simulate(model, np.zeros(0), 30, substream(25, 99))
+    return model, obs
+
+
 def _drift():
     model = DriftModel()
     _, obs = simulate(model, np.array([0.6, 0.4]), 30, substream(17, 99))
@@ -228,12 +235,18 @@ RUNS = {
     "mixture-p2": _api(
         _drift, n_particles=32, scheme=gauss_hermite(5), family="mixture", mixture_size=3, seed=19
     ),
+    "api-lg": _api(_lg, n_particles=64, scheme=GH7, seed=27),
+    "pf-lg-theta-fixed": lambda: run_bootstrap_filter(*_lg_fixed(), FilterConfig(n_particles=64, seed=26)),
     "pmmh-lg": _pmmh(_lg, inner_particles=32, iterations=40, proposal_sd=0.2, seed=14),
     "pmmh-slam-small": _pmmh(_slam, inner_particles=32, iterations=40, seed=15),
     "pf-log-likelihood-order-two": _pf_log_likelihoods,
 }
 
 GOLDEN = {
+    "api-lg": {
+        "steps": "8b524903961793d5fec5473a746743487272a8ac73946aae3197560d38c98a12",
+        "fused": "fc59ddd94cdc00f863be47ed9c1c6aad67727aeee3886b10e11d2226ac3c9f83",
+    },
     "discrete-exhaustive": {
         "steps": "4fda34719a094550fbfa10a3200689af1591d4b3ab1480ac40738c8cc23eae4c",
         "fused": "867b5e5baaa39c87b535bc56be4b53da9fe31b13032bf5e7efbd852f7f6e2a8e",
@@ -288,6 +301,10 @@ GOLDEN = {
     },
     "pf-log-likelihood-order-two": {
         "estimates": "6cf1c8bfc5de6eb5e74dd557f8cccc9eab248808491eecbd873f15955607018a",
+    },
+    "pf-lg-theta-fixed": {
+        "steps": "fc49531581d563c876cac3b5ec52e4a283cc306d425e3f1278203b1a7c7a20e3",
+        "fused": "076b5d7e9b3e2629dadef5e2db231b6da550df429994280958db2e20e3c08609",
     },
     "pf-permuted": {
         "steps": "d13054e5915926fde1dfd15d5186887a6c74d61765de0bf34bda28ebf420e031",
@@ -402,6 +419,9 @@ PUBLIC_CALLS = {
     "gaussian-sample-p2": lambda: Q2.sample(substream(22, 1), size=50),
     "mixture-sample": lambda: MIX.sample(substream(22, 2), size=50),
     "discrete-sample": lambda: TABLES.sample(substream(22, 3), size=50),
+    "slam-instances": lambda: tuple(
+        part for model in (slam_small(), slam_large()) for item in sorted(vars(model).items()) for part in item
+    ),
 }
 
 PUBLIC_GOLDEN = {
@@ -418,6 +438,7 @@ PUBLIC_GOLDEN = {
     "mixture-sample": "941b95126c09f2180b88a5fe0da04c0005aa9d019414bade46be7a33321bd567",
     "mixture-update": "482fdaa240ff7d36d00f693a6c7e3e80a2521f7c6bfb5e840e274753d3bebf8b",
     "mixture-update-floor-drop": "f755f5f457ebf22da827b468d90bb461f7017c3c13c1858ccb33ae5992032fe7",
+    "slam-instances": "163c80cea3d7c425ea16973a08f2c2da59a161166736d7a776850ff8a336d681",
     "unscented-points-p2": "155aae4fdda7ce9d62c5f9621f1927742b8823b272fd3aea464829391e89cb3c",
 }
 
