@@ -14,7 +14,7 @@ import numpy as np
 from .benchmarks import LinearGaussianModel, SlamModel
 from .errors import PointBudgetError
 from .model import gaussian_logpdf
-from .resampling import log_mean_exp, multinomial_resample
+from .resampling import log_mean_exp, multinomial_resample, normalize_log_weights
 from .rng import CHAIN, substream
 
 EXACT_JOINT_BUDGET = 300_000
@@ -193,7 +193,8 @@ def grid_posterior(
     likelihood "exact" uses the Kalman filter (linear-Gaussian models
     only); "pf" averages bootstrap-filter likelihood estimates over
     n_replications independent runs per grid point, a stochastic oracle
-    whose error shrinks with both knobs.
+    whose error shrinks with both knobs.  Raises TotalDegeneracyError
+    when a log posterior is NaN or every one is -inf.
     """
     grid = np.asarray(grid, dtype=np.float64).reshape(-1)
     log_post = np.zeros(grid.size)
@@ -216,10 +217,7 @@ def grid_posterior(
         else:
             raise ValueError(f"unknown likelihood mode {likelihood!r}")
         log_post[i] = prior + ll
-    log_post -= log_post.max()
-    masses = np.exp(log_post)
-    masses /= masses.sum()
-    return GridPosterior(grid=grid, masses=masses)
+    return GridPosterior(grid=grid, masses=normalize_log_weights(log_post))
 
 
 def kl_factorized(

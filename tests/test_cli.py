@@ -18,6 +18,7 @@ from paramsmc.io import (
     read_tables_csv,
     read_trajectory_csv,
     write_result_csv,
+    write_trajectory_csv,
 )
 
 
@@ -259,8 +260,6 @@ class TestRun:
         traj = tmp_path / "bad.csv"
         main(["simulate", "--model", "slam-small", "--seed", "1", "--out", str(traj)])
         states, obs = read_trajectory_csv(traj)
-        from paramsmc.io import write_trajectory_csv
-
         write_trajectory_csv(traj, states, np.full_like(obs, 9.0))
         code = main(
             [
@@ -425,6 +424,20 @@ class TestOracleVerb:
         argv = ["oracle", "--model", "lg", "--kind", "kalman", "--data", str(traj), "--out", str(tmp_path / "o")]
         assert main(argv + ([] if theta is None else [f"--theta={theta}"])) == 2
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("model", ["lg", "sin"])
+    def test_grid_on_nan_data_exits_3(self, tmp_path, capsys, model):
+        # wrote all-NaN masses and exited 0; run on the same file exits 3
+        traj = tmp_path / "traj.csv"
+        main(["simulate", "--model", model, "--steps", "8", "--seed", "3", "--out", str(traj)])
+        states, obs = read_trajectory_csv(traj)
+        obs[4] = np.nan
+        write_trajectory_csv(traj, states, obs)
+        argv = ["oracle", "--model", model, "--kind", "grid", "--grid-points", "5", "--pf-particles", "20"]
+        code = main([*argv, "--pf-reps", "1", "--data", str(traj), "--out", str(tmp_path / "oracle")])
+        assert code == 3
+        assert "numerical degeneracy" in capsys.readouterr().err
+        assert list(tmp_path.glob("oracle*")) == []
 
     def test_oracle_rows_share_result_schema(self, tmp_path):
         traj = tmp_path / "traj.csv"
