@@ -309,10 +309,10 @@ def _write_results(base: str, rows: list[ResultRow], summary: dict) -> str:
 
 
 def _write_columns(path: str, header: str, *columns) -> None:
-    """A CSV with one repr-formatted value of each column per row."""
+    """A CSV with one value of each column per row, as the repr of a Python int or float."""
     with open(path, "w") as fh:
         fh.write(header + "\n")
-        for row in zip(*columns):
+        for row in zip(*(np.asarray(c).tolist() for c in columns)):
             fh.write(",".join(map(repr, row)) + "\n")
 
 

@@ -33,6 +33,13 @@ def test_import_leaves_scipy_stats_unloaded():
     assert proc.stdout.strip() == "[]"
 
 
+def read_float_cells(path, header):
+    """The rows of an oracle CSV, every cell parsed as a float (numpy reprs do not parse)."""
+    lines = path.read_text().splitlines()
+    assert lines[0] == header
+    return np.array([[float(cell) for cell in line.split(",")] for line in lines[1:]])
+
+
 def read_bytes(path):
     with open(path, "rb") as fh:
         return fh.read()
@@ -378,6 +385,9 @@ class TestOracleVerb:
         assert code == 0
         summary = json.loads((tmp_path / "oracle.json").read_text())
         assert -1.0 < summary["mean"] < 1.5
+        masses = read_float_cells(tmp_path / "oracle_grid.csv", "theta,mass")[:, 1]
+        assert masses.shape == (81,)
+        assert abs(masses.sum() - 1.0) < 1e-12
 
     def test_kalman(self, tmp_path):
         traj = tmp_path / "traj.csv"
@@ -390,9 +400,8 @@ class TestOracleVerb:
             ]
         )
         assert code == 0
-        lines = (tmp_path / "oracle_kalman.csv").read_text().splitlines()
-        assert lines[0] == "t,mean,variance"
-        assert len(lines) == 12
+        cells = read_float_cells(tmp_path / "oracle_kalman.csv", "t,mean,variance")
+        assert cells.shape == (11, 3)
 
     @pytest.mark.parametrize(
         "model, kind",

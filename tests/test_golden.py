@@ -555,10 +555,10 @@ CLI_GOLDEN = {
     "unscented-points-p2": "155aae4fdda7ce9d62c5f9621f1927742b8823b272fd3aea464829391e89cb3c",
     "exit2-no-data": "596a805d3143f1d04dacd6f2460475fd1222aa6e1dbe446159138c243696f465",
     "exit2-unknown-key": "83ce882fc8d62763485c88f465558d173fbce17738fd4c7ceaf77f8f367f2aaf",
-    "oracle-grid-data-seed": "0ce31565ca46ab6e1b12649e9f0948062a178e413df5b6bcc975725853546ec2",
-    "oracle-grid-lg": "b7b7e31d541cd6ac68dfdbd3e1eb1a11732dcc39fae13774dbe6e496327d716e",
-    "oracle-grid-sin": "ee4993284bae5b6a7fb0cf446ce0b89ce3f6405ed9cfa0e7f526639fa5e4955b",
-    "oracle-kalman": "d34165fc0744a0225a8b21085831c79d0551536a86f3d49b1a69b7e1dea0011b",
+    "oracle-grid-data-seed": "5dfdcc811714258c965d5eceab178547e9e42c35e8469df900519fd9dca7780d",
+    "oracle-grid-lg": "35f2b881c84005e65a2375e986315c531fbb2e73ea93940b49af4430e14869c4",
+    "oracle-grid-sin": "6791ce1cd8293f45a5bb5092175ba4081003774384b8257393a0de33c059adb1",
+    "oracle-kalman": "3a0ef765262932f4f20f7e9cc2c0f1e65c3e03597b68506a0b560cdcf14bd157",
     "oracle-slam-exact": "b8d1a40952672d43e43516838769eb93cdfcc9149bc831b4df417679db25f17a",
     "run-api-truth": "9a44d06c6e11fb79f2c119c0f2760d2cc3418313b3636ad96d1f7df7d1018f2a",
     "run-data-seed": "3b7ddd1a8187c5a6a9542509d9152bc26015630c831c9d82e9d154ead15603b9",
