@@ -1,10 +1,13 @@
-"""Benchmark models: SIN, its bimodal variant, grid SLAM, linear-Gaussian.
+"""Benchmark models: SIN, its bimodal variant, linear-Gaussian, grid SLAM.
 
-Every model implements the vectorized DynamicModel interface.  Canned
-instances are loadable by name via :func:`get_model`.
+SIN and linear-Gaussian share one scalar Gaussian state-space class and
+differ only in the drive of x_t.  Every model implements the vectorized
+DynamicModel interface.  Canned instances are loadable by name via
+:func:`get_model`.
 """
 
 import json
+from abc import abstractmethod
 from importlib import resources
 
 import numpy as np
@@ -13,29 +16,25 @@ from .errors import ConfigError
 from .model import DynamicModel, gaussian_logpdf
 
 
-class SinModel(DynamicModel):
-    """Nonlinear scalar model x_t = sin(theta * x_{t-1}) + v_t, y_t = x_t + w_t.
+class ScalarGaussianModel(DynamicModel):
+    """Scalar model x_t = drive(theta, x_{t-1}) + v_t, y_t = x_t + w_t, with Gaussian noise.
 
-    The bimodal variant drives the recursion with sin(theta^2 * x_{t-1}),
-    which makes the parameter posterior symmetric in theta and therefore
-    bimodal at +/- the generating value.  Zero noise scales are accepted
-    as a test hook for deterministic simulation; densities then refuse to
-    evaluate.
+    The keywords are the sds of v_t and w_t, the prior N(prior_mean,
+    prior_sd^2) of each of the p = dims()[0] parameters and the initial
+    state N(x0_mean, x0_sd^2).  A subclass supplies the drive, and dims()
+    if it fixes theta (p = 0).  Zero noise scales are accepted as a test
+    hook for deterministic simulation; densities then refuse to evaluate.
     """
 
     def __init__(
         self,
-        variant: str = "plain",
-        obs_sd: float = 0.5,
+        obs_sd: float,
         trans_sd: float = 1.0,
         prior_mean: float = 0.0,
         prior_sd: float = 1.0,
         x0_mean: float = 0.0,
         x0_sd: float = 1.0,
     ):
-        if variant not in ("plain", "bimodal"):
-            raise ConfigError(f"unknown SIN variant {variant!r}")
-        self.variant = variant
         self.obs_sd = float(obs_sd)
         self.trans_sd = float(trans_sd)
         self.prior_mean = float(prior_mean)
@@ -46,31 +45,30 @@ class SinModel(DynamicModel):
     def dims(self):
         return (1, 1, 1)
 
+    @abstractmethod
     def _drive(self, thetas, x_prev):
-        if self.variant == "bimodal":
-            return np.sin(thetas * thetas * x_prev)
-        return np.sin(thetas * x_prev)
+        """(n,) means of x_t given the (n, p) parameter rows and the (n,) previous states."""
 
     def param_prior_sample(self, rng, n):
-        return self.prior_mean + self.prior_sd * rng.standard_normal((n, 1))
+        return self.prior_mean + self.prior_sd * rng.standard_normal((n, self.dims()[0]))
 
     def param_prior_logdensity(self, thetas):
-        return gaussian_logpdf(thetas[:, 0], self.prior_mean, self.prior_sd)
+        return gaussian_logpdf(thetas, self.prior_mean, self.prior_sd).sum(axis=1)
 
     def param_prior_moments(self):
-        return np.array([self.prior_mean]), np.array([[self.prior_sd**2]])
+        p = self.dims()[0]
+        return np.full(p, self.prior_mean), self.prior_sd**2 * np.eye(p)
 
     def state_prior_sample(self, rng, thetas):
         n = thetas.shape[0]
         return self.x0_mean + self.x0_sd * rng.standard_normal((n, 1))
 
     def transition_sample(self, rng, t, windows, thetas):
-        loc = self._drive(thetas[:, 0], windows[:, -1, 0])
-        return (loc + self.trans_sd * rng.standard_normal(loc.shape))[:, None]
+        loc = self._drive(thetas, windows[:, -1, 0])
+        return (loc + self.trans_sd * rng.standard_normal(windows.shape[0]))[:, None]
 
     def transition_logdensity(self, t, x_new, windows, thetas):
-        loc = self._drive(thetas[:, 0], windows[:, -1, 0])
-        return gaussian_logpdf(x_new[:, 0], loc, self.trans_sd)
+        return gaussian_logpdf(x_new[:, 0], self._drive(thetas, windows[:, -1, 0]), self.trans_sd)
 
     def obs_sample(self, rng, t, states, thetas):
         return states + self.obs_sd * rng.standard_normal(states.shape)
@@ -79,73 +77,48 @@ class SinModel(DynamicModel):
         return gaussian_logpdf(y[0], states[:, 0], self.obs_sd)
 
 
-class LinearGaussianModel(DynamicModel):
-    """Scalar AR(1) with additive Gaussian observation noise.
+class SinModel(ScalarGaussianModel):
+    """The scalar model with drive sin(theta * x_{t-1}) and obs_sd 0.5.
 
-    x_t = theta * x_{t-1} + v_t and y_t = x_t + w_t.  Admits exact Kalman
-    filtering at fixed theta, which makes it the validation model for the
-    particle baselines.  Pass theta_fixed to obtain the state-only variant
-    with an empty parameter vector.
+    The bimodal variant drives the recursion with sin(theta^2 * x_{t-1}),
+    which makes the parameter posterior symmetric in theta and therefore
+    bimodal at +/- the generating value.
+    """
+
+    def __init__(self, variant: str = "plain", obs_sd: float = 0.5, **scales):
+        if variant not in ("plain", "bimodal"):
+            raise ConfigError(f"unknown SIN variant {variant!r}")
+        self.variant = variant
+        super().__init__(obs_sd, **scales)
+
+    def _drive(self, thetas, x_prev):
+        theta = thetas[:, 0]
+        if self.variant == "bimodal":
+            return np.sin(theta * theta * x_prev)
+        return np.sin(theta * x_prev)
+
+
+class LinearGaussianModel(ScalarGaussianModel):
+    """The scalar AR(1) model: drive theta * x_{t-1}, obs_sd 1.0.
+
+    Admits exact Kalman filtering at fixed theta, which makes it the
+    validation model for the particle baselines.  Pass theta_fixed to
+    obtain the state-only variant with an empty parameter vector.
     """
 
     def __init__(
-        self,
-        trans_sd: float = 1.0,
-        obs_sd: float = 1.0,
-        prior_mean: float = 0.0,
-        prior_sd: float = 1.0,
-        x0_mean: float = 0.0,
-        x0_sd: float = 1.0,
-        theta_fixed: float | None = None,
+        self, trans_sd: float = 1.0, obs_sd: float = 1.0, *, theta_fixed: float | None = None, **scales
     ):
-        self.trans_sd = float(trans_sd)
-        self.obs_sd = float(obs_sd)
-        self.prior_mean = float(prior_mean)
-        self.prior_sd = float(prior_sd)
-        self.x0_mean = float(x0_mean)
-        self.x0_sd = float(x0_sd)
+        super().__init__(obs_sd, trans_sd, **scales)
         self.theta_fixed = None if theta_fixed is None else float(theta_fixed)
 
     def dims(self):
         return (0 if self.theta_fixed is not None else 1, 1, 1)
 
-    def _theta(self, thetas):
+    def _drive(self, thetas, x_prev):
         if self.theta_fixed is not None:
-            return self.theta_fixed
-        return thetas[:, 0]
-
-    def param_prior_sample(self, rng, n):
-        if self.theta_fixed is not None:
-            return np.zeros((n, 0))
-        return self.prior_mean + self.prior_sd * rng.standard_normal((n, 1))
-
-    def param_prior_logdensity(self, thetas):
-        if self.theta_fixed is not None:
-            return np.zeros(thetas.shape[0])
-        return gaussian_logpdf(thetas[:, 0], self.prior_mean, self.prior_sd)
-
-    def param_prior_moments(self):
-        if self.theta_fixed is not None:
-            return np.zeros(0), np.zeros((0, 0))
-        return np.array([self.prior_mean]), np.array([[self.prior_sd**2]])
-
-    def state_prior_sample(self, rng, thetas):
-        n = thetas.shape[0]
-        return self.x0_mean + self.x0_sd * rng.standard_normal((n, 1))
-
-    def transition_sample(self, rng, t, windows, thetas):
-        loc = self._theta(thetas) * windows[:, -1, 0]
-        return (loc + self.trans_sd * rng.standard_normal(windows.shape[0]))[:, None]
-
-    def transition_logdensity(self, t, x_new, windows, thetas):
-        loc = self._theta(thetas) * windows[:, -1, 0]
-        return gaussian_logpdf(x_new[:, 0], loc, self.trans_sd)
-
-    def obs_sample(self, rng, t, states, thetas):
-        return states + self.obs_sd * rng.standard_normal(states.shape)
-
-    def obs_logdensity(self, t, y, states, thetas):
-        return gaussian_logpdf(y[0], states[:, 0], self.obs_sd)
+            return self.theta_fixed * x_prev
+        return thetas[:, 0] * x_prev
 
 
 class SlamModel(DynamicModel):
@@ -251,55 +224,26 @@ class SlamModel(DynamicModel):
 
     def location_transition_matrix(self, t: int) -> np.ndarray:
         """(n_cells, n_cells) matrix P[i, j] = p(loc_t = j | loc_{t-1} = i)."""
+        cells = np.arange(self.n_cells)
+        targets = self._targets(cells, t)
         mat = np.zeros((self.n_cells, self.n_cells))
-        for i in range(self.n_cells):
-            j = int(np.clip(i + self._action(t), 0, self.n_cells - 1))
-            if j == i:
-                mat[i, i] = 1.0
-            else:
-                mat[i, j] = self.p_move
-                mat[i, i] = 1.0 - self.p_move
+        mat[cells, targets] = self.p_move
+        mat[cells, cells] = np.where(targets == cells, 1.0, 1.0 - self.p_move)
         return mat
-
-
-def _load_slam_spec() -> dict:
-    path = resources.files("paramsmc").joinpath("data/slam_small.json")
-    return json.loads(path.read_text())
 
 
 def slam_small(**overrides) -> SlamModel:
     """The 8-cell instance: p_move 0.8, p_obs 0.9, 16 actions."""
-    spec = _load_slam_spec()
-    kwargs = dict(
-        n_cells=spec["n_cells"],
-        actions=spec["actions"],
-        n_labels=spec["n_labels"],
-        p_move=spec["p_move"],
-        p_obs=spec["p_obs"],
-        true_map=spec["true_map"],
-    )
-    kwargs.update(overrides)
-    return SlamModel(**kwargs)
+    spec = json.loads(resources.files("paramsmc").joinpath("data/slam_small.json").read_text())
+    kwargs = {k: v for k, v in spec.items() if not k.startswith("_")}
+    return SlamModel(**{**kwargs, **overrides})
 
 
 def slam_large(**overrides) -> SlamModel:
-    """The enlarged instance: 20 cells, the small action list cycled to 164."""
-    spec = _load_slam_spec()
-    n_cells = 20
-    reps = -(-164 // len(spec["actions"]))
-    actions = (spec["actions"] * reps)[:164]
-    base_map = spec["true_map"]
-    true_map = (base_map * -(-n_cells // len(base_map)))[:n_cells]
-    kwargs = dict(
-        n_cells=n_cells,
-        actions=actions,
-        n_labels=spec["n_labels"],
-        p_move=spec["p_move"],
-        p_obs=spec["p_obs"],
-        true_map=true_map,
-    )
-    kwargs.update(overrides)
-    return SlamModel(**kwargs)
+    """The enlarged instance: 20 cells, the small map and action list cycled to 20 cells and 164 actions."""
+    small = slam_small()
+    cycled = {"n_cells": 20, "actions": np.resize(small.actions, 164), "true_map": np.resize(small.true_map, 20)}
+    return slam_small(**{**cycled, **overrides})
 
 
 MODEL_BUILDERS = {
