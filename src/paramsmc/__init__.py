@@ -41,7 +41,7 @@ from .oracles import (
 )
 from .resampling import ess, multinomial_resample, systematic_resample
 from .results import FusedPosterior, RunResult
-from .rng import RngStream, substream
+from .rng import substream
 from .storage import ParticleStore
 
 __version__ = "0.1.0"
@@ -60,7 +60,6 @@ __all__ = [
     "ParamLikelihood",
     "ParticleStore",
     "PmmhConfig",
-    "RngStream",
     "RunResult",
     "SinModel",
     "SlamModel",

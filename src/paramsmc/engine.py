@@ -349,7 +349,6 @@ class PmmhConfig:
     bounds: tuple[float, float] = (-5.0, 5.0)
     seed: int = 0
     time_budget_s: float | None = None
-    init: np.ndarray | None = None
 
     def validate(self) -> None:
         if self.inner_particles < 1:
@@ -419,12 +418,9 @@ def run_pmmh(model: DynamicModel, observations, config: PmmhConfig) -> PmmhResul
     rng = substream(config.seed, streams.CHAIN)
     lo, hi = config.bounds
 
-    if config.init is not None:
-        theta = np.asarray(config.init, dtype=np.float64).reshape(p)
-    else:
-        theta = model.param_prior_sample(rng, 1)[0].astype(np.float64)
-        if not discrete:
-            theta = np.clip(theta, lo, hi)
+    theta = model.param_prior_sample(rng, 1)[0].astype(np.float64)
+    if not discrete:
+        theta = np.clip(theta, lo, hi)
 
     def loglik(th, it):
         return pf_log_likelihood(

@@ -7,8 +7,6 @@ never perturbs any other phase, which keeps paired-seed experiments and
 regression tests meaningful.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 # Fixed stream ids, one per algorithm phase.
@@ -21,21 +19,6 @@ MOMENT = 6
 PERTURB = 7
 DATA = 8
 CHAIN = 9
-
-
-@dataclass(frozen=True)
-class RngStream:
-    """A (seed, stream) address for one reproducible draw sequence.
-
-    Identical (seed, stream) pairs always yield the identical sequence;
-    distinct stream ids give statistically independent generators.
-    """
-
-    seed: int
-    stream: int = 0
-
-    def generator(self) -> np.random.Generator:
-        return substream(self.seed, self.stream)
 
 
 def substream(seed: int, *path: int) -> np.random.Generator:

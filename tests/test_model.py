@@ -18,7 +18,7 @@ from paramsmc.model import (
     make_param_likelihood,
     simulate,
 )
-from paramsmc.rng import RngStream, substream
+from paramsmc.rng import substream
 
 # Long-run moments of y under theta* = -0.5, frozen from a one-off
 # 10^6-step brute-force simulation (scripts/compute_frozen_oracles.py).
@@ -281,16 +281,6 @@ class TestSimulate:
 
 
 class TestRngStreams:
-    def test_same_address_same_sequence(self):
-        a = RngStream(123, 4).generator().standard_normal(16)
-        b = RngStream(123, 4).generator().standard_normal(16)
-        assert np.array_equal(a, b)
-
-    def test_distinct_streams_differ(self):
-        a = RngStream(123, 4).generator().standard_normal(16)
-        b = RngStream(123, 5).generator().standard_normal(16)
-        assert not np.array_equal(a, b)
-
     def test_substream_paths(self):
         assert np.array_equal(
             substream(9, 1, 2).standard_normal(4), substream(9, 1, 2).standard_normal(4)
