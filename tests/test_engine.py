@@ -506,6 +506,16 @@ class TestPmmh:
         assert 1 <= result.n_iterations < 10_000
         assert result.elapsed_s < 5.0
 
+    def test_nonfinite_likelihoods_are_counted_and_rejected(self):
+        model = LinearGaussianModel()
+        _, obs = simulate(model, np.array([0.7]), 20, substream(16, 0))
+        obs[7] = np.nan
+        result = run_pmmh(model, obs, PmmhConfig(inner_particles=16, iterations=12, seed=5))
+        assert result.rejected_nonfinite == 12
+        assert not result.accepted[1:].any()
+        assert np.all(result.log_liks == -np.inf)
+        assert np.all(result.chain == result.chain[0])
+
 
 def counting(calls: Counter, name: str, fn):
     """fn, counting each call in calls[name]."""

@@ -552,7 +552,6 @@ CLI_RUNS = {
 }
 
 CLI_GOLDEN = {
-    "unscented-points-p2": "155aae4fdda7ce9d62c5f9621f1927742b8823b272fd3aea464829391e89cb3c",
     "exit2-no-data": "596a805d3143f1d04dacd6f2460475fd1222aa6e1dbe446159138c243696f465",
     "exit2-unknown-key": "83ce882fc8d62763485c88f465558d173fbce17738fd4c7ceaf77f8f367f2aaf",
     "oracle-grid-data-seed": "5dfdcc811714258c965d5eceab178547e9e42c35e8469df900519fd9dca7780d",
@@ -626,6 +625,16 @@ def cli_digest(name: str, root: Path) -> str:
 @pytest.mark.parametrize("name", sorted(CLI_RUNS))
 def test_cli_matches_golden_digest(name, tmp_path):
     assert cli_digest(name, tmp_path) == CLI_GOLDEN[name]
+
+
+@pytest.mark.parametrize(
+    "runs, golden",
+    [(RUNS, GOLDEN), (PUBLIC_CALLS, PUBLIC_GOLDEN), (CLI_RUNS, CLI_GOLDEN)],
+    ids=["runs", "public", "cli"],
+)
+def test_every_golden_digest_has_its_run(runs, golden):
+    """A digest without a run is never checked; a run without a digest fails by KeyError."""
+    assert sorted(golden) == sorted(runs)
 
 
 NON_FILTER_RUNS = ("pf-log-likelihood-order-two", "pmmh-lg", "pmmh-slam-small")

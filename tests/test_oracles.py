@@ -253,3 +253,10 @@ class TestPfLogLikelihood:
         # biased low, so allow a small one-sided slack
         assert abs(reps.mean() - exact) < 0.5
         assert reps.std() < 1.0
+
+    def test_nan_observation_gives_minus_inf(self):
+        # a step with no weight has no likelihood: -inf, not an exception
+        model = LinearGaussianModel()
+        _, obs = simulate(model, np.array([0.7]), 20, substream(31, 0))
+        obs[7] = np.nan
+        assert pf_log_likelihood(model, [0.7], obs, 50, substream(31, 1)) == -np.inf
