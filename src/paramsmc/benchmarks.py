@@ -273,8 +273,9 @@ def get_model(name: str, **overrides) -> DynamicModel:
 
 
 def default_true_params(name: str, model: DynamicModel) -> np.ndarray:
+    """The generating parameters simulate uses when none are given, p = dims()[0] of them."""
     if name in DEFAULT_TRUE_PARAMS:
-        return DEFAULT_TRUE_PARAMS[name].copy()
+        return DEFAULT_TRUE_PARAMS[name][: model.dims()[0]].copy()
     if isinstance(model, SlamModel) and model.true_map is not None:
         return model.true_map.astype(np.float64)
     raise ConfigError(f"model {name!r} has no default generating parameters")

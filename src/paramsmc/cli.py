@@ -121,6 +121,9 @@ def merged_config(args) -> dict:
     cfg.update({k: v for k, v in vars(args).items() if k in RUN_KEYS and v is not None})
     if cfg.get("model") is None:
         raise ConfigError("a model name is required (--model or config file)")
+    for key in ("data", "exact"):
+        if cfg.get(key) and not os.path.isfile(cfg[key]):
+            raise ConfigError(f"{key} file {cfg[key]} not found")
     return cfg
 
 

@@ -262,6 +262,26 @@ class TestRun:
     def test_missing_data_exits_2(self):
         assert main(["run", "--model", "sin", "--algorithm", "pf", "--particles", "4"]) == 2
 
+    @pytest.mark.parametrize("key", ["data", "exact"])
+    def test_missing_input_file_exits_2(self, tmp_path, capsys, key):
+        # a missing data or exact file printed a FileNotFoundError traceback and exited 1
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"data_seed": 1}))
+        argv = ["run", "--config", str(cfg), "--model", "slam-small", "--particles", "8"]
+        code = main([*argv, f"--{key}", str(tmp_path / "missing.csv"), "--out", str(tmp_path / "res")])
+        assert code == 2
+        assert "config error" in capsys.readouterr().err
+        assert list(tmp_path.glob("res*")) == []
+
+    def test_fixed_theta_lg_simulates_and_runs_from_a_data_seed(self, tmp_path):
+        # the default generating parameters were lg's [0.7] although this model has p = 0
+        cfg = tmp_path / "cfg.json"
+        overrides = {"theta_fixed": 0.5}
+        cfg.write_text(json.dumps({"model": "lg", "model_overrides": overrides, "data_seed": 1, "steps": 5}))
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "traj.csv")]) == 0
+        argv = ["run", "--config", str(cfg), "--algorithm", "pf", "--particles", "8"]
+        assert main([*argv, "--out", str(tmp_path / "res")]) == 0
+
     def test_degenerate_data_exits_3(self, tmp_path):
         # labels outside the observation code set zero out every weight
         traj = tmp_path / "bad.csv"
