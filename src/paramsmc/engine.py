@@ -1,7 +1,7 @@
 """Inference algorithms over DynamicModel instances.
 
-Three filters run one bootstrap step loop over states and differ only in
-the parameter "cloud" each particle carries:
+Three filters run the bootstrap step of model.bootstrap_steps over states
+and differ only in the parameter "cloud" each particle carries:
 
 * the joint filter: per-particle parameter posteriors maintained by
   assumed-density projection updates (algorithm id "api"); its clouds
@@ -12,8 +12,8 @@ the parameter "cloud" each particle carries:
   before every step after the first (id "liu-west").
 
 Particle-marginal Metropolis-Hastings over the parameters (id "pmmh")
-scores each proposal with the lean fixed-parameter filter in
-oracles.pf_log_likelihood.
+scores each proposal with oracles.pf_log_likelihood, the same bootstrap
+step at a fixed parameter.
 
 Every step resamples with the resampler named by FilterConfig.resample
 (multinomial or systematic).  The joint filter resamples *before* the
@@ -41,9 +41,9 @@ from .approx import (
     code_tables,
 )
 from .errors import ConfigError, UnsupportedParameterKindError
-from .model import DynamicModel, ParamLikelihood
+from .model import DynamicModel, ParamLikelihood, bootstrap_steps
 from .oracles import pf_log_likelihood
-from .resampling import RESAMPLERS, ess, log_mean_exp, normalize_log_weights
+from .resampling import RESAMPLERS, ess
 from .results import FusedPosterior, RunResult
 from .rng import substream
 from .storage import ParticleStore
@@ -232,22 +232,26 @@ def _run_filter(model: DynamicModel, observations, config: FilterConfig, mode: s
     if mode == "api" and config.resolved_family(model) in ("gaussian", "mixture"):
         scheme, scheme_note = resolve_scheme(config.scheme, p)
     cloud = _build_cloud(model, config, scheme, mode)
-    resample = RESAMPLERS[config.resample]
-
-    seed = config.seed
-    rng_state_init = substream(seed, streams.STATE_INIT)
-    rng_param_draw = substream(seed, streams.PARAM_DRAW)
-    rng_prop = substream(seed, streams.PROPAGATE)
-    rng_res = substream(seed, streams.RESAMPLE)
-    rng_moment = substream(seed, streams.MOMENT)
-
     store = ParticleStore(n, d, model.markov_order())
+    seed = config.seed
+    rng_param_draw, rng_moment = substream(seed, streams.PARAM_DRAW), substream(seed, streams.MOMENT)
+
+    def thetas_at(t):
+        if config.permute_hook is not None and config.permute_hook[0] == t:
+            # relabel parameters and state windows alike
+            perm = np.asarray(config.permute_hook[1])
+            cloud.take(perm)
+            store.resample(perm)
+        return cloud.sample(rng_param_draw)
+
+    rngs = [substream(seed, phase) for phase in (streams.STATE_INIT, streams.PROPAGATE, streams.RESAMPLE)]
+    steps = bootstrap_steps(model, obs, thetas_at, store, *rngs, RESAMPLERS[config.resample])
 
     param_mean = np.zeros((n_steps, p))
     param_cov = np.zeros((n_steps, p, p))
     state_mean = np.zeros((n_steps, d))
     ess_trace = np.zeros(n_steps)
-    step_ms = np.zeros(n_steps)
+    stamps = np.zeros(n_steps + 1)
     n_updates = np.zeros(n_steps, dtype=np.int64)
     tables_trace = None
     if model.param_kind == "discrete":
@@ -256,34 +260,14 @@ def _run_filter(model: DynamicModel, observations, config: FilterConfig, mode: s
 
     log_ml = 0.0
     degenerate_updates = 0
-    run_start = time.perf_counter()
+    run_start = stamps[0] = time.perf_counter()
 
-    for t in range(n_steps):
-        tic = time.perf_counter()
-        y = obs[t]
-        if config.permute_hook is not None and config.permute_hook[0] == t:
-            # relabel parameters and state windows alike
-            perm = np.asarray(config.permute_hook[1])
-            cloud.take(perm)
-            store.resample(perm)
-        thetas = cloud.sample(rng_param_draw)
-        if t == 0:
-            windows = None
-            x = model.state_prior_sample(rng_state_init, thetas)
-        else:
-            windows = store.window()
-            x = model.transition_sample(rng_prop, t, windows, thetas)
-
-        logw = model.obs_logdensity(t, y, x, thetas)
-        w = normalize_log_weights(logw)
+    # step t's time runs from the end of step t - 1, so it holds the generator's work
+    for t, x, windows, _, w, increment, anc in steps:
         ess_trace[t] = ess(w)
         state_mean[t] = w @ x
-        log_ml += log_mean_exp(logw)
-
-        store.push(x)
-        anc = resample(w, rng_res)
-        store.resample(anc)
-        factor = ParamLikelihood(model, t, y, x, windows)
+        log_ml += increment
+        factor = ParamLikelihood(model, t, obs[t], x, windows)
         fused = None  # it holds views of the arrays this update replaces: let them go
         n_updates[t], deg = cloud.assimilate(anc, factor, scheme, rng_moment)
         degenerate_updates += deg
@@ -292,7 +276,7 @@ def _run_filter(model: DynamicModel, observations, config: FilterConfig, mode: s
         param_mean[t], param_cov[t] = fused.mean, fused.cov
         if tables_trace is not None:
             tables_trace[t] = fused.tables
-        step_ms[t] = (time.perf_counter() - tic) * 1e3
+        stamps[t + 1] = time.perf_counter()
 
     notes = {}
     if scheme_note:
@@ -310,7 +294,7 @@ def _run_filter(model: DynamicModel, observations, config: FilterConfig, mode: s
         param_cov=param_cov,
         state_mean=state_mean,
         ess=ess_trace,
-        step_ms=step_ms,
+        step_ms=np.diff(stamps) * 1e3,
         n_updates=n_updates,
         fused=fused,
         estimate=fused.mean.copy(),

@@ -21,7 +21,9 @@ import numpy as np
 
 from .approx import code_tables
 from .errors import DimensionMismatchError
+from .resampling import log_mean_exp, normalize_log_weights
 from .rng import substream
+from .storage import ParticleStore
 
 LOG_2PI = np.log(2.0 * np.pi)
 HALF_LOG_2PI = 0.5 * LOG_2PI
@@ -233,21 +235,46 @@ def simulate(
     if steps < 0:
         raise ValueError("steps must be >= 0")
     p, d, m = model.dims()
-    order = model.markov_order()
     theta_row = np.asarray(theta).reshape(1, p)
     states = np.zeros((steps + 1, d))
     obs = np.zeros((steps + 1, m))
-    window = np.zeros((1, order, d))
+    store = ParticleStore(1, d, model.markov_order())
     x = model.state_prior_sample(rng, theta_row)
     states[0] = x[0]
     obs[0] = model.obs_sample(rng, 0, x, theta_row)[0]
     for t in range(1, steps + 1):
-        window[0, :-1] = window[0, 1:]
-        window[0, -1] = x[0]
-        x = model.transition_sample(rng, t, window, theta_row)
+        store.push(x)
+        x = model.transition_sample(rng, t, store.window(), theta_row)
         states[t] = x[0]
         obs[t] = model.obs_sample(rng, t, x, theta_row)[0]
     return states, obs
+
+
+def bootstrap_steps(model, obs, thetas_at, store, rng_init, rng_prop, rng_res, resample):
+    """The bootstrap filter, one propagate-weight-resample step per row of obs.
+
+    At parameters thetas_at(t), x_t comes from the state prior (rng_init)
+    at t = 0 and from the transition (rng_prop) after; the ancestors from
+    resample(w, rng_res).  Yields (t, x, windows, logw, w, log-evidence
+    increment, ancestors); windows is None at t = 0.  Asked for the next
+    step, it pushes x into the store, which shifts the yielded windows in
+    place, then resamples the store.  Raises TotalDegeneracyError when a
+    step has no weight.
+    """
+    for t in range(obs.shape[0]):
+        thetas = thetas_at(t)
+        if t == 0:
+            windows = None
+            x = model.state_prior_sample(rng_init, thetas)
+        else:
+            windows = store.window()
+            x = model.transition_sample(rng_prop, t, windows, thetas)
+        logw = model.obs_logdensity(t, obs[t], x, thetas)
+        w = normalize_log_weights(logw)
+        anc = resample(w, rng_res)
+        yield t, x, windows, logw, w, log_mean_exp(logw), anc
+        store.push(x)
+        store.resample(anc)
 
 
 def gaussian_logpdf(x, mean, sd):

@@ -6,16 +6,16 @@ for the linear-Gaussian model, grid posteriors over a scalar parameter,
 and the KL / MSE metrics.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .benchmarks import LinearGaussianModel, SlamModel
-from .errors import PointBudgetError
-from .model import gaussian_logpdf
+from .errors import PointBudgetError, TotalDegeneracyError
+from .model import bootstrap_steps, gaussian_logpdf
 from .resampling import log_mean_exp, multinomial_resample, normalize_log_weights
 from .rng import CHAIN, substream
+from .storage import ParticleStore
 
 EXACT_JOINT_BUDGET = 300_000
 
@@ -143,39 +143,23 @@ def kalman_filter(model: LinearGaussianModel, theta: float, observations: np.nda
 
 
 def pf_log_likelihood(model, theta, observations, n_particles, rng) -> float:
-    """Bootstrap-filter estimate of log p(y_{0:T} | theta).
+    """Bootstrap-filter estimate of log p(y_{0:T} | theta); -inf when a step has no weight.
 
-    A lean fixed-parameter filter: no parameter cloud, no recording, and
-    state windows shifted in place.  It is the inner loop of the PMMH
-    acceptance ratio and of the sampled grid oracle, so it keeps its own
-    loop rather than the engine's, whose step costs about 1.6x this one
-    at 50 particles.  It resamples with the engine's multinomial_resample.
+    model.bootstrap_steps at theta, with rng for every draw: the inner loop
+    of the PMMH acceptance ratio and of the sampled grid oracle.
     """
     p, d, m = model.dims()
     obs = np.asarray(observations, dtype=np.float64).reshape(-1, m)
-    order = model.markov_order()
     thetas = np.tile(np.asarray(theta).reshape(1, p), (n_particles, 1))
     if model.param_kind == "discrete":
         thetas = thetas.astype(np.int64)
-    windows = np.zeros((n_particles, order, d))
+    store = ParticleStore(n_particles, d, model.markov_order())
     total = 0.0
-    x = model.state_prior_sample(rng, thetas)
-    for t in range(obs.shape[0]):
-        if t > 0:
-            x = model.transition_sample(rng, t, windows, thetas)
-        logw = model.obs_logdensity(t, obs[t], x, thetas)
-        step = log_mean_exp(logw)
-        if not math.isfinite(step):
-            return -np.inf
-        total += step
-        with np.errstate(under="ignore"):
-            w = np.exp(logw - logw.max())
-        w /= w.sum()
-        anc = multinomial_resample(w, rng)
-        # Push x before resampling, so one gather moves states and windows.
-        windows[:, :-1] = windows[:, 1:]
-        windows[:, -1] = x
-        windows = windows[anc]
+    try:
+        for step in bootstrap_steps(model, obs, lambda t: thetas, store, rng, rng, rng, multinomial_resample):
+            total += step[5]
+    except TotalDegeneracyError:
+        return -np.inf
     return float(total)
 
 

@@ -2,10 +2,10 @@
 
 D is the model's Markov order.  Entry [:, -1] of the windows is the
 newest state; slots older than time zero hold zeros.  Pushing a timestep
-and resampling both build a new array instead of writing into the old
-one, so a windows array handed out earlier keeps its contents: the
-resample-first update relies on this to score each state against the
-pre-push window it was drawn from, in pre-resample row order.
+shifts the windows in place, so a windows array handed out earlier
+shifts with it; resampling builds a new array.  The bootstrap step
+(model.bootstrap_steps) pushes only once its consumer is done with the
+step's pre-push windows.
 """
 
 import numpy as np
@@ -22,9 +22,9 @@ class ParticleStore:
         self.windows = np.zeros((n_particles, markov_order, self.d))
 
     def push(self, states: np.ndarray) -> None:
-        """Append the states for the next timestep, dropping the oldest slot."""
-        newest = np.reshape(states, (self.n, 1, self.d))
-        self.windows = np.concatenate([self.windows[:, 1:], newest], axis=1)
+        """Append the states for the next timestep in place, dropping the oldest slot."""
+        self.windows[:, :-1] = self.windows[:, 1:]
+        self.windows[:, -1] = np.reshape(states, (self.n, self.d))
 
     def window(self) -> np.ndarray:
         """The (n, D, d) windows for propagating the next step."""

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from paramsmc import approx, engine
+import paramsmc.model
+from paramsmc import approx, engine, oracles
 from paramsmc.approx import gauss_hermite, monte_carlo
 from paramsmc.benchmarks import LinearGaussianModel, SinModel, slam_small
 from paramsmc.engine import (
@@ -30,9 +31,10 @@ from paramsmc.model import (
     simulate,
 )
 from paramsmc.oracles import grid_posterior, kalman_filter, slam_exact_forward
-from paramsmc.resampling import RESAMPLERS
+from paramsmc.resampling import RESAMPLERS, multinomial_resample
 from paramsmc.results import FusedPosterior
 from paramsmc.rng import substream
+from paramsmc.storage import ParticleStore
 
 
 class ThetaFreeModel(DynamicModel):
@@ -528,15 +530,29 @@ def counting(calls: Counter, name: str, fn):
 
 
 class TestEngineRunsTheTestedCode:
-    """The filters resample, measure ESS, build the likelihood factor and
-    sample and update each approximation family with the functions the
-    unit tests check, not with private copies; so do the public
-    single-distribution functions."""
+    """The filters and PMMH's inner likelihood run one bootstrap step; the
+    filters resample, measure ESS, build the likelihood factor and sample
+    and update each approximation family with the functions the unit tests
+    check, not with private copies; so do the public single-distribution
+    functions."""
+
+    @staticmethod
+    def count_bootstrap_calls(monkeypatch) -> Counter:
+        """Wrap the bootstrap core where its callers hold it, with its weighting and storage."""
+        calls = Counter()
+        for module in (engine, oracles):
+            monkeypatch.setattr(module, "bootstrap_steps", counting(calls, "core", module.bootstrap_steps))
+        normalize = counting(calls, "normalize", paramsmc.model.normalize_log_weights)
+        monkeypatch.setattr(paramsmc.model, "normalize_log_weights", normalize)
+        for meth in ("push", "resample"):
+            monkeypatch.setattr(ParticleStore, meth, counting(calls, f"store.{meth}", vars(ParticleStore)[meth]))
+        return calls
 
     @pytest.mark.parametrize("resample", sorted(RESAMPLERS))
     @pytest.mark.parametrize("run", [run_assumed_density_filter, run_bootstrap_filter])
     def test_run_calls_tested_functions(self, monkeypatch, run, resample):
-        calls = Counter()
+        model, obs = sin_data(steps=9)
+        calls = self.count_bootstrap_calls(monkeypatch)
 
         class CountingFactor(ParamLikelihood):
             def __call__(self, *args):
@@ -546,12 +562,25 @@ class TestEngineRunsTheTestedCode:
         monkeypatch.setitem(RESAMPLERS, resample, counting(calls, "resample", RESAMPLERS[resample]))
         monkeypatch.setattr(engine, "ess", counting(calls, "ess", engine.ess))
         monkeypatch.setattr(engine, "ParamLikelihood", counting(calls, "factor built", CountingFactor))
-        model, obs = sin_data(steps=9)
         config = FilterConfig(n_particles=32, scheme=gauss_hermite(5), seed=0, resample=resample)
         run(model, obs, config)
+        assert calls["core"] == 1
         assert calls["resample"] == calls["ess"] == calls["factor built"] == 10
+        assert calls["normalize"] == calls["store.push"] == calls["store.resample"] == 10
         evaluated = 10 if run is run_assumed_density_filter else 0
         assert calls["factor evaluated"] == evaluated
+
+    def test_pmmh_likelihood_runs_the_bootstrap_core(self, monkeypatch):
+        model = LinearGaussianModel()
+        _, obs = simulate(model, np.array([0.7]), 9, substream(13, 0))
+        calls = self.count_bootstrap_calls(monkeypatch)
+        monkeypatch.setattr(oracles, "multinomial_resample", counting(calls, "multinomial", multinomial_resample))
+        per_call = {"core": 1, "normalize": 10, "multinomial": 10, "store.push": 10, "store.resample": 10}
+        oracles.pf_log_likelihood(model, [0.7], obs, 16, substream(13, 1))
+        assert calls == per_call
+        calls.clear()
+        run_pmmh(model, obs, PmmhConfig(inner_particles=16, iterations=4, seed=2))
+        assert calls == {name: 5 * count for name, count in per_call.items()}
 
     @staticmethod
     def count_family_calls(monkeypatch) -> Counter:

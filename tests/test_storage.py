@@ -30,18 +30,20 @@ def test_resample_duplicates_rows():
     assert np.array_equal(win[:, -1, 0], np.array([1.0, 1.0, 2.0, 2.0]))
 
 
-def test_handed_out_windows_survive_push_and_resample():
-    # the resample-first update scores states against windows read before
-    # the push, in pre-resample row order
+def test_push_shifts_in_place_and_resample_copies():
+    # the bootstrap step pushes only once its consumer is done with the
+    # step's windows, so push shifts them in place, copying the states in;
+    # resample builds a new array and leaves windows handed out before it be
     store = ParticleStore(3, 1, markov_order=2)
     store.push(np.array([[1.0], [2.0], [3.0]]))
     held = store.window()
-    before = held.copy()
     states = np.array([[4.0], [5.0], [6.0]])
     store.push(states)
-    store.resample(np.array([2, 0, 0]))
     states[:] = 0.0
-    assert np.array_equal(held, before)
+    shifted = np.array([[1.0, 4.0], [2.0, 5.0], [3.0, 6.0]])
+    assert np.array_equal(held[:, :, 0], shifted)
+    store.resample(np.array([2, 0, 0]))
+    assert np.array_equal(held[:, :, 0], shifted)
     assert np.array_equal(store.window()[:, :, 0], np.array([[3.0, 6.0], [1.0, 4.0], [1.0, 4.0]]))
 
 
