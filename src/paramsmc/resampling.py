@@ -25,7 +25,8 @@ def normalize_log_weights(log_weights: np.ndarray) -> np.ndarray:
         )
     with np.errstate(under="ignore"):
         w = np.exp(lw - m)
-    return w / w.sum()
+    w /= w.sum()
+    return w
 
 
 def multinomial_resample(

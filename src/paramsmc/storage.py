@@ -24,7 +24,7 @@ class ParticleStore:
     def push(self, states: np.ndarray) -> None:
         """Append the states for the next timestep in place, dropping the oldest slot."""
         self.windows[:, :-1] = self.windows[:, 1:]
-        self.windows[:, -1] = np.reshape(states, (self.n, self.d))
+        self.windows[:, -1] = states.reshape(self.n, self.d)
 
     def window(self) -> np.ndarray:
         """The (n, D, d) windows for propagating the next step."""
@@ -36,4 +36,4 @@ class ParticleStore:
 
     def resample(self, ancestors: np.ndarray) -> None:
         """Reassign particle identities: row i takes ancestor ancestors[i]'s history."""
-        self.windows = np.take(self.windows, ancestors, axis=0)
+        self.windows = self.windows[ancestors]
