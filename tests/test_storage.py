@@ -33,7 +33,7 @@ def test_resample_duplicates_rows():
 def test_push_shifts_in_place_and_resample_copies():
     # the bootstrap step pushes only once its consumer is done with the
     # step's windows, so push shifts them in place, copying the states in;
-    # resample builds a new array and leaves windows handed out before it be
+    # resample builds a new array, so windows handed out before it keep their rows
     store = ParticleStore(3, 1, markov_order=2)
     store.push(np.array([[1.0], [2.0], [3.0]]))
     held = store.window()
