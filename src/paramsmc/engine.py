@@ -40,7 +40,7 @@ from .approx import (
     MomentScheme,
     code_tables,
 )
-from .errors import ConfigError, UnsupportedParameterKindError
+from .errors import ConfigError, TotalDegeneracyError, UnsupportedParameterKindError
 from .model import DynamicModel, ParamLikelihood, bootstrap_steps
 from .oracles import pf_log_likelihood
 from .resampling import RESAMPLERS, ess
@@ -385,7 +385,10 @@ def run_pmmh(model: DynamicModel, observations, config: PmmhConfig) -> PmmhResul
     chosen coordinate from its code set, a symmetric proposal.  The
     likelihood p(y | theta) is estimated by a fresh bootstrap filter with
     config.inner_particles at every proposal; iterations with a
-    non-finite estimate are rejected and counted.
+    non-finite estimate are rejected and counted.  A chain none of whose
+    likelihoods was finite has no posterior: it raises
+    TotalDegeneracyError.  A chain that starts at -inf and moves to a
+    finite proposal is a result.
 
     The returned estimate is the mean of the last half of the chain, the
     first half being discarded as burn-in.  iter_ms holds each chain
@@ -461,11 +464,14 @@ def run_pmmh(model: DynamicModel, observations, config: PmmhConfig) -> PmmhResul
         iter_ms.append((toc - tic) * 1e3)
         tic = toc
 
+    log_liks = np.asarray(lls)
+    if not np.isfinite(log_liks).any():
+        raise TotalDegeneracyError(f"no PMMH likelihood was finite over {len(lls)} chain entries")
     chain_arr = np.asarray(chain)
     estimate = chain_arr[chain_arr.shape[0] // 2 :].mean(axis=0)
     return PmmhResult(
         chain=chain_arr,
-        log_liks=np.asarray(lls),
+        log_liks=log_liks,
         accepted=np.asarray(accepted, dtype=bool),
         estimate=estimate,
         acceptance_rate=float(np.mean(accepted[1:])) if len(accepted) > 1 else 0.0,

@@ -21,7 +21,7 @@ import numpy as np
 
 from .approx import code_tables
 from .errors import DimensionMismatchError
-from .resampling import log_mean_exp, normalize_log_weights
+from .resampling import weigh_log_weights
 from .rng import substream
 from .storage import ParticleStore
 
@@ -257,9 +257,9 @@ def bootstrap_steps(model, obs, thetas_at, store, rng_init, rng_prop, rng_res, r
     at t = 0 and from the transition (rng_prop) after; the ancestors from
     resample(w, rng_res).  Yields (t, x, windows, logw, w, log-evidence
     increment, ancestors); windows is None at t = 0.  Asked for the next
-    step, it pushes x into the store, which shifts the yielded windows in
-    place, then resamples the store.  Raises TotalDegeneracyError when a
-    step has no weight.
+    step, it advances the store by x and the ancestors, which builds new
+    windows and leaves the yielded ones as they were.  Raises
+    TotalDegeneracyError when a step has no weight.
     """
     for t in range(obs.shape[0]):
         thetas = thetas_at(t)
@@ -270,28 +270,34 @@ def bootstrap_steps(model, obs, thetas_at, store, rng_init, rng_prop, rng_res, r
             windows = store.window()
             x = model.transition_sample(rng_prop, t, windows, thetas)
         logw = model.obs_logdensity(t, obs[t], x, thetas)
-        w = normalize_log_weights(logw)
+        w, increment = weigh_log_weights(logw)
         anc = resample(w, rng_res)
-        yield t, x, windows, logw, w, log_mean_exp(logw), anc
-        store.push(x)
-        store.resample(anc)
+        yield t, x, windows, logw, w, increment, anc
+        store.advance(x, anc)
 
 
 def gaussian_logpdf(x, mean, sd):
-    """Elementwise scalar Gaussian log density; sd must be positive.
+    """Elementwise scalar Gaussian log density; sd must be positive (not NaN).
 
     Computes -0.5 * z * z - log(sd) - 0.5 * log(2 pi) with z = (x - mean) / sd,
     operation by operation in that order, but in place where the shapes
-    allow: it is the likelihood kernel of every filter step.
+    allow: it is the likelihood kernel of every filter step.  A Python
+    float sd, what the benchmark models pass, is used as it is rather
+    than as a 0-d array; the bits are the same.
     """
-    sd = np.asarray(sd, dtype=np.float64)
-    if (sd <= 0) if sd.ndim == 0 else np.any(sd <= 0):
+    scalar = type(sd) is float
+    if scalar:
+        positive = sd > 0
+    else:
+        sd = np.asarray(sd, dtype=np.float64)
+        positive = (sd > 0) if sd.ndim == 0 else np.all(sd > 0)
+    if not positive:  # a NaN sd is not positive either
         raise ValueError("gaussian_logpdf requires positive standard deviation")
     z = np.asarray(x) - np.asarray(mean)
-    if z.dtype == np.float64 and (sd.ndim == 0 or sd.shape == z.shape):
+    if z.dtype == np.float64 and (scalar or sd.ndim == 0 or sd.shape == z.shape):
         z /= sd
-    else:
-        z = z / sd
+    else:  # a float64 divisor promotes z, whether sd came as a float or an array
+        z = z / (np.float64(sd) if scalar else sd)
     out = -0.5 * z
     out *= z
     out -= np.log(sd)

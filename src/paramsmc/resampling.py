@@ -1,7 +1,7 @@
 """Weight normalization, resampling, and degeneracy diagnostics.
 
 The resamplers and ess take the normalized weights that
-normalize_log_weights returns and the filters hold.
+weigh_log_weights (or normalize_log_weights) returns and the filters hold.
 """
 
 import math
@@ -11,22 +11,34 @@ import numpy as np
 from .errors import TotalDegeneracyError
 
 
-def normalize_log_weights(log_weights: np.ndarray) -> np.ndarray:
-    """Exponentiate max-shifted log weights and normalize to sum one.
+def weigh_log_weights(log_weights: np.ndarray) -> tuple[np.ndarray, float]:
+    """Normalized weights and the log mean weight, from one exp and one sum.
 
-    Raises TotalDegeneracyError when every weight is zero (all -inf) or
-    any weight is NaN, since no ancestor distribution exists then.
+    Returns (w, m + log(s / n)): w is exp(log_weights - m) / s, with m
+    the largest log weight and s the sum of the shifted exponentials, and
+    the second value is log_mean_exp(log_weights) to the bit, the step's
+    log-evidence increment.  Raises TotalDegeneracyError when every weight
+    is zero (all -inf) or any weight is NaN, since no ancestor
+    distribution exists then.
     """
     lw = np.asarray(log_weights, dtype=np.float64)
-    m = lw.max()  # NaN if any weight is NaN
+    # the ufunc reductions that lw.max() and w.sum() call, without their wrappers
+    m = np.maximum.reduce(lw, axis=None)  # NaN if any weight is NaN
     if not math.isfinite(m):
         raise TotalDegeneracyError(
             "NaN particle weight" if math.isnan(m) else "every particle weight is zero"
         )
     with np.errstate(under="ignore"):
         w = np.exp(lw - m)
-    w /= w.sum()
-    return w
+    s = np.add.reduce(w, axis=None)
+    w /= s
+    # s / size is how np.mean divides, as in log_mean_exp
+    return w, float(m + np.log(s / lw.size))
+
+
+def normalize_log_weights(log_weights: np.ndarray) -> np.ndarray:
+    """Exponentiate max-shifted log weights and normalize to sum one (see weigh_log_weights)."""
+    return weigh_log_weights(log_weights)[0]
 
 
 def multinomial_resample(
@@ -43,7 +55,7 @@ def multinomial_resample(
     """
     n = weights.shape[0] if size is None else size
     counts = rng.multinomial(n, weights)
-    return np.repeat(np.arange(weights.shape[0]), counts)
+    return np.arange(weights.shape[0]).repeat(counts)
 
 
 def systematic_resample(

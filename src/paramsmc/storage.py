@@ -1,11 +1,12 @@
 """Particle state history as one stacked (N, D, d) window array.
 
 D is the model's Markov order.  Entry [:, -1] of the windows is the
-newest state; slots older than time zero hold zeros.  Pushing a timestep
-shifts the windows in place, so a windows array handed out earlier
-shifts with it; resampling builds a new array.  The bootstrap step
-(model.bootstrap_steps) pushes only once its consumer is done with the
-step's pre-push windows.
+newest state; slots older than time zero hold zeros.  The bootstrap step
+(model.bootstrap_steps) moves to the next timestep with advance, which
+builds the next windows with one gather, so a windows array handed out
+earlier keeps its rows; so does resample.  push, the one-particle
+simulator's move, shifts the windows in place and a windows array
+handed out earlier shifts with it.
 """
 
 import numpy as np
@@ -33,6 +34,13 @@ class ParticleStore:
     def gather_current(self, rows: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Read the newest states for the given particle rows."""
         return np.take(self.windows[:, -1], rows, axis=0, out=out)
+
+    def advance(self, states: np.ndarray, ancestors: np.ndarray) -> None:
+        """push(states) then resample(ancestors), as one gather into a new array."""
+        states = np.asarray(states, dtype=np.float64).reshape(self.n, 1, self.d)
+        if self.windows.shape[1] > 1:
+            states = np.concatenate((self.windows[:, 1:], states), axis=1)
+        self.windows = states[ancestors]
 
     def resample(self, ancestors: np.ndarray) -> None:
         """Reassign particle identities: row i takes ancestor ancestors[i]'s history."""

@@ -296,6 +296,22 @@ class TestRun:
         )
         assert code == 3
 
+    @pytest.mark.parametrize("algorithm", ["pf", "pmmh"])
+    def test_nan_observation_exits_3(self, tmp_path, capsys, algorithm):
+        # pmmh exited 0 with the prior draw as its estimate: no likelihood was finite
+        traj = tmp_path / "traj.csv"
+        main(["simulate", "--model", "lg", "--steps", "20", "--seed", "3", "--out", str(traj)])
+        states, obs = read_trajectory_csv(traj)
+        obs[7] = np.nan
+        write_trajectory_csv(traj, states, obs)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"pmmh": {"inner_particles": 10, "iterations": 5}}))
+        argv = ["run", "--model", "lg", "--algorithm", algorithm, "--particles", "10", "--config", str(cfg)]
+        code = main([*argv, "--data", str(traj), "--seed", "1", "--out", str(tmp_path / "res")])
+        assert code == 3
+        assert "numerical degeneracy" in capsys.readouterr().err
+        assert list(tmp_path.glob("res*")) == []
+
     def test_pmmh_runs_and_reports_chain(self, tmp_path):
         traj = tmp_path / "traj.csv"
         main(["simulate", "--model", "lg", "--steps", "25", "--seed", "11", "--out", str(traj)])

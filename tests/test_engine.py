@@ -509,14 +509,44 @@ class TestPmmh:
         assert result.elapsed_s < 5.0
 
     def test_nonfinite_likelihoods_are_counted_and_rejected(self):
+        # every likelihood of this chain is -inf: it has no posterior, and a
+        # prior draw reported as its estimate would pass for a result
         model = LinearGaussianModel()
         _, obs = simulate(model, np.array([0.7]), 20, substream(16, 0))
         obs[7] = np.nan
+        with pytest.raises(TotalDegeneracyError, match="no PMMH likelihood was finite"):
+            run_pmmh(model, obs, PmmhConfig(inner_particles=16, iterations=12, seed=5))
+
+    @staticmethod
+    def likelihood_failing_at(monkeypatch, failing) -> None:
+        """engine's pf_log_likelihood, returning -inf at the call numbers in failing."""
+        real, calls = engine.pf_log_likelihood, []
+
+        def scripted(*args):
+            calls.append(len(calls))
+            return -np.inf if calls[-1] in failing else real(*args)
+
+        monkeypatch.setattr(engine, "pf_log_likelihood", scripted)
+
+    def test_nonfinite_proposals_are_counted_and_rejected(self, monkeypatch):
+        model = LinearGaussianModel()
+        _, obs = simulate(model, np.array([0.7]), 20, substream(16, 0))
+        self.likelihood_failing_at(monkeypatch, failing=range(1, 13, 2))
         result = run_pmmh(model, obs, PmmhConfig(inner_particles=16, iterations=12, seed=5))
-        assert result.rejected_nonfinite == 12
-        assert not result.accepted[1:].any()
-        assert np.all(result.log_liks == -np.inf)
-        assert np.all(result.chain == result.chain[0])
+        assert result.rejected_nonfinite == 6
+        assert not result.accepted[1::2].any()
+        assert np.all(np.isfinite(result.log_liks))
+        assert np.array_equal(result.chain[1::2], result.chain[:-1:2])
+
+    def test_chain_escaping_a_nonfinite_start_is_a_result(self, monkeypatch):
+        model = LinearGaussianModel()
+        _, obs = simulate(model, np.array([0.7]), 20, substream(16, 0))
+        self.likelihood_failing_at(monkeypatch, failing={0})
+        result = run_pmmh(model, obs, PmmhConfig(inner_particles=16, iterations=6, seed=5))
+        # any finite proposal beats a -inf start
+        assert result.log_liks[0] == -np.inf and result.accepted[1]
+        assert np.all(np.isfinite(result.log_liks[1:]))
+        assert result.rejected_nonfinite == 0
 
 
 def counting(calls: Counter, name: str, fn):
@@ -542,9 +572,9 @@ class TestEngineRunsTheTestedCode:
         calls = Counter()
         for module in (engine, oracles):
             monkeypatch.setattr(module, "bootstrap_steps", counting(calls, "core", module.bootstrap_steps))
-        normalize = counting(calls, "normalize", paramsmc.model.normalize_log_weights)
-        monkeypatch.setattr(paramsmc.model, "normalize_log_weights", normalize)
-        for meth in ("push", "resample"):
+        weigh = counting(calls, "weigh", paramsmc.model.weigh_log_weights)
+        monkeypatch.setattr(paramsmc.model, "weigh_log_weights", weigh)
+        for meth in ("advance", "push", "resample"):
             monkeypatch.setattr(ParticleStore, meth, counting(calls, f"store.{meth}", vars(ParticleStore)[meth]))
         return calls
 
@@ -566,7 +596,9 @@ class TestEngineRunsTheTestedCode:
         run(model, obs, config)
         assert calls["core"] == 1
         assert calls["resample"] == calls["ess"] == calls["factor built"] == 10
-        assert calls["normalize"] == calls["store.push"] == calls["store.resample"] == 10
+        # the step moves the store with one advance; push and resample are not its path
+        assert calls["weigh"] == calls["store.advance"] == 10
+        assert calls["store.push"] == calls["store.resample"] == 0
         evaluated = 10 if run is run_assumed_density_filter else 0
         assert calls["factor evaluated"] == evaluated
 
@@ -575,7 +607,7 @@ class TestEngineRunsTheTestedCode:
         _, obs = simulate(model, np.array([0.7]), 9, substream(13, 0))
         calls = self.count_bootstrap_calls(monkeypatch)
         monkeypatch.setattr(oracles, "multinomial_resample", counting(calls, "multinomial", multinomial_resample))
-        per_call = {"core": 1, "normalize": 10, "multinomial": 10, "store.push": 10, "store.resample": 10}
+        per_call = {"core": 1, "weigh": 10, "multinomial": 10, "store.advance": 10}
         oracles.pf_log_likelihood(model, [0.7], obs, 16, substream(13, 1))
         assert calls == per_call
         calls.clear()

@@ -50,6 +50,7 @@ def _logpdf_cases():
         "sd-size-one": (rng.standard_normal(6), 0.0, np.array([0.3])),
         "int-x-mean": (np.arange(6), np.arange(6)[::-1], 1.5),
         "float32-x": (rng.standard_normal(6).astype(np.float32), 0.5, 0.9),
+        "float32-x-mean": (rng.standard_normal(6).astype(np.float32), np.float32([0.5]), 0.9),
         "extreme": (np.array([1e300, -1e300, 1e-300, 0.0]), 0.0, 1e-200),
         "large": (rng.standard_normal(28_600), 0.25, 0.3),
     }
@@ -75,6 +76,16 @@ class TestGaussianLogpdf:
     def test_nonpositive_sd_raises(self, sd):
         with pytest.raises(ValueError, match="positive standard deviation"):
             gaussian_logpdf(np.zeros(2), 0.0, sd)
+
+    @pytest.mark.parametrize(
+        "sd",
+        [float("nan"), np.float64("nan"), np.array(np.nan), np.array([0.5, np.nan]), np.array([[np.nan], [1.0]])],
+        ids=["float", "numpy-scalar", "zero-d", "array", "column"],
+    )
+    def test_nan_sd_raises(self, sd):
+        # sd <= 0 is False for NaN: a NaN sd must not pass as positive
+        with pytest.raises(ValueError, match="positive standard deviation"):
+            gaussian_logpdf(np.zeros(3), 0.0, sd)
 
 
 class TestParamLikelihood:

@@ -19,6 +19,7 @@ from paramsmc.resampling import (
     multinomial_resample,
     normalize_log_weights,
     systematic_resample,
+    weigh_log_weights,
 )
 from paramsmc.rng import substream
 
@@ -146,6 +147,20 @@ def reference_inputs():
     return cases
 
 
+def weigh_inputs():
+    """reference_inputs plus random log weights with -inf entries, at N = 1, 2, 50 and 1000."""
+    cases = reference_inputs()
+    for n in (1, 2, 50, 1000):
+        for seed in range(3):
+            rng = substream(24, 10 * n + seed)
+            lw = rng.standard_normal(n) * 30
+            zero = rng.random(n) < 0.3
+            zero[rng.integers(n)] = False  # one weight stays positive
+            lw[zero] = -np.inf
+            cases.append(lw)
+    return cases
+
+
 class TestAgainstReferenceFormulas:
     @pytest.mark.parametrize("case", range(len(reference_inputs())))
     def test_log_mean_exp_bits(self, case):
@@ -176,9 +191,20 @@ class TestAgainstReferenceFormulas:
     def test_normalize_error_messages(self, lw):
         with pytest.raises(TotalDegeneracyError) as expected:
             reference_normalize_log_weights(np.array(lw))
-        with pytest.raises(TotalDegeneracyError) as got:
-            normalize_log_weights(np.array(lw))
-        assert str(got.value) == str(expected.value)
+        for weigh in (normalize_log_weights, weigh_log_weights):
+            with pytest.raises(TotalDegeneracyError) as got:
+                weigh(np.array(lw))
+            assert str(got.value) == str(expected.value)
+
+    @pytest.mark.parametrize("case", range(len(weigh_inputs())))
+    def test_weigh_is_normalize_and_log_mean_exp_bits(self, case):
+        lw = weigh_inputs()[case]
+        w, increment = weigh_log_weights(lw)
+        assert same_bits(w, reference_normalize_log_weights(lw))
+        assert same_bits(w, normalize_log_weights(lw))
+        assert type(increment) is float
+        assert same_bits(increment, reference_log_mean_exp(lw))
+        assert same_bits(increment, log_mean_exp(lw))
 
     @pytest.mark.parametrize(
         "ancestors",

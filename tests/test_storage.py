@@ -1,7 +1,9 @@
 """Particle-store contracts: windows, ancestry, and arrays handed out."""
 
 import numpy as np
+import pytest
 
+from paramsmc.rng import substream
 from paramsmc.storage import ParticleStore
 
 
@@ -64,3 +66,37 @@ def test_gather_current_rows():
     store.resample(np.array([3, 3, 0, 1]))
     got = store.gather_current(np.array([0, 2]))
     assert np.array_equal(got[:, 0], np.array([8.0, 5.0]))
+
+
+@pytest.mark.parametrize("order, d", [(1, 1), (1, 2), (2, 1), (2, 3), (3, 2)])
+def test_advance_is_push_then_resample_bits(order, d):
+    rng = substream(31, 10 * order + d)
+    n = 6
+    stepwise, gathered = ParticleStore(n, d, order), ParticleStore(n, d, order)
+    for step in range(5):
+        states = rng.standard_normal((n, d))
+        if step == 3:
+            states = rng.integers(-5, 5, size=(n, d))  # push copies into a float64 array
+        elif d == 1 and step == 4:
+            states = states[:, 0]  # (n,) states reshape like (n, 1) ones
+        ancestors = np.sort(rng.integers(0, n, size=n))
+        stepwise.push(states)
+        stepwise.resample(ancestors)
+        gathered.advance(states, ancestors)
+        want, got = stepwise.window(), gathered.window()
+        assert got.dtype == want.dtype == np.float64 and got.shape == want.shape == (n, order, d)
+        assert got.tobytes() == want.tobytes()
+
+
+def test_advance_builds_new_windows():
+    # the bootstrap step yields its windows before it advances: they keep
+    # their rows, and the store holds no view of the states it was given
+    store = ParticleStore(3, 1, markov_order=2)
+    store.advance(np.array([[1.0], [2.0], [3.0]]), np.arange(3))
+    held = store.window()
+    before = held.copy()
+    states = np.array([[4.0], [5.0], [6.0]])
+    store.advance(states, np.array([2, 0, 0]))
+    states[:] = 0.0
+    assert np.array_equal(held, before)
+    assert np.array_equal(store.window()[:, :, 0], np.array([[3.0, 6.0], [1.0, 4.0], [1.0, 4.0]]))
