@@ -59,7 +59,6 @@ class MomentScheme:
 
     kind: str = "gauss_hermite"
     m: int = 7
-    point_budget: int = DEFAULT_POINT_BUDGET
 
     def __post_init__(self):
         if self.kind not in SCHEME_KINDS:
@@ -68,8 +67,8 @@ class MomentScheme:
             raise ValueError("scheme needs m >= 1")
 
     def over_budget(self, p: int) -> bool:
-        """Whether this scheme's Gauss-Hermite grid in p dimensions exceeds its budget."""
-        return self.kind == "gauss_hermite" and self.m**p > self.point_budget
+        """Whether this scheme's Gauss-Hermite grid in p dimensions exceeds DEFAULT_POINT_BUDGET."""
+        return self.kind == "gauss_hermite" and self.m**p > DEFAULT_POINT_BUDGET
 
 
 def monte_carlo(m: int) -> MomentScheme:
@@ -201,7 +200,7 @@ def batch_gaussian_points(
     b, p = means.shape
     if scheme.over_budget(p):
         raise PointBudgetError(
-            f"Gauss-Hermite grid of {scheme.m}^{p} points exceeds budget {scheme.point_budget}"
+            f"Gauss-Hermite grid of {scheme.m}^{p} points exceeds budget {DEFAULT_POINT_BUDGET}"
         )
     if scheme.kind == "gauss_hermite":
         z, logw = standard_gauss_hermite_grid(p, scheme.m)
@@ -603,7 +602,7 @@ class DiscreteCloud(Cloud):
         mean = tables @ values
         second = tables @ (values * values)
         cov = np.diag(second - mean * mean)
-        return FusedPosterior("tables", mean, cov, tables=tables, cardinalities=self.cards)
+        return FusedPosterior("tables", mean, cov, tables=tables)
 
 
 # ---------------------------------------------------------------------------
@@ -682,27 +681,23 @@ def discrete_update(
     return FactorizedDiscreteApprox(new["tables"][0], q_prev.cardinalities)
 
 
-def gauss_hermite_points(
-    mean: np.ndarray,
-    cov: np.ndarray,
-    m: int,
-    point_budget: int = DEFAULT_POINT_BUDGET,
-) -> tuple[np.ndarray, np.ndarray]:
+def gauss_hermite_points(mean: np.ndarray, cov: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
     """Tensor-grid Gauss-Hermite rule for N(mean, cov).
+
+    The grid grows exponentially in p, so m**p is capped at
+    quadrature.DEFAULT_POINT_BUDGET: past it this raises PointBudgetError,
+    and callers are expected to fall back to another scheme.
 
     Args:
         mean: (p,) location.
         cov: (p, p) positive definite covariance.
         m: points per axis; the grid has m**p points total.
-        point_budget: hard cap on m**p, since the tensor grid blows up
-            exponentially in p.  Callers are expected to fall back to a
-            sampling scheme when this raises.
 
     Returns:
         (points, weights): (m**p, p) locations and (m**p,) positive
         weights summing to one.
     """
-    return _point_rule(mean, cov, MomentScheme(kind="gauss_hermite", m=m, point_budget=point_budget))
+    return _point_rule(mean, cov, gauss_hermite(m))
 
 
 def unscented_points(mean: np.ndarray, cov: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

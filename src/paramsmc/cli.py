@@ -76,6 +76,9 @@ RUN_KEYS = {
     "approx_samples_list",
 }
 
+# Keys only sweep reads: the lists its cells range over and its worker count.
+SWEEP_KEYS = {"particles", "approx_samples_list", "seeds", "workers"}
+
 # Converters for the pmmh keys a config may give; PmmhConfig holds their defaults.
 PMMH_CASTS = {"iterations": int, "proposal_sd": float, "bounds": tuple}
 PMMH_KEYS = {"inner_particles", *PMMH_CASTS}
@@ -96,7 +99,7 @@ DEFAULTS = {
 }
 
 
-def load_config(path: str | None) -> dict:
+def load_config(path: str | None, verb: str) -> dict:
     if path is None:
         return {}
     try:
@@ -107,6 +110,9 @@ def load_config(path: str | None) -> dict:
     unknown = set(cfg) - RUN_KEYS
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+    sweep_only = set(cfg) & SWEEP_KEYS
+    if sweep_only and verb != "sweep":
+        raise ConfigError(f"config keys {sorted(sweep_only)} are read by sweep only")
     if "pmmh" in cfg:
         bad = set(cfg["pmmh"]) - PMMH_KEYS
         if bad:
@@ -117,7 +123,7 @@ def load_config(path: str | None) -> dict:
 def merged_config(args) -> dict:
     """Defaults, then the config file, then every flag given: each flag's dest is its key."""
     cfg = dict(DEFAULTS)
-    cfg.update(load_config(args.config))
+    cfg.update(load_config(args.config, args.verb))
     cfg.update({k: v for k, v in vars(args).items() if k in RUN_KEYS and v is not None})
     if cfg.get("model") is None:
         raise ConfigError("a model name is required (--model or config file)")
@@ -329,7 +335,7 @@ def cmd_run(args) -> int:
 
 
 def _sweep_cells(cfg: dict) -> list[dict]:
-    cell = {k: v for k, v in cfg.items() if k not in ("particles", "approx_samples_list", "seeds", "workers")}
+    cell = {k: v for k, v in cfg.items() if k not in SWEEP_KEYS}
     return [
         {**cell, "n_particles": int(n), "approx_samples": int(m), "seed": int(s)}
         for n in cfg.get("particles") or [cfg["n_particles"]]

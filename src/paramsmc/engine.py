@@ -69,12 +69,8 @@ class FilterConfig:
     shrinkage: float = 0.98
     permute_hook: tuple[int, np.ndarray] | None = None
 
-    def resolved_family(self, model: DynamicModel) -> str:
-        if self.family == "auto":
-            return "discrete" if model.param_kind == "discrete" else "gaussian"
-        return self.family
-
-    def validate(self, model: DynamicModel) -> None:
+    def validate(self, model: DynamicModel) -> str:
+        """Raise ConfigError on a setting this model cannot run with; return the resolved family."""
         if self.n_particles < 1:
             raise ConfigError("need at least one particle")
         if self.resample not in RESAMPLERS:
@@ -83,22 +79,16 @@ class FilterConfig:
             raise ConfigError(f"mixture_size must be >= 1, got {self.mixture_size}")
         if not 0.0 <= self.shrinkage <= 1.0:
             raise ConfigError(f"shrinkage must be in [0, 1], got {self.shrinkage}")
-        family = self.resolved_family(model)
+        family = self.family
+        if family == "auto":
+            family = "discrete" if model.param_kind == "discrete" else "gaussian"
         if family not in ("gaussian", "mixture", "discrete"):
             raise ConfigError(f"unknown approximation family {family!r}")
         if family == "discrete" and model.param_kind != "discrete":
             raise ConfigError("discrete approximation needs discrete parameters")
         if family in ("gaussian", "mixture") and model.param_kind != "continuous":
             raise ConfigError(f"{family} approximation needs continuous parameters")
-
-
-def resolve_scheme(scheme: MomentScheme, p: int) -> tuple[MomentScheme, str | None]:
-    """Swap in a feasible scheme when the tensor grid would blow up."""
-    if scheme.kind == "gauss_hermite" and (p > 4 or scheme.over_budget(p)):
-        return replace(scheme, kind="unscented"), (
-            f"gauss_hermite infeasible at p={p}; fell back to unscented"
-        )
-    return scheme, None
+        return family
 
 
 class _PointCloud(Cloud):
@@ -138,7 +128,7 @@ class _PointCloud(Cloud):
         cov = dev.T @ dev / self.n
         if self.cards is not None:
             tables = code_tables(thetas, self.cards)
-            return FusedPosterior("tables", mean, cov, tables=tables, cardinalities=self.cards)
+            return FusedPosterior("tables", mean, cov, tables=tables)
         weights = np.full(self.n, 1.0 / self.n)
         return FusedPosterior("points", mean, cov, points=thetas, point_weights=weights)
 
@@ -177,32 +167,46 @@ def _stratified_split(mean: np.ndarray, cov: np.ndarray, l: int) -> tuple[np.nda
     return means, np.full((l, 1, 1), comp_var)
 
 
-def _build_cloud(model: DynamicModel, config: FilterConfig, scheme: MomentScheme, mode: str):
+def _build_cloud(model: DynamicModel, config: FilterConfig, algorithm: str):
+    """Resolve a filter run's settings against the model and build its parameter cloud.
+
+    algorithm is the public id: "api", "pf" or "liu-west".  Every setting
+    the model cannot run with raises ConfigError here.  The joint
+    filter's Gauss-Hermite grid falls back to unscented points at p > 4
+    or past the quadrature point budget.  Returns (cloud, scheme, notes):
+    the scheme the run's updates use and the run's notes on it.
+    """
+    family = config.validate(model)
     n = config.n_particles
     p = model.dims()[0]
-    if mode != "api":
-        if mode == "liu_west" and model.param_kind != "continuous":
+    scheme, notes = config.scheme, {}
+    if algorithm != "api":
+        if algorithm == "liu-west" and model.param_kind != "continuous":
             raise UnsupportedParameterKindError(
                 "the kernel-perturbation filter supports continuous parameters only"
             )
         thetas = model.param_prior_sample(substream(config.seed, streams.PARAM_INIT), n)
         if model.param_kind == "discrete":
-            return _PointCloud(thetas.astype(np.int64), cardinalities=model.param_cardinalities)
-        if mode == "pf":
-            return _PointCloud(thetas.astype(np.float64))
-        rng = substream(config.seed, streams.PERTURB)
-        return _PointCloud(thetas.astype(np.float64), shrinkage=config.shrinkage, rng=rng)
-    family = config.resolved_family(model)
+            cloud = _PointCloud(thetas.astype(np.int64), cardinalities=model.param_cardinalities)
+        elif algorithm == "pf":
+            cloud = _PointCloud(thetas.astype(np.float64))
+        else:
+            rng = substream(config.seed, streams.PERTURB)
+            cloud = _PointCloud(thetas.astype(np.float64), shrinkage=config.shrinkage, rng=rng)
+        return cloud, scheme, notes
     if p == 0:
         raise ConfigError("model has no parameters to approximate")
+    if family != "discrete" and scheme.kind == "gauss_hermite" and (p > 4 or scheme.over_budget(p)):
+        scheme = replace(scheme, kind="unscented")
+        notes["scheme"] = f"gauss_hermite infeasible at p={p}; fell back to unscented"
     if family == "gaussian":
-        return GaussianApprox(*model.param_prior_moments()).cloud(n)
+        return GaussianApprox(*model.param_prior_moments()).cloud(n), scheme, notes
     if family == "mixture":
         mean, cov = model.param_prior_moments()
         l = config.mixture_size
         alphas = np.full(l, 1.0 / l)
         if p == 1:
-            return MixtureApprox(alphas, *_stratified_split(mean, cov, l)).cloud(n)
+            return MixtureApprox(alphas, *_stratified_split(mean, cov, l)).cloud(n), scheme, notes
         # Liu-West-style kernel over prior draws: shrinking the draws toward
         # the prior mean by a = sqrt(1 - 1/L) leaves (1 - 1/L) of the prior
         # covariance in the component means, and each component carries the
@@ -210,28 +214,24 @@ def _build_cloud(model: DynamicModel, config: FilterConfig, scheme: MomentScheme
         rng = substream(config.seed, streams.PARAM_INIT)
         draws = model.param_prior_sample(rng, n * l).reshape(n, l, p)
         a = np.sqrt(1.0 - 1.0 / l)
-        return MixtureCloud(
+        cloud = MixtureCloud(
             alphas=np.broadcast_to(alphas, (n, l)),
             means=a * draws + (1.0 - a) * mean,
             covs=np.broadcast_to(cov / l, (n, l, p, p)),
         )
+        return cloud, scheme, notes
     tables = FactorizedDiscreteApprox(model.param_prior_tables(), model.param_cardinalities)
-    return tables.cloud(n, scheme.m)
+    return tables.cloud(n, scheme.m), scheme, notes
 
 
-def _run_filter(model: DynamicModel, observations, config: FilterConfig, mode: str) -> RunResult:
-    config.validate(model)
+def _run_filter(model: DynamicModel, observations, config: FilterConfig, algorithm: str) -> RunResult:
+    cloud, scheme, notes = _build_cloud(model, config, algorithm)
     p, d, m = model.dims()
     obs = np.asarray(observations, dtype=np.float64).reshape(-1, m)
     if obs.shape[0] == 0:
         raise ConfigError("observations must be nonempty")
     n = config.n_particles
     n_steps = obs.shape[0]
-
-    scheme, scheme_note = (config.scheme, None)
-    if mode == "api" and config.resolved_family(model) in ("gaussian", "mixture"):
-        scheme, scheme_note = resolve_scheme(config.scheme, p)
-    cloud = _build_cloud(model, config, scheme, mode)
     store = ParticleStore(n, d, model.markov_order())
     seed = config.seed
     rng_param_draw, rng_moment = substream(seed, streams.PARAM_DRAW), substream(seed, streams.MOMENT)
@@ -263,7 +263,7 @@ def _run_filter(model: DynamicModel, observations, config: FilterConfig, mode: s
     run_start = stamps[0] = time.perf_counter()
 
     # step t's time runs from the end of step t - 1, so it holds the generator's work
-    for t, x, windows, _, w, increment, anc in steps:
+    for t, x, windows, w, increment, anc in steps:
         ess_trace[t] = ess(w)
         state_mean[t] = w @ x
         log_ml += increment
@@ -278,15 +278,12 @@ def _run_filter(model: DynamicModel, observations, config: FilterConfig, mode: s
             tables_trace[t] = fused.tables
         stamps[t + 1] = time.perf_counter()
 
-    notes = {}
-    if scheme_note:
-        notes["scheme"] = scheme_note
     if degenerate_updates:
         notes["degenerate_updates"] = degenerate_updates
 
     approximating = cloud.kind != "points"
     return RunResult(
-        algorithm={"api": "api", "pf": "pf", "liu_west": "liu-west"}[mode],
+        algorithm=algorithm,
         n_particles=n,
         approx_samples=scheme.m if approximating else 0,
         mixture_size=config.mixture_size if cloud.kind == "mixture" else 1,
@@ -317,7 +314,7 @@ def run_bootstrap_filter(model, observations, config: FilterConfig) -> RunResult
 
 def run_liu_west_filter(model, observations, config: FilterConfig) -> RunResult:
     """Bootstrap filter plus shrinkage kernel perturbation of the parameters."""
-    return _run_filter(model, observations, config, "liu_west")
+    return _run_filter(model, observations, config, "liu-west")
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ class TotalDegeneracyError(EngineError):
     """Every particle weight is zero; the run cannot continue."""
 
 
-class UnsupportedParameterKindError(EngineError):
+class UnsupportedParameterKindError(ConfigError):
     """The algorithm cannot handle the model's parameter kind."""
 
 
@@ -30,4 +30,4 @@ class SingularCovarianceError(EngineError):
 
 
 class PointBudgetError(EngineError):
-    """A deterministic quadrature grid exceeds the configured point budget."""
+    """A deterministic quadrature grid or exact enumeration exceeds its point budget."""

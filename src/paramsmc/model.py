@@ -255,7 +255,7 @@ def bootstrap_steps(model, obs, thetas_at, store, rng_init, rng_prop, rng_res, r
 
     At parameters thetas_at(t), x_t comes from the state prior (rng_init)
     at t = 0 and from the transition (rng_prop) after; the ancestors from
-    resample(w, rng_res).  Yields (t, x, windows, logw, w, log-evidence
+    resample(w, rng_res).  Yields (t, x, windows, w, log-evidence
     increment, ancestors); windows is None at t = 0.  Asked for the next
     step, it advances the store by x and the ancestors, which builds new
     windows and leaves the yielded ones as they were.  Raises
@@ -269,10 +269,9 @@ def bootstrap_steps(model, obs, thetas_at, store, rng_init, rng_prop, rng_res, r
         else:
             windows = store.window()
             x = model.transition_sample(rng_prop, t, windows, thetas)
-        logw = model.obs_logdensity(t, obs[t], x, thetas)
-        w, increment = weigh_log_weights(logw)
+        w, increment = weigh_log_weights(model.obs_logdensity(t, obs[t], x, thetas))
         anc = resample(w, rng_res)
-        yield t, x, windows, logw, w, increment, anc
+        yield t, x, windows, w, increment, anc
         store.advance(x, anc)
 
 

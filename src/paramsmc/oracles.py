@@ -13,11 +13,14 @@ import numpy as np
 from .benchmarks import LinearGaussianModel, SlamModel
 from .errors import PointBudgetError, TotalDegeneracyError
 from .model import bootstrap_steps, gaussian_logpdf
-from .resampling import log_mean_exp, multinomial_resample, normalize_log_weights
+from .resampling import log_mean_exp, multinomial_resample, weigh_log_weights
 from .rng import CHAIN, substream
 from .storage import ParticleStore
 
+# Largest joint (map, location) space slam_exact_forward enumerates.
 EXACT_JOINT_BUDGET = 300_000
+# Floor on estimated table entries in kl_factorized.
+KL_FLOOR = 1e-12
 
 
 @dataclass
@@ -47,16 +50,12 @@ class GridPosterior:
         return float(self.grid[np.argmax(self.masses)])
 
 
-def slam_exact_forward(
-    model: SlamModel,
-    observations: np.ndarray,
-    joint_budget: int = EXACT_JOINT_BUDGET,
-) -> ExactDiscretePosterior:
+def slam_exact_forward(model: SlamModel, observations: np.ndarray) -> ExactDiscretePosterior:
     """Exact forward recursion over the joint (map, location) chain.
 
     Enumerates all n_labels**n_cells maps and runs the location HMM
     forward for each of them simultaneously.  Refuses instances whose
-    joint state space exceeds joint_budget.
+    joint state space exceeds EXACT_JOINT_BUDGET.
 
     Args:
         model: the SLAM instance (actions, noise levels, priors).
@@ -64,9 +63,9 @@ def slam_exact_forward(
             from 0 to the number of actions; may be empty for the prior.
     """
     n_maps = model.n_labels**model.n_cells
-    if n_maps * model.n_cells > joint_budget:
+    if n_maps * model.n_cells > EXACT_JOINT_BUDGET:
         raise PointBudgetError(
-            f"joint space {n_maps}*{model.n_cells} exceeds budget {joint_budget}"
+            f"joint space {n_maps}*{model.n_cells} exceeds budget {EXACT_JOINT_BUDGET}"
         )
     obs = np.asarray(observations, dtype=np.float64).reshape(-1)
     # maps[k, i] = label of cell i under map hypothesis k
@@ -156,8 +155,9 @@ def pf_log_likelihood(model, theta, observations, n_particles, rng) -> float:
     store = ParticleStore(n_particles, d, model.markov_order())
     total = 0.0
     try:
-        for step in bootstrap_steps(model, obs, lambda t: thetas, store, rng, rng, rng, multinomial_resample):
-            total += step[5]
+        steps = bootstrap_steps(model, obs, lambda t: thetas, store, rng, rng, rng, multinomial_resample)
+        for _t, _x, _windows, _w, increment, _anc in steps:
+            total += increment
     except TotalDegeneracyError:
         return -np.inf
     return float(total)
@@ -201,22 +201,18 @@ def grid_posterior(
         else:
             raise ValueError(f"unknown likelihood mode {likelihood!r}")
         log_post[i] = prior + ll
-    return GridPosterior(grid=grid, masses=normalize_log_weights(log_post))
+    return GridPosterior(grid=grid, masses=weigh_log_weights(log_post)[0])
 
 
-def kl_factorized(
-    estimate: np.ndarray,
-    exact: np.ndarray,
-    floor: float = 1e-12,
-) -> float:
+def kl_factorized(estimate: np.ndarray, exact: np.ndarray) -> float:
     """Summed per-cell KL(exact || estimate) between factorized tables.
 
-    The estimate entries are floored at `floor` and renormalized per cell
+    The estimate entries are floored at KL_FLOOR and renormalized per cell
     before the divergence is taken, so empty estimated cells contribute a
     large-but-finite penalty instead of infinity.
     """
     exact = np.asarray(exact, dtype=np.float64)
-    estimate = np.maximum(np.asarray(estimate, dtype=np.float64), floor)
+    estimate = np.maximum(np.asarray(estimate, dtype=np.float64), KL_FLOOR)
     estimate = estimate / estimate.sum(axis=-1, keepdims=True)
     ratio = np.zeros_like(exact)
     positive = exact > 0

@@ -12,6 +12,9 @@ from functools import lru_cache
 
 import numpy as np
 
+# Largest tensor grid (m**p points) a Gauss-Hermite rule builds; past it
+# approx.batch_gaussian_points raises and the joint filter falls back to
+# unscented points.
 DEFAULT_POINT_BUDGET = 100_000
 
 

@@ -1,7 +1,7 @@
 """Weight normalization, resampling, and degeneracy diagnostics.
 
 The resamplers and ess take the normalized weights that
-weigh_log_weights (or normalize_log_weights) returns and the filters hold.
+weigh_log_weights returns and the filters hold.
 """
 
 import math
@@ -36,37 +36,24 @@ def weigh_log_weights(log_weights: np.ndarray) -> tuple[np.ndarray, float]:
     return w, float(m + np.log(s / lw.size))
 
 
-def normalize_log_weights(log_weights: np.ndarray) -> np.ndarray:
-    """Exponentiate max-shifted log weights and normalize to sum one (see weigh_log_weights)."""
-    return weigh_log_weights(log_weights)[0]
+def multinomial_resample(weights: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Draw one ancestor index per weight, i.i.d. from normalized weights.
 
-
-def multinomial_resample(
-    weights: np.ndarray,
-    rng: np.random.Generator,
-    size: int | None = None,
-) -> np.ndarray:
-    """Draw ancestor indices i.i.d. from normalized weights.
-
-    weights must sum to one, as normalize_log_weights returns them.  The
+    weights must sum to one, as weigh_log_weights returns them.  The
     indices come out sorted ascending.  Sorting an i.i.d. multinomial
     sample is distribution-preserving for the unordered ancestor
     multiset, which is all resampling consumes.
     """
-    n = weights.shape[0] if size is None else size
+    n = weights.shape[0]
     counts = rng.multinomial(n, weights)
-    return np.arange(weights.shape[0]).repeat(counts)
+    return np.arange(n).repeat(counts)
 
 
-def systematic_resample(
-    weights: np.ndarray,
-    rng: np.random.Generator,
-    size: int | None = None,
-) -> np.ndarray:
+def systematic_resample(weights: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Low-variance systematic resampling of normalized weights; sorted by construction."""
-    n = weights.shape[0] if size is None else size
+    n = weights.shape[0]
     positions = (np.arange(n) + rng.random()) / n
-    return np.searchsorted(np.cumsum(weights), positions).clip(max=weights.shape[0] - 1)
+    return np.searchsorted(np.cumsum(weights), positions).clip(max=n - 1)
 
 
 RESAMPLERS = {

@@ -25,7 +25,6 @@ class FusedPosterior:
     mixture_means: np.ndarray | None = None
     mixture_covs: np.ndarray | None = None
     tables: np.ndarray | None = None
-    cardinalities: np.ndarray | None = None
     points: np.ndarray | None = None
     point_weights: np.ndarray | None = None
 

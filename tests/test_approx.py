@@ -35,7 +35,7 @@ from paramsmc.approx import (
 )
 from paramsmc.errors import DegenerateUpdateError, PointBudgetError
 from paramsmc.model import gaussian_logpdf
-from paramsmc.quadrature import standard_gauss_hermite_grid
+from paramsmc.quadrature import DEFAULT_POINT_BUDGET, standard_gauss_hermite_grid
 from paramsmc.rng import substream
 
 
@@ -135,10 +135,11 @@ class TestGaussianUpdate:
             gaussian_update(q, lambda th: -30.0 * (th[:, 0] - 1.272) ** 2, gauss_hermite(7))
 
     def test_point_budget_checked_before_the_grid_is_built(self):
+        assert 11**5 > DEFAULT_POINT_BUDGET
         standard_gauss_hermite_grid.cache_clear()
-        q = GaussianApprox(np.zeros(3), np.eye(3))
+        q = GaussianApprox(np.zeros(5), np.eye(5))
         with pytest.raises(PointBudgetError):
-            gaussian_update(q, lambda th: np.zeros(th.shape[0]), MomentScheme("gauss_hermite", 11, 100))
+            gaussian_update(q, lambda th: np.zeros(th.shape[0]), MomentScheme("gauss_hermite", 11))
         assert standard_gauss_hermite_grid.cache_info().misses == 0
 
     def test_monte_carlo_convergence_rate(self):

@@ -273,6 +273,29 @@ class TestRun:
         assert "config error" in capsys.readouterr().err
         assert list(tmp_path.glob("res*")) == []
 
+    @pytest.mark.parametrize("flags", [["--algorithm", "liu-west"], ["--algorithm", "api", "--family", "gaussian"]])
+    def test_algorithm_that_does_not_fit_the_model_exits_2(self, tmp_path, capsys, flags):
+        # liu-west on discrete parameters exited 1 with "error:"
+        traj = tmp_path / "slam.csv"
+        main(["simulate", "--model", "slam-small", "--seed", "2", "--out", str(traj)])
+        argv = ["run", "--model", "slam-small", *flags, "--particles", "8", "--data", str(traj)]
+        assert main([*argv, "--out", str(tmp_path / "res")]) == 2
+        assert "config error:" in capsys.readouterr().err
+        assert list(tmp_path.glob("res*")) == []
+
+    @pytest.mark.parametrize("verb", ["run", "simulate", "oracle"])
+    @pytest.mark.parametrize(
+        "key, value",
+        [("particles", [7]), ("approx_samples_list", [3]), ("seeds", [1, 2]), ("workers", 2)],
+    )
+    def test_sweep_only_key_exits_2_outside_sweep(self, tmp_path, capsys, verb, key, value):
+        # run ignored "particles": 7 and ran N = 1000
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"model": "sin", "algorithm": "pf", "data_seed": 1, "steps": 5, key: value}))
+        assert main([verb, "--config", str(cfg), "--out", str(tmp_path / "res")]) == 2
+        assert "read by sweep only" in capsys.readouterr().err
+        assert list(tmp_path.glob("res*")) == []
+
     def test_fixed_theta_lg_simulates_and_runs_from_a_data_seed(self, tmp_path):
         # the default generating parameters were lg's [0.7] although this model has p = 0
         cfg = tmp_path / "cfg.json"
@@ -393,6 +416,14 @@ class TestSweep:
         assert len(groups) == 8
         summary = json.loads((tmp_path / "sweep.json").read_text())
         assert len(summary["runs"]) == 8
+
+    def test_sweep_keys_from_a_config_file(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        keys = {"particles": [7], "approx_samples_list": [3], "seeds": [1, 2], "workers": 1}
+        cfg.write_text(json.dumps({"model": "sin", "algorithm": "pf", "data_seed": 1, "steps": 5, **keys}))
+        assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "sweep")]) == 0
+        rows = read_result_csv(tmp_path / "sweep.csv")
+        assert {(r.n_particles, r.seed) for r in rows} == {(7, 1), (7, 2)}
 
 
 class TestOracleVerb:

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from paramsmc.approx import gauss_hermite_points, unscented_points
 from paramsmc.errors import PointBudgetError, SingularCovarianceError
-from paramsmc.quadrature import gauss_hermite_1d
+from paramsmc.quadrature import DEFAULT_POINT_BUDGET, gauss_hermite_1d
 
 
 def gaussian_moment(r: int) -> float:
@@ -68,8 +68,9 @@ class TestGaussHermite:
         assert np.allclose(est_cov, cov, atol=1e-10)
 
     def test_point_budget(self):
+        assert 7**8 > DEFAULT_POINT_BUDGET
         with pytest.raises(PointBudgetError):
-            gauss_hermite_points(np.zeros(8), np.eye(8), 7, point_budget=10_000)
+            gauss_hermite_points(np.zeros(8), np.eye(8), 7)
 
     def test_singular_covariance(self):
         with pytest.raises(SingularCovarianceError):

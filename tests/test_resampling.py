@@ -1,7 +1,7 @@
 """Resampling distributional checks and weight diagnostics.
 
 The resamplers and ess take normalized weights, as the filters hold
-them; the tests build those with normalize_log_weights from log weights.
+them; the tests build those with weigh_log_weights from log weights.
 """
 
 import numpy as np
@@ -17,7 +17,6 @@ from paramsmc.resampling import (
     ess,
     log_mean_exp,
     multinomial_resample,
-    normalize_log_weights,
     systematic_resample,
     weigh_log_weights,
 )
@@ -31,7 +30,7 @@ class TestMultinomial:
         counts = np.zeros(4)
         n_rounds = 100_000 // 4
         for _ in range(n_rounds):
-            anc = multinomial_resample(normalize_log_weights(logw), rng)
+            anc = multinomial_resample(weigh_log_weights(logw)[0], rng)
             counts += np.bincount(anc, minlength=4)
         total = counts.sum()
         freq = counts / total
@@ -40,7 +39,7 @@ class TestMultinomial:
 
     def test_point_mass(self):
         logw = np.log(np.array([0.0, 0.0, 1.0, 0.0]) + 1e-300)
-        anc = multinomial_resample(normalize_log_weights(logw), substream(1, 0))
+        anc = multinomial_resample(weigh_log_weights(logw)[0], substream(1, 0))
         assert np.all(anc == 2)
 
     def test_chi_square_on_skewed_weights(self):
@@ -50,7 +49,7 @@ class TestMultinomial:
         n_draws = 100_000
         counts = np.zeros(4)
         for _ in range(n_draws // 4):
-            counts += np.bincount(multinomial_resample(normalize_log_weights(logw), rng), minlength=4)
+            counts += np.bincount(multinomial_resample(weigh_log_weights(logw)[0], rng), minlength=4)
         expected = w / w.sum() * counts.sum()
         chi2 = stats.chisquare(counts, expected)
         assert chi2.pvalue > 0.01
@@ -58,55 +57,50 @@ class TestMultinomial:
     def test_sorted_output(self):
         rng = substream(3, 0)
         logw = rng.standard_normal(257)
-        anc = multinomial_resample(normalize_log_weights(logw), substream(3, 1))
+        anc = multinomial_resample(weigh_log_weights(logw)[0], substream(3, 1))
         assert np.all(np.diff(anc) >= 0)
 
     @settings(max_examples=25)
     @given(st.integers(0, 10_000), st.floats(-200, 200))
     def test_shift_invariance(self, seed, shift):
-        # through the composition the filters use: normalize, then resample
+        # through the composition the filters use: weigh, then resample
         logw = substream(seed, 0).standard_normal(64)
-        a = multinomial_resample(normalize_log_weights(logw), substream(seed, 1))
-        b = multinomial_resample(normalize_log_weights(logw + shift), substream(seed, 1))
+        a = multinomial_resample(weigh_log_weights(logw)[0], substream(seed, 1))
+        b = multinomial_resample(weigh_log_weights(logw + shift)[0], substream(seed, 1))
         assert np.array_equal(a, b)
-
-    def test_size_override(self):
-        anc = multinomial_resample(np.full(10, 0.1), substream(5, 0), size=33)
-        assert anc.shape == (33,)
-        assert np.all((anc >= 0) & (anc < 10))
 
 
 class TestSystematic:
     def test_sorted_and_in_range(self):
         logw = substream(6, 0).standard_normal(100)
-        anc = systematic_resample(normalize_log_weights(logw), substream(6, 1))
+        anc = systematic_resample(weigh_log_weights(logw)[0], substream(6, 1))
         assert np.all(np.diff(anc) >= 0)
         assert np.all((anc >= 0) & (anc < 100))
 
     def test_uniform_weights_give_near_identity(self):
-        anc = systematic_resample(normalize_log_weights(np.zeros(100)), substream(7, 0))
+        anc = systematic_resample(weigh_log_weights(np.zeros(100))[0], substream(7, 0))
         # each index appears exactly once under uniform weights
         assert np.array_equal(np.sort(anc), np.arange(100))
 
 
 class TestEss:
     def test_uniform(self):
-        assert np.isclose(ess(normalize_log_weights(np.zeros(50))), 50.0)
+        assert np.isclose(ess(weigh_log_weights(np.zeros(50))[0]), 50.0)
 
     def test_point_mass(self):
         logw = np.log(np.array([1e-300, 1.0, 1e-300]))
-        assert np.isclose(ess(normalize_log_weights(logw)), 1.0, atol=1e-6)
+        assert np.isclose(ess(weigh_log_weights(logw)[0]), 1.0, atol=1e-6)
 
     def test_hand_computed(self):
         # w = (1, 1, 2): (sum w)^2 / sum w^2 = 16/6
-        w = normalize_log_weights(np.log(np.array([1.0, 1.0, 2.0])))
+        w = weigh_log_weights(np.log(np.array([1.0, 1.0, 2.0])))[0]
         assert np.isclose(ess(w), 16.0 / 6.0)
 
     @settings(max_examples=30)
     @given(st.integers(2, 200), st.integers(0, 10_000))
     def test_bounds(self, n, seed):
         logw = substream(seed, 0).standard_normal(n) * 3
-        val = ess(normalize_log_weights(logw))
+        val = ess(weigh_log_weights(logw)[0])
         assert 1.0 - 1e-9 <= val <= n + 1e-9
 
 
@@ -126,7 +120,7 @@ def reference_log_mean_exp(log_values):
 
 
 def reference_normalize_log_weights(log_weights):
-    """The separate-NaN-pass formula normalize_log_weights is required to equal."""
+    """The separate-NaN-pass formula weigh_log_weights's weights are required to equal."""
     lw = np.asarray(log_weights, dtype=np.float64)
     if np.any(np.isnan(lw)):
         raise TotalDegeneracyError("NaN particle weight")
@@ -174,7 +168,7 @@ class TestAgainstReferenceFormulas:
     @pytest.mark.parametrize("case", range(len(reference_inputs())))
     def test_normalize_bits(self, case):
         lw = reference_inputs()[case]
-        assert same_bits(normalize_log_weights(lw), reference_normalize_log_weights(lw))
+        assert same_bits(weigh_log_weights(lw)[0], reference_normalize_log_weights(lw))
 
     @pytest.mark.parametrize(
         "lw",
@@ -191,17 +185,15 @@ class TestAgainstReferenceFormulas:
     def test_normalize_error_messages(self, lw):
         with pytest.raises(TotalDegeneracyError) as expected:
             reference_normalize_log_weights(np.array(lw))
-        for weigh in (normalize_log_weights, weigh_log_weights):
-            with pytest.raises(TotalDegeneracyError) as got:
-                weigh(np.array(lw))
-            assert str(got.value) == str(expected.value)
+        with pytest.raises(TotalDegeneracyError) as got:
+            weigh_log_weights(np.array(lw))
+        assert str(got.value) == str(expected.value)
 
     @pytest.mark.parametrize("case", range(len(weigh_inputs())))
     def test_weigh_is_normalize_and_log_mean_exp_bits(self, case):
         lw = weigh_inputs()[case]
         w, increment = weigh_log_weights(lw)
         assert same_bits(w, reference_normalize_log_weights(lw))
-        assert same_bits(w, normalize_log_weights(lw))
         assert type(increment) is float
         assert same_bits(increment, reference_log_mean_exp(lw))
         assert same_bits(increment, log_mean_exp(lw))
@@ -227,7 +219,7 @@ class TestAgainstReferenceFormulas:
     @pytest.mark.parametrize("seed", range(5))
     def test_distinct_sorted_on_resampler_output(self, name, seed):
         rng = substream(22, seed)
-        w = normalize_log_weights(rng.standard_normal(200) * 2)
+        w = weigh_log_weights(rng.standard_normal(200) * 2)[0]
         anc = RESAMPLERS[name](w, rng)
         unique, inverse = distinct_sorted(anc)
         ref_unique, ref_inverse = np.unique(anc, return_inverse=True)
@@ -255,14 +247,14 @@ class TestNormalize:
     @given(st.integers(0, 10_000))
     def test_simplex(self, seed):
         logw = substream(seed, 0).standard_normal(32) * 5
-        w = normalize_log_weights(logw)
+        w = weigh_log_weights(logw)[0]
         assert np.isclose(w.sum(), 1.0)
         assert np.all(w >= 0)
 
     def test_all_zero_weights_abort(self):
         with pytest.raises(TotalDegeneracyError):
-            normalize_log_weights(np.full(8, -np.inf))
+            weigh_log_weights(np.full(8, -np.inf))
 
     def test_nan_weight_aborts(self):
         with pytest.raises(TotalDegeneracyError):
-            normalize_log_weights(np.array([0.0, np.nan]))
+            weigh_log_weights(np.array([0.0, np.nan]))
