@@ -17,7 +17,9 @@ degeneracy abort.
 
 import argparse
 import hashlib
+import itertools
 import json
+import numbers
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -49,39 +51,26 @@ from .oracles import grid_posterior, kalman_filter, kl_factorized, slam_exact_fo
 from .resampling import RESAMPLERS
 from .rng import substream
 
+# The lists a sweep's cells range over, each with the key a cell sets from it.
+SWEEP_AXES = {"particles": "n_particles", "approx_samples_list": "approx_samples", "seeds": "seed"}
+# Keys only sweep reads: its lists and its worker count.
+SWEEP_KEYS = {*SWEEP_AXES, "workers"}
+# Keys only PMMH reads, and keys only the filters read.
+PMMH_ONLY_KEYS = {"pmmh", "time_budget_s"}
+FILTER_ONLY_KEYS = {
+    "approx_samples", "approx_samples_list", "scheme", "family", "mixture_size", "resample", "shrinkage"
+}
+# Every key a config may give.
 RUN_KEYS = {
-    "model",
-    "model_overrides",
-    "algorithm",
-    "n_particles",
-    "approx_samples",
-    "mixture_size",
-    "scheme",
-    "family",
-    "seed",
-    "seeds",
-    "data",
-    "data_seed",
-    "steps",
-    "true_params",
-    "truth",
-    "exact",
-    "out",
-    "resample",
-    "shrinkage",
-    "time_budget_s",
-    "pmmh",
-    "workers",
-    "particles",
-    "approx_samples_list",
+    *("model", "model_overrides", "algorithm", "n_particles", "seed", "out"),
+    *("data", "data_seed", "steps", "true_params", "truth", "exact"),
+    *SWEEP_KEYS,
+    *PMMH_ONLY_KEYS,
+    *FILTER_ONLY_KEYS,
 }
 
-# Keys only sweep reads: the lists its cells range over and its worker count.
-SWEEP_KEYS = {"particles", "approx_samples_list", "seeds", "workers"}
-
-# Converters for the pmmh keys a config may give; PmmhConfig holds their defaults.
-PMMH_CASTS = {"iterations": int, "proposal_sd": float, "bounds": tuple}
-PMMH_KEYS = {"inner_particles", *PMMH_CASTS}
+# The type of each pmmh key a config may give (see _number); PmmhConfig holds their defaults.
+PMMH_KEYS = {"inner_particles": int, "iterations": int, "proposal_sd": float, "bounds": [float]}
 
 _FILTER_DEFAULTS = FilterConfig(n_particles=1000)
 DEFAULTS = {
@@ -113,24 +102,49 @@ def load_config(path: str | None, verb: str) -> dict:
     sweep_only = set(cfg) & SWEEP_KEYS
     if sweep_only and verb != "sweep":
         raise ConfigError(f"config keys {sorted(sweep_only)} are read by sweep only")
-    if "pmmh" in cfg:
-        bad = set(cfg["pmmh"]) - PMMH_KEYS
-        if bad:
-            raise ConfigError(f"unknown pmmh keys: {sorted(bad)}")
+    pmmh = cfg.get("pmmh", {})
+    if not isinstance(pmmh, dict):
+        raise ConfigError(f"pmmh must be an object of PMMH settings, got {pmmh!r}")
+    bad = set(pmmh) - set(PMMH_KEYS)
+    if bad:
+        raise ConfigError(f"unknown pmmh keys: {sorted(bad)}")
     return cfg
 
 
 def merged_config(args) -> dict:
-    """Defaults, then the config file, then every flag given: each flag's dest is its key."""
-    cfg = dict(DEFAULTS)
-    cfg.update(load_config(args.config, args.verb))
-    cfg.update({k: v for k, v in vars(args).items() if k in RUN_KEYS and v is not None})
+    """Defaults, then the config file, then every flag given: each flag's dest is its key.
+
+    Under run and sweep, a key the chosen algorithm never reads is an error.
+    """
+    given = load_config(args.config, args.verb)
+    given.update({k: v for k, v in vars(args).items() if k in RUN_KEYS and v is not None})
+    cfg = {**DEFAULTS, **given}
     if cfg.get("model") is None:
         raise ConfigError("a model name is required (--model or config file)")
+    if args.verb in ("run", "sweep"):
+        unread = set(given) & (FILTER_ONLY_KEYS if cfg["algorithm"] == "pmmh" else PMMH_ONLY_KEYS)
+        if unread:
+            raise ConfigError(f"config keys {sorted(unread)} are not read by algorithm {cfg['algorithm']!r}")
     for key in ("data", "exact"):
         if cfg.get(key) and not os.path.isfile(cfg[key]):
             raise ConfigError(f"{key} file {cfg[key]} not found")
     return cfg
+
+
+def _number(key: str, value, kind):
+    """value as kind, or a ConfigError naming key.
+
+    kind is int, float, or [int] or [float] for a list of them, returned as
+    a tuple.  A bool or a string is not a number, and an int is integral.
+    """
+    if isinstance(kind, list):
+        if isinstance(value, (list, tuple)):
+            return tuple(_number(key, v, kind[0]) for v in value)
+    elif isinstance(value, numbers.Real) and not isinstance(value, bool):
+        if kind is float or isinstance(value, numbers.Integral) or float(value).is_integer():
+            return kind(value)
+    noun = "a list" if isinstance(kind, list) else "an integer" if kind is int else "a number"
+    raise ConfigError(f"{key} must be {noun}, got {value!r}")
 
 
 def _parse_vector(text: str) -> list[float]:
@@ -160,13 +174,16 @@ def _build_model(cfg: dict):
     return get_model(cfg["model"], **cfg.get("model_overrides", {}))
 
 
-def _simulate(cfg: dict, model, theta, seed) -> tuple[np.ndarray, np.ndarray]:
-    """A trajectory from the DATA substream of seed.
+def _simulate(cfg: dict, model, theta, seed_key: str) -> tuple[np.ndarray, np.ndarray]:
+    """A trajectory from the DATA substream of cfg[seed_key].
 
     theta defaults to the model's generating parameters and steps to a
     SLAM model's action count.
     """
-    theta = default_true_params(cfg["model"], model) if theta is None else np.asarray(theta, dtype=np.float64)
+    if theta is None:
+        theta = default_true_params(cfg["model"], model)
+    else:
+        theta = np.asarray(_number("true_params", theta, [float]))
     if theta.shape != (model.dims()[0],):
         raise ConfigError(f"generating parameters need {model.dims()[0]} values, got {theta.size}")
     steps = cfg.get("steps")
@@ -174,10 +191,11 @@ def _simulate(cfg: dict, model, theta, seed) -> tuple[np.ndarray, np.ndarray]:
         if not isinstance(model, SlamModel):
             raise ConfigError("steps is required for this model")
         steps = model.n_steps()
-    if int(steps) < 0:
+    steps = _number("steps", steps, int)
+    if steps < 0:
         raise ConfigError(f"steps must be >= 0, got {steps}")
-    rng = substream(int(seed), streams.DATA)
-    return simulate(model, theta, int(steps), rng)
+    rng = substream(_number(seed_key, cfg[seed_key], int), streams.DATA)
+    return simulate(model, theta, steps, rng)
 
 
 def _resolve_data(cfg: dict, model) -> np.ndarray:
@@ -185,7 +203,7 @@ def _resolve_data(cfg: dict, model) -> np.ndarray:
         return read_trajectory_csv(cfg["data"])[1]
     if cfg.get("data_seed") is None:
         raise ConfigError("no dataset: give data (trajectory CSV) or data_seed")
-    return _simulate(cfg, model, cfg.get("true_params"), cfg["data_seed"])[1]
+    return _simulate(cfg, model, cfg.get("true_params"), "data_seed")[1]
 
 
 def _rows(cfg, algorithm, sizes, estimates, spreads, ess=None, ms=None, first_step=0) -> list[ResultRow]:
@@ -193,7 +211,7 @@ def _rows(cfg, algorithm, sizes, estimates, spreads, ess=None, ms=None, first_st
 
     Reference posteriors reuse the run-row schema so files diff cleanly.
     """
-    run_id, seed = _run_id(cfg), int(cfg["seed"])
+    run_id, seed = _run_id(cfg), _number("seed", cfg["seed"], int)
     return [
         ResultRow(
             run_id=run_id,
@@ -220,19 +238,19 @@ def run_experiment(cfg: dict) -> tuple[list[ResultRow], dict]:
     model = _build_model(cfg)
     observations = _resolve_data(cfg, model)
     algorithm = cfg["algorithm"]
-    seed = int(cfg["seed"])
-    truth = cfg.get("truth")
+    seed = _number("seed", cfg["seed"], int)
+    truth = None if cfg.get("truth") is None else _number("truth", cfg["truth"], [float])
     p = model.dims()[0]
     if truth is not None and len(truth) != p:
         raise ConfigError(f"truth has {len(truth)} values but the model has {p} parameters")
 
     if algorithm == "pmmh":
-        pm = cfg.get("pmmh", {})
+        budget = cfg.get("time_budget_s")
+        pm = {"inner_particles": _number("n_particles", cfg["n_particles"], int), **cfg.get("pmmh", {})}
         pconfig = PmmhConfig(
-            inner_particles=int(pm.get("inner_particles", cfg["n_particles"])),
             seed=seed,
-            time_budget_s=cfg.get("time_budget_s"),
-            **{key: cast(pm[key]) for key, cast in PMMH_CASTS.items() if key in pm},
+            time_budget_s=None if budget is None else _number("time_budget_s", budget, float),
+            **{key: _number(f"pmmh.{key}", value, PMMH_KEYS[key]) for key, value in pm.items()},
         )
         result = run_pmmh(model, observations, pconfig)
         sizes = (pconfig.inner_particles, 0, 1)
@@ -248,17 +266,17 @@ def run_experiment(cfg: dict) -> tuple[list[ResultRow], dict]:
         if algorithm not in ALGORITHMS:
             raise ConfigError(f"unknown algorithm {algorithm!r}")
         try:
-            scheme = MomentScheme(kind=cfg["scheme"], m=int(cfg["approx_samples"]))
+            scheme = MomentScheme(kind=cfg["scheme"], m=_number("approx_samples", cfg["approx_samples"], int))
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
         fconfig = FilterConfig(
-            n_particles=int(cfg["n_particles"]),
+            n_particles=_number("n_particles", cfg["n_particles"], int),
             scheme=scheme,
             family=cfg["family"],
-            mixture_size=int(cfg["mixture_size"]),
+            mixture_size=_number("mixture_size", cfg["mixture_size"], int),
             seed=seed,
             resample=cfg["resample"],
-            shrinkage=float(cfg["shrinkage"]),
+            shrinkage=_number("shrinkage", cfg["shrinkage"], float),
         )
         result = ALGORITHMS[algorithm](model, observations, fconfig)
         sizes = (result.n_particles, result.approx_samples, result.mixture_size)
@@ -299,7 +317,7 @@ def run_experiment(cfg: dict) -> tuple[list[ResultRow], dict]:
 
 def cmd_simulate(args) -> int:
     cfg = merged_config(args)
-    states, obs = _simulate(cfg, _build_model(cfg), args.theta, cfg["seed"])
+    states, obs = _simulate(cfg, _build_model(cfg), args.theta, "seed")
     out = cfg.get("out") or "trajectory.csv"
     write_trajectory_csv(out, states, obs)
     print(f"wrote {states.shape[0]} rows to {out}")
@@ -336,18 +354,17 @@ def cmd_run(args) -> int:
 
 def _sweep_cells(cfg: dict) -> list[dict]:
     cell = {k: v for k, v in cfg.items() if k not in SWEEP_KEYS}
-    return [
-        {**cell, "n_particles": int(n), "approx_samples": int(m), "seed": int(s)}
-        for n in cfg.get("particles") or [cfg["n_particles"]]
-        for m in cfg.get("approx_samples_list") or [cfg["approx_samples"]]
-        for s in cfg.get("seeds") or [cfg["seed"]]
+    axes = [
+        _number(many, cfg[many], [int]) if cfg.get(many) else [_number(one, cfg[one], int)]
+        for many, one in SWEEP_AXES.items()
     ]
+    return [{**cell, **dict(zip(SWEEP_AXES.values(), values))} for values in itertools.product(*axes)]
 
 
 def cmd_sweep(args) -> int:
     cfg = merged_config(args)
     cells = _sweep_cells(cfg)
-    workers = int(cfg.get("workers") or min(len(cells), os.cpu_count() or 1))
+    workers = _number("workers", cfg.get("workers") or min(len(cells), os.cpu_count() or 1), int)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(run_experiment, cells))
@@ -412,7 +429,7 @@ def cmd_oracle(args) -> int:
             likelihood="exact" if isinstance(model, LinearGaussianModel) else "pf",
             n_particles=int(args.pf_particles),
             n_replications=int(args.pf_reps),
-            seed=int(cfg["seed"]),
+            seed=_number("seed", cfg["seed"], int),
         )
         _write_columns(base + "_grid.csv", "theta,mass", post.grid, post.masses)
         est, spread = [post.mean()], [post.variance()]

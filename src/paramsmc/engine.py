@@ -347,52 +347,49 @@ class PmmhResult:
     chain: np.ndarray
     log_liks: np.ndarray
     accepted: np.ndarray
-    estimate: np.ndarray
     acceptance_rate: float
     elapsed_s: float
     rejected_nonfinite: int
     iter_ms: np.ndarray
-    param_kind: str = "continuous"
 
     @property
     def n_iterations(self) -> int:
         return self.chain.shape[0] - 1
 
     def burned_in(self) -> np.ndarray:
+        """The last half of the chain; the first half is burn-in."""
         return self.chain[self.chain.shape[0] // 2 :]
+
+    @property
+    def estimate(self) -> np.ndarray:
+        return self.burned_in().mean(axis=0)
 
     def posterior_tables(self, cardinalities: np.ndarray) -> np.ndarray:
         """Marginal code frequencies of the post-burn-in chain."""
         return code_tables(self.burned_in(), cardinalities)
 
 
-def _truncnorm_log_z(theta: np.ndarray, sd: float, lo: float, hi: float) -> float:
-    from scipy.special import ndtr
-
-    z = ndtr((hi - theta) / sd) - ndtr((lo - theta) / sd)
-    return float(np.sum(np.log(z)))
-
-
 def run_pmmh(model: DynamicModel, observations, config: PmmhConfig) -> PmmhResult:
     """Metropolis-Hastings over theta with a particle likelihood estimate.
 
     Continuous parameters move by a truncated-Gaussian random walk inside
-    config.bounds, with the truncation-normalizer ratio included in the
-    acceptance probability.  Discrete parameters redraw one uniformly
-    chosen coordinate from its code set, a symmetric proposal.  The
-    likelihood p(y | theta) is estimated by a fresh bootstrap filter with
+    config.bounds, drawn by inverting the normal CDF between the bounds,
+    with the truncation-normalizer ratio included in the acceptance
+    probability.  Discrete parameters redraw one uniformly chosen
+    coordinate from its code set, a symmetric proposal.  The likelihood
+    p(y | theta) is estimated by a fresh bootstrap filter with
     config.inner_particles at every proposal; iterations with a
     non-finite estimate are rejected and counted.  A chain none of whose
     likelihoods was finite has no posterior: it raises
     TotalDegeneracyError.  A chain that starts at -inf and moves to a
     finite proposal is a result.
 
-    The returned estimate is the mean of the last half of the chain, the
-    first half being discarded as burn-in.  iter_ms holds each chain
-    entry's measured milliseconds; entry 0 is the initial likelihood.
+    The result's estimate is the mean of its burned_in() chain.  iter_ms
+    holds each chain entry's measured milliseconds; entry 0 is the
+    initial likelihood.
     """
     config.validate()
-    from scipy.stats import truncnorm  # imported here: scipy is most of the package import time
+    from scipy.special import ndtr, ndtri  # imported here: scipy is most of the package import time
 
     p, d, m = model.dims()
     if p == 0:
@@ -401,10 +398,18 @@ def run_pmmh(model: DynamicModel, observations, config: PmmhConfig) -> PmmhResul
     discrete = model.param_kind == "discrete"
     rng = substream(config.seed, streams.CHAIN)
     lo, hi = config.bounds
+    sd = config.proposal_sd
+
+    def window(th):
+        """Normal CDF at each bound around th, and the log of the mass between them."""
+        cdf_lo = ndtr((lo - th) / sd)
+        cdf_hi = ndtr((hi - th) / sd)
+        return cdf_lo, cdf_hi, float(np.sum(np.log(cdf_hi - cdf_lo)))
 
     theta = model.param_prior_sample(rng, 1)[0].astype(np.float64)
     if not discrete:
         theta = np.clip(theta, lo, hi)
+        win = window(theta)
 
     def loglik(th, it):
         return pf_log_likelihood(
@@ -432,17 +437,13 @@ def run_pmmh(model: DynamicModel, observations, config: PmmhConfig) -> PmmhResul
             coord = rng.integers(0, p)
             card = int(model.param_cardinalities[coord])
             prop[coord] = rng.integers(0, card)
-            log_q_correction = 0.0
+            log_q_correction, win_prop = 0.0, None
         else:
-            a = (lo - theta) / config.proposal_sd
-            b = (hi - theta) / config.proposal_sd
-            prop = truncnorm.rvs(
-                a, b, loc=theta, scale=config.proposal_sd, random_state=rng
-            )
-            prop = np.atleast_1d(prop)
-            log_q_correction = _truncnorm_log_z(
-                theta, config.proposal_sd, lo, hi
-            ) - _truncnorm_log_z(prop, config.proposal_sd, lo, hi)
+            cdf_lo, cdf_hi, log_z = win
+            # the clip only catches rounding at a bound, where ndtri(1.0) is inf
+            prop = np.clip(theta + sd * ndtri(cdf_lo + rng.random(p) * (cdf_hi - cdf_lo)), lo, hi)
+            win_prop = window(prop)
+            log_q_correction = log_z - win_prop[2]
 
         ll_prop = loglik(prop, it)
         lp_prop = float(model.param_prior_logdensity(prop[None, :])[0])
@@ -453,7 +454,7 @@ def run_pmmh(model: DynamicModel, observations, config: PmmhConfig) -> PmmhResul
             log_alpha = (ll_prop + lp_prop) - (ll + lp) + log_q_correction
             accept = np.log(rng.random()) < log_alpha
         if accept:
-            theta, ll, lp = prop, ll_prop, lp_prop
+            theta, ll, lp, win = prop, ll_prop, lp_prop, win_prop
         chain.append(theta.copy())
         lls.append(ll)
         accepted.append(bool(accept))
@@ -464,18 +465,14 @@ def run_pmmh(model: DynamicModel, observations, config: PmmhConfig) -> PmmhResul
     log_liks = np.asarray(lls)
     if not np.isfinite(log_liks).any():
         raise TotalDegeneracyError(f"no PMMH likelihood was finite over {len(lls)} chain entries")
-    chain_arr = np.asarray(chain)
-    estimate = chain_arr[chain_arr.shape[0] // 2 :].mean(axis=0)
     return PmmhResult(
-        chain=chain_arr,
+        chain=np.asarray(chain),
         log_liks=log_liks,
         accepted=np.asarray(accepted, dtype=bool),
-        estimate=estimate,
         acceptance_rate=float(np.mean(accepted[1:])) if len(accepted) > 1 else 0.0,
         elapsed_s=time.perf_counter() - started,
         rejected_nonfinite=rejected_nonfinite,
         iter_ms=np.asarray(iter_ms),
-        param_kind=model.param_kind,
     )
 
 

@@ -23,8 +23,9 @@ from paramsmc.io import (
 
 
 def test_import_leaves_scipy_stats_unloaded():
-    # No scipy module at all: scipy is most of the package's import time,
-    # and only PMMH, the mixture prior split and interval masses need it.
+    # No scipy module at all: scipy is most of the package's import time.
+    # Only scipy.special is used, by PMMH's proposal, the mixture prior
+    # split and interval masses; nothing uses scipy.stats.
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     code = "import sys, paramsmc.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
@@ -296,6 +297,87 @@ class TestRun:
         assert "read by sweep only" in capsys.readouterr().err
         assert list(tmp_path.glob("res*")) == []
 
+    @pytest.mark.parametrize("verb", ["run", "sweep"])
+    @pytest.mark.parametrize(
+        "algorithm, given",
+        [
+            *[(a, {"pmmh": {"iterations": 3}}) for a in ("api", "pf", "liu-west")],
+            *[(a, {"time_budget_s": 0.01}) for a in ("api", "pf", "liu-west")],
+            ("api", ["--budget", "0.01"]),
+            ("pmmh", {"approx_samples": 3}),
+            ("pmmh", {"scheme": "unscented"}),
+            ("pmmh", {"family": "mixture"}),
+            ("pmmh", {"mixture_size": 2}),
+            ("pmmh", {"resample": "systematic"}),
+            ("pmmh", {"shrinkage": 0.5}),
+            ("pmmh", ["--approx-samples", "3"]),
+            ("pmmh", ["--scheme", "unscented"]),
+            ("pmmh", ["--family", "mixture"]),
+            ("pmmh", ["--mixtures", "2"]),
+            ("pmmh", ["--resample", "systematic"]),
+            ("pmmh", ["--shrinkage", "0.5"]),
+        ],
+    )
+    def test_key_the_algorithm_never_reads_exits_2(self, tmp_path, capsys, verb, algorithm, given):
+        # api ran with a pmmh block and a budget it never reads, and pmmh with filter settings
+        settings = given if isinstance(given, dict) else {}
+        flags = given if isinstance(given, list) else []
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"model": "sin", "data_seed": 1, "steps": 5, "n_particles": 10, **settings}))
+        argv = [verb, "--config", str(cfg), "--algorithm", algorithm, *flags, "--out", str(tmp_path / "res")]
+        assert main(argv) == 2
+        assert "config error:" in capsys.readouterr().err
+        assert list(tmp_path.glob("res*")) == []
+
+    @pytest.mark.parametrize("given", [{"approx_samples_list": [3, 5]}, ["--samples-list", "3,5"]])
+    def test_sample_list_under_pmmh_sweep_exits_2(self, tmp_path, capsys, given):
+        settings = given if isinstance(given, dict) else {}
+        flags = given if isinstance(given, list) else []
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"model": "sin", "algorithm": "pmmh", "data_seed": 1, "steps": 5, **settings}))
+        assert main(["sweep", "--config", str(cfg), *flags, "--out", str(tmp_path / "res")]) == 2
+        assert "not read by algorithm 'pmmh'" in capsys.readouterr().err
+        assert list(tmp_path.glob("res*")) == []
+
+    @pytest.mark.parametrize(
+        "verb, settings, key",
+        [
+            ("run", {"n_particles": "abc"}, "n_particles"),
+            ("run", {"n_particles": True}, "n_particles"),
+            ("run", {"seed": "x"}, "seed"),
+            ("run", {"shrinkage": "x"}, "shrinkage"),
+            ("run", {"mixture_size": 2.7}, "mixture_size"),
+            ("run", {"steps": "5"}, "steps"),
+            ("run", {"data_seed": 1.5}, "data_seed"),
+            ("run", {"truth": ["a"]}, "truth"),
+            ("run", {"true_params": "0.5"}, "true_params"),
+            ("run", {"algorithm": "pmmh", "pmmh": {"iterations": "abc"}}, "pmmh.iterations"),
+            ("run", {"algorithm": "pmmh", "pmmh": {"proposal_sd": "x"}}, "pmmh.proposal_sd"),
+            ("run", {"algorithm": "pmmh", "pmmh": {"bounds": ["a", "b"]}}, "pmmh.bounds"),
+            ("run", {"algorithm": "pmmh", "pmmh": {"bounds": 5}}, "pmmh.bounds"),
+            ("run", {"algorithm": "pmmh", "pmmh": {"inner_particles": 2.5}}, "pmmh.inner_particles"),
+            ("run", {"algorithm": "pmmh", "pmmh": 5}, "pmmh"),
+            ("run", {"algorithm": "pmmh", "time_budget_s": "x"}, "time_budget_s"),
+            ("sweep", {"particles": ["a"]}, "particles"),
+            ("sweep", {"seeds": 3}, "seeds"),
+            ("sweep", {"workers": 1.5}, "workers"),
+        ],
+    )
+    def test_malformed_value_exits_2_naming_its_key(self, tmp_path, capsys, verb, settings, key):
+        # "abc" exited 1 with a traceback, and 2.5 particles ran as 2
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"model": "lg", "data_seed": 1, "steps": 5, "n_particles": 10, **settings}))
+        assert main([verb, "--config", str(cfg), "--out", str(tmp_path / "res")]) == 2
+        assert f"config error: {key} must be" in capsys.readouterr().err
+        assert list(tmp_path.glob("res*")) == []
+
+    def test_integral_floats_are_integers(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        settings = {"algorithm": "pmmh", "pmmh": {"inner_particles": 10.0, "iterations": 3, "bounds": [-2, 2]}}
+        cfg.write_text(json.dumps({"model": "lg", "data_seed": 1, "steps": 5, "seed": 2.0, **settings}))
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "res")]) == 0
+        assert read_result_csv(tmp_path / "res.csv")[0].n_particles == 10
+
     def test_fixed_theta_lg_simulates_and_runs_from_a_data_seed(self, tmp_path):
         # the default generating parameters were lg's [0.7] although this model has p = 0
         cfg = tmp_path / "cfg.json"
@@ -328,7 +410,7 @@ class TestRun:
         obs[7] = np.nan
         write_trajectory_csv(traj, states, obs)
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"pmmh": {"inner_particles": 10, "iterations": 5}}))
+        cfg.write_text(json.dumps({"pmmh": {"inner_particles": 10, "iterations": 5}} if algorithm == "pmmh" else {}))
         argv = ["run", "--model", "lg", "--algorithm", algorithm, "--particles", "10", "--config", str(cfg)]
         code = main([*argv, "--data", str(traj), "--seed", "1", "--out", str(tmp_path / "res")])
         assert code == 3

@@ -1,6 +1,10 @@
 """Filter-engine behavior: algorithm semantics, storage contract, baselines."""
 
+import os
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +12,7 @@ from scipy import stats
 
 import paramsmc.model
 from paramsmc import approx, engine, oracles
+from paramsmc import rng as streams
 from paramsmc.approx import gauss_hermite, monte_carlo
 from paramsmc.benchmarks import LinearGaussianModel, SinModel, slam_small
 from paramsmc.engine import (
@@ -547,6 +552,89 @@ class TestPmmh:
         assert result.log_liks[0] == -np.inf and result.accepted[1]
         assert np.all(np.isfinite(result.log_liks[1:]))
         assert result.rejected_nonfinite == 0
+
+
+def reference_pmmh(model, obs, config):
+    """run_pmmh's continuous chain with the proposal it used to draw.
+
+    Each proposal comes from scipy.stats.truncnorm.rvs, and the Hastings
+    correction works the truncation normaliser out by hand at the current
+    state and at the proposal, inside the same MH loop on the same streams.
+    """
+    from scipy.special import ndtr
+
+    lo, hi = config.bounds
+    sd = config.proposal_sd
+
+    def log_z(th):
+        return float(np.sum(np.log(ndtr((hi - th) / sd) - ndtr((lo - th) / sd))))
+
+    def loglik(th, it):
+        stream = substream(config.seed, streams.CHAIN, 1 + it)
+        return oracles.pf_log_likelihood(model, th, obs, config.inner_particles, stream)
+
+    def logprior(th):
+        return float(model.param_prior_logdensity(th[None, :])[0])
+
+    rng = substream(config.seed, streams.CHAIN)
+    theta = np.clip(model.param_prior_sample(rng, 1)[0].astype(np.float64), lo, hi)
+    ll, lp = loglik(theta, 0), logprior(theta)
+    chain, lls, accepted = [theta.copy()], [ll], [True]
+    for it in range(1, config.iterations + 1):
+        prop = stats.truncnorm.rvs((lo - theta) / sd, (hi - theta) / sd, loc=theta, scale=sd, random_state=rng)
+        prop = np.atleast_1d(prop)
+        ll_prop, lp_prop = loglik(prop, it), logprior(prop)
+        log_alpha = (ll_prop + lp_prop) - (ll + lp) + log_z(theta) - log_z(prop)
+        accept = bool(np.isfinite(ll_prop) and np.log(rng.random()) < log_alpha)
+        if accept:
+            theta, ll, lp = prop, ll_prop, lp_prop
+        chain.append(theta.copy())
+        lls.append(ll)
+        accepted.append(accept)
+    return np.asarray(chain), np.asarray(lls), np.asarray(accepted)
+
+
+class TestPmmhProposal:
+    """The inverse-CDF proposal walks the chain the truncnorm.rvs one walked."""
+
+    @pytest.mark.parametrize(
+        "sd, bounds, seed, starts_at_bound",
+        [
+            (0.15, (-5.0, 5.0), 0, False),
+            (3.0, (-5.0, 5.0), 1, False),
+            (1.0, (-1.0, 1.0), 2, False),
+            (3.0, (0.6, 0.8), 0, True),
+            (0.15, (0.6, 0.8), 2, True),
+        ],
+    )
+    def test_chain_matches_truncnorm_reference(self, sd, bounds, seed, starts_at_bound):
+        model = LinearGaussianModel()
+        _, obs = simulate(model, np.array([0.7]), 60, substream(seed, 0))
+        config = PmmhConfig(inner_particles=20, iterations=120, proposal_sd=sd, bounds=bounds, seed=seed)
+        result = run_pmmh(model, obs, config)
+        chain, log_liks, accepted = reference_pmmh(model, obs, config)
+        assert (result.chain[0, 0] in bounds) == starts_at_bound
+        assert np.array_equal(result.accepted, accepted)
+        assert 0 < accepted[1:].sum() < config.iterations
+        np.testing.assert_allclose(result.chain, chain, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(result.log_liks, log_liks, rtol=0, atol=1e-6)
+        assert np.all((result.chain >= bounds[0]) & (result.chain <= bounds[1]))
+
+    def test_run_leaves_scipy_stats_unloaded(self):
+        code = (
+            "import sys, numpy as np, paramsmc\n"
+            "from paramsmc.benchmarks import LinearGaussianModel\n"
+            "from paramsmc.engine import PmmhConfig, run_pmmh\n"
+            "obs = np.linspace(-1.0, 1.0, 21)\n"
+            "result = run_pmmh(LinearGaussianModel(), obs, PmmhConfig(inner_particles=10, iterations=5))\n"
+            "assert result.n_iterations == 5\n"
+            "print('scipy.stats' in sys.modules)\n"
+        )
+        src = str(Path(engine.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
 
 
 def counting(calls: Counter, name: str, fn):
