@@ -63,6 +63,9 @@ class ScalarGaussianModel(DynamicModel):
         n = thetas.shape[0]
         return self.x0_mean + self.x0_sd * rng.standard_normal((n, 1))
 
+    def state_prior_logdensity(self, x0, thetas):
+        return gaussian_logpdf(x0[:, 0], self.x0_mean, self.x0_sd)
+
     def transition_sample(self, rng, t, windows, thetas):
         loc = self._drive(thetas, windows[:, -1, 0])
         return (loc + self.trans_sd * rng.standard_normal(windows.shape[0]))[:, None]
@@ -268,7 +271,7 @@ def get_model(name: str, **overrides) -> DynamicModel:
         raise ConfigError(f"unknown model {name!r}; choose from {sorted(MODEL_BUILDERS)}")
     try:
         return MODEL_BUILDERS[name](**overrides)
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad override for model {name!r}: {exc}") from exc
 
 

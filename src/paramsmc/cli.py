@@ -171,7 +171,10 @@ def _run_id(cfg: dict) -> str:
 
 
 def _build_model(cfg: dict):
-    return get_model(cfg["model"], **cfg.get("model_overrides", {}))
+    overrides = cfg.get("model_overrides", {})
+    if not isinstance(overrides, dict):
+        raise ConfigError(f"model_overrides must be an object of model settings, got {overrides!r}")
+    return get_model(cfg["model"], **overrides)
 
 
 def _simulate(cfg: dict, model, theta, seed_key: str) -> tuple[np.ndarray, np.ndarray]:
@@ -421,16 +424,7 @@ def cmd_oracle(args) -> int:
         }
         message = f"exact posterior -> {base}_tables.csv"
     else:
-        grid = np.linspace(args.grid_lo, args.grid_hi, args.grid_points)
-        post = grid_posterior(
-            model,
-            observations,
-            grid,
-            likelihood="exact" if isinstance(model, LinearGaussianModel) else "pf",
-            n_particles=int(args.pf_particles),
-            n_replications=int(args.pf_reps),
-            seed=_number("seed", cfg["seed"], int),
-        )
+        post = grid_posterior(model, observations, np.linspace(args.grid_lo, args.grid_hi, args.grid_points))
         _write_columns(base + "_grid.csv", "theta,mass", post.grid, post.masses)
         est, spread = [post.mean()], [post.variance()]
         summary = {"kind": kind, "mean": post.mean(), "variance": post.variance(), "mode": post.mode()}
@@ -499,8 +493,6 @@ def build_parser() -> argparse.ArgumentParser:
     oracle.add_argument("--grid-lo", type=float, default=-3.0)
     oracle.add_argument("--grid-hi", type=float, default=3.0)
     oracle.add_argument("--grid-points", type=int, default=121)
-    oracle.add_argument("--pf-particles", type=int, default=10_000)
-    oracle.add_argument("--pf-reps", type=int, default=20)
     oracle.set_defaults(func=cmd_oracle)
 
     return parser

@@ -93,7 +93,7 @@ class DynamicModel(ABC):
         """(n,) log density of observation y at each state/theta row."""
 
     def state_prior_logdensity(self, x0: np.ndarray, thetas: np.ndarray) -> np.ndarray:
-        """Only required when state_prior_depends_on_params is true."""
+        """(n,) log density of x0: for state_prior_depends_on_params, and for the state-grid oracle."""
         raise NotImplementedError
 
     # Prior summaries used to seed parameter approximations.  The defaults

@@ -1,24 +1,28 @@
 """Exact and brute-force reference computations plus evaluation metrics.
 
 These are the independent yardsticks the engine is measured against: an
-exact joint forward recursion for small SLAM instances, a Kalman filter
-for the linear-Gaussian model, grid posteriors over a scalar parameter,
-and the KL / MSE metrics.
+exact joint forward recursion for small SLAM instances, deterministic
+grid posteriors over a scalar parameter (a Kalman filter on `lg`, a
+forward filter over a state grid on the other scalar models), and KL / MSE.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .benchmarks import LinearGaussianModel, SlamModel
+from .benchmarks import LinearGaussianModel, ScalarGaussianModel, SlamModel
 from .errors import PointBudgetError, TotalDegeneracyError
 from .model import bootstrap_steps, gaussian_logpdf
-from .resampling import log_mean_exp, multinomial_resample, weigh_log_weights
-from .rng import CHAIN, substream
+from .resampling import multinomial_resample, weigh_log_weights
 from .storage import ParticleStore
 
-# Largest joint (map, location) space slam_exact_forward enumerates.
+# Largest joint space an exact oracle fills: SLAM (map, location) pairs or state-grid (x_{t-1}, x_t) pairs.
 EXACT_JOINT_BUDGET = 300_000
+# state_grid_log_likelihood's reach past the data in obs_sd, its spacing in
+# the narrowest noise sd, and the kernel size it filters thetas in.
+STATE_GRID_REACH = 8.0
+STATE_GRID_SPACING = 0.25
+STATE_GRID_KERNEL_BYTES = 2**20
 # Floor on estimated table entries in kl_factorized.
 KL_FLOOR = 1e-12
 
@@ -111,22 +115,21 @@ def slam_exact_forward(model: SlamModel, observations: np.ndarray) -> ExactDiscr
 class KalmanResult:
     means: np.ndarray
     variances: np.ndarray
-    log_likelihood: float
+    log_likelihood: float | np.ndarray
 
 
-def kalman_filter(model: LinearGaussianModel, theta: float, observations: np.ndarray) -> KalmanResult:
-    """Exact filter for the scalar AR(1)-plus-noise model at fixed theta.
+def kalman_filter(model: LinearGaussianModel, theta, observations: np.ndarray) -> KalmanResult:
+    """Exact filter for the scalar AR(1)-plus-noise model at a scalar theta or at (G,) thetas at once.
 
-    Returns per-step posterior means/variances of the state and the exact
-    log marginal likelihood of the observations.
+    Returns per-step posterior means/variances of the state, (T,) or (T, G),
+    and the exact log marginal likelihood of the observations, a float or (G,).
     """
     obs = np.asarray(observations, dtype=np.float64).reshape(-1)
-    q = model.trans_sd**2
-    r = model.obs_sd**2
+    theta = np.asarray(theta, dtype=np.float64)
+    q, r = model.trans_sd**2, model.obs_sd**2
     mean, var = model.x0_mean, model.x0_sd**2
-    means = np.zeros(obs.size)
-    variances = np.zeros(obs.size)
-    loglik = 0.0
+    means, variances = np.zeros((2, obs.size, *theta.shape))
+    loglik = np.zeros(theta.shape)
     for t, y in enumerate(obs):
         if t > 0:
             mean = theta * mean
@@ -138,14 +141,14 @@ def kalman_filter(model: LinearGaussianModel, theta: float, observations: np.nda
         var = (1.0 - gain) * var
         means[t] = mean
         variances[t] = var
-    return KalmanResult(means=means, variances=variances, log_likelihood=float(loglik))
+    return KalmanResult(means=means, variances=variances, log_likelihood=loglik if theta.ndim else float(loglik))
 
 
 def pf_log_likelihood(model, theta, observations, n_particles, rng) -> float:
     """Bootstrap-filter estimate of log p(y_{0:T} | theta); -inf when a step has no weight.
 
     model.bootstrap_steps at theta, with rng for every draw: the inner loop
-    of the PMMH acceptance ratio and of the sampled grid oracle.
+    of the PMMH acceptance ratio.
     """
     p, d, m = model.dims()
     obs = np.asarray(observations, dtype=np.float64).reshape(-1, m)
@@ -163,44 +166,57 @@ def pf_log_likelihood(model, theta, observations, n_particles, rng) -> float:
     return float(total)
 
 
-def grid_posterior(
-    model,
-    observations,
-    grid: np.ndarray,
-    likelihood: str = "exact",
-    n_particles: int = 10_000,
-    n_replications: int = 20,
-    seed: int = 0,
-) -> GridPosterior:
-    """Posterior over a scalar parameter, p(theta | y) on a fixed grid.
+def state_grid_log_likelihood(model: ScalarGaussianModel, observations, thetas) -> np.ndarray:
+    """log p(y_{0:T} | theta) at each of the (G,) thetas, by a forward filter over a grid of states.
 
-    likelihood "exact" uses the Kalman filter (linear-Gaussian models
-    only); "pf" averages bootstrap-filter likelihood estimates over
-    n_replications independent runs per grid point, a stochastic oracle
-    whose error shrinks with both knobs.  Raises TotalDegeneracyError
-    when a log posterior is NaN or every one is -inf.
+    Initial weights, transition kernel and observation weights are the model's
+    own densities at the grid points times the spacing h: each step's evidence
+    is a rectangle-rule integral.  The filtered state lies near its observation
+    (or between y_0 and x0_mean), so the grid spans the finite data and x0_mean,
+    STATE_GRID_REACH obs_sd past either end, at STATE_GRID_SPACING of the
+    narrowest noise sd.  NaN data give NaN.  Raises PointBudgetError when a
+    kernel passes EXACT_JOINT_BUDGET entries.
+    """
+    obs = np.asarray(observations, dtype=np.float64).reshape(-1, 1)
+    h = STATE_GRID_SPACING * min(model.trans_sd, model.obs_sd, model.x0_sd)
+    ends = np.append(obs[np.isfinite(obs)], model.x0_mean)
+    n = int(np.ceil((np.ptp(ends) + 2 * STATE_GRID_REACH * model.obs_sd) / h)) + 1
+    if n * n > EXACT_JOINT_BUDGET:
+        raise PointBudgetError(f"state grid kernel {n}*{n} exceeds budget {EXACT_JOINT_BUDGET}")
+    xs = ends.min() - STATE_GRID_REACH * model.obs_sd + h * np.arange(n)
+    chunk = max(1, STATE_GRID_KERNEL_BYTES // (8 * n * n))
+    loglik = np.zeros(len(thetas))
+    for lo in range(0, len(thetas), chunk):
+        # (theta_g, x_i) rows, and kernel[g, i, j] = p(x_j | x_i, theta_g) h
+        rows, states = (a.reshape(-1, 1) for a in np.meshgrid(thetas[lo : lo + chunk], xs, indexing="ij"))
+        th, prev, new = (a.reshape(-1, 1) for a in np.meshgrid(thetas[lo : lo + chunk], xs, xs, indexing="ij"))
+        kernel = np.exp(model.transition_logdensity(1, new, prev[:, :, None], th)).reshape(-1, n, n) * h
+        f = np.exp(model.state_prior_logdensity(states, rows)).reshape(-1, n) * h
+        for t, y in enumerate(obs):
+            if t > 0:
+                f = np.matmul(f[:, None, :], kernel)[:, 0, :]
+            f *= np.exp(model.obs_logdensity(t, y, states, rows)).reshape(-1, n)
+            total = f.sum(axis=1)
+            loglik[lo : lo + chunk] += np.log(total)
+            f /= total[:, None]
+    return loglik
+
+
+def grid_posterior(model, observations, grid: np.ndarray) -> GridPosterior:
+    """Posterior over a scalar parameter, p(theta | y) on a fixed grid, deterministically.
+
+    The grid's log-likelihood is kalman_filter's on the linear-Gaussian model,
+    state_grid_log_likelihood's on any other scalar Gaussian model.  Raises
+    TotalDegeneracyError when a log posterior is NaN or every one is -inf.
     """
     grid = np.asarray(grid, dtype=np.float64).reshape(-1)
-    log_post = np.zeros(grid.size)
-    for i, theta in enumerate(grid):
-        prior = model.param_prior_logdensity(np.array([[theta]]))[0]
-        if likelihood == "exact":
-            if not isinstance(model, LinearGaussianModel):
-                raise ValueError("exact grid likelihood requires the linear-Gaussian model")
-            ll = kalman_filter(model, theta, observations).log_likelihood
-        elif likelihood == "pf":
-            reps = np.array(
-                [
-                    pf_log_likelihood(
-                        model, [theta], observations, n_particles, substream(seed, CHAIN, i, r)
-                    )
-                    for r in range(n_replications)
-                ]
-            )
-            ll = log_mean_exp(reps)
-        else:
-            raise ValueError(f"unknown likelihood mode {likelihood!r}")
-        log_post[i] = prior + ll
+    if isinstance(model, LinearGaussianModel):
+        loglik = kalman_filter(model, grid, observations).log_likelihood
+    elif isinstance(model, ScalarGaussianModel):
+        loglik = state_grid_log_likelihood(model, observations, grid)
+    else:
+        raise ValueError(f"grid posterior needs a scalar Gaussian model, not {type(model).__name__}")
+    log_post = model.param_prior_logdensity(grid[:, None]) + loglik
     return GridPosterior(grid=grid, masses=weigh_log_weights(log_post)[0])
 
 

@@ -16,7 +16,7 @@ def weigh_log_weights(log_weights: np.ndarray) -> tuple[np.ndarray, float]:
 
     Returns (w, m + log(s / n)): w is exp(log_weights - m) / s, with m
     the largest log weight and s the sum of the shifted exponentials, and
-    the second value is log_mean_exp(log_weights) to the bit, the step's
+    the second value is the log of the mean weight, the step's
     log-evidence increment.  Raises TotalDegeneracyError when every weight
     is zero (all -inf) or any weight is NaN, since no ancestor
     distribution exists then.
@@ -32,7 +32,7 @@ def weigh_log_weights(log_weights: np.ndarray) -> tuple[np.ndarray, float]:
         w = np.exp(lw - m)
     s = np.add.reduce(w, axis=None)
     w /= s
-    # s / size is how np.mean divides, as in log_mean_exp
+    # s / size is how np.mean divides
     return w, float(m + np.log(s / lw.size))
 
 
@@ -66,17 +66,6 @@ def ess(weights: np.ndarray) -> float:
     """Effective sample size 1 / sum w^2 of normalized weights."""
     with np.errstate(under="ignore"):
         return 1.0 / float(weights @ weights)
-
-
-def log_mean_exp(log_values: np.ndarray) -> float:
-    """log of the average of exp(values), max-shifted; -inf if all -inf."""
-    lv = np.asarray(log_values, dtype=np.float64)
-    m = lv.max()
-    if not math.isfinite(m):
-        return float(m)
-    with np.errstate(under="ignore"):
-        # sum / size is how np.mean computes the mean, without its wrapper cost
-        return float(m + np.log(np.exp(lv - m).sum() / lv.size))
 
 
 def distinct_sorted(ancestors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

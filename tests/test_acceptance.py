@@ -375,7 +375,7 @@ def test_criterion_8_baseline_validity():
     # PMMH against the exact grid posterior
     model = ps.get_model("lg")
     _, obs = ps.simulate(model, np.array([0.7]), 60, substream(DATA_SEED, streams.DATA))
-    oracle = ps.grid_posterior(model, obs, np.linspace(-3, 3, 301), likelihood="exact")
+    oracle = ps.grid_posterior(model, obs, np.linspace(-3, 3, 301))
     res = ps.run_pmmh(
         model,
         obs,

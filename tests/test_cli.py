@@ -378,6 +378,16 @@ class TestRun:
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "res")]) == 0
         assert read_result_csv(tmp_path / "res.csv")[0].n_particles == 10
 
+    @pytest.mark.parametrize("overrides", [{"trans_sd": "x"}, [1]], ids=["bad-value", "not-an-object"])
+    @pytest.mark.parametrize("verb", ["simulate", "run", "oracle"])
+    def test_bad_model_overrides_exit_2(self, tmp_path, capsys, verb, overrides):
+        # a ValueError and a TypeError from the model builder, each a traceback and exit 1
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"model": "lg", "model_overrides": overrides, "data_seed": 1, "steps": 5}))
+        assert main([verb, "--config", str(cfg), "--out", str(tmp_path / "res")]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert list(tmp_path.glob("res*")) == []
+
     def test_fixed_theta_lg_simulates_and_runs_from_a_data_seed(self, tmp_path):
         # the default generating parameters were lg's [0.7] although this model has p = 0
         cfg = tmp_path / "cfg.json"
@@ -591,11 +601,29 @@ class TestOracleVerb:
         states, obs = read_trajectory_csv(traj)
         obs[4] = np.nan
         write_trajectory_csv(traj, states, obs)
-        argv = ["oracle", "--model", model, "--kind", "grid", "--grid-points", "5", "--pf-particles", "20"]
-        code = main([*argv, "--pf-reps", "1", "--data", str(traj), "--out", str(tmp_path / "oracle")])
+        argv = ["oracle", "--model", model, "--kind", "grid", "--grid-points", "5"]
+        code = main([*argv, "--data", str(traj), "--out", str(tmp_path / "oracle")])
         assert code == 3
         assert "numerical degeneracy" in capsys.readouterr().err
         assert list(tmp_path.glob("oracle*")) == []
+
+    @pytest.mark.parametrize("model", ["lg", "sin", "sin-bimodal"])
+    def test_grid_gives_the_same_bytes_every_run(self, tmp_path, model):
+        traj = tmp_path / "traj.csv"
+        main(["simulate", "--model", model, "--steps", "30", "--seed", "4", "--out", str(traj)])
+        outputs = []
+        for run in ("a", "b"):
+            out = tmp_path / run
+            out.mkdir()
+            argv = ["oracle", "--model", model, "--grid-points", "31", "--data", str(traj)]
+            assert main([*argv, "--out", str(out / "oracle")]) == 0
+            outputs.append({p.name: p.read_bytes() for p in out.iterdir()})
+        assert outputs[0] == outputs[1]
+
+    def test_particle_filter_grid_flags_are_gone(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["oracle", "--model", "sin", "--pf-particles", "20", "--out", str(tmp_path / "oracle")])
+        assert exc.value.code == 2
 
     def test_oracle_rows_share_result_schema(self, tmp_path):
         traj = tmp_path / "traj.csv"

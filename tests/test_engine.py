@@ -443,7 +443,7 @@ class TestLiuWest:
     def test_tracks_grid_oracle_on_lg(self):
         model = LinearGaussianModel()
         _, obs = simulate(model, np.array([0.7]), 120, substream(12, 0))
-        oracle = grid_posterior(model, obs, np.linspace(-2, 2, 201), likelihood="exact")
+        oracle = grid_posterior(model, obs, np.linspace(-2, 2, 201))
         result = run_liu_west_filter(
             model, obs, FilterConfig(n_particles=10_000, seed=3, shrinkage=0.98)
         )
@@ -484,7 +484,7 @@ class TestPmmh:
     def test_tracks_grid_oracle_on_lg(self):
         model = LinearGaussianModel()
         _, obs = simulate(model, np.array([0.7]), 60, substream(14, 0))
-        oracle = grid_posterior(model, obs, np.linspace(-2, 2, 201), likelihood="exact")
+        oracle = grid_posterior(model, obs, np.linspace(-2, 2, 201))
         config = PmmhConfig(
             inner_particles=50, iterations=800, proposal_sd=0.25, bounds=(-5, 5), seed=2
         )

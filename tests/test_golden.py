@@ -540,8 +540,7 @@ CLI_RUNS = {
     "oracle-slam-exact": "oracle --model slam-small --data {i}/slam.csv --out {o}",
     "oracle-grid-lg": "oracle --model lg --data {i}/lg.csv --grid-points 41 --out {o}",
     "oracle-grid-sin": (
-        "oracle --model sin --data {i}/sin.csv --grid-lo -1 --grid-hi 1 --grid-points 9 "
-        "--pf-particles 50 --pf-reps 2 --seed 3 --out {o}"
+        "oracle --model sin --data {i}/sin.csv --grid-lo -1 --grid-hi 1 --grid-points 9 --seed 3 --out {o}"
     ),
     "oracle-grid-data-seed": (
         "oracle --config {i}/oracle_seed.json --model lg --kind grid --grid-points 21 --out {o}.csv"
@@ -556,7 +555,7 @@ CLI_GOLDEN = {
     "exit2-unknown-key": "83ce882fc8d62763485c88f465558d173fbce17738fd4c7ceaf77f8f367f2aaf",
     "oracle-grid-data-seed": "5dfdcc811714258c965d5eceab178547e9e42c35e8469df900519fd9dca7780d",
     "oracle-grid-lg": "35f2b881c84005e65a2375e986315c531fbb2e73ea93940b49af4430e14869c4",
-    "oracle-grid-sin": "6791ce1cd8293f45a5bb5092175ba4081003774384b8257393a0de33c059adb1",
+    "oracle-grid-sin": "ea49814fd115a381cbab73c66daed52248d378929713db772c00baff249cb288",
     "oracle-kalman": "3a0ef765262932f4f20f7e9cc2c0f1e65c3e03597b68506a0b560cdcf14bd157",
     "oracle-slam-exact": "b8d1a40952672d43e43516838769eb93cdfcc9149bc831b4df417679db25f17a",
     "run-api-truth": "9a44d06c6e11fb79f2c119c0f2760d2cc3418313b3636ad96d1f7df7d1018f2a",

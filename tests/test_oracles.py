@@ -1,10 +1,14 @@
 """Oracle self-checks: each reference computation is validated against an
 independent second route before the engine is measured with it."""
 
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from paramsmc.benchmarks import LinearGaussianModel, slam_large, slam_small
+from paramsmc import oracles
+from paramsmc.benchmarks import LinearGaussianModel, SinModel, get_model, slam_large, slam_small
 from paramsmc.errors import PointBudgetError
 from paramsmc.model import gaussian_logpdf, simulate
 from paramsmc.oracles import (
@@ -14,6 +18,7 @@ from paramsmc.oracles import (
     mse,
     pf_log_likelihood,
     slam_exact_forward,
+    state_grid_log_likelihood,
 )
 from paramsmc.quadrature import gauss_hermite_1d
 from paramsmc.rng import substream
@@ -158,7 +163,7 @@ class TestGridPosterior:
         # the no-data limit; use an empty observation set
         model = LinearGaussianModel()
         grid = np.linspace(-2, 2, 41)
-        post = grid_posterior(model, np.zeros((0, 1)), grid, likelihood="exact")
+        post = grid_posterior(model, np.zeros((0, 1)), grid)
         prior = np.exp(-0.5 * grid**2)
         prior /= prior.sum()
         assert np.allclose(post.masses, prior, atol=1e-12)
@@ -167,36 +172,125 @@ class TestGridPosterior:
         model = LinearGaussianModel()
         obs = np.array([0.0, 0.0])
         grid = np.linspace(-2, 2, 41)
-        post = grid_posterior(model, obs, grid, likelihood="exact")
+        post = grid_posterior(model, obs, grid)
         assert np.allclose(post.masses, post.masses[::-1], atol=1e-12)
         assert abs(post.mean()) < 1e-12
 
     def test_grid_refinement_stability(self):
         model = LinearGaussianModel()
         _, obs = simulate(model, np.array([0.7]), 60, substream(21, 0))
-        coarse = grid_posterior(model, obs, np.linspace(-2, 2, 81), likelihood="exact")
-        fine = grid_posterior(model, obs, np.linspace(-2, 2, 161), likelihood="exact")
+        coarse = grid_posterior(model, obs, np.linspace(-2, 2, 81))
+        fine = grid_posterior(model, obs, np.linspace(-2, 2, 161))
         assert abs(coarse.mean() - fine.mean()) < 1e-3
 
     def test_concentrates_near_truth(self):
         model = LinearGaussianModel()
         _, obs = simulate(model, np.array([0.7]), 200, substream(22, 0))
-        post = grid_posterior(model, obs, np.linspace(-2, 2, 161), likelihood="exact")
+        post = grid_posterior(model, obs, np.linspace(-2, 2, 161))
         assert abs(post.mean() - 0.7) < 0.15
 
-    @pytest.mark.slow
-    def test_sin_pf_grid_concentrates(self):
+    def test_sin_state_grid_concentrates(self):
         # at T=200 the posterior itself has sd ~0.1, so the dataset is
         # pinned to a typical realization
-        from paramsmc.benchmarks import SinModel
-
         model = SinModel()
         _, obs = simulate(model, np.array([-0.5]), 200, substream(5, 0))
-        grid = np.linspace(-1.0, 0.0, 21)
-        post = grid_posterior(
-            model, obs, grid, likelihood="pf", n_particles=1500, n_replications=3, seed=5
-        )
+        post = grid_posterior(model, obs, np.linspace(-1.0, 0.0, 21))
         assert abs(post.mode() + 0.5) <= 0.1 + 1e-9
+
+    def test_kalman_grid_is_the_pointwise_filter_bits(self):
+        model = LinearGaussianModel()
+        _, obs = simulate(model, np.array([0.7]), 60, substream(21, 0))
+        grid = np.linspace(-2, 2, 121)
+        together = kalman_filter(model, grid, obs)
+        apart = [kalman_filter(model, theta, obs) for theta in grid]
+        assert together.log_likelihood.tobytes() == np.array([r.log_likelihood for r in apart]).tobytes()
+        assert together.means.tobytes() == np.stack([r.means for r in apart], axis=1).tobytes()
+        assert together.variances.tobytes() == np.stack([r.variances for r in apart], axis=1).tobytes()
+
+
+def _perfbench_workloads():
+    """perfbench/workloads.py, loaded from its file as a private module and only read."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads_reference", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestStateGrid:
+    # The integrands vanish at the grid ends, so the rectangle rule is the
+    # trapezoid rule, at least second order in the spacing h: the error at
+    # h/2 is at most a quarter of the error at h, which is then at most 4/3
+    # of the change from h to h/2.  (On these Gaussian integrands it does
+    # far better: on the lg data below, halving h from 2.0 cuts the error
+    # from 3.2 to 5e-3, from 1.0 to 7e-13.)  Rounding adds at most one eps
+    # of the running sum per step.
+    @pytest.mark.parametrize("spacing", [1.0, oracles.STATE_GRID_SPACING], ids=["coarse", "default"])
+    def test_matches_kalman_on_lg(self, monkeypatch, spacing):
+        model = LinearGaussianModel()
+        _, obs = simulate(model, np.array([0.7]), 200, substream(22, 0))
+        grid = np.linspace(0.3, 1.1, 61)
+        exact = kalman_filter(model, grid, obs).log_likelihood
+        monkeypatch.setattr(oracles, "STATE_GRID_SPACING", spacing)
+        at_h = state_grid_log_likelihood(model, obs, grid)
+        monkeypatch.setattr(oracles, "STATE_GRID_SPACING", spacing / 2)
+        at_half = state_grid_log_likelihood(model, obs, grid)
+        rounding = obs.shape[0] * np.finfo(np.float64).eps * np.abs(exact).max()
+        assert np.abs(at_h - exact).max() <= 4 / 3 * np.abs(at_h - at_half).max() + rounding
+
+    # At the default grid the lg log-likelihood above is exact to rounding,
+    # and the sin kernels are no narrower in x_{t-1} than trans_sd / 1.21
+    # on these parameter grids.  Rounding moves the masses by about 1e-14;
+    # 1e-12 leaves a hundredfold margin, while the 5e-3 discretization
+    # error of the coarse lg grid would fail it.
+    @pytest.mark.parametrize(
+        "constant, factor", [("STATE_GRID_SPACING", 0.5), ("STATE_GRID_REACH", 2.0)], ids=["finer", "wider"]
+    )
+    @pytest.mark.parametrize("name, theta", [("sin", -0.5), ("sin-bimodal", 0.7)])
+    def test_sin_posterior_does_not_move_with_the_grid(self, monkeypatch, name, theta, constant, factor):
+        model = get_model(name)
+        _, obs = simulate(model, np.array([theta]), 300, substream(7, 0))
+        grid = theta + np.linspace(-0.4, 0.4, 41)
+        default = grid_posterior(model, obs, grid)
+        monkeypatch.setattr(oracles, constant, getattr(oracles, constant) * factor)
+        changed = grid_posterior(model, obs, grid)
+        assert np.abs(changed.masses - default.masses).max() < 1e-12
+        assert abs(changed.mean() - default.mean()) < 1e-12
+        assert abs(changed.variance() - default.variance()) < 1e-12
+
+    @pytest.mark.parametrize("name, theta", [("sin", -0.5), ("sin-bimodal", 0.7)])
+    def test_matches_the_perfbench_reference(self, monkeypatch, name, theta):
+        # perfbench's own filter shares no code with this one; its default
+        # state axis (161 points over +/-5.5) is off by up to 6e-10 here, so
+        # it runs at the finer axis its own refinement test uses
+        workloads = _perfbench_workloads()
+        monkeypatch.setattr(workloads, "STATE_HALF_RANGE", 7.0)
+        monkeypatch.setattr(workloads, "STATE_POINTS", 401)
+        model = get_model(name)
+        _, obs = simulate(model, np.array([theta]), 300, substream(7, 0))
+        grid = theta + np.linspace(-0.4, 0.4, 41)
+        mean, sd = workloads.sin_grid_posterior(obs[:, 0], grid, name == "sin-bimodal")
+        post = grid_posterior(model, obs, grid)
+        assert abs(post.mean() - mean) < 1e-12
+        assert abs(np.sqrt(post.variance()) - sd) < 1e-12
+
+    def test_same_bits_in_one_kernel_or_one_per_parameter(self, monkeypatch):
+        model = SinModel()
+        _, obs = simulate(model, np.array([-0.5]), 50, substream(8, 0))
+        grid = np.linspace(-1.0, 0.0, 9)
+        together = state_grid_log_likelihood(model, obs, grid)
+        monkeypatch.setattr(oracles, "STATE_GRID_KERNEL_BYTES", 1)
+        assert state_grid_log_likelihood(model, obs, grid).tobytes() == together.tobytes()
+
+    def test_grid_past_the_budget_is_refused(self):
+        # obs_sd 40 would reach 320 past the data at spacing 0.25: n^2 >> budget
+        model = SinModel(obs_sd=40.0)
+        with pytest.raises(PointBudgetError):
+            state_grid_log_likelihood(model, np.zeros(3), np.array([0.5]))
+
+    def test_model_without_a_state_grid_is_refused(self):
+        with pytest.raises(ValueError):
+            grid_posterior(slam_small(), np.zeros((3, 1)), np.array([0.5]))
 
 
 class TestKl:

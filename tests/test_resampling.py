@@ -15,7 +15,6 @@ from paramsmc.resampling import (
     RESAMPLERS,
     distinct_sorted,
     ess,
-    log_mean_exp,
     multinomial_resample,
     systematic_resample,
     weigh_log_weights,
@@ -110,7 +109,7 @@ def same_bits(a, b):
 
 
 def reference_log_mean_exp(log_values):
-    """The np.max / np.mean formula log_mean_exp is required to equal bit for bit."""
+    """The np.max / np.mean formula weigh_log_weights's increment is required to equal bit for bit."""
     lv = np.asarray(log_values, dtype=np.float64)
     m = np.max(lv)
     if not np.isfinite(m):
@@ -157,15 +156,6 @@ def weigh_inputs():
 
 class TestAgainstReferenceFormulas:
     @pytest.mark.parametrize("case", range(len(reference_inputs())))
-    def test_log_mean_exp_bits(self, case):
-        lv = reference_inputs()[case]
-        assert same_bits(log_mean_exp(lv), reference_log_mean_exp(lv))
-
-    def test_log_mean_exp_all_neg_inf_bits(self):
-        lv = np.full(50, -np.inf)
-        assert same_bits(log_mean_exp(lv), reference_log_mean_exp(lv))
-
-    @pytest.mark.parametrize("case", range(len(reference_inputs())))
     def test_normalize_bits(self, case):
         lw = reference_inputs()[case]
         assert same_bits(weigh_log_weights(lw)[0], reference_normalize_log_weights(lw))
@@ -196,7 +186,6 @@ class TestAgainstReferenceFormulas:
         assert same_bits(w, reference_normalize_log_weights(lw))
         assert type(increment) is float
         assert same_bits(increment, reference_log_mean_exp(lw))
-        assert same_bits(increment, log_mean_exp(lw))
 
     @pytest.mark.parametrize(
         "ancestors",
@@ -226,20 +215,6 @@ class TestAgainstReferenceFormulas:
         assert same_bits(unique, ref_unique)
         assert same_bits(inverse, ref_inverse)
         assert np.array_equal(unique[inverse], anc)
-
-
-class TestLogMeanExp:
-    def test_matches_direct(self):
-        vals = np.array([-1.0, 0.0, 2.0])
-        assert np.isclose(log_mean_exp(vals), np.log(np.mean(np.exp(vals))))
-
-    def test_extreme_shift(self):
-        vals = np.array([-1000.0, -1001.0])
-        direct = -1000 + np.log((1 + np.exp(-1.0)) / 2)
-        assert np.isclose(log_mean_exp(vals), direct)
-
-    def test_all_neg_inf(self):
-        assert log_mean_exp(np.full(3, -np.inf)) == -np.inf
 
 
 class TestNormalize:
