@@ -156,6 +156,12 @@ def weigh_inputs():
 
 class TestAgainstReferenceFormulas:
     @pytest.mark.parametrize("case", range(len(reference_inputs())))
+    def test_log_mean_exp_bits(self, case):
+        # the log-mean-exp of the log weights is weigh_log_weights's increment
+        lv = reference_inputs()[case]
+        assert same_bits(weigh_log_weights(lv)[1], reference_log_mean_exp(lv))
+
+    @pytest.mark.parametrize("case", range(len(reference_inputs())))
     def test_normalize_bits(self, case):
         lw = reference_inputs()[case]
         assert same_bits(weigh_log_weights(lw)[0], reference_normalize_log_weights(lw))
