@@ -22,6 +22,7 @@ import json
 import numbers
 import os
 import sys
+from collections.abc import Iterable
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
@@ -209,18 +210,36 @@ def _resolve_data(cfg: dict, model) -> np.ndarray:
     return _simulate(cfg, model, cfg.get("true_params"), "data_seed")[1]
 
 
-def _rows(cfg, algorithm, sizes, estimates, spreads, ess=None, ms=None, first_step=0) -> list[ResultRow]:
-    """One result row per step; sizes is (n_particles, approx_samples, mixture_size).
+def _steps(cfg, algorithm, sizes, estimates, spreads, ess=None, ms=None, first_step=0) -> dict:
+    """The columns of a run's result rows, as _rows takes them; sizes is (n_particles, approx_samples, mixture_size).
 
     Reference posteriors reuse the run-row schema so files diff cleanly.
     """
-    run_id, seed = _run_id(cfg), _number("seed", cfg["seed"], int)
-    return [
-        ResultRow(
+    return {
+        "run_id": _run_id(cfg),
+        "seed": _number("seed", cfg["seed"], int),
+        "algorithm": algorithm,
+        "model": cfg["model"],
+        "sizes": sizes,
+        "estimates": estimates,
+        "spreads": spreads,
+        "ess": ess,
+        "ms": ms,
+        "first_step": first_step,
+        "mse": None,
+        "kl": None,
+    }
+
+
+def _rows(run_id, seed, algorithm, model, sizes, estimates, spreads, ess, ms, first_step, mse, kl):
+    """One result row per step, made as it is written; the last row carries mse and kl."""
+    last = len(estimates) - 1
+    for t, (estimate, spread) in enumerate(zip(estimates, spreads)):
+        yield ResultRow(
             run_id=run_id,
             seed=seed,
             algorithm=algorithm,
-            model=cfg["model"],
+            model=model,
             n_particles=sizes[0],
             approx_samples=sizes[1],
             mixture_size=sizes[2],
@@ -229,15 +248,16 @@ def _rows(cfg, algorithm, sizes, estimates, spreads, ess=None, ms=None, first_st
             spread=tuple(spread),
             ess=None if ess is None else float(ess[t]),
             wall_clock_ms=0.0 if ms is None else float(ms[t]),
-            mse=None,
-            kl=None,
+            mse=mse if t == last else None,
+            kl=kl if t == last else None,
         )
-        for t, (estimate, spread) in enumerate(zip(estimates, spreads))
-    ]
 
 
-def run_experiment(cfg: dict) -> tuple[list[ResultRow], dict]:
-    """Execute one (algorithm, dataset, seed) cell; pure given the config."""
+def run_experiment(cfg: dict) -> tuple[dict, dict]:
+    """Execute one (algorithm, dataset, seed) cell; pure given the config.
+
+    Returns the run's step columns (see _steps) and its summary.
+    """
     model = _build_model(cfg)
     observations = _resolve_data(cfg, model)
     algorithm = cfg["algorithm"]
@@ -257,7 +277,7 @@ def run_experiment(cfg: dict) -> tuple[list[ResultRow], dict]:
         )
         result = run_pmmh(model, observations, pconfig)
         sizes = (pconfig.inner_particles, 0, 1)
-        rows = _rows(cfg, algorithm, sizes, result.chain, np.zeros_like(result.chain), ms=result.iter_ms)
+        steps = _steps(cfg, algorithm, sizes, result.chain, np.zeros_like(result.chain), ms=result.iter_ms)
         summary = {
             "acceptance_rate": result.acceptance_rate,
             "iterations": result.n_iterations,
@@ -284,7 +304,7 @@ def run_experiment(cfg: dict) -> tuple[list[ResultRow], dict]:
         result = ALGORITHMS[algorithm](model, observations, fconfig)
         sizes = (result.n_particles, result.approx_samples, result.mixture_size)
         spreads = np.diagonal(result.param_cov, axis1=1, axis2=2)
-        rows = _rows(cfg, algorithm, sizes, result.param_mean, spreads, result.ess, result.step_ms)
+        steps = _steps(cfg, algorithm, sizes, result.param_mean, spreads, result.ess, result.step_ms)
         summary = {"log_marginal_lik": result.log_marginal_lik, "notes": result.notes}
         fused = result.fused
         if fused.kind == "mixture":
@@ -298,7 +318,7 @@ def run_experiment(cfg: dict) -> tuple[list[ResultRow], dict]:
             summary["fused_tables"] = tables
 
     summary.update(
-        run_id=rows[0].run_id,
+        run_id=steps["run_id"],
         config=cfg,
         algorithm=algorithm,
         estimate=result.estimate,
@@ -306,11 +326,11 @@ def run_experiment(cfg: dict) -> tuple[list[ResultRow], dict]:
     )
     if truth is not None:
         sq = float(np.sum((result.estimate - np.asarray(truth)) ** 2))
-        rows[-1].mse = summary["squared_error"] = sq
+        steps["mse"] = summary["squared_error"] = sq
     if cfg.get("exact") and tables is not None:
         kl = kl_factorized(tables, read_tables_csv(cfg["exact"]))
-        rows[-1].kl = summary["kl"] = kl
-    return rows, summary
+        steps["kl"] = summary["kl"] = kl
+    return steps, summary
 
 
 # ---------------------------------------------------------------------------
@@ -332,7 +352,7 @@ def _out_base(cfg: dict, default: str) -> str:
     return out[:-4] if out.endswith(".csv") else out
 
 
-def _write_results(base: str, rows: list[ResultRow], summary: dict) -> str:
+def _write_results(base: str, rows: Iterable[ResultRow], summary: dict) -> str:
     write_result_csv(base + ".csv", rows)
     write_summary_json(base + ".json", summary)
     return base + ".csv"
@@ -348,8 +368,8 @@ def _write_columns(path: str, header: str, *columns) -> None:
 
 def cmd_run(args) -> int:
     cfg = merged_config(args)
-    rows, summary = run_experiment(cfg)
-    csv_path = _write_results(_out_base(cfg, "result"), rows, summary)
+    steps, summary = run_experiment(cfg)
+    csv_path = _write_results(_out_base(cfg, "result"), _rows(**steps), summary)
     est = ", ".join(f"{v:.6g}" for v in np.atleast_1d(summary["estimate"]))
     print(f"{cfg['algorithm']} on {cfg['model']}: estimate [{est}] -> {csv_path}")
     return 0
@@ -373,9 +393,9 @@ def cmd_sweep(args) -> int:
             results = list(pool.map(run_experiment, cells))
     else:
         results = [run_experiment(c) for c in cells]
-    all_rows = [row for rows, _ in results for row in rows]
+    rows = itertools.chain.from_iterable(_rows(**steps) for steps, _ in results)
     summaries = [summary for _, summary in results]
-    csv_path = _write_results(_out_base(cfg, "result"), all_rows, {"runs": summaries})
+    csv_path = _write_results(_out_base(cfg, "result"), rows, {"runs": summaries})
     print(f"sweep of {len(cells)} cells -> {csv_path}")
     return 0
 
@@ -398,13 +418,15 @@ def cmd_oracle(args) -> int:
     needs, fits = ORACLE_FITS[kind]
     if not fits(model):
         raise ConfigError(f"oracle kind {kind!r} needs {needs}; model {cfg['model']!r} is not one")
-    if kind == "kalman" and len(args.theta or ()) != 1:
+    if kind == "kalman" and model.theta_fixed is not None and args.theta is not None:
+        raise ConfigError(f"the model fixes theta at {model.theta_fixed}; the kalman oracle takes no --theta")
+    if kind == "kalman" and model.theta_fixed is None and len(args.theta or ()) != 1:
         raise ConfigError("kalman oracle needs --theta with one value")
     observations = _resolve_data(cfg, model)
     base = _out_base(cfg, "oracle")
 
     if kind == "kalman":
-        res = kalman_filter(model, args.theta[0], observations)
+        res = kalman_filter(model, args.theta[0] if args.theta else None, observations)
         _write_columns(base + "_kalman.csv", "t,mean,variance", range(len(res.means)), res.means, res.variances)
         write_summary_json(base + ".json", {"kind": kind, "log_likelihood": res.log_likelihood})
         print(f"kalman filter loglik {res.log_likelihood:.4f} -> {base}_kalman.csv")
@@ -429,8 +451,8 @@ def cmd_oracle(args) -> int:
         est, spread = [post.mean()], [post.variance()]
         summary = {"kind": kind, "mean": post.mean(), "variance": post.variance(), "mode": post.mode()}
         message = f"grid posterior (mean {post.mean():.4f}) -> {base}_grid.csv"
-    rows = _rows(cfg, f"oracle-{kind}", (0, 0, 1), [est], [spread], first_step=observations.shape[0] - 1)
-    _write_results(base, rows, summary)
+    steps = _steps(cfg, f"oracle-{kind}", (0, 0, 1), [est], [spread], first_step=observations.shape[0] - 1)
+    _write_results(base, _rows(**steps), summary)
     print(message)
     return 0
 
@@ -489,7 +511,9 @@ def build_parser() -> argparse.ArgumentParser:
     common(oracle)
     oracle.add_argument("--kind", choices=["slam-exact", "grid", "kalman"])
     oracle.add_argument("--data", help="trajectory CSV")
-    oracle.add_argument("--theta", type=_parse_vector, help="fixed parameters (kalman oracle)")
+    oracle.add_argument(
+        "--theta", type=_parse_vector, help="fixed parameters (kalman oracle; none when the model fixes theta)"
+    )
     oracle.add_argument("--grid-lo", type=float, default=-3.0)
     oracle.add_argument("--grid-hi", type=float, default=3.0)
     oracle.add_argument("--grid-points", type=int, default=121)

@@ -6,7 +6,9 @@ the wall-clock column is the one documented exception.
 """
 
 import csv
+import itertools
 import json
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,14 +61,16 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def write_result_csv(path, rows: list[ResultRow]) -> None:
-    if not rows:
+def write_result_csv(path, rows: Iterable[ResultRow]) -> None:
+    """Write rows as they come: a generator's rows are never all held."""
+    rows = iter(rows)
+    first = next(rows, None)
+    if first is None:
         raise ValueError("no rows to write")
-    p = len(rows[0].estimate)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(result_header(p))
-        for r in rows:
+        writer.writerow(result_header(len(first.estimate)))
+        for r in itertools.chain([first], rows):
             record = [
                 r.run_id,
                 r.seed,
@@ -164,18 +168,118 @@ def read_tables_csv(path) -> np.ndarray:
 
 
 def write_summary_json(path, summary: dict) -> None:
-    payload = {"schema_version": SCHEMA_VERSION}
-    payload.update(summary)
+    """Write summary and its schema_version as json.dump(indent=2, sort_keys=True) would, plus a newline.
+
+    An array writes as its tolist() and a numpy scalar as its item().
+    Every array is written ARRAY_BLOCK elements at a time, so neither its
+    nested lists nor its whole text is ever held.  A value this cannot
+    write raises TypeError before the file is opened.
+    """
+    plan = _plan({"schema_version": SCHEMA_VERSION, **summary})
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True, default=_jsonify)
+        fh.writelines(_json_chunks(plan, 0))
         fh.write("\n")
 
 
-def _jsonify(obj):
+# Array elements converted and formatted per write_summary_json chunk.
+ARRAY_BLOCK = 1024
+_INDENT = "  "
+
+
+def _plan(obj):
+    """obj with each scalar as its JSON text and each dict as its sorted (key text, value) pairs; arrays kept.
+
+    A dict becomes a tuple and a list or tuple a list, so a str in the
+    plan is always finished JSON text.  numpy scalars write as the Python
+    bool, int or float they hold.
+    """
     if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
+        if obj.dtype.kind not in "biuf":
+            raise TypeError(f"cannot serialize an array of {obj.dtype}")
+        return obj
+    if isinstance(obj, dict):
+        return tuple((_key_text(key), _plan(value)) for key, value in sorted(obj.items()))
+    if isinstance(obj, (list, tuple)):
+        return [_plan(value) for value in obj]
+    if isinstance(obj, np.bool_):
+        obj = bool(obj)
+    elif isinstance(obj, np.integer):
+        obj = int(obj)
+    elif isinstance(obj, np.floating):
+        obj = float(obj)
+    if obj is None or isinstance(obj, (str, int, float)):
+        return json.dumps(obj)
     raise TypeError(f"cannot serialize {type(obj)!r}")
+
+
+def _key_text(key) -> str:
+    """A dict key as json writes it: a str as itself, a float, int, bool or None as its JSON text, quoted."""
+    if key is not None and not isinstance(key, (str, int, float)):
+        raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
+    return json.dumps(key if isinstance(key, str) else json.dumps(key))
+
+
+def _json_chunks(plan, level: int):
+    if isinstance(plan, str):
+        yield plan
+    elif isinstance(plan, np.ndarray):
+        yield from _array_chunks(plan, level)
+    elif not plan:
+        yield "{}" if isinstance(plan, tuple) else "[]"
+    else:
+        is_dict = isinstance(plan, tuple)
+        inner = "\n" + _INDENT * (level + 1)
+        for i, item in enumerate(plan):
+            yield ("," if i else "{" if is_dict else "[") + inner
+            if is_dict:
+                key, item = item
+                yield key + ": "
+            yield from _json_chunks(item, level + 1)
+        yield "\n" + _INDENT * level + ("}" if is_dict else "]")
+
+
+def _array_chunks(a: np.ndarray, level: int):
+    """The text of a.tolist() at this nesting level, a block of leading rows at a time."""
+    if a.ndim == 0:
+        yield _leaf_texts(a)[0]
+        return
+    if a.shape[0] == 0:
+        yield "[]"
+        return
+    row_size = a.size // a.shape[0]
+    inner = "\n" + _INDENT * (level + 1)
+    if row_size > ARRAY_BLOCK:
+        for i, row in enumerate(a):
+            yield ("," if i else "[") + inner
+            yield from _array_chunks(row, level + 1)
+    else:
+        row = _template(a.shape[1:], level + 1)
+        step = ARRAY_BLOCK // max(row_size, 1)
+        for start in range(0, a.shape[0], step):
+            block = a[start : start + step]
+            yield ("," if start else "[") + inner
+            yield ("," + inner).join([row] * block.shape[0]) % tuple(_leaf_texts(block))
+    yield "\n" + _INDENT * level + "]"
+
+
+def _template(shape: tuple, level: int) -> str:
+    """The text of an array of this shape at this level, with %s for each element."""
+    if not shape:
+        return "%s"
+    if shape[0] == 0:
+        return "[]"
+    inner = "\n" + _INDENT * (level + 1)
+    rows = ("," + inner).join([_template(shape[1:], level + 1)] * shape[0])
+    return "[" + inner + rows + "\n" + _INDENT * level + "]"
+
+
+def _leaf_texts(a: np.ndarray) -> list[str]:
+    """The JSON text of each element of a, in C order."""
+    if a.dtype.kind == "b":
+        return ["true" if v else "false" for v in a.ravel().tolist()]
+    if a.dtype.kind in "iu":
+        return list(map(int.__repr__, a.ravel().tolist()))
+    values = a.astype(np.float64, copy=False).ravel().tolist()
+    if np.isfinite(a).all():
+        return list(map(float.__repr__, values))
+    return list(map(json.dumps, values))

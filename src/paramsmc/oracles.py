@@ -123,9 +123,12 @@ def kalman_filter(model: LinearGaussianModel, theta, observations: np.ndarray) -
 
     Returns per-step posterior means/variances of the state, (T,) or (T, G),
     and the exact log marginal likelihood of the observations, a float or (G,).
+    A model with theta_fixed runs at its own theta, and theta must be None.
     """
+    if (theta is None) == (model.theta_fixed is None):
+        raise ValueError("kalman_filter needs theta for a free model and theta=None for one with theta_fixed")
     obs = np.asarray(observations, dtype=np.float64).reshape(-1)
-    theta = np.asarray(theta, dtype=np.float64)
+    theta = np.asarray(model.theta_fixed if theta is None else theta, dtype=np.float64)
     q, r = model.trans_sd**2, model.obs_sd**2
     mean, var = model.x0_mean, model.x0_sd**2
     means, variances = np.zeros((2, obs.size, *theta.shape))

@@ -5,19 +5,27 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from paramsmc import cli
+from paramsmc import io as paramsmc_io
 from paramsmc.cli import main
 from paramsmc.io import (
+    SCHEMA_VERSION,
     ResultRow,
     read_result_csv,
     read_tables_csv,
     read_trajectory_csv,
     write_result_csv,
+    write_summary_json,
     write_trajectory_csv,
 )
 
@@ -593,6 +601,26 @@ class TestOracleVerb:
         assert main(argv + ([] if theta is None else [f"--theta={theta}"])) == 2
         assert "config error" in capsys.readouterr().err
 
+    def test_kalman_on_fixed_theta_lg_runs_at_the_models_theta(self, tmp_path, capsys):
+        # exited 0 with -93.30, the filter at --theta 0.9, where the model's own theta 0.5 gives -91.52
+        cfg = tmp_path / "cfg.json"
+        settings = {"model": "lg", "model_overrides": {"theta_fixed": 0.5}, "data_seed": 1, "steps": 50}
+        cfg.write_text(json.dumps(settings))
+        argv = ["oracle", "--config", str(cfg), "--kind", "kalman"]
+        assert main([*argv, "--theta", "0.9", "--out", str(tmp_path / "bad")]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert list(tmp_path.glob("bad*")) == []
+        assert main([*argv, "--out", str(tmp_path / "fixed")]) == 0
+        # plain lg at theta 0.5 on the same trajectory (data_seed 1 is simulate's seed 1)
+        traj = tmp_path / "traj.csv"
+        assert main(["simulate", "--config", str(cfg), "--seed", "1", "--out", str(traj)]) == 0
+        plain = ["oracle", "--model", "lg", "--kind", "kalman", "--theta", "0.5", "--data", str(traj)]
+        assert main([*plain, "--out", str(tmp_path / "plain")]) == 0
+        fixed_ll = json.loads((tmp_path / "fixed.json").read_text())["log_likelihood"]
+        assert fixed_ll == json.loads((tmp_path / "plain.json").read_text())["log_likelihood"]
+        assert round(fixed_ll, 2) == -91.52
+        assert read_bytes(tmp_path / "fixed_kalman.csv") == read_bytes(tmp_path / "plain_kalman.csv")
+
     @pytest.mark.parametrize("model", ["lg", "sin"])
     def test_grid_on_nan_data_exits_3(self, tmp_path, capsys, model):
         # wrote all-NaN masses and exited 0; run on the same file exits 3
@@ -677,3 +705,94 @@ class TestCsvRoundTrip:
         path = tmp_path / "rows.csv"
         write_result_csv(path, rows)
         assert read_result_csv(path) == rows
+        streamed = tmp_path / "streamed.csv"
+        write_result_csv(streamed, (row for row in rows))
+        assert read_bytes(streamed) == read_bytes(path)
+
+    def test_no_rows_is_an_error(self, tmp_path):
+        with pytest.raises(ValueError):
+            write_result_csv(tmp_path / "rows.csv", iter([]))
+        assert not (tmp_path / "rows.csv").exists()
+
+
+def summary_as_json_dump(summary) -> bytes:
+    """What write_summary_json wrote when it called json.dump(indent=2, sort_keys=True)."""
+
+    def tolist(obj):
+        if isinstance(obj, (np.ndarray, np.generic)):
+            return obj.tolist()
+        raise TypeError(f"cannot serialize {type(obj)!r}")
+
+    text = json.dumps({"schema_version": SCHEMA_VERSION, **summary}, indent=2, sort_keys=True, default=tolist)
+    return (text + "\n").encode()
+
+
+def _json_arrays():
+    shapes = hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=4)
+    return st.one_of(
+        hnp.arrays(np.float64, shapes, elements=st.floats(allow_nan=True, allow_infinity=True)),
+        hnp.arrays(np.int64, shapes),
+        hnp.arrays(np.bool_, shapes),
+    )
+
+
+_JSON_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.text(max_size=6),
+    st.floats().map(np.float64),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    st.booleans().map(np.bool_),
+)
+_JSON_TREES = st.recursive(
+    st.one_of(_JSON_SCALARS, _json_arrays()),
+    lambda children: st.one_of(
+        st.lists(children, max_size=3),
+        st.lists(children, max_size=3).map(tuple),
+        st.dictionaries(st.text(max_size=4), children, max_size=3),
+    ),
+    max_leaves=8,
+)
+
+
+class TestSummaryJson:
+    @given(summary=st.dictionaries(st.text(max_size=4), _JSON_TREES, max_size=4), block=st.integers(1, 6))
+    @settings(max_examples=200)
+    def test_bytes_are_json_dump_indent_2_sort_keys(self, tmp_path_factory, summary, block):
+        # a small block sends every array with more than a few elements through the blocked path
+        path = tmp_path_factory.mktemp("summary") / "s.json"
+        with mock.patch.object(paramsmc_io, "ARRAY_BLOCK", block):
+            write_summary_json(path, summary)
+        assert read_bytes(path) == summary_as_json_dump(summary)
+
+    def test_large_array_is_written_in_bounded_memory(self, tmp_path):
+        # json.dump's default turned the array into nested lists at once: about 15 MB here
+        covs = np.random.default_rng(0).random((100_000, 1, 1))
+        path = tmp_path / "s.json"
+        tracemalloc.start()
+        try:
+            write_summary_json(path, {"covs": covs})
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+        assert read_bytes(path) == summary_as_json_dump({"covs": covs})
+
+    def test_numpy_bools_write_as_json_bools(self, tmp_path):
+        path = tmp_path / "s.json"
+        write_summary_json(path, {"flag": np.bool_(True), "flags": np.array([True, False])})
+        assert json.loads(path.read_text()) == {"schema_version": SCHEMA_VERSION, "flag": True, "flags": [True, False]}
+
+    @pytest.mark.parametrize(
+        "value",
+        [object(), np.array([1j]), {(1, 2): 3}, [np.datetime64("2020-01-01")]],
+        ids=["object", "complex-array", "tuple-key", "datetime"],
+    )
+    def test_unwritable_value_raises_before_the_file_is_opened(self, tmp_path, value):
+        # json.dump raised part-way, leaving a truncated file
+        path = tmp_path / "s.json"
+        with pytest.raises(TypeError):
+            write_summary_json(path, {"a": list(range(3)), "z": value})
+        assert not path.exists()

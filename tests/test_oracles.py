@@ -156,6 +156,19 @@ class TestKalman:
             total += weights[i] * f0[i] * (weights @ (f1 * inner))
         assert np.isclose(res.log_likelihood, np.log(total), atol=1e-8)
 
+    def test_fixed_theta_model_runs_at_its_own_theta_bits(self):
+        # filtered at whatever theta was passed, not at the model's own
+        obs = np.array([0.4, -0.3, 0.9, 1.2])
+        fixed = kalman_filter(LinearGaussianModel(theta_fixed=0.5), None, obs)
+        free = kalman_filter(LinearGaussianModel(), 0.5, obs)
+        assert fixed.log_likelihood == free.log_likelihood
+        assert np.array_equal(fixed.means, free.means) and np.array_equal(fixed.variances, free.variances)
+
+    @pytest.mark.parametrize("fixed, theta", [(0.5, 0.9), (None, None)])
+    def test_theta_given_exactly_when_the_model_is_free(self, fixed, theta):
+        with pytest.raises(ValueError):
+            kalman_filter(LinearGaussianModel(theta_fixed=fixed), theta, np.zeros(3))
+
 
 class TestGridPosterior:
     def test_flat_likelihood_returns_prior(self):
