@@ -3,10 +3,11 @@
 Each ref is checked out with ``git worktree`` in a temporary directory,
 and the parent ref a second time for the null A/B (the parent against
 itself); the worktrees are removed when the driver ends.  For each
-WORKLOAD:SEED:PAIRS given, it runs PAIRS pairs of
+WORKLOAD:SEED:PAIRS[:NULL_PAIRS] given, it runs PAIRS pairs of
 ``perfbench/run.py --trace 0`` on the parent and on the change, each run
 in its own process, alternating which side runs first, and interleaves
---null-pairs pairs of the parent against its second checkout.  Every
+NULL_PAIRS (default --null-pairs) pairs of the parent against its second
+checkout.  Every
 run's end-to-end metrics, output digest and passes are kept, and each
 metric is summarised per side as median, quartiles and IQR, with the
 pairs the change won (ties count for neither).  --trace adds one
@@ -20,7 +21,7 @@ checkout's copy.
 
 Usage, from the repository root:
 
-    python scripts/ab.py PARENT CHANGE sin-bimodal-mixture:1:10 sin-api:1:3 \\
+    python scripts/ab.py PARENT CHANGE sin-bimodal-mixture:1:10:5 sin-api:1:3 \\
         --null-pairs 3 --out BENCH.json
 """
 
@@ -153,8 +154,8 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent", help="git ref of the parent")
     parser.add_argument("change", help="git ref of the change")
-    parser.add_argument("runs", nargs="+", help="WORKLOAD:SEED:PAIRS, one or more")
-    parser.add_argument("--null-pairs", type=int, default=3, help="parent/parent pairs per WORKLOAD:SEED")
+    parser.add_argument("runs", nargs="+", help="WORKLOAD:SEED:PAIRS[:NULL_PAIRS], one or more")
+    parser.add_argument("--null-pairs", type=int, default=3, help="parent/parent pairs where a run gives none")
     parser.add_argument("--seconds", type=float, default=20.0, help="perfbench --seconds of every run")
     parser.add_argument("--trace", action="store_true", help="add one --trace 1 run per side and workload")
     parser.add_argument("--repo", type=Path, default=ROOT, help="the git repository holding both refs")
@@ -162,8 +163,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     runs = []
     for text in args.runs:
-        workload, seed, pairs = text.split(":")
-        runs.append((workload, int(seed), int(pairs)))
+        workload, seed, pairs, *null = text.split(":")
+        runs.append((workload, int(seed), int(pairs), int(null[0]) if null else args.null_pairs))
 
     refs = {"parent": args.parent, "change": args.change}
     commits = {side: git(args.repo, "rev-parse", f"{ref}^{{commit}}") for side, ref in refs.items()}
@@ -186,9 +187,9 @@ def main(argv=None) -> int:
                 git(args.repo, "worktree", "add", "--detach", str(tree), commit)
             benchmark = json.loads((trees["change"] / "BENCHMARK.json").read_text())
             spec = {m["name"]: m for m in benchmark["end_to_end"]}
-            for workload, seed, pairs in runs:
+            for workload, seed, pairs, null_pairs in runs:
                 entry = record["workloads"][f"{workload} seed {seed}"] = {"ab": [], "null": []}
-                measure(entry, trees, workload, seed, pairs, args.null_pairs, args.seconds, save)
+                measure(entry, trees, workload, seed, pairs, null_pairs, args.seconds, save)
                 summarise(entry, spec)
                 if args.trace:
                     entry["traced"] = {side: bench(trees[side], workload, seed, args.seconds, 1) for side in refs}
