@@ -604,8 +604,8 @@ class TestOracleVerb:
     def test_kalman_on_fixed_theta_lg_runs_at_the_models_theta(self, tmp_path, capsys):
         # exited 0 with -93.30, the filter at --theta 0.9, where the model's own theta 0.5 gives -91.52
         cfg = tmp_path / "cfg.json"
-        settings = {"model": "lg", "model_overrides": {"theta_fixed": 0.5}, "data_seed": 1, "steps": 50}
-        cfg.write_text(json.dumps(settings))
+        fixed = {"model": "lg", "model_overrides": {"theta_fixed": 0.5}, "data_seed": 1, "steps": 50}
+        cfg.write_text(json.dumps(fixed))
         argv = ["oracle", "--config", str(cfg), "--kind", "kalman"]
         assert main([*argv, "--theta", "0.9", "--out", str(tmp_path / "bad")]) == 2
         assert "config error" in capsys.readouterr().err
