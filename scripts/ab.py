@@ -5,13 +5,14 @@ and the parent ref a second time for the null A/B (the parent against
 itself); the worktrees are removed when the driver ends.  For each
 WORKLOAD:SEED:PAIRS[:NULL_PAIRS] given, it runs PAIRS pairs of
 ``perfbench/run.py --trace 0`` on the parent and on the change, each run
-in its own process, alternating which side runs first, and interleaves
-NULL_PAIRS (default --null-pairs) pairs of the parent against its second
-checkout.  Every
+in its own process for the run_seconds of the change's BENCHMARK.json,
+alternating which side runs first, and interleaves NULL_PAIRS (default
+NULL_PAIRS) pairs of the parent against its second checkout.  Every
 run's end-to-end metrics, output digest and passes are kept, and each
 metric is summarised per side as median, quartiles and IQR, with the
-pairs the change won (ties count for neither).  --trace adds one
-``--trace 1`` run per side for the per-layer metrics.
+pairs the change won (ties count for neither) and a verdict (see
+compare).  --trace adds one ``--trace 1`` run per side for the
+per-layer metrics.
 
 The record goes to --out as JSON with the machine, the package
 versions, the commit ids and the output digests; it is rewritten after
@@ -21,8 +22,7 @@ checkout's copy.
 
 Usage, from the repository root:
 
-    python scripts/ab.py PARENT CHANGE sin-bimodal-mixture:1:10:5 sin-api:1:3 \\
-        --null-pairs 3 --out BENCH.json
+    python scripts/ab.py PARENT CHANGE sin-bimodal-mixture:1:10:5 sin-api:1:3 --out BENCH.json
 """
 
 import argparse
@@ -36,6 +36,10 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+# Parent/parent pairs of a WORKLOAD:SEED:PAIRS that gives no NULL_PAIRS.
+NULL_PAIRS = 3
+# Fewest pairs that can show a gain.
+MIN_GAIN_PAIRS = 10
 
 
 def git(repo: Path, *args: str) -> str:
@@ -89,24 +93,41 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
+def verdict(xs: list[float], ys: list[float], wins: int, bound: float) -> str:
+    """How ys compare with xs on a metric where lower is better.
+
+    "unresolved" when the IQR of xs exceeds the bound relative to their
+    median, unless every y beats every x; else "worse" when the median
+    of ys is worse by more than the bound; "gain" when there are at least
+    MIN_GAIN_PAIRS pairs, ys won at least 9 in 10 and the medians differ
+    by more than the IQR of xs; "within bound" otherwise.
+    """
+    (xq1, xm, xq3), ym = quartiles(xs), statistics.median(ys)
+    if xq3 - xq1 > bound * abs(xm) and max(ys) >= min(xs):
+        return "unresolved"
+    if ym - xm > bound * abs(xm):
+        return "worse"
+    if len(xs) >= MIN_GAIN_PAIRS and wins >= 0.9 * len(xs) and xm - ym > xq3 - xq1:
+        return "gain"
+    return "within bound"
+
+
 def compare(pairs: list[dict], a: str, b: str, spec: dict) -> dict:
-    """Per end-to-end metric: each side's median, quartiles and IQR, and the pairs b won over a."""
+    """Per end-to-end metric: each side's median, quartiles and IQR, the pairs b won over a, and the verdict."""
     out = {}
     for name, metric in spec.items():
-        lower = metric["better"] == "lower"
+        sign = 1 if metric["better"] == "lower" else -1
         xs = [p[a]["metrics"][name] for p in pairs]
         ys = [p[b]["metrics"][name] for p in pairs]
-        wins = sum((y < x) if lower else (y > x) for x, y in zip(xs, ys))
+        wins = sum(sign * y < sign * x for x, y in zip(xs, ys))
         (xq1, xm, xq3), (yq1, ym, yq3) = quartiles(xs), quartiles(ys)
-        worse = (ym - xm) / xm if lower else (xm - ym) / xm
         out[name] = {
             a: {"median": xm, "q1": xq1, "q3": xq3, "iqr": xq3 - xq1},
             b: {"median": ym, "q1": yq1, "q3": yq3, "iqr": yq3 - yq1},
             f"{b}_wins": wins,
             "pairs": len(pairs),
             "relative_change": (ym - xm) / xm,
-            "worse_than_bound": worse > metric["bound"],
-            "gain_resolved": wins >= 0.9 * len(pairs) and abs(ym - xm) > xq3 - xq1,
+            "verdict": verdict([sign * x for x in xs], [sign * y for y in ys], wins, metric["bound"]),
         }
     return out
 
@@ -146,7 +167,7 @@ def report(name: str, summary: dict) -> None:
         print(
             f"  {metric:12s} {a} {sa['median']:.4g} [IQR {sa['iqr']:.3g}]"
             f"  {b} {sb['median']:.4g} [IQR {sb['iqr']:.3g}]  {s['relative_change']:+.2%}"
-            f"  {b} won {s[f'{b}_wins']}/{s['pairs']}"
+            f"  {b} won {s[f'{b}_wins']}/{s['pairs']}: {s['verdict']}"
         )
 
 
@@ -155,8 +176,6 @@ def main(argv=None) -> int:
     parser.add_argument("parent", help="git ref of the parent")
     parser.add_argument("change", help="git ref of the change")
     parser.add_argument("runs", nargs="+", help="WORKLOAD:SEED:PAIRS[:NULL_PAIRS], one or more")
-    parser.add_argument("--null-pairs", type=int, default=3, help="parent/parent pairs where a run gives none")
-    parser.add_argument("--seconds", type=float, default=20.0, help="perfbench --seconds of every run")
     parser.add_argument("--trace", action="store_true", help="add one --trace 1 run per side and workload")
     parser.add_argument("--repo", type=Path, default=ROOT, help="the git repository holding both refs")
     parser.add_argument("--out", type=Path, required=True, help="JSON record to write")
@@ -164,7 +183,7 @@ def main(argv=None) -> int:
     runs = []
     for text in args.runs:
         workload, seed, pairs, *null = text.split(":")
-        runs.append((workload, int(seed), int(pairs), int(null[0]) if null else args.null_pairs))
+        runs.append((workload, int(seed), int(pairs), int(null[0]) if null else NULL_PAIRS))
 
     refs = {"parent": args.parent, "change": args.change}
     commits = {side: git(args.repo, "rev-parse", f"{ref}^{{commit}}") for side, ref in refs.items()}
@@ -172,7 +191,6 @@ def main(argv=None) -> int:
         "machine": machine(),
         "refs": refs,
         "commits": commits,
-        "seconds": args.seconds,
         "workloads": {},
     }
 
@@ -187,12 +205,13 @@ def main(argv=None) -> int:
                 git(args.repo, "worktree", "add", "--detach", str(tree), commit)
             benchmark = json.loads((trees["change"] / "BENCHMARK.json").read_text())
             spec = {m["name"]: m for m in benchmark["end_to_end"]}
+            seconds = record["run_seconds"] = benchmark["run_seconds"]
             for workload, seed, pairs, null_pairs in runs:
                 entry = record["workloads"][f"{workload} seed {seed}"] = {"ab": [], "null": []}
-                measure(entry, trees, workload, seed, pairs, null_pairs, args.seconds, save)
+                measure(entry, trees, workload, seed, pairs, null_pairs, seconds, save)
                 summarise(entry, spec)
                 if args.trace:
-                    entry["traced"] = {side: bench(trees[side], workload, seed, args.seconds, 1) for side in refs}
+                    entry["traced"] = {side: bench(trees[side], workload, seed, seconds, 1) for side in refs}
                 save()
                 report(f"{workload} seed {seed}: parent -> change", entry["summary"])
                 report(f"{workload} seed {seed}: null A/B, parent -> parent", entry["null_summary"])

@@ -210,36 +210,20 @@ def _resolve_data(cfg: dict, model) -> np.ndarray:
     return _simulate(cfg, model, cfg.get("true_params"), "data_seed")[1]
 
 
-def _steps(cfg, algorithm, sizes, estimates, spreads, ess=None, ms=None, first_step=0) -> dict:
-    """The columns of a run's result rows, as _rows takes them; sizes is (n_particles, approx_samples, mixture_size).
+def _rows(cfg, algorithm, sizes, estimates, spreads, ess=None, ms=None, first_step=0, mse=None, kl=None):
+    """One result row per step, made as it is written; sizes is (n_particles, approx_samples, mixture_size).
 
-    Reference posteriors reuse the run-row schema so files diff cleanly.
+    The last row carries mse and kl.  Reference posteriors reuse the
+    run-row schema so files diff cleanly.
     """
-    return {
-        "run_id": _run_id(cfg),
-        "seed": _number("seed", cfg["seed"], int),
-        "algorithm": algorithm,
-        "model": cfg["model"],
-        "sizes": sizes,
-        "estimates": estimates,
-        "spreads": spreads,
-        "ess": ess,
-        "ms": ms,
-        "first_step": first_step,
-        "mse": None,
-        "kl": None,
-    }
-
-
-def _rows(run_id, seed, algorithm, model, sizes, estimates, spreads, ess, ms, first_step, mse, kl):
-    """One result row per step, made as it is written; the last row carries mse and kl."""
+    run_id, seed = _run_id(cfg), _number("seed", cfg["seed"], int)
     last = len(estimates) - 1
     for t, (estimate, spread) in enumerate(zip(estimates, spreads)):
         yield ResultRow(
             run_id=run_id,
             seed=seed,
             algorithm=algorithm,
-            model=model,
+            model=cfg["model"],
             n_particles=sizes[0],
             approx_samples=sizes[1],
             mixture_size=sizes[2],
@@ -253,10 +237,11 @@ def _rows(run_id, seed, algorithm, model, sizes, estimates, spreads, ess, ms, fi
         )
 
 
-def run_experiment(cfg: dict) -> tuple[dict, dict]:
+def run_experiment(cfg: dict) -> tuple[tuple, dict]:
     """Execute one (algorithm, dataset, seed) cell; pure given the config.
 
-    Returns the run's step columns (see _steps) and its summary.
+    Returns the run's per-step arrays, as _rows takes them after cfg and
+    the algorithm, and its summary.
     """
     model = _build_model(cfg)
     observations = _resolve_data(cfg, model)
@@ -277,7 +262,7 @@ def run_experiment(cfg: dict) -> tuple[dict, dict]:
         )
         result = run_pmmh(model, observations, pconfig)
         sizes = (pconfig.inner_particles, 0, 1)
-        steps = _steps(cfg, algorithm, sizes, result.chain, np.zeros_like(result.chain), ms=result.iter_ms)
+        steps = (sizes, result.chain, np.zeros_like(result.chain), None, result.iter_ms)
         summary = {
             "acceptance_rate": result.acceptance_rate,
             "iterations": result.n_iterations,
@@ -304,7 +289,7 @@ def run_experiment(cfg: dict) -> tuple[dict, dict]:
         result = ALGORITHMS[algorithm](model, observations, fconfig)
         sizes = (result.n_particles, result.approx_samples, result.mixture_size)
         spreads = np.diagonal(result.param_cov, axis1=1, axis2=2)
-        steps = _steps(cfg, algorithm, sizes, result.param_mean, spreads, result.ess, result.step_ms)
+        steps = (sizes, result.param_mean, spreads, result.ess, result.step_ms)
         summary = {"log_marginal_lik": result.log_marginal_lik, "notes": result.notes}
         fused = result.fused
         if fused.kind == "mixture":
@@ -318,18 +303,16 @@ def run_experiment(cfg: dict) -> tuple[dict, dict]:
             summary["fused_tables"] = tables
 
     summary.update(
-        run_id=steps["run_id"],
+        run_id=_run_id(cfg),
         config=cfg,
         algorithm=algorithm,
         estimate=result.estimate,
         elapsed_s=result.elapsed_s,
     )
     if truth is not None:
-        sq = float(np.sum((result.estimate - np.asarray(truth)) ** 2))
-        steps["mse"] = summary["squared_error"] = sq
+        summary["squared_error"] = float(np.sum((result.estimate - np.asarray(truth)) ** 2))
     if cfg.get("exact") and tables is not None:
-        kl = kl_factorized(tables, read_tables_csv(cfg["exact"]))
-        steps["kl"] = summary["kl"] = kl
+        summary["kl"] = kl_factorized(tables, read_tables_csv(cfg["exact"]))
     return steps, summary
 
 
@@ -369,7 +352,8 @@ def _write_columns(path: str, header: str, *columns) -> None:
 def cmd_run(args) -> int:
     cfg = merged_config(args)
     steps, summary = run_experiment(cfg)
-    csv_path = _write_results(_out_base(cfg, "result"), _rows(**steps), summary)
+    rows = _rows(cfg, cfg["algorithm"], *steps, mse=summary.get("squared_error"), kl=summary.get("kl"))
+    csv_path = _write_results(_out_base(cfg, "result"), rows, summary)
     est = ", ".join(f"{v:.6g}" for v in np.atleast_1d(summary["estimate"]))
     print(f"{cfg['algorithm']} on {cfg['model']}: estimate [{est}] -> {csv_path}")
     return 0
@@ -393,7 +377,9 @@ def cmd_sweep(args) -> int:
             results = list(pool.map(run_experiment, cells))
     else:
         results = [run_experiment(c) for c in cells]
-    rows = itertools.chain.from_iterable(_rows(**steps) for steps, _ in results)
+    rows = itertools.chain.from_iterable(
+        _rows(s["config"], s["algorithm"], *steps, mse=s.get("squared_error"), kl=s.get("kl")) for steps, s in results
+    )
     summaries = [summary for _, summary in results]
     csv_path = _write_results(_out_base(cfg, "result"), rows, {"runs": summaries})
     print(f"sweep of {len(cells)} cells -> {csv_path}")
@@ -451,8 +437,8 @@ def cmd_oracle(args) -> int:
         est, spread = [post.mean()], [post.variance()]
         summary = {"kind": kind, "mean": post.mean(), "variance": post.variance(), "mode": post.mode()}
         message = f"grid posterior (mean {post.mean():.4f}) -> {base}_grid.csv"
-    steps = _steps(cfg, f"oracle-{kind}", (0, 0, 1), [est], [spread], first_step=observations.shape[0] - 1)
-    _write_results(base, _rows(**steps), summary)
+    rows = _rows(cfg, f"oracle-{kind}", (0, 0, 1), [est], [spread], first_step=observations.shape[0] - 1)
+    _write_results(base, rows, summary)
     print(message)
     return 0
 

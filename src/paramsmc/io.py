@@ -8,6 +8,7 @@ the wall-clock column is the one documented exception.
 import csv
 import itertools
 import json
+import re
 from collections.abc import Iterable
 from dataclasses import dataclass
 
@@ -171,71 +172,46 @@ def write_summary_json(path, summary: dict) -> None:
     """Write summary and its schema_version as json.dump(indent=2, sort_keys=True) would, plus a newline.
 
     An array writes as its tolist() and a numpy scalar as its item().
-    Every array is written ARRAY_BLOCK elements at a time, so neither its
-    nested lists nor its whole text is ever held.  A value this cannot
-    write raises TypeError before the file is opened.
+    json writes the summary with a placeholder for each array, and each
+    array's text is spliced in at its placeholder ARRAY_BLOCK elements at
+    a time, so neither its nested lists nor its whole text is ever held.
+    A value this cannot write raises TypeError, and a str that reads as
+    a placeholder ValueError, before the file is opened.
     """
-    plan = _plan({"schema_version": SCHEMA_VERSION, **summary})
+    arrays = []
+    skeleton = _skeleton({"schema_version": SCHEMA_VERSION, **summary}, arrays)
+    pieces = _PLACEHOLDER.split(json.dumps(skeleton, indent=2, sort_keys=True))
+    if sorted(map(int, pieces[1::2])) != list(range(len(arrays))):
+        raise ValueError("a string in the summary reads as an array placeholder")
     with open(path, "w") as fh:
-        fh.writelines(_json_chunks(plan, 0))
-        fh.write("\n")
+        for before, index in zip(pieces[0::2], pieces[1::2]):
+            line = before[before.rfind("\n") + 1 :]
+            fh.write(before)
+            fh.writelines(_array_chunks(arrays[int(index)], (len(line) - len(line.lstrip(" "))) // 2))
+        fh.write(pieces[-1] + "\n")
 
 
 # Array elements converted and formatted per write_summary_json chunk.
 ARRAY_BLOCK = 1024
 _INDENT = "  "
+# An array's placeholder string, as json writes it.
+_PLACEHOLDER = re.compile(r'"\\u0000ndarray (\d+)\\u0000"')
 
 
-def _plan(obj):
-    """obj with each scalar as its JSON text and each dict as its sorted (key text, value) pairs; arrays kept.
-
-    A dict becomes a tuple and a list or tuple a list, so a str in the
-    plan is always finished JSON text.  numpy scalars write as the Python
-    bool, int or float they hold.
-    """
+def _skeleton(obj, arrays: list):
+    """obj with each array appended to arrays and replaced by its placeholder, and each numpy scalar by its item()."""
     if isinstance(obj, np.ndarray):
         if obj.dtype.kind not in "biuf":
             raise TypeError(f"cannot serialize an array of {obj.dtype}")
-        return obj
+        arrays.append(obj)
+        return f"\x00ndarray {len(arrays) - 1}\x00"
     if isinstance(obj, dict):
-        return tuple((_key_text(key), _plan(value)) for key, value in sorted(obj.items()))
+        return {key: _skeleton(value, arrays) for key, value in obj.items()}
     if isinstance(obj, (list, tuple)):
-        return [_plan(value) for value in obj]
-    if isinstance(obj, np.bool_):
-        obj = bool(obj)
-    elif isinstance(obj, np.integer):
-        obj = int(obj)
-    elif isinstance(obj, np.floating):
-        obj = float(obj)
-    if obj is None or isinstance(obj, (str, int, float)):
-        return json.dumps(obj)
-    raise TypeError(f"cannot serialize {type(obj)!r}")
-
-
-def _key_text(key) -> str:
-    """A dict key as json writes it: a str as itself, a float, int, bool or None as its JSON text, quoted."""
-    if key is not None and not isinstance(key, (str, int, float)):
-        raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
-    return json.dumps(key if isinstance(key, str) else json.dumps(key))
-
-
-def _json_chunks(plan, level: int):
-    if isinstance(plan, str):
-        yield plan
-    elif isinstance(plan, np.ndarray):
-        yield from _array_chunks(plan, level)
-    elif not plan:
-        yield "{}" if isinstance(plan, tuple) else "[]"
-    else:
-        is_dict = isinstance(plan, tuple)
-        inner = "\n" + _INDENT * (level + 1)
-        for i, item in enumerate(plan):
-            yield ("," if i else "{" if is_dict else "[") + inner
-            if is_dict:
-                key, item = item
-                yield key + ": "
-            yield from _json_chunks(item, level + 1)
-        yield "\n" + _INDENT * level + ("}" if is_dict else "]")
+        return [_skeleton(value, arrays) for value in obj]
+    if isinstance(obj, np.generic):
+        return obj.item()
+    return obj
 
 
 def _array_chunks(a: np.ndarray, level: int):

@@ -796,3 +796,12 @@ class TestSummaryJson:
         with pytest.raises(TypeError):
             write_summary_json(path, {"a": list(range(3)), "z": value})
         assert not path.exists()
+
+    @pytest.mark.parametrize("where", ["value", "key"])
+    def test_string_that_reads_as_an_array_placeholder_raises_before_the_file_is_opened(self, tmp_path, where):
+        path = tmp_path / "s.json"
+        text = "\x00ndarray 0\x00"
+        summary = {"a": np.zeros(2), **({"s": text} if where == "value" else {text: 1})}
+        with pytest.raises(ValueError):
+            write_summary_json(path, summary)
+        assert not path.exists()
