@@ -25,6 +25,7 @@ import sys
 from collections.abc import Iterable
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -52,44 +53,93 @@ from .oracles import grid_posterior, kalman_filter, kl_factorized, slam_exact_fo
 from .resampling import RESAMPLERS
 from .rng import substream
 
+
+class Key(NamedTuple):
+    """A config key: its type (see _typed), its default, and what alone reads it ("sweep", "filter", "pmmh")."""
+
+    kind: object
+    default: object = None
+    only: tuple = ()
+
+
+# Every key a config may give; each flag sets one of them.
+SCHEMA = {
+    "model": Key(str),
+    "model_overrides": Key(dict, {}),
+    "seed": Key(int, FilterConfig.seed),
+    "out": Key(str),
+    "data": Key(str),
+    "data_seed": Key(int),
+    "steps": Key(int),
+    "true_params": Key([float]),
+    "algorithm": Key(str, "api"),
+    "n_particles": Key(int, 1000),
+    "truth": Key([float]),
+    "exact": Key(str),
+    "approx_samples": Key(int, MomentScheme.m, ("filter",)),
+    "scheme": Key(str, MomentScheme.kind, ("filter",)),
+    "family": Key(str, FilterConfig.family, ("filter",)),
+    "mixture_size": Key(int, FilterConfig.mixture_size, ("filter",)),
+    "resample": Key(str, FilterConfig.resample, ("filter",)),
+    "shrinkage": Key(float, FilterConfig.shrinkage, ("filter",)),
+    # PmmhConfig holds the pmmh defaults, apart from inner_particles: n_particles.
+    "pmmh": Key(
+        {"inner_particles": Key(int), "iterations": Key(int), "proposal_sd": Key(float), "bounds": Key([float])},
+        {},
+        ("pmmh",),
+    ),
+    "time_budget_s": Key(float, only=("pmmh",)),
+    "particles": Key([int], only=("sweep",)),
+    "approx_samples_list": Key([int], only=("sweep", "filter")),
+    "seeds": Key([int], only=("sweep",)),
+    "workers": Key(int, only=("sweep",)),
+}
 # The lists a sweep's cells range over, each with the key a cell sets from it.
 SWEEP_AXES = {"particles": "n_particles", "approx_samples_list": "approx_samples", "seeds": "seed"}
-# Keys only sweep reads: its lists and its worker count.
-SWEEP_KEYS = {*SWEEP_AXES, "workers"}
-# Keys only PMMH reads, and keys only the filters read.
-PMMH_ONLY_KEYS = {"pmmh", "time_budget_s"}
-FILTER_ONLY_KEYS = {
-    "approx_samples", "approx_samples_list", "scheme", "family", "mixture_size", "resample", "shrinkage"
-}
-# Every key a config may give.
-RUN_KEYS = {
-    *("model", "model_overrides", "algorithm", "n_particles", "seed", "out"),
-    *("data", "data_seed", "steps", "true_params", "truth", "exact"),
-    *SWEEP_KEYS,
-    *PMMH_ONLY_KEYS,
-    *FILTER_ONLY_KEYS,
-}
-
-# The type of each pmmh key a config may give (see _number); PmmhConfig holds their defaults.
-PMMH_KEYS = {"inner_particles": int, "iterations": int, "proposal_sd": float, "bounds": [float]}
-
-_FILTER_DEFAULTS = FilterConfig(n_particles=1000)
-DEFAULTS = {
-    "algorithm": "api",
-    "n_particles": _FILTER_DEFAULTS.n_particles,
-    "approx_samples": _FILTER_DEFAULTS.scheme.m,
-    "scheme": _FILTER_DEFAULTS.scheme.kind,
-    "mixture_size": _FILTER_DEFAULTS.mixture_size,
-    "family": _FILTER_DEFAULTS.family,
-    "seed": _FILTER_DEFAULTS.seed,
-    "resample": _FILTER_DEFAULTS.resample,
-    "shrinkage": _FILTER_DEFAULTS.shrinkage,
-    "model_overrides": {},
-    "pmmh": {},
-}
+NOUNS = {int: "an integer", float: "a number", str: "a string", dict: "an object"}
 
 
-def load_config(path: str | None, verb: str) -> dict:
+def _typed(key: str, value, kind):
+    """value as kind, or a ConfigError naming key.
+
+    kind is int, float, str, [int] or [float] (a list of them, returned
+    as a tuple), dict (an object of any settings) or a dict of Keys (an
+    object of those keys, each typed).  A bool or a string is not a
+    number, and an int is integral: an integral float such as 2.0 is 2.
+    """
+    if isinstance(kind, list) and isinstance(value, (list, tuple)):
+        return tuple(_typed(key, v, kind[0]) for v in value)
+    if isinstance(kind, dict) and isinstance(value, dict):
+        unknown = set(value) - set(kind)
+        if unknown:
+            raise ConfigError(f"unknown {key} keys: {sorted(unknown)}")
+        # a config's own keys go by their names, nested ones by their paths
+        return {k: _typed(k if kind is SCHEMA else f"{key}.{k}", v, kind[k].kind) for k, v in value.items()}
+    if (kind is str or kind is dict) and isinstance(value, kind):
+        return value
+    if (kind is int or kind is float) and isinstance(value, numbers.Real) and not isinstance(value, bool):
+        if kind is float or isinstance(value, numbers.Integral) or float(value).is_integer():
+            return kind(value)
+    if isinstance(kind, list):
+        noun = f"a list of {NOUNS[kind[0]].split()[-1]}s"
+    else:
+        noun = NOUNS[dict if isinstance(kind, dict) else kind]
+    raise ConfigError(f"{key} must be {noun}, got {value!r}")
+
+
+def _flag_type(key: str, kind):
+    """argparse's type= for a flag of kind; a list flag's text is split at commas."""
+    item = kind[0] if isinstance(kind, list) else kind
+
+    def parse(text: str):
+        return _typed(key, [item(v) for v in text.split(",") if v] if isinstance(kind, list) else item(text), kind)
+
+    parse.__name__ = item.__name__  # argparse names it in "invalid int value"
+    return parse
+
+
+def load_config(path: str | None) -> dict:
+    """The config file's settings, each typed as SCHEMA types its key."""
     if path is None:
         return {}
     try:
@@ -97,63 +147,33 @@ def load_config(path: str | None, verb: str) -> dict:
             cfg = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    unknown = set(cfg) - RUN_KEYS
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    sweep_only = set(cfg) & SWEEP_KEYS
-    if sweep_only and verb != "sweep":
-        raise ConfigError(f"config keys {sorted(sweep_only)} are read by sweep only")
-    pmmh = cfg.get("pmmh", {})
-    if not isinstance(pmmh, dict):
-        raise ConfigError(f"pmmh must be an object of PMMH settings, got {pmmh!r}")
-    bad = set(pmmh) - set(PMMH_KEYS)
-    if bad:
-        raise ConfigError(f"unknown pmmh keys: {sorted(bad)}")
-    return cfg
+    return _typed("config", cfg, SCHEMA)
 
 
 def merged_config(args) -> dict:
     """Defaults, then the config file, then every flag given: each flag's dest is its key.
 
-    Under run and sweep, a key the chosen algorithm never reads is an error.
+    The file's values and the flags' are typed as they are read.  A
+    sweep-only key under another verb is an error, and so, under run and
+    sweep, is a key the chosen algorithm never reads.
     """
-    given = load_config(args.config, args.verb)
-    given.update({k: v for k, v in vars(args).items() if k in RUN_KEYS and v is not None})
-    cfg = {**DEFAULTS, **given}
+    given = load_config(args.config)
+    given.update({k: v for k, v in vars(args).items() if k in SCHEMA and v is not None})
+    sweep_only = {k for k in given if "sweep" in SCHEMA[k].only}
+    if sweep_only and args.verb != "sweep":
+        raise ConfigError(f"config keys {sorted(sweep_only)} are read by sweep only")
+    cfg = {**{k: key.default for k, key in SCHEMA.items() if key.default is not None}, **given}
     if cfg.get("model") is None:
         raise ConfigError("a model name is required (--model or config file)")
     if args.verb in ("run", "sweep"):
-        unread = set(given) & (FILTER_ONLY_KEYS if cfg["algorithm"] == "pmmh" else PMMH_ONLY_KEYS)
+        other = "filter" if cfg["algorithm"] == "pmmh" else "pmmh"
+        unread = {k for k in given if other in SCHEMA[k].only}
         if unread:
             raise ConfigError(f"config keys {sorted(unread)} are not read by algorithm {cfg['algorithm']!r}")
     for key in ("data", "exact"):
         if cfg.get(key) and not os.path.isfile(cfg[key]):
             raise ConfigError(f"{key} file {cfg[key]} not found")
     return cfg
-
-
-def _number(key: str, value, kind):
-    """value as kind, or a ConfigError naming key.
-
-    kind is int, float, or [int] or [float] for a list of them, returned as
-    a tuple.  A bool or a string is not a number, and an int is integral.
-    """
-    if isinstance(kind, list):
-        if isinstance(value, (list, tuple)):
-            return tuple(_number(key, v, kind[0]) for v in value)
-    elif isinstance(value, numbers.Real) and not isinstance(value, bool):
-        if kind is float or isinstance(value, numbers.Integral) or float(value).is_integer():
-            return kind(value)
-    noun = "a list" if isinstance(kind, list) else "an integer" if kind is int else "a number"
-    raise ConfigError(f"{key} must be {noun}, got {value!r}")
-
-
-def _parse_vector(text: str) -> list[float]:
-    return [float(v) for v in text.split(",") if v != ""]
-
-
-def _parse_ints(text: str) -> list[int]:
-    return [int(v) for v in text.split(",")]
 
 
 def _run_id(cfg: dict) -> str:
@@ -172,10 +192,7 @@ def _run_id(cfg: dict) -> str:
 
 
 def _build_model(cfg: dict):
-    overrides = cfg.get("model_overrides", {})
-    if not isinstance(overrides, dict):
-        raise ConfigError(f"model_overrides must be an object of model settings, got {overrides!r}")
-    return get_model(cfg["model"], **overrides)
+    return get_model(cfg["model"], **cfg["model_overrides"])
 
 
 def _simulate(cfg: dict, model, theta, seed_key: str) -> tuple[np.ndarray, np.ndarray]:
@@ -184,10 +201,7 @@ def _simulate(cfg: dict, model, theta, seed_key: str) -> tuple[np.ndarray, np.nd
     theta defaults to the model's generating parameters and steps to a
     SLAM model's action count.
     """
-    if theta is None:
-        theta = default_true_params(cfg["model"], model)
-    else:
-        theta = np.asarray(_number("true_params", theta, [float]))
+    theta = default_true_params(cfg["model"], model) if theta is None else np.asarray(theta, dtype=float)
     if theta.shape != (model.dims()[0],):
         raise ConfigError(f"generating parameters need {model.dims()[0]} values, got {theta.size}")
     steps = cfg.get("steps")
@@ -195,10 +209,9 @@ def _simulate(cfg: dict, model, theta, seed_key: str) -> tuple[np.ndarray, np.nd
         if not isinstance(model, SlamModel):
             raise ConfigError("steps is required for this model")
         steps = model.n_steps()
-    steps = _number("steps", steps, int)
     if steps < 0:
         raise ConfigError(f"steps must be >= 0, got {steps}")
-    rng = substream(_number(seed_key, cfg[seed_key], int), streams.DATA)
+    rng = substream(cfg[seed_key], streams.DATA)
     return simulate(model, theta, steps, rng)
 
 
@@ -216,12 +229,12 @@ def _rows(cfg, algorithm, sizes, estimates, spreads, ess=None, ms=None, first_st
     The last row carries mse and kl.  Reference posteriors reuse the
     run-row schema so files diff cleanly.
     """
-    run_id, seed = _run_id(cfg), _number("seed", cfg["seed"], int)
+    run_id = _run_id(cfg)
     last = len(estimates) - 1
     for t, (estimate, spread) in enumerate(zip(estimates, spreads)):
         yield ResultRow(
             run_id=run_id,
-            seed=seed,
+            seed=cfg["seed"],
             algorithm=algorithm,
             model=cfg["model"],
             n_particles=sizes[0],
@@ -245,21 +258,14 @@ def run_experiment(cfg: dict) -> tuple[tuple, dict]:
     """
     model = _build_model(cfg)
     observations = _resolve_data(cfg, model)
-    algorithm = cfg["algorithm"]
-    seed = _number("seed", cfg["seed"], int)
-    truth = None if cfg.get("truth") is None else _number("truth", cfg["truth"], [float])
+    algorithm, seed, truth = cfg["algorithm"], cfg["seed"], cfg.get("truth")
     p = model.dims()[0]
     if truth is not None and len(truth) != p:
         raise ConfigError(f"truth has {len(truth)} values but the model has {p} parameters")
 
     if algorithm == "pmmh":
-        budget = cfg.get("time_budget_s")
-        pm = {"inner_particles": _number("n_particles", cfg["n_particles"], int), **cfg.get("pmmh", {})}
-        pconfig = PmmhConfig(
-            seed=seed,
-            time_budget_s=None if budget is None else _number("time_budget_s", budget, float),
-            **{key: _number(f"pmmh.{key}", value, PMMH_KEYS[key]) for key, value in pm.items()},
-        )
+        pm = {"inner_particles": cfg["n_particles"], **cfg["pmmh"]}
+        pconfig = PmmhConfig(seed=seed, time_budget_s=cfg.get("time_budget_s"), **pm)
         result = run_pmmh(model, observations, pconfig)
         sizes = (pconfig.inner_particles, 0, 1)
         steps = (sizes, result.chain, np.zeros_like(result.chain), None, result.iter_ms)
@@ -274,18 +280,11 @@ def run_experiment(cfg: dict) -> tuple[tuple, dict]:
         if algorithm not in ALGORITHMS:
             raise ConfigError(f"unknown algorithm {algorithm!r}")
         try:
-            scheme = MomentScheme(kind=cfg["scheme"], m=_number("approx_samples", cfg["approx_samples"], int))
+            scheme = MomentScheme(kind=cfg["scheme"], m=cfg["approx_samples"])
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-        fconfig = FilterConfig(
-            n_particles=_number("n_particles", cfg["n_particles"], int),
-            scheme=scheme,
-            family=cfg["family"],
-            mixture_size=_number("mixture_size", cfg["mixture_size"], int),
-            seed=seed,
-            resample=cfg["resample"],
-            shrinkage=_number("shrinkage", cfg["shrinkage"], float),
-        )
+        settings = {k: cfg[k] for k in ("n_particles", "family", "mixture_size", "resample", "shrinkage")}
+        fconfig = FilterConfig(scheme=scheme, seed=seed, **settings)
         result = ALGORITHMS[algorithm](model, observations, fconfig)
         sizes = (result.n_particles, result.approx_samples, result.mixture_size)
         spreads = np.diagonal(result.param_cov, axis1=1, axis2=2)
@@ -360,18 +359,15 @@ def cmd_run(args) -> int:
 
 
 def _sweep_cells(cfg: dict) -> list[dict]:
-    cell = {k: v for k, v in cfg.items() if k not in SWEEP_KEYS}
-    axes = [
-        _number(many, cfg[many], [int]) if cfg.get(many) else [_number(one, cfg[one], int)]
-        for many, one in SWEEP_AXES.items()
-    ]
+    cell = {k: v for k, v in cfg.items() if "sweep" not in SCHEMA[k].only}
+    axes = [cfg.get(many) or [cfg[one]] for many, one in SWEEP_AXES.items()]
     return [{**cell, **dict(zip(SWEEP_AXES.values(), values))} for values in itertools.product(*axes)]
 
 
 def cmd_sweep(args) -> int:
     cfg = merged_config(args)
     cells = _sweep_cells(cfg)
-    workers = _number("workers", cfg.get("workers") or min(len(cells), os.cpu_count() or 1), int)
+    workers = cfg.get("workers") or min(len(cells), os.cpu_count() or 1)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(run_experiment, cells))
@@ -399,6 +395,8 @@ ORACLE_FITS = {
 
 def cmd_oracle(args) -> int:
     cfg = merged_config(args)
+    if args.grid_points < 1:
+        raise ConfigError(f"--grid-points must be at least 1, got {args.grid_points}")
     model = _build_model(cfg)
     kind = args.kind or ("slam-exact" if isinstance(model, SlamModel) else "grid")
     needs, fits = ORACLE_FITS[kind]
@@ -447,37 +445,39 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="paramsmc", description=__doc__)
     sub = parser.add_subparsers(dest="verb", required=True)
 
+    def flag(p, name, key=None, **kw):
+        """A flag that sets config key (by default its name, as argparse derives a dest), typed as the key is."""
+        key = key or name[2:].replace("-", "_")
+        p.add_argument(name, dest=key, type=_flag_type(key, SCHEMA[key].kind), **kw)
+
     def common(p):
         p.add_argument("--config", help="JSON config file")
-        p.add_argument("--model", help="model name (sin, sin-bimodal, lg, slam-small, slam-large)")
-        p.add_argument("--seed", type=int)
-        p.add_argument("--out", help="output path (prefix)")
-        p.add_argument("--steps", type=int, help="trajectory length (transitions)")
+        flag(p, "--model", help="model name (sin, sin-bimodal, lg, slam-small, slam-large)")
+        flag(p, "--seed")
+        flag(p, "--out", help="output path (prefix)")
+        flag(p, "--steps", help="trajectory length (transitions)")
 
     sim = sub.add_parser("simulate", help="draw and store a trajectory")
     common(sim)
-    sim.add_argument("--theta", type=_parse_vector, help="comma-separated generating parameters")
+    theta = _flag_type("--theta", [float])
+    sim.add_argument("--theta", type=theta, help="comma-separated generating parameters")
     sim.set_defaults(func=cmd_simulate)
 
     def algorithm_flags(p):
         """Flags shared by run and sweep."""
         common(p)
-        p.add_argument("--algorithm", choices=[*ALGORITHMS, "pmmh"])
-        p.add_argument("--particles", dest="n_particles", type=int, help="particle count N")
-        p.add_argument("--approx-samples", dest="approx_samples", type=int, help="moment samples M")
-        p.add_argument("--mixtures", dest="mixture_size", type=int, help="mixture components L")
-        p.add_argument("--scheme", choices=["gauss_hermite", "monte_carlo", "unscented"])
-        p.add_argument("--family", choices=["auto", "gaussian", "mixture", "discrete"])
-        p.add_argument("--data", help="trajectory CSV")
-        p.add_argument(
-            "--truth", type=_parse_vector, help="comma-separated generating parameters for the error column"
-        )
-        p.add_argument("--exact", help="exact-posterior tables CSV for the KL column")
-        p.add_argument("--shrinkage", type=float)
-        p.add_argument("--resample", choices=list(RESAMPLERS))
-        p.add_argument(
-            "--budget", dest="time_budget_s", type=float, help="wall-clock budget in seconds (pmmh only)"
-        )
+        flag(p, "--algorithm", choices=[*ALGORITHMS, "pmmh"])
+        flag(p, "--particles", "n_particles", help="particle count N")
+        flag(p, "--approx-samples", help="moment samples M")
+        flag(p, "--mixtures", "mixture_size", help="mixture components L")
+        flag(p, "--scheme", choices=["gauss_hermite", "monte_carlo", "unscented"])
+        flag(p, "--family", choices=["auto", "gaussian", "mixture", "discrete"])
+        flag(p, "--data", help="trajectory CSV")
+        flag(p, "--truth", help="comma-separated generating parameters for the error column")
+        flag(p, "--exact", help="exact-posterior tables CSV for the KL column")
+        flag(p, "--shrinkage")
+        flag(p, "--resample", choices=list(RESAMPLERS))
+        flag(p, "--budget", "time_budget_s", help="wall-clock budget in seconds (pmmh only)")
 
     run = sub.add_parser("run", help="run one algorithm on one dataset")
     algorithm_flags(run)
@@ -485,21 +485,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     sweep = sub.add_parser("sweep", help="grid over N, M, seeds")
     algorithm_flags(sweep)
-    sweep.add_argument("--particles-list", dest="particles", type=_parse_ints, help="comma list of N values")
-    sweep.add_argument(
-        "--samples-list", dest="approx_samples_list", type=_parse_ints, help="comma list of M values"
-    )
-    sweep.add_argument("--seeds", type=_parse_ints, help="comma list of seeds")
-    sweep.add_argument("--workers", type=int)
+    flag(sweep, "--particles-list", "particles", help="comma list of N values")
+    flag(sweep, "--samples-list", "approx_samples_list", help="comma list of M values")
+    flag(sweep, "--seeds", help="comma list of seeds")
+    flag(sweep, "--workers")
     sweep.set_defaults(func=cmd_sweep)
 
     oracle = sub.add_parser("oracle", help="exact/brute-force reference posterior")
     common(oracle)
     oracle.add_argument("--kind", choices=["slam-exact", "grid", "kalman"])
-    oracle.add_argument("--data", help="trajectory CSV")
-    oracle.add_argument(
-        "--theta", type=_parse_vector, help="fixed parameters (kalman oracle; none when the model fixes theta)"
-    )
+    flag(oracle, "--data", help="trajectory CSV")
+    oracle.add_argument("--theta", type=theta, help="fixed parameters (kalman oracle; none when the model fixes theta)")
     oracle.add_argument("--grid-lo", type=float, default=-3.0)
     oracle.add_argument("--grid-hi", type=float, default=3.0)
     oracle.add_argument("--grid-points", type=int, default=121)

@@ -1,5 +1,7 @@
 """Harness behavior: verbs, file schemas, reproducibility, exit codes."""
 
+import argparse
+import itertools
 import json
 import os
 import subprocess
@@ -18,6 +20,8 @@ from hypothesis.extra import numpy as hnp
 from paramsmc import cli
 from paramsmc import io as paramsmc_io
 from paramsmc.cli import main
+from paramsmc.engine import PmmhConfig
+from paramsmc.errors import ConfigError
 from paramsmc.io import (
     SCHEMA_VERSION,
     ResultRow,
@@ -40,6 +44,49 @@ def test_import_leaves_scipy_stats_unloaded():
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def readme_key_table():
+    """The README's command-line key table: (key, flag, type, default, read by) cells, "—" for none."""
+    lines = (Path(__file__).resolve().parents[1] / "README.md").read_text().splitlines()
+    start = lines.index("| key | flag | type | default | read by |") + 2
+    rows = []
+    for line in itertools.takewhile(lambda line: line.startswith("|"), lines[start:]):
+        rows.append([cell.strip().strip("`") for cell in line.strip("|").split("|")])
+    return rows
+
+
+def test_readme_key_table_is_the_schema_and_the_parser():
+    rows = readme_key_table()
+    nested = {f"pmmh.{k}": key for k, key in cli.SCHEMA["pmmh"].kind.items()}
+    schema = {**cli.SCHEMA, **nested}
+    assert sorted(key for key, *_ in rows if key != "—") == sorted(schema)
+    (verbs,) = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    dests = {
+        flag: action.dest
+        for parser in verbs.choices.values()
+        for action in parser._actions
+        for flag in action.option_strings
+        if flag not in ("-h", "--help")
+    }
+    assert sorted(flag for _, flag, *_ in rows if flag != "—") == sorted(dests)
+    readers = {"sweep": "sweep", "filter": "filters", "pmmh": "pmmh"}
+    for key, flag, kind, default, read_by in rows:
+        if flag != "—":  # the row's flag sets its key, or no key
+            assert (dests[flag] if dests[flag] in schema else "—") == key, flag
+        if key == "—":
+            continue
+        with pytest.raises(ConfigError) as exc:  # the type is the checker's own noun
+            cli._typed(key, object(), schema[key].kind)
+        assert kind == str(exc.value).split(" must be ")[1].split(", got ")[0].split(" ", 1)[1], key
+        if key in nested:
+            name = key.split(".")[1]
+            assert default == ("n_particles" if name == "inner_particles" else json.dumps(getattr(PmmhConfig, name)))
+            continue
+        only = cli.SCHEMA[key].only
+        assert read_by == (", ".join(readers[o] for o in only) or "any verb"), key
+        if cli.SCHEMA[key].default is not None:
+            assert default == json.dumps(cli.SCHEMA[key].default), key
 
 
 def read_float_cells(path, header):
@@ -369,6 +416,12 @@ class TestRun:
             ("sweep", {"particles": ["a"]}, "particles"),
             ("sweep", {"seeds": 3}, "seeds"),
             ("sweep", {"workers": 1.5}, "workers"),
+            # these exited 1 with a TypeError or AttributeError traceback
+            ("run", {"resample": [1]}, "resample"),
+            ("run", {"model": ["sin"]}, "model"),
+            ("run", {"algorithm": ["pf"]}, "algorithm"),
+            ("run", {"out": 5}, "out"),
+            ("run", {"data": None}, "data"),  # null is no key's value; the run drew data_seed's data
         ],
     )
     def test_malformed_value_exits_2_naming_its_key(self, tmp_path, capsys, verb, settings, key):
@@ -378,6 +431,29 @@ class TestRun:
         assert main([verb, "--config", str(cfg), "--out", str(tmp_path / "res")]) == 2
         assert f"config error: {key} must be" in capsys.readouterr().err
         assert list(tmp_path.glob("res*")) == []
+
+    @pytest.mark.parametrize(
+        "settings, flags",
+        [
+            ({"seed": 2.0}, ["--seed", "2"]),
+            ({"algorithm": "liu-west", "shrinkage": 1}, ["--algorithm", "liu-west", "--shrinkage", "1.0"]),
+        ],
+    )
+    def test_a_number_in_the_other_type_is_the_same_run(self, tmp_path, monkeypatch, settings, flags):
+        # the summary and the run id saw a file's 2.0 while the run used 2: two ids for one experiment
+        base = {"model": "lg", "data_seed": 1, "steps": 5, "n_particles": 10}
+        outputs = []
+        for name, given, argv in (("file", {**base, **settings}, []), ("flags", base, flags)):
+            run_dir = tmp_path / name
+            run_dir.mkdir()
+            (run_dir / "cfg.json").write_text(json.dumps(given))
+            monkeypatch.chdir(run_dir)
+            assert main(["run", "--config", "cfg.json", *argv, "--out", "res"]) == 0
+            csv = [line.split(",") for line in (run_dir / "res.csv").read_text().splitlines()]
+            ms = csv[0].index("wall_clock_ms")
+            summary = (run_dir / "res.json").read_text().splitlines()
+            outputs.append(([row[:ms] + row[ms + 1 :] for row in csv], [s for s in summary if '"elapsed_s"' not in s]))
+        assert outputs[0] == outputs[1]
 
     def test_integral_floats_are_integers(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -647,6 +723,17 @@ class TestOracleVerb:
             assert main([*argv, "--out", str(out / "oracle")]) == 0
             outputs.append({p.name: p.read_bytes() for p in out.iterdir()})
         assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("points", ["0", "-3"])
+    def test_grid_of_no_points_exits_2_before_reading_data(self, tmp_path, capsys, points):
+        # a ValueError traceback and exit 1, from numpy, after the data were read
+        traj = tmp_path / "traj.csv"
+        main(["simulate", "--model", "lg", "--steps", "6", "--seed", "3", "--out", str(traj)])
+        argv = ["oracle", "--model", "lg", "--data", str(traj), "--grid-points", points]
+        with mock.patch.object(cli, "read_trajectory_csv", side_effect=AssertionError("data read")):
+            assert main([*argv, "--out", str(tmp_path / "oracle")]) == 2
+        assert "config error: --grid-points must be" in capsys.readouterr().err
+        assert list(tmp_path.glob("oracle*")) == []
 
     def test_particle_filter_grid_flags_are_gone(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
