@@ -50,10 +50,8 @@ def readme_key_table():
     """The README's command-line key table: (key, flag, type, default, read by) cells, "—" for none."""
     lines = (Path(__file__).resolve().parents[1] / "README.md").read_text().splitlines()
     start = lines.index("| key | flag | type | default | read by |") + 2
-    rows = []
-    for line in itertools.takewhile(lambda line: line.startswith("|"), lines[start:]):
-        rows.append([cell.strip().strip("`") for cell in line.strip("|").split("|")])
-    return rows
+    table = itertools.takewhile(lambda line: line.startswith("|"), lines[start:])
+    return [[cell.strip().strip("`") for cell in line.strip("|").split("|")] for line in table]
 
 
 def test_readme_key_table_is_the_schema_and_the_parser():
