@@ -7,7 +7,8 @@ WORKLOAD:SEED:PAIRS[:NULL_PAIRS] given, it runs PAIRS pairs of
 ``perfbench/run.py --trace 0`` on the parent and on the change, each run
 in its own process for the run_seconds of the change's BENCHMARK.json,
 alternating which side runs first, and interleaves NULL_PAIRS (default
-NULL_PAIRS) pairs of the parent against its second checkout.  Every
+NULL_PAIRS) pairs of the parent against its second checkout; with
+NULL_PAIRS 0 the null comparison is skipped and recorded as null.  Every
 run's end-to-end metrics, output digest and passes are kept, and each
 metric is summarised per side as median, quartiles and IQR, with the
 pairs the change won (ties count for neither) and a verdict (see
@@ -157,7 +158,8 @@ def summarise(entry: dict, spec: dict) -> None:
                 digests.setdefault(side, set()).add(run["output_digest"])
     entry["output_digests"] = {side: sorted(found) for side, found in digests.items()}
     entry["summary"] = compare(entry["ab"], "parent", "change", spec)
-    entry["null_summary"] = compare(entry["null"], "parent", "parent_again", spec)
+    # with NULL_PAIRS 0 no null A/B ran, and there is nothing to compare
+    entry["null_summary"] = compare(entry["null"], "parent", "parent_again", spec) if entry["null"] else None
 
 
 def report(name: str, summary: dict) -> None:
@@ -214,7 +216,10 @@ def main(argv=None) -> int:
                     entry["traced"] = {side: bench(trees[side], workload, seed, seconds, 1) for side in refs}
                 save()
                 report(f"{workload} seed {seed}: parent -> change", entry["summary"])
-                report(f"{workload} seed {seed}: null A/B, parent -> parent", entry["null_summary"])
+                if entry["null_summary"] is None:
+                    print(f"{workload} seed {seed}: no null A/B ran")
+                else:
+                    report(f"{workload} seed {seed}: null A/B, parent -> parent", entry["null_summary"])
         finally:
             for tree in trees.values():
                 if tree.exists():

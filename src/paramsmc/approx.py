@@ -167,7 +167,10 @@ class FactorizedDiscreteApprox(_Distribution):
 
 # ---------------------------------------------------------------------------
 # Batched kernels.  B is the number of stacked distributions, J the number
-# of evaluation points per distribution, p the parameter dimension.
+# of evaluation points per distribution, p the parameter dimension.  The
+# Gaussian kernels lay points out points-major, (J, B, p): a reduction over
+# a row's points runs over the leading axis, as whole-row vector operations
+# rather than B short ones.
 # ---------------------------------------------------------------------------
 
 
@@ -192,10 +195,11 @@ def batch_gaussian_points(
     scheme: MomentScheme,
     rng: np.random.Generator | None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Evaluation points for each row's Gaussian.
+    """Evaluation points for each row's Gaussian, points-major.
 
-    Returns points (B, J, p) and shared log-weights (J,).  Monte Carlo
-    requires a generator; the deterministic rules do not.
+    Returns points (J, B, p), point j of every row in slice j, and shared
+    log-weights (J,).  Monte Carlo requires a generator, from which it
+    draws z as one (J, B, p) array; the deterministic rules do not.
     """
     b, p = means.shape
     if scheme.over_budget(p):
@@ -209,41 +213,42 @@ def batch_gaussian_points(
     else:
         if rng is None:
             raise ValueError("monte_carlo scheme needs a generator")
-        z = rng.standard_normal((b, scheme.m, p))
+        z = rng.standard_normal((scheme.m, b, p))
         logw = np.full(scheme.m, -np.log(scheme.m))
     chols = batch_cholesky(covs)
     if p == 1:
-        points = chols * z  # (B, 1, 1) standard deviations; a shared (J, 1) grid broadcasts
-        points += means[:, None, :]  # means + sd * z, in place
+        # (B, 1) standard deviations times z; a shared (J, 1) grid broadcasts over the rows
+        points = chols[:, 0] * (z[:, None, :] if z.ndim == 2 else z)
+        points += means  # means + sd * z, in place
     elif z.ndim == 2:
-        points = means[:, None, :] + np.einsum("bij,kj->bki", chols, z)
+        points = means + np.einsum("bij,kj->kbi", chols, z)
     else:
-        points = means[:, None, :] + np.einsum("bij,bkj->bki", chols, z)
+        points = means + np.einsum("bij,kbj->kbi", chols, z)
     return points, logw
 
 
-def _shifted_mass(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Each row's linear weights exp(a - max a), worked in a's place.
+def _shifted_mass(a: np.ndarray, axis: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Weights exp(a - max a) along axis, worked in a's place.
 
-    NaN counts as -inf.  Returns (weights, total, log Z, ok): a row is ok
-    when its log total mass log Z is finite and at least LOG_MASS_FLOOR.
+    NaN counts as -inf.  Returns (weights, total, log Z, ok), the last
+    three with axis reduced away: a row is ok when its log total mass
+    log Z is finite and at least LOG_MASS_FLOOR.
     """
     a[np.isnan(a)] = -np.inf
-    # A max over a short innermost axis pays NumPy's per-row overhead;
-    # over the leading axis of a contiguous copy it runs as whole-row maxima.
-    shift = np.ascontiguousarray(a.T).max(axis=0)
-    ok = np.isfinite(shift)
-    safe_shift = np.where(ok, shift, 0.0)
+    shift = a.max(axis=axis, keepdims=True)
+    dead = ~np.isfinite(shift)
+    shift[dead] = 0.0
     with np.errstate(under="ignore"):
         # underflow to zero is exactly the max-shift semantics
-        a -= safe_shift[:, None]
+        a -= shift
         r = np.exp(a, out=a)
-    r[~ok] = 0.0
-    total = r.sum(axis=1)
+    np.copyto(r, 0.0, where=dead)
+    total = r.sum(axis=axis)
+    shift, dead = shift.reshape(total.shape), dead.reshape(total.shape)
     with np.errstate(divide="ignore"):
-        log_z = safe_shift + np.log(total)
-    log_z[~ok] = -np.inf
-    return r, total, log_z, ok & (log_z >= LOG_MASS_FLOOR)
+        log_z = shift + np.log(total)
+    log_z[dead] = -np.inf
+    return r, total, log_z, ~dead & (log_z >= LOG_MASS_FLOOR)
 
 
 def batch_moment_match(
@@ -255,31 +260,33 @@ def batch_moment_match(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Moment-match each row's reweighted point cloud.
 
-    Given points theta_bj with log-weights w_j and integrand values
-    t_b(theta_bj), computes for every row b
+    Given points theta_jb (J, B, p) with log-weights w_j (J,) and
+    integrand values t_b(theta_jb) (J, B), computes for every row b
 
-        Z_b     = sum_j w_j t_b(theta_bj)
-        mu_b    = sum_j w_j t_b theta_bj / Z_b
+        Z_b     = sum_j w_j t_b(theta_jb)
+        mu_b    = sum_j w_j t_b theta_jb / Z_b
         Sigma_b = sum_j w_j t_b theta theta^T / Z_b - mu mu^T
 
-    in max-shifted linear space.  Rows whose total mass vanishes (log Z
-    below LOG_MASS_FLOOR, or every point at -inf) are flagged and keep
-    their previous moments, and so are rows whose matched variance is not
-    positive on some axis: all of their mass on one point.
+    in max-shifted linear space.  Every sum runs over the leading point
+    axis, so each row adds its points in order, whatever J is.  Rows
+    whose total mass vanishes (log Z below LOG_MASS_FLOOR, or every point
+    at -inf) are flagged and keep their previous moments, and so are rows
+    whose matched variance is not positive on some axis: all of their
+    mass on one point.
 
     Returns (means, covs, log_z, ok).
     """
-    b, j, p = points.shape
-    r, total, log_z, ok = _shifted_mass(log_t + log_weights[None, :])
+    p = points.shape[2]
+    r, total, log_z, ok = _shifted_mass(log_t + log_weights[:, None], axis=0)
     denom = np.where(total > 0, total, 1.0)
-    mu = np.einsum("bj,bjp->bp", r, points) / denom[:, None]
-    second = np.einsum("bj,bjp,bjq->bpq", r, points, points) / denom[:, None, None]
+    mu = np.einsum("jb,jbp->bp", r, points) / denom[:, None]
+    second = np.einsum("jb,jbp,jbq->bpq", r, points, points) / denom[:, None, None]
     cov = second - np.einsum("bp,bq->bpq", mu, mu)
     cov = 0.5 * (cov + np.transpose(cov, (0, 2, 1)))
     eps = JITTER_RELATIVE * np.trace(cov, axis1=1, axis2=2) / p
     cov += eps[:, None, None] * np.eye(p)[None, :, :]
-    variances = np.ascontiguousarray(np.diagonal(cov, axis1=1, axis2=2).T)  # see _shifted_mass
-    ok &= variances.min(axis=0) > 0
+    for i in range(p):
+        ok &= cov[:, i, i] > 0
 
     means_out = np.where(ok[:, None], mu, prev_means)
     covs_out = np.where(ok[:, None, None], cov, prev_covs)
@@ -297,10 +304,11 @@ def batch_mixture_match(
     """Per-component moment matching plus weight reweighting.
 
     Inputs are stacked per particle: alphas (B, L), means (B, L, p), covs
-    (B, L, p, p); points and log_t are flattened over components with
-    shapes (B*L, J, p) and (B*L, J).  Each component m is reweighted by
-    its local normalizer beta_m = integral of t against the component, and
-    the weights renormalize to alpha_m beta_m / sum_l alpha_l beta_l.
+    (B, L, p, p); points and log_t are points-major and flattened over
+    components, with shapes (J, B*L, p) and (J, B*L).  Each component m
+    is reweighted by its local normalizer beta_m = integral of t against
+    the component, and the weights renormalize to alpha_m beta_m /
+    sum_l alpha_l beta_l.
     Components falling below COMPONENT_WEIGHT_FLOOR are zeroed out and the
     rest renormalized; particles where every component degenerates are
     flagged and keep their previous state.
@@ -319,7 +327,7 @@ def batch_mixture_match(
     with np.errstate(divide="ignore"):
         log_alpha = np.log(alphas)
     log_post = np.where(comp_ok, log_alpha + log_beta, -np.inf)
-    w, totals, log_mass, _ = _shifted_mass(log_post)
+    w, totals, log_mass, _ = _shifted_mass(log_post, axis=1)
     ok = np.isfinite(log_mass)  # some component kept its mass; no floor on the sum
     w = w / np.where(totals > 0, totals, 1.0)[:, None]
     # Weight floor: drop tiny components, keep remaining ratios intact.
@@ -415,7 +423,7 @@ def batch_discrete_match(
     """
     b, p, cmax = tables.shape
     a = np.array(log_t, dtype=np.float64) if log_prior_w is None else log_t + log_prior_w
-    r, total, _, ok = _shifted_mass(a)
+    r, total, _, ok = _shifted_mass(a, axis=1)
 
     bins = (np.arange(b)[:, None, None] * p + np.arange(p)) * cmax
     if weights is None:
@@ -477,11 +485,11 @@ class GaussianCloud(Cloud):
 
     def sample(self, rng: np.random.Generator) -> np.ndarray:
         points, _ = batch_gaussian_points(self.arrays["means"], self.arrays["covs"], _ONE_DRAW, rng)
-        return points[:, 0, :]
+        return points[0]
 
     def update(self, prev, rows, factor, scheme, rng):
         points, logw = batch_gaussian_points(prev["means"], prev["covs"], scheme, rng)
-        logt = factor(points, rows)
+        logt = factor(points, rows[None, :])
         means, covs, _, ok = batch_moment_match(points, logw, logt, prev["means"], prev["covs"])
         return {"means": means, "covs": covs}, ok
 
@@ -515,14 +523,16 @@ class MixtureCloud(Cloud):
         comp = (rng.random((n, 1)) >= cdf).sum(axis=1)
         rows = np.arange(n)
         points, _ = batch_gaussian_points(means[rows, comp], covs[rows, comp], _ONE_DRAW, rng)
-        return points[:, 0, :]
+        return points[0]
 
     def update(self, prev, rows, factor, scheme, rng):
         k, l, p = prev["means"].shape
         flat_m = prev["means"].reshape(k * l, p)
         flat_c = prev["covs"].reshape(k * l, p, p)
         points, logw = batch_gaussian_points(flat_m, flat_c, scheme, rng)
-        logt = factor(points, np.repeat(rows, l))
+        j = points.shape[0]
+        # each owner scores its L components' points through a (J, K, L, p) view
+        logt = factor(points.reshape(j, k, l, p), rows[None, :, None]).reshape(j, k * l)
         alphas, means, covs, ok = batch_mixture_match(
             prev["alphas"], prev["means"], prev["covs"], points, logw, logt
         )
@@ -569,7 +579,7 @@ class DiscreteCloud(Cloud):
         if self.joint_codes is not None:
             log_prior = exhaustive_log_prior(tables, self.joint_codes)
             codes = np.broadcast_to(self.joint_codes, (len(rows),) + self.joint_codes.shape)
-            new_tables, ok = batch_discrete_match(tables, codes, log_prior, factor(codes, rows))
+            new_tables, ok = batch_discrete_match(tables, codes, log_prior, factor(codes, rows[:, None]))
             return {"tables": new_tables}, ok
         if rng is None:
             raise ValueError("sampled discrete update needs a generator")
@@ -589,7 +599,7 @@ class DiscreteCloud(Cloud):
             block = slice(lo, lo + step)
             draws, codes = (a[: min(step, b - lo)] for a in self._scratch)
             codes = sample_codes(tables[block], self.cards, rng, m, out=(draws, codes))
-            logt = factor(codes, rows[block])
+            logt = factor(codes, rows[block, None])
             # the draws are spent once the codes are counted; their buffer takes the weights
             new_tables[block], ok[block] = batch_discrete_match(tables[block], codes, None, logt, draws)
         return {"tables": new_tables}, ok
@@ -612,11 +622,11 @@ class DiscreteCloud(Cloud):
 
 def _update_one(cloud: Cloud, log_t, scheme: MomentScheme | None, rng) -> dict:
     """A one-row cloud's updated arrays; log_t scores (J, p) points, where
-    the engine's factors score stacked (B, J, p) points of owner rows."""
+    the engine's factors score points of many owners at once."""
 
     def factor(points, rows):
         values = log_t(points.reshape(-1, points.shape[-1]))
-        return np.asarray(values).reshape(points.shape[:2])
+        return np.asarray(values).reshape(points.shape[:-1])
 
     arrays, ok = cloud.update(cloud.arrays, np.zeros(1, dtype=np.int64), factor, scheme, rng)
     if not ok[0]:
@@ -715,4 +725,4 @@ def _point_rule(mean, cov, scheme: MomentScheme) -> tuple[np.ndarray, np.ndarray
     cov = np.atleast_2d(np.asarray(cov, dtype=np.float64))
     points, logw = batch_gaussian_points(mean[None, :], cov[None, :, :], scheme, None)
     weights = np.exp(logw)
-    return points[0], weights / weights.sum()
+    return points[:, 0], weights / weights.sum()

@@ -47,13 +47,13 @@ class ScalarGaussianModel(DynamicModel):
 
     @abstractmethod
     def _drive(self, thetas, x_prev):
-        """(n,) means of x_t given the (n, p) parameter rows and the (n,) previous states."""
+        """Means of x_t given parameters (..., p) and previous states (...,), leading axes broadcast."""
 
     def param_prior_sample(self, rng, n):
         return self.prior_mean + self.prior_sd * rng.standard_normal((n, self.dims()[0]))
 
     def param_prior_logdensity(self, thetas):
-        return gaussian_logpdf(thetas, self.prior_mean, self.prior_sd).sum(axis=1)
+        return gaussian_logpdf(thetas, self.prior_mean, self.prior_sd).sum(axis=-1)
 
     def param_prior_moments(self):
         p = self.dims()[0]
@@ -64,20 +64,20 @@ class ScalarGaussianModel(DynamicModel):
         return self.x0_mean + self.x0_sd * rng.standard_normal((n, 1))
 
     def state_prior_logdensity(self, x0, thetas):
-        return gaussian_logpdf(x0[:, 0], self.x0_mean, self.x0_sd)
+        return gaussian_logpdf(x0[..., 0], self.x0_mean, self.x0_sd)
 
     def transition_sample(self, rng, t, windows, thetas):
         loc = self._drive(thetas, windows[:, -1, 0])
         return (loc + self.trans_sd * rng.standard_normal(windows.shape[0]))[:, None]
 
     def transition_logdensity(self, t, x_new, windows, thetas):
-        return gaussian_logpdf(x_new[:, 0], self._drive(thetas, windows[:, -1, 0]), self.trans_sd)
+        return gaussian_logpdf(x_new[..., 0], self._drive(thetas, windows[..., -1, 0]), self.trans_sd)
 
     def obs_sample(self, rng, t, states, thetas):
         return states + self.obs_sd * rng.standard_normal(states.shape)
 
     def obs_logdensity(self, t, y, states, thetas):
-        return gaussian_logpdf(y[0], states[:, 0], self.obs_sd)
+        return gaussian_logpdf(y[0], states[..., 0], self.obs_sd)
 
 
 class SinModel(ScalarGaussianModel):
@@ -95,7 +95,7 @@ class SinModel(ScalarGaussianModel):
         super().__init__(obs_sd, **scales)
 
     def _drive(self, thetas, x_prev):
-        theta = thetas[:, 0]
+        theta = thetas[..., 0]
         if self.variant == "bimodal":
             return np.sin(theta * theta * x_prev)
         return np.sin(theta * x_prev)
@@ -121,7 +121,7 @@ class LinearGaussianModel(ScalarGaussianModel):
     def _drive(self, thetas, x_prev):
         if self.theta_fixed is not None:
             return self.theta_fixed * x_prev
-        return thetas[:, 0] * x_prev
+        return thetas[..., 0] * x_prev
 
 
 class SlamModel(DynamicModel):
@@ -177,7 +177,7 @@ class SlamModel(DynamicModel):
         return rng.integers(0, self.n_labels, size=(n, self.n_cells)).astype(np.int64)
 
     def param_prior_logdensity(self, thetas):
-        return np.full(thetas.shape[0], -self.n_cells * np.log(self.n_labels))
+        return np.full(thetas.shape[:-1], -self.n_cells * np.log(self.n_labels))
 
     def param_prior_tables(self):
         return np.full((self.n_cells, self.n_labels), 1.0 / self.n_labels)
@@ -197,10 +197,10 @@ class SlamModel(DynamicModel):
         return np.where(move, targets, locs).astype(np.float64)[:, None]
 
     def transition_logdensity(self, t, x_new, windows, thetas):
-        locs = windows[:, -1, 0].astype(np.int64)
+        locs = windows[..., -1, 0].astype(np.int64)
         targets = self._targets(locs, t)
-        new = x_new[:, 0].astype(np.int64)
-        out = np.full(locs.shape[0], -np.inf)
+        new = x_new[..., 0].astype(np.int64)
+        out = np.full(locs.shape, -np.inf)
         stay_p = np.where(targets == locs, 1.0, 1.0 - self.p_move)
         out = np.where(new == targets, np.log(self.p_move), out)
         with np.errstate(divide="ignore"):
@@ -216,11 +216,12 @@ class SlamModel(DynamicModel):
         return np.where(correct, truth, wrong).astype(np.float64)[:, None]
 
     def obs_logdensity(self, t, y, states, thetas):
-        locs = states[:, 0].astype(np.int64)
-        truth = thetas[np.arange(thetas.shape[0]), locs]
+        # each parameter's label at its state's cell; the leading axes broadcast
+        locs = states[..., :1].astype(np.int64)
+        truth = np.take_along_axis(thetas, locs, axis=-1)[..., 0]
         label = int(round(float(np.asarray(y).reshape(-1)[0])))
         if label < 0 or label >= self.n_labels:
-            return np.full(locs.shape[0], -np.inf)
+            return np.full(truth.shape, -np.inf)
         wrong_p = (1.0 - self.p_obs) / (self.n_labels - 1) if self.n_labels > 1 else 0.0
         with np.errstate(divide="ignore"):
             return np.where(truth == label, np.log(self.p_obs), np.log(wrong_p))

@@ -340,6 +340,9 @@ class PmmhConfig:
             raise ConfigError(f"PMMH proposal_sd must be finite and > 0, got {self.proposal_sd}")
         if len(self.bounds) != 2 or not self.bounds[0] < self.bounds[1]:
             raise ConfigError(f"PMMH bounds must be (lo, hi) with lo < hi, got {self.bounds}")
+        budget = self.time_budget_s
+        if budget is not None and not (math.isfinite(budget) and budget > 0):
+            raise ConfigError(f"PMMH time_budget_s must be finite and > 0, got {budget}")
 
 
 @dataclass

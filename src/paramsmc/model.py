@@ -7,13 +7,17 @@ parameters theta:
     x_t | window ~ p(x_t | x_{t-D:t-1}, theta)
     y_t | x_t   ~ p(y_t | x_t, theta)
 
-All model methods are vectorized over a leading batch axis: `thetas` has
-shape (n, p), states (n, d), state windows (n, D, d) with the newest state
-last.  Log-densities return (n,) arrays whose entries are finite or -inf,
-never NaN.  Models must be immutable after construction and are safe to
-share across threads.
+Samplers are vectorized over one leading batch axis: `thetas` has shape
+(n, p), states (n, d), state windows (n, D, d) with the newest state
+last.  Log densities take leading batch axes that broadcast against each
+other, thetas (..., p), states (..., d) and windows (..., D, d), and
+return the broadcast shape of those leading axes (a term that does not
+read an input may keep that input's size-one axes), entries finite or
+-inf, never NaN.  Models must be immutable after construction and are
+safe to share across threads.
 """
 
+import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
@@ -27,9 +31,9 @@ from .storage import ParticleStore
 
 LOG_2PI = np.log(2.0 * np.pi)
 HALF_LOG_2PI = 0.5 * LOG_2PI
-# Evaluations per model call when ParamLikelihood scores a large batch:
-# 64 KB arrays, so the factor's temporaries stay a few hundred KB however
-# many rows an update carries (see ParamLikelihood.__call__).
+# Most evaluations per model call when ParamLikelihood scores a large
+# batch: 64 KB arrays, so the factor's temporaries stay a few hundred KB
+# however many rows an update carries (see ParamLikelihood.__call__).
 FACTOR_BLOCK = 8192
 
 # Array conventions: a parameter vector is (p,) float64 (continuous) or
@@ -39,6 +43,17 @@ FACTOR_BLOCK = 8192
 
 class DynamicModel(ABC):
     """Interface every model implements.
+
+    Samplers take and return one leading batch axis, (n, p) parameters
+    and (n, d) states.  The log densities take any leading batch axes
+    that broadcast: the projection update passes (J, B, p) points with
+    (1, B, d) owner states, and sampled discrete updates (B, M, p) codes
+    with (B, 1, d) states, and expects the broadcast (J, B) or (B, M)
+    shape back (a theta-free term may keep a size-one axis where its
+    inputs do).  So index from the right, thetas[..., k], states[..., 0],
+    windows[..., -1, 0]; an index like thetas[:, k] picks owner 0 or point
+    0 instead, and ParamLikelihood raises DimensionMismatchError when a
+    result does not span its owners.
 
     Attributes:
         param_kind: "continuous" or "discrete".
@@ -66,7 +81,7 @@ class DynamicModel(ABC):
 
     @abstractmethod
     def param_prior_logdensity(self, thetas: np.ndarray) -> np.ndarray:
-        """(n,) log prior density at each row of thetas."""
+        """Log prior density at each parameter of thetas (..., p)."""
 
     @abstractmethod
     def state_prior_sample(self, rng: np.random.Generator, thetas: np.ndarray) -> np.ndarray:
@@ -82,7 +97,7 @@ class DynamicModel(ABC):
     def transition_logdensity(
         self, t: int, x_new: np.ndarray, windows: np.ndarray, thetas: np.ndarray
     ) -> np.ndarray:
-        """(n,) log density of x_new under the transition kernel."""
+        """Log density of x_new (..., d) under the transition kernel from windows (..., D, d)."""
 
     @abstractmethod
     def obs_sample(self, rng: np.random.Generator, t: int, states: np.ndarray, thetas: np.ndarray) -> np.ndarray:
@@ -90,10 +105,10 @@ class DynamicModel(ABC):
 
     @abstractmethod
     def obs_logdensity(self, t: int, y: np.ndarray, states: np.ndarray, thetas: np.ndarray) -> np.ndarray:
-        """(n,) log density of observation y at each state/theta row."""
+        """Log density of observation y at each broadcast state (..., d) and theta (..., p)."""
 
     def state_prior_logdensity(self, x0: np.ndarray, thetas: np.ndarray) -> np.ndarray:
-        """(n,) log density of x0: for state_prior_depends_on_params, and for the state-grid oracle."""
+        """Log density of x0 (..., d) at thetas (..., p): for state_prior_depends_on_params, and for the state-grid oracle."""
         raise NotImplementedError
 
     # Prior summaries used to seed parameter approximations.  The defaults
@@ -130,15 +145,24 @@ class ParamLikelihood:
     state_prior_depends_on_params.  The parameter prior is not a factor:
     it is the approximation a filter starts from.
 
-    Calling it with (B, J, p) evaluation points and (B,) owner rows
-    returns the (B, J) log values, row b scored against owner rows[b].
-    A (J, p) array of parameters is scored against owner 0 alone and
-    gives (J,) values.
+    Calling it with evaluation points (..., p) and owner indices rows
+    shaped to broadcast against points.shape[:-1] returns the log values
+    of that broadcast shape, each point scored against its owner: (1, B)
+    owners for (J, B, p) Gaussian points, (1, K, 1) for the (J, K, L, p)
+    view of mixture points, (B, 1) for (B, M, p) codes.  Each owner's
+    state and window are gathered once and broadcast into the model's
+    log densities.  A (J, p) array of parameters is scored against owner
+    0 alone and gives (J,) values.
 
-    Rows are scored in blocks of about FACTOR_BLOCK evaluations.  Every
-    value depends on its own row alone, so the blocks give the same bits;
-    they keep the model's temporaries small, and with them the memory a
-    step takes from the allocator and hands back.
+    Points are scored in contiguous blocks of at most FACTOR_BLOCK
+    evaluations along the leading axis; a leading slice larger than that
+    alone is split along its next axis, the owners of the Gaussian and
+    mixture layouts.  Every value depends on its own point and owner
+    alone, so the blocks give the same bits; they keep the model's
+    temporaries small, and with them the memory a step takes from the
+    allocator and hands back.  A log density whose result does not span
+    the owner axes (a model indexing thetas[:, k] where the contract
+    says thetas[..., k]) raises DimensionMismatchError.
     """
 
     model: DynamicModel
@@ -149,30 +173,60 @@ class ParamLikelihood:
 
     def __call__(self, points: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
         if rows is None:
-            return self(np.atleast_2d(points)[None], np.zeros(1, dtype=np.intp))[0]
-        b, j, p = points.shape
-        flat = points.reshape(b * j, p)
-        step = max(1, FACTOR_BLOCK // j)
-        if b <= step:
-            return self._score(flat, rows, j).reshape(b, j)
-        out = None
-        for lo in range(0, b, step):
-            block = self._score(flat[lo * j : (lo + step) * j], rows[lo : lo + step], j)
-            if out is None:
-                out = np.empty(b * j, dtype=block.dtype)
-            out[lo * j : lo * j + block.shape[0]] = block
-        return out.reshape(b, j)
-
-    def _score(self, flat: np.ndarray, rows: np.ndarray, j: int) -> np.ndarray:
-        """Flat log values of J consecutive points per owner row."""
-        owner = np.repeat(rows, j)
-        x = self.states[owner]
-        out = self.model.obs_logdensity(self.k, self.y, x, flat)
-        if self.k > 0:
-            out = out + self.model.transition_logdensity(self.k, x, self.windows[owner], flat)
-        elif self.model.state_prior_depends_on_params:
-            out = out + self.model.state_prior_logdensity(x, flat)
+            return self(np.atleast_2d(points), np.zeros(1, dtype=np.intp))
+        shape = points.shape[:-1]
+        rows = rows.reshape((1,) * (len(shape) - rows.ndim) + rows.shape)
+        lead, per_slice = shape[0], math.prod(shape[1:])
+        if per_slice <= FACTOR_BLOCK:
+            step = max(1, FACTOR_BLOCK // per_slice)
+            blocks = [(slice(lo, lo + step),) for lo in range(0, lead, step)]
+        else:  # owner chunks outermost, so consecutive blocks share their owners
+            step = max(1, FACTOR_BLOCK // math.prod(shape[2:]))
+            blocks = [(slice(i, i + 1), slice(lo, lo + step)) for lo in range(0, shape[1], step) for i in range(lead)]
+        out = np.empty(shape)
+        gathered, x, windows = None, None, None
+        for block in blocks:
+            # an owner axis of length 1 broadcasts whole against every block
+            owners = tuple([part if n > 1 else _ALL for part, n in zip(block, rows.shape)])
+            if owners != gathered:
+                gathered, x = owners, self.states[rows[owners]]
+                windows = None if self.k == 0 else self.windows[rows[owners]]
+            self._score(points[block], x, windows, out[block])
         return out
+
+    def _score(self, points: np.ndarray, x: np.ndarray, windows: np.ndarray | None, out: np.ndarray) -> None:
+        """Write into out the log values of points against the broadcast owner states x and windows."""
+        owners = x.shape[:-1]
+        obs = self.model.obs_logdensity(self.k, self.y, x, points)
+        _check_spans_owners(obs, owners, out.shape)
+        if self.k > 0:
+            term = self.model.transition_logdensity(self.k, x, windows, points)
+        elif self.model.state_prior_depends_on_params:
+            term = self.model.state_prior_logdensity(x, points)
+        else:
+            out[...] = obs
+            return
+        _check_spans_owners(term, owners, out.shape)
+        np.add(obs, term, out=out)
+
+
+_ALL = slice(None)
+
+
+def _check_spans_owners(term, owners: tuple, shape: tuple) -> None:
+    """Raise DimensionMismatchError unless term broadcasts to shape with
+    the full length of every axis along which owners varies."""
+    term_shape = np.shape(term)
+    if term_shape == shape:
+        return
+    padded = (1,) * (len(shape) - len(term_shape)) + term_shape
+    if len(padded) != len(shape) or any(
+        [n != full and (n != 1 or o != 1) for n, o, full in zip(padded, owners, shape)]
+    ):
+        raise DimensionMismatchError(
+            f"a log density returned shape {term_shape} for points of shape {shape} and owners of "
+            f"shape {owners}: index the leading axes as thetas[..., k], states[..., 0] and windows[..., -1, 0]"
+        )
 
 
 def make_param_likelihood(

@@ -189,16 +189,18 @@ def state_grid_log_likelihood(model: ScalarGaussianModel, observations, thetas) 
     xs = ends.min() - STATE_GRID_REACH * model.obs_sd + h * np.arange(n)
     chunk = max(1, STATE_GRID_KERNEL_BYTES // (8 * n * n))
     loglik = np.zeros(len(thetas))
+    # broadcast views: x_i as the state, or as the window before x_j
+    states, windows, x_new = xs[:, None], xs[:, None, None, None], xs[:, None]
     for lo in range(0, len(thetas), chunk):
-        # (theta_g, x_i) rows, and kernel[g, i, j] = p(x_j | x_i, theta_g) h
-        rows, states = (a.reshape(-1, 1) for a in np.meshgrid(thetas[lo : lo + chunk], xs, indexing="ij"))
-        th, prev, new = (a.reshape(-1, 1) for a in np.meshgrid(thetas[lo : lo + chunk], xs, xs, indexing="ij"))
-        kernel = np.exp(model.transition_logdensity(1, new, prev[:, :, None], th)).reshape(-1, n, n) * h
-        f = np.exp(model.state_prior_logdensity(states, rows)).reshape(-1, n) * h
+        th = thetas[lo : lo + chunk, None, None]  # theta_g against states x_i, (G, 1, p = 1)
+        # kernel[g, i, j] = p(x_j | x_i, theta_g) h
+        kernel = np.exp(model.transition_logdensity(1, x_new, windows, th[..., None])) * h
+        f = np.exp(model.state_prior_logdensity(states, th)) * h
+        f = np.broadcast_to(f, (th.shape[0], n)).copy()
         for t, y in enumerate(obs):
             if t > 0:
                 f = np.matmul(f[:, None, :], kernel)[:, 0, :]
-            f *= np.exp(model.obs_logdensity(t, y, states, rows)).reshape(-1, n)
+            f *= np.exp(model.obs_logdensity(t, y, states, th))
             total = f.sum(axis=1)
             loglik[lo : lo + chunk] += np.log(total)
             f /= total[:, None]

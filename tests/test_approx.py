@@ -375,38 +375,65 @@ class TestDiscreteUpdate:
 
 
 def reference_gaussian_points(means, sd, z):
-    """The allocating p = 1 formula batch_gaussian_points must equal bit for bit."""
-    if z.ndim == 2:
-        return means[:, None, :] + sd[:, None, :] * z[None, :, :]
-    return means[:, None, :] + sd[:, None, :] * z
+    """Points (J, B, 1) batch_gaussian_points must equal bit for bit, one
+    point at a time: point j of row b is means[b] + sd[b] * z_j, with z a
+    shared (J, 1) grid or (J, B, 1) draws."""
+    points = np.empty((z.shape[0],) + means.shape)
+    for j in range(z.shape[0]):
+        points[j] = means + sd * z[j]
+    return points
 
 
 def reference_moment_match(points, log_weights, log_t, prev_means, prev_covs):
-    """The allocating formula batch_moment_match must equal bit for bit."""
-    b, j, p = points.shape
-    a = log_t + log_weights[None, :]
+    """The moments batch_moment_match must equal bit for bit, from sums
+    that add each row's (J, B, p) points one at a time, in order."""
+    j, b, p = points.shape
+    a = log_t + log_weights[:, None]
     a = np.where(np.isnan(a), -np.inf, a)
-    shift = np.max(a, axis=1)
+    shift = np.full(b, -np.inf)
+    for k in range(j):
+        shift = np.maximum(shift, a[k])
     ok = np.isfinite(shift)
     safe_shift = np.where(ok, shift, 0.0)
-    with np.errstate(under="ignore"):
-        r = np.exp(a - safe_shift[:, None])
-    r[~ok] = 0.0
-    total = r.sum(axis=1)
+    total, first, second = np.zeros(b), np.zeros((b, p)), np.zeros((b, p, p))
+    for k in range(j):
+        with np.errstate(under="ignore"):
+            r = np.where(ok, np.exp(a[k] - safe_shift), 0.0)
+        total += r
+        first += r[:, None] * points[k]
+        second += r[:, None, None] * points[k][:, :, None] * points[k][:, None, :]
     with np.errstate(divide="ignore"):
-        log_z = safe_shift + np.log(total)
-    log_z[~ok] = -np.inf
+        log_z = np.where(ok, safe_shift + np.log(total), -np.inf)
     ok = ok & (log_z >= LOG_MASS_FLOOR)
     denom = np.where(total > 0, total, 1.0)
-    mu = np.einsum("bj,bjp->bp", r, points) / denom[:, None]
-    second = np.einsum("bj,bjp,bjq->bpq", r, points, points) / denom[:, None, None]
+    mu = first / denom[:, None]
+    cov = second / denom[:, None, None] - mu[:, :, None] * mu[:, None, :]
+    cov = 0.5 * (cov + np.transpose(cov, (0, 2, 1)))
+    eps = JITTER_RELATIVE * np.trace(cov, axis1=1, axis2=2) / p
+    cov += eps[:, None, None] * np.eye(p)[None, :, :]
+    ok &= (np.diagonal(cov, axis1=1, axis2=2) > 0).all(axis=1)
+    means_out = np.where(ok[:, None], mu, prev_means)
+    covs_out = np.where(ok[:, None, None], cov, prev_covs)
+    return means_out, covs_out, log_z, ok
+
+
+def row_major_moment_match(points, log_weights, log_t):
+    """The row-major formulas the points-major kernel replaced: points
+    (B, J, p) and log_t (B, J), each row's sums over its innermost axes.
+    Returns (means, covs, log_z), before the previous moments fill in."""
+    b, j, p = points.shape
+    a = log_t + log_weights[None, :]
+    shift = np.max(a, axis=1)
+    r = np.exp(a - shift[:, None])
+    total = r.sum(axis=1)
+    log_z = shift + np.log(total)
+    mu = np.einsum("bj,bjp->bp", r, points) / total[:, None]
+    second = np.einsum("bj,bjp,bjq->bpq", r, points, points) / total[:, None, None]
     cov = second - np.einsum("bp,bq->bpq", mu, mu)
     cov = 0.5 * (cov + np.transpose(cov, (0, 2, 1)))
     eps = JITTER_RELATIVE * np.trace(cov, axis1=1, axis2=2) / p
     cov += eps[:, None, None] * np.eye(p)[None, :, :]
-    means_out = np.where(ok[:, None], mu, prev_means)
-    covs_out = np.where(ok[:, None, None], cov, prev_covs)
-    return means_out, covs_out, log_z, ok
+    return mu, cov, log_z, second
 
 
 def reference_sampled_update(tables, cards, rng, m, factor, rows):
@@ -450,34 +477,57 @@ class TestBatchKernels:
         covs = gen.random((300, 1, 1)) + 0.05
         points, _ = batch_gaussian_points(means, covs, scheme, substream(3, 0))
         if scheme.kind == "gauss_hermite":
-            z = batch_gaussian_points(np.zeros((1, 1)), np.ones((1, 1, 1)), scheme, None)[0][0]
+            z = batch_gaussian_points(np.zeros((1, 1)), np.ones((1, 1, 1)), scheme, None)[0][:, 0]
         else:
-            z = substream(3, 0).standard_normal((300, scheme.m, 1))
+            z = substream(3, 0).standard_normal((scheme.m, 300, 1))
         expected = reference_gaussian_points(means, np.sqrt(covs)[:, :, 0], z)
         assert points.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("p", [1, 2])
     def test_moment_match_matches_reference_bits(self, p):
         gen = np.random.default_rng(p)
-        b, j = 400, 9
-        points = gen.standard_normal((b, j, p))
+        b = 400
+        for j in (2, 7, 9, 200):
+            points = gen.standard_normal((j, b, p))
+            log_weights = np.log(gen.dirichlet(np.ones(j)))
+            log_t = 3.0 * gen.standard_normal((j, b))
+            log_t[1, ::7] = np.nan
+            log_t[:, 5] = -np.inf  # every point at -inf
+            log_t[:, 9] = np.nan
+            log_t[:, 11] = -800.0  # mass below the floor
+            prev_means = gen.standard_normal((b, p))
+            prev_covs = np.broadcast_to(np.eye(p), (b, p, p)).copy()
+            before = log_t.copy()
+            got = batch_moment_match(points, log_weights, log_t, prev_means, prev_covs)
+            ref = reference_moment_match(points, log_weights, log_t, prev_means, prev_covs)
+            for g, r in zip(got, ref):
+                assert g.dtype == r.dtype and g.shape == r.shape
+                assert g.tobytes() == r.tobytes(), j
+            assert not got[3][[5, 9, 11]].any()
+            # the in-place arithmetic never writes to its inputs
+            assert before.tobytes() == log_t.tobytes()
+
+    @pytest.mark.parametrize("j", [2, 7, 9, 200])
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_moment_match_agrees_with_row_major_formulas(self, p, j):
+        # Points-major sums add each row's points in another order than the
+        # row-major ones did, so the two agree to rounding, not to the bit.
+        gen = np.random.default_rng(10 * j + p)
+        b = 300
+        points = 0.5 + gen.standard_normal((j, b, p))
         log_weights = np.log(gen.dirichlet(np.ones(j)))
-        log_t = 3.0 * gen.standard_normal((b, j))
-        log_t[::7, 2] = np.nan
-        log_t[5] = -np.inf  # every point at -inf
-        log_t[9] = np.nan
-        log_t[11] = -800.0  # mass below the floor
-        prev_means = gen.standard_normal((b, p))
-        prev_covs = np.broadcast_to(np.eye(p), (b, p, p)).copy()
-        before = log_t.copy()
-        got = batch_moment_match(points, log_weights, log_t, prev_means, prev_covs)
-        ref = reference_moment_match(points, log_weights, log_t, prev_means, prev_covs)
-        for g, r in zip(got, ref):
-            assert g.dtype == r.dtype and g.shape == r.shape
-            assert g.tobytes() == r.tobytes()
-        assert not got[3][[5, 9, 11]].any()
-        # the in-place arithmetic never writes to its inputs
-        assert before.tobytes() == log_t.tobytes()
+        log_t = 3.0 * gen.standard_normal((j, b))
+        prev_means, prev_covs = np.zeros((b, p)), np.broadcast_to(np.eye(p), (b, p, p))
+        means, covs, log_z, ok = batch_moment_match(points, log_weights, log_t, prev_means, prev_covs)
+        assert ok.all()
+        mu, cov, ref_log_z, second = row_major_moment_match(
+            points.transpose(1, 0, 2), log_weights, log_t.T
+        )
+        np.testing.assert_allclose(means, mu, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(log_z, ref_log_z, rtol=1e-12, atol=0)
+        # a covariance is a difference of second moments: its rounding scales with them
+        scale = np.abs(second).max(axis=(1, 2))[:, None, None]
+        assert np.all(np.abs(covs - cov) <= 1e-12 * scale)
 
     @pytest.mark.parametrize("cmax", [2, 3])
     def test_blocked_discrete_update_matches_one_shot_bits(self, cmax):
@@ -494,14 +544,14 @@ class TestBatchKernels:
         score[7] = -np.inf  # owner 7 vanishes
         score[8] = -800.0  # owner 8 falls below the mass floor
 
-        def factor(codes, rows):
-            return score[rows[:, None, None], np.arange(p), codes].sum(axis=-1)
+        def factor(codes, rows):  # rows (B, 1) against (B, m, p) codes
+            return score[rows[:, :, None], np.arange(p), codes].sum(axis=-1)
 
         rows = gen.permutation(b)
         cloud = DiscreteCloud(tables, cards, m)
         assert cloud.joint_codes is None
         got = cloud.update(cloud.arrays, rows, factor, None, substream(8, cmax))
-        ref = reference_sampled_update(tables, cards, substream(8, cmax), m, factor, rows)
+        ref = reference_sampled_update(tables, cards, substream(8, cmax), m, factor, rows[:, None])
         assert got[0]["tables"].tobytes() == ref[0].tobytes()
         assert got[1].tobytes() == ref[1].tobytes()
         assert not got[1][np.isin(rows, [7, 8])].any() and got[1].sum() == b - 2

@@ -547,6 +547,18 @@ class TestRun:
         assert "config error" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("budget", [-1, 0])
+    def test_nonpositive_time_budget_exits_2_without_output(self, tmp_path, capsys, budget):
+        cfg = tmp_path / "cfg.json"
+        pmmh = {"iterations": 20, "inner_particles": 10}
+        config = {"model": "lg", "data_seed": 1, "steps": 5, "algorithm": "pmmh", "time_budget_s": budget, "pmmh": pmmh}
+        cfg.write_text(json.dumps(config))
+        code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "res")])
+        assert code == 2
+        assert "time_budget_s" in capsys.readouterr().err
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["cfg.json"]
+
+
 class TestSweep:
     def test_single_cell_matches_run(self, tmp_path):
         traj = tmp_path / "traj.csv"

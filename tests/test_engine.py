@@ -52,7 +52,7 @@ class ThetaFreeModel(DynamicModel):
         return rng.standard_normal((n, 1))
 
     def param_prior_logdensity(self, thetas):
-        return gaussian_logpdf(thetas[:, 0], 0.0, 1.0)
+        return gaussian_logpdf(thetas[..., 0], 0.0, 1.0)
 
     def param_prior_moments(self):
         return np.zeros(1), np.eye(1)
@@ -64,13 +64,13 @@ class ThetaFreeModel(DynamicModel):
         return windows[:, -1, :] + rng.standard_normal((windows.shape[0], 1))
 
     def transition_logdensity(self, t, x_new, windows, thetas):
-        return gaussian_logpdf(x_new[:, 0], windows[:, -1, 0], 1.0)
+        return gaussian_logpdf(x_new[..., 0], windows[..., -1, 0], 1.0)
 
     def obs_sample(self, rng, t, states, thetas):
         return states + 0.5 * rng.standard_normal(states.shape)
 
     def obs_logdensity(self, t, y, states, thetas):
-        return gaussian_logpdf(y[0], states[:, 0], 0.5)
+        return gaussian_logpdf(y[0], states[..., 0], 0.5)
 
 
 class TwoParamThetaFreeModel(ThetaFreeModel):
@@ -107,7 +107,7 @@ class StatePriorModel(ThetaFreeModel):
         return thetas + rng.standard_normal((thetas.shape[0], 1))
 
     def state_prior_logdensity(self, x0, thetas):
-        return gaussian_logpdf(x0[:, 0], thetas[:, 0], 1.0)
+        return gaussian_logpdf(x0[..., 0], thetas[..., 0], 1.0)
 
 
 def sin_data(steps=120, seed=0):
@@ -468,6 +468,14 @@ class TestPmmh:
         _, obs = simulate(model, np.array([0.7]), 5, substream(13, 0))
         with pytest.raises(ConfigError):
             run_pmmh(model, obs, PmmhConfig(**{"iterations": 3, **bad}))
+
+    @pytest.mark.parametrize("budget", [-1.0, 0.0, float("nan"), float("inf"), float("-inf")])
+    def test_time_budget_must_be_finite_and_positive(self, budget):
+        # such a budget ran one iteration and reported the prior draw as the estimate
+        model = LinearGaussianModel()
+        _, obs = simulate(model, np.array([0.7]), 5, substream(13, 0))
+        with pytest.raises(ConfigError, match="time_budget_s"):
+            run_pmmh(model, obs, PmmhConfig(inner_particles=10, iterations=20, time_budget_s=budget))
 
     def test_near_zero_proposal_freezes_chain(self):
         model = LinearGaussianModel()

@@ -84,7 +84,7 @@ class OrderTwoModel(DynamicModel):
         return 0.5 * rng.standard_normal((n, 1))
 
     def param_prior_logdensity(self, thetas):
-        return gaussian_logpdf(thetas[:, 0], 0.0, 0.5)
+        return gaussian_logpdf(thetas[..., 0], 0.0, 0.5)
 
     def param_prior_moments(self):
         return np.zeros(1), np.array([[0.25]])
@@ -93,20 +93,20 @@ class OrderTwoModel(DynamicModel):
         return rng.standard_normal((thetas.shape[0], 1))
 
     def _mean(self, windows, thetas):
-        return thetas[:, 0] * windows[:, -1, 0] - 0.3 * windows[:, 0, 0]
+        return thetas[..., 0] * windows[..., -1, 0] - 0.3 * windows[..., 0, 0]
 
     def transition_sample(self, rng, t, windows, thetas):
         mean = self._mean(windows, thetas)
         return (mean + rng.standard_normal(mean.shape[0]))[:, None]
 
     def transition_logdensity(self, t, x_new, windows, thetas):
-        return gaussian_logpdf(x_new[:, 0], self._mean(windows, thetas), 1.0)
+        return gaussian_logpdf(x_new[..., 0], self._mean(windows, thetas), 1.0)
 
     def obs_sample(self, rng, t, states, thetas):
         return states + 0.5 * rng.standard_normal(states.shape)
 
     def obs_logdensity(self, t, y, states, thetas):
-        return gaussian_logpdf(y[0], states[:, 0], 0.5)
+        return gaussian_logpdf(y[0], states[..., 0], 0.5)
 
 
 class DriftModel(DynamicModel):
@@ -119,7 +119,7 @@ class DriftModel(DynamicModel):
         return 0.5 * rng.standard_normal((n, 2))
 
     def param_prior_logdensity(self, thetas):
-        return gaussian_logpdf(thetas[:, 0], 0.0, 0.5) + gaussian_logpdf(thetas[:, 1], 0.0, 0.5)
+        return gaussian_logpdf(thetas[..., 0], 0.0, 0.5) + gaussian_logpdf(thetas[..., 1], 0.0, 0.5)
 
     def param_prior_moments(self):
         return np.zeros(2), 0.25 * np.eye(2)
@@ -128,20 +128,20 @@ class DriftModel(DynamicModel):
         return rng.standard_normal((thetas.shape[0], 1))
 
     def _mean(self, windows, thetas):
-        return thetas[:, 0] * windows[:, -1, 0] + thetas[:, 1]
+        return thetas[..., 0] * windows[..., -1, 0] + thetas[..., 1]
 
     def transition_sample(self, rng, t, windows, thetas):
         mean = self._mean(windows, thetas)
         return (mean + rng.standard_normal(mean.shape[0]))[:, None]
 
     def transition_logdensity(self, t, x_new, windows, thetas):
-        return gaussian_logpdf(x_new[:, 0], self._mean(windows, thetas), 1.0)
+        return gaussian_logpdf(x_new[..., 0], self._mean(windows, thetas), 1.0)
 
     def obs_sample(self, rng, t, states, thetas):
         return states + 0.5 * rng.standard_normal(states.shape)
 
     def obs_logdensity(self, t, y, states, thetas):
-        return gaussian_logpdf(y[0], states[:, 0], 0.5)
+        return gaussian_logpdf(y[0], states[..., 0], 0.5)
 
 
 def _sin(variant="plain", steps=40):
@@ -244,8 +244,8 @@ RUNS = {
 
 GOLDEN = {
     "api-lg": {
-        "steps": "8b524903961793d5fec5473a746743487272a8ac73946aae3197560d38c98a12",
-        "fused": "fc59ddd94cdc00f863be47ed9c1c6aad67727aeee3886b10e11d2226ac3c9f83",
+        "steps": "121ebe093506fd38a385ecd918a1dce0df2d521fa02ea497dccb8604c30755c9",
+        "fused": "612ff309a1a02505895bd543e1c3ac448977a88a1797e5bc34f8799fddd6be9d",
     },
     "discrete-exhaustive": {
         "steps": "4fda34719a094550fbfa10a3200689af1591d4b3ab1480ac40738c8cc23eae4c",
@@ -260,40 +260,40 @@ GOLDEN = {
         "fused": "3abc57c39a31f827a77fd793d3ce9f3f33ccc269e5d0c8051ac396129386f42f",
     },
     "gaussian": {
-        "steps": "ddeaa94d8e1d365ce9f5849bfa4df6744df3f0d5e1894893b10ab567b4b5b8a3",
-        "fused": "5013f3999b778f76c71d66af44ccc5b15f31bf3e15aef2b26368def2abc6ac0a",
+        "steps": "723d109f40a7885b27e66688bf202e1413e9bc87bde615f846d91de41cf80b66",
+        "fused": "2507a352fef1a30ca5cc6bec9fc8665511f0d9a9d28c7a6a4ebbcffd799dd520",
     },
     "gaussian-monte-carlo": {
-        "steps": "927db3a8fe370a5593c48d01c89fbbf096372366548de25e42ad22498448e21a",
-        "fused": "92c9e156af95b8503be7dfc5d302c6714890c01d827f4be2b0eb75415dcae7d1",
+        "steps": "881b3ea12ba4dc272af8925343fbd124e365b1bd42943673f6db467b5fc7604b",
+        "fused": "69f4e395dd80e7b230df613dff35977244efb8090a1af985bf01efa7c2007ad3",
     },
     "gaussian-p2": {
-        "steps": "b53935d8a78b4ad36a543741a159d79d1c113c666f6082156fbc331ca2a58409",
-        "fused": "05b91a209bc8a53e33522ce86b15fe93e3051bb705b71865df746db01ac1b45d",
+        "steps": "412e020d1dda68503cba770b21ee848688caccf619d697828fcd2b3639cbd320",
+        "fused": "9e8f73f40c19618872fac364d13d757b0d32eed4573e6d3609a652da157714df",
     },
     "gaussian-permuted": {
-        "steps": "7b0f25cee335129e325279c7f5bf1b2bc86dae901806dc41f5c96897cd46f96e",
-        "fused": "498496d9d9b4516b5366abbe4b90fb42e6307c7b514bc9deafe397cecb10bc74",
+        "steps": "53e88604403aecca1f6d901d13f0f0ff5253bc1a7d6601ca657653d05d200e89",
+        "fused": "2a80eb4c399266961ccb98505a9cc460ad2a3329af5920e7d81d1ccfffa282e0",
     },
     "gaussian-systematic": {
-        "steps": "d2652b31a7c1cddbbe5e97a271eb4c2ff2c6fea018c4c757cc8d496954716ece",
-        "fused": "6007ab4a757ac18da00bddf71303f4540866f3c0f2379a0a341f36978ebe7795",
+        "steps": "f9febcccbead58722cabff6609239bea03d18b0cf00a72115b491521fb3072b9",
+        "fused": "836bfc4c6db8bd6b8f72fad41efef5f3ce97151a768026d13d48f4665da0cb8d",
     },
     "liu-west": {
         "steps": "8942397d5a102db9b46aa4a62c88272f749b3c8d28741a0982b3b4fe12cb2851",
         "fused": "2cb1db22aa1a5a90f10fa4ba5b5374680b179a6b77313d21ce493feb22b85fc4",
     },
     "mixture": {
-        "steps": "bba2f368bfccfda32708e3ac3ef3485d97215dca8738cf8ae5784681cb19005f",
-        "fused": "59180211bfa8efa916cac6138f92ef1e5f5ff704692c78d81b0dfb3b203cfe44",
+        "steps": "9c42bd28153be5a7b5faf6c32deada83d9094bfc1c9ddb804adfb7a0c3e62713",
+        "fused": "9159c808683a708d4bce705f38a110a7954971539b196de9fe95734fe91d084f",
     },
     "mixture-p2": {
-        "steps": "3b2effd534eaf76cf79f8f2a7015a0fd5ae045540208d94141c45f6fbc50d036",
-        "fused": "9a0f254461e68f2d7a982898b079a20e7844b0f5023cf114ecc66ea343b22613",
+        "steps": "8bdf5a50ce5fe3695d69ae6269f688dd34fb389478355ac5a84037f3f079a2ee",
+        "fused": "139e0175cf18400bb9bb177044c26c438ad6a4f85e697dcf24b51cd364af7777",
     },
     "order-two": {
-        "steps": "ee65203f213086737879df1ae8ae789fdc5bb1108c198c651aca24201f009d7f",
-        "fused": "0c2fa9e95b9ca559042b2d118d89b2e89c84e9c528b3b3b0729c9cba158da084",
+        "steps": "6498f0dcd0bcb3cc4cb719152e5b25fd13db638f0fe2a428e6e2cbaf4f4e1406",
+        "fused": "7588af4bd3eae4272d70952e7477ce3158e1801c3bd489c752079220d75cc406",
     },
     "pf": {
         "steps": "351a517677de46831f1c1869fd5035684f06fda78d331f8947369c379d36c888",
@@ -437,7 +437,7 @@ PUBLIC_GOLDEN = {
     "gaussian-update-unscented-p2": "757446f209c3a45ce8416c2d6bb902de0b1e65d2e065aee7afaf507fe6dad8d7",
     "mixture-sample": "941b95126c09f2180b88a5fe0da04c0005aa9d019414bade46be7a33321bd567",
     "mixture-update": "482fdaa240ff7d36d00f693a6c7e3e80a2521f7c6bfb5e840e274753d3bebf8b",
-    "mixture-update-floor-drop": "f755f5f457ebf22da827b468d90bb461f7017c3c13c1858ccb33ae5992032fe7",
+    "mixture-update-floor-drop": "0eebe9bbd2b4df324627d47848d3881f4327416543ce414d402e4be72eabb1a4",
     "slam-instances": "163c80cea3d7c425ea16973a08f2c2da59a161166736d7a776850ff8a336d681",
     "unscented-points-p2": "155aae4fdda7ce9d62c5f9621f1927742b8823b272fd3aea464829391e89cb3c",
 }
@@ -558,11 +558,11 @@ CLI_GOLDEN = {
     "oracle-grid-sin": "ea49814fd115a381cbab73c66daed52248d378929713db772c00baff249cb288",
     "oracle-kalman": "3a0ef765262932f4f20f7e9cc2c0f1e65c3e03597b68506a0b560cdcf14bd157",
     "oracle-slam-exact": "b8d1a40952672d43e43516838769eb93cdfcc9149bc831b4df417679db25f17a",
-    "run-api-truth": "9a44d06c6e11fb79f2c119c0f2760d2cc3418313b3636ad96d1f7df7d1018f2a",
-    "run-data-seed": "3b7ddd1a8187c5a6a9542509d9152bc26015630c831c9d82e9d154ead15603b9",
+    "run-api-truth": "3dd5f243deea2bb32553108d0be1ebc267e1875de8a7b157064173ecadf1c1f9",
+    "run-data-seed": "ee0c4b7a8f7b5d695e8c2122fce4215e8ad877c095c5149917b38b1c30c4e0d1",
     "run-liu-west": "f702650440c0992a0be95e6d52f1f0ce4b707e7ea48be0714085c4961c9b07e1",
-    "run-mixture": "0c1ed8161200d1070caa196a4b2806a9b898b69e1203a7ea85569682a97eedeb",
-    "run-monte-carlo": "a5f238d3f7e8005004daecc8058612b5a0576f70e007f76b519720bd89f36f85",
+    "run-mixture": "32199464e9b8bae6f14275f35f1552c58fb0518c2d68920fd98c0e79de559fd2",
+    "run-monte-carlo": "2ea311d308d1c57c318a29faee1745c0b0523b8b4fe78a6b4de41fcf04f94959",
     "run-pf-slam-exact": "4b02bde9110ece17269bc78400c5fc31d966193a0443b9255499e9c955e47edb",
     "run-pf-systematic": "d4cbe5ff88f4ffc238059d2257f2d890c39c60932c3a18915507df0ff2ba26c3",
     "run-pmmh-lg-truth": "3297bcb3208979b3f08ceb3f68e716642caeb2363eaf5a0b2343ea78aad59566",
@@ -572,7 +572,7 @@ CLI_GOLDEN = {
     "simulate-lg-config": "55e515a22b4fd780fba0168fdd37eb91be57bbf8a63461e3682ff9c816e9d22f",
     "simulate-sin": "39c107a24af271e934b7ce8e15795781a9818c85e15a3b81e6a6f992c7015907",
     "simulate-slam-small": "d77086cc204db022309e812e5f55f77f8124d8c9810dc37f227c2782cb29d2a1",
-    "sweep-2x2x2": "8715b923578bb736ba717fea5b582954980c2e373206da34f38f08e87952084d",
+    "sweep-2x2x2": "1ea51f636e0bf2d0a0662d1eb079a71a64332b3ff6e9a49b7401547e972ac26a",
 }
 
 PATH_KEYS = ("data", "exact", "out")
@@ -684,7 +684,8 @@ class WindowCheckingModel(OrderTwoModel):
         return x
 
     def transition_logdensity(self, t, x_new, windows, thetas):
-        for xi, win in zip(x_new[:, 0], windows[:, :, 0]):
+        # one entry per owner: x_new and windows share their leading axes
+        for xi, win in zip(x_new[..., 0].ravel(), windows[..., 0].reshape(-1, windows.shape[-2])):
             self.scored += 1
             if not np.array_equal(self.born[xi], win):
                 self.mismatches += 1

@@ -9,10 +9,15 @@ from hypothesis import strategies as st
 from scipy import integrate, stats
 
 import paramsmc.model as model_module
+import test_engine
+import test_golden
+from paramsmc.approx import gauss_hermite
 from paramsmc.benchmarks import LinearGaussianModel, SinModel, get_model
+from paramsmc.engine import FilterConfig, run_assumed_density_filter
 from paramsmc.errors import DimensionMismatchError
 from paramsmc.model import (
     LOG_2PI,
+    DynamicModel,
     ParamLikelihood,
     gaussian_logpdf,
     make_param_likelihood,
@@ -101,8 +106,9 @@ class TestParamLikelihood:
         assert np.allclose(vals, expected, atol=1e-12)
 
     def test_batched_rows_score_their_own_owner(self):
-        # (B, J, p) points against owner rows: row b uses states[rows[b]]
-        # and windows[rows[b]], and matches the single-state evaluator
+        # (J, B, p) points against (1, B) owner rows: column b uses
+        # states[rows[b]] and windows[rows[b]], and matches the
+        # single-state evaluator
         model = SinModel()
         rng = substream(5, 0)
         states = rng.standard_normal((4, 1))
@@ -110,12 +116,12 @@ class TestParamLikelihood:
         y = rng.standard_normal(1)
         lik = ParamLikelihood(model, 3, y, states, windows)
         rows = np.array([2, 0, 2])
-        points = rng.standard_normal((3, 5, 1))
-        got = lik(points, rows)
-        assert got.shape == (3, 5)
+        points = rng.standard_normal((5, 3, 1))
+        got = lik(points, rows[None, :])
+        assert got.shape == (5, 3)
         for b, r in enumerate(rows):
             single = make_param_likelihood(model, 3, states[r], windows[r], y)
-            assert np.array_equal(got[b], single(points[b]))
+            assert np.array_equal(got[:, b], single(points[:, b]))
 
     def test_zero_previous_state_kills_theta_dependence(self):
         # sin(theta * 0) = 0, so t_k is constant in theta
@@ -172,27 +178,35 @@ class TestParamLikelihood:
         rng = substream(17, k)
         n = 600
         if name == "slam-small":
+            # sampled codes keep their (B, M, p) order, owners (B, 1)
             cells = model.n_cells
             states = rng.integers(0, cells, size=(n, 1)).astype(np.float64)
             windows = rng.integers(0, cells, size=(n, 1, 1)).astype(np.float64)
             points = rng.integers(0, model.n_labels, size=(b, j, p))
             y = np.array([1.0])
+            rows = np.sort(rng.integers(0, n, size=b))[:, None]
         else:
+            # Gaussian points are points-major (J, B, p), owners (1, B)
             states = rng.standard_normal((n, d))
             windows = rng.standard_normal((n, 1, d))
-            points = rng.standard_normal((b, j, p))
+            points = rng.standard_normal((j, b, p))
             y = rng.standard_normal(1)
-        rows = np.sort(rng.integers(0, n, size=b))
+            rows = np.sort(rng.integers(0, n, size=b))[None, :]
         return ParamLikelihood(model, k, y, states, windows if k > 0 else None), points, rows
 
-    @pytest.mark.parametrize("name,k,j", [("sin-bimodal", 3, 7), ("sin", 0, 7), ("slam-small", 4, 50)])
-    def test_blocked_scoring_matches_one_call_bits(self, monkeypatch, name, k, j):
-        # 3,001 rows span several FACTOR_BLOCK blocks and end in a partial one
-        lik, points, rows = self._large_factor(name, k, 3001, j)
+    @pytest.mark.parametrize(
+        "name,k,b,j",
+        [("sin-bimodal", 3, 3001, 7), ("sin", 0, 3001, 7), ("slam-small", 4, 3001, 50), ("sin", 2, 20_001, 3)],
+        ids=["sin-bimodal-3-7", "sin-0-7", "slam-small-4-50", "sin-2-3-owner-split"],
+    )
+    def test_blocked_scoring_matches_one_call_bits(self, monkeypatch, name, k, b, j):
+        # 3,001 rows span several FACTOR_BLOCK blocks and end in a partial
+        # one; 20,001 owners split each leading slice along the owners
+        lik, points, rows = self._large_factor(name, k, b, j)
         got = lik(points, rows)
         monkeypatch.setattr(model_module, "FACTOR_BLOCK", 10**9)
         whole = lik(points, rows)
-        assert got.shape == whole.shape == (3001, j)
+        assert got.shape == whole.shape == points.shape[:-1]
         assert got.dtype == whole.dtype
         assert got.tobytes() == whole.tobytes()
 
@@ -211,6 +225,137 @@ class TestParamLikelihood:
             tracemalloc.stop()
         extra = peak - before - out.nbytes
         assert extra < 16 * model_module.FACTOR_BLOCK * 8
+
+
+def _test_module_models() -> dict:
+    """Every DynamicModel subclass the test modules define, by name."""
+    found, todo = {}, [DynamicModel]
+    while todo:
+        for cls in todo.pop().__subclasses__():
+            todo.append(cls)
+            if cls.__module__.startswith("test_"):
+                found[f"{cls.__module__}.{cls.__name__}"] = cls
+    return found
+
+
+TEST_MODULE_MODELS = _test_module_models()
+CONTRACT_MODELS = {
+    "sin": lambda: get_model("sin"),
+    "sin-bimodal": lambda: get_model("sin-bimodal"),
+    "lg": lambda: get_model("lg"),
+    "lg-theta-fixed": lambda: get_model("lg", theta_fixed=0.6),
+    "slam-small": lambda: get_model("slam-small"),
+    "slam-large": lambda: get_model("slam-large"),
+    **TEST_MODULE_MODELS,
+}
+
+
+class ParentStatePriorModel(DynamicModel):
+    """test_engine.StatePriorModel as it was written for one leading batch
+    axis, indexing thetas[:, 0], states[:, 0] and x0[:, 0]."""
+
+    state_prior_depends_on_params = True
+
+    def dims(self):
+        return (1, 1, 1)
+
+    def param_prior_sample(self, rng, n):
+        return rng.standard_normal((n, 1))
+
+    def param_prior_logdensity(self, thetas):
+        return gaussian_logpdf(thetas[:, 0], 0.0, 1.0)
+
+    def param_prior_moments(self):
+        return np.zeros(1), np.eye(1)
+
+    def state_prior_sample(self, rng, thetas):
+        return thetas + rng.standard_normal((thetas.shape[0], 1))
+
+    def state_prior_logdensity(self, x0, thetas):
+        return gaussian_logpdf(x0[:, 0], thetas[:, 0], 1.0)
+
+    def transition_sample(self, rng, t, windows, thetas):
+        return windows[:, -1, :] + rng.standard_normal((windows.shape[0], 1))
+
+    def transition_logdensity(self, t, x_new, windows, thetas):
+        return gaussian_logpdf(x_new[:, 0], windows[:, -1, 0], 1.0)
+
+    def obs_sample(self, rng, t, states, thetas):
+        return states + 0.5 * rng.standard_normal(states.shape)
+
+    def obs_logdensity(self, t, y, states, thetas):
+        return gaussian_logpdf(y[0], states[:, 0], 0.5)
+
+
+class TestBroadcastContract:
+    """The log densities take leading batch axes that broadcast: on the
+    layouts ParamLikelihood passes they equal their flat per-row values."""
+
+    @staticmethod
+    def _owners(model, rng, b):
+        """Windows and states of b owners and an observation, drawn through the model's own samplers."""
+        thetas = model.param_prior_sample(rng, b)
+        windows = np.stack([model.state_prior_sample(rng, thetas) for _ in range(model.markov_order())], axis=1)
+        states = model.transition_sample(rng, 1, windows, thetas)
+        y = model.obs_sample(rng, 1, states, thetas)[0]
+        return windows, states, y
+
+    @staticmethod
+    def _densities(model, y, states, windows, thetas):
+        out = {
+            "obs": model.obs_logdensity(1, y, states, thetas),
+            "transition": model.transition_logdensity(1, states, windows, thetas),
+        }
+        try:
+            out["state_prior"] = model.state_prior_logdensity(states, thetas)
+        except NotImplementedError:
+            pass
+        return out
+
+    @pytest.mark.parametrize("layout", ["points-major", "codes"])
+    @pytest.mark.parametrize("name", sorted(CONTRACT_MODELS))
+    def test_broadcast_inputs_equal_flat_rows_bits(self, name, layout):
+        model = CONTRACT_MODELS[name]()
+        rng = substream(31, len(name))
+        b, j = 6, 5
+        windows, states, y = self._owners(model, rng, b)
+        p, d, _ = model.dims()
+        if layout == "points-major":  # (J, B) points against (1, B) owners
+            shape, states, windows = (j, b), states[None], windows[None]
+        else:  # (B, M) codes against (B, 1) owners
+            shape, states, windows = (b, j), states[:, None], windows[:, None]
+        thetas = model.param_prior_sample(rng, j * b).reshape(shape + (p,))
+        got = self._densities(model, y, states, windows, thetas)
+        flat = self._densities(
+            model,
+            y,
+            np.broadcast_to(states, shape + states.shape[-1:]).reshape(j * b, d),
+            np.broadcast_to(windows, shape + windows.shape[-2:]).reshape((j * b,) + windows.shape[-2:]),
+            thetas.reshape(j * b, p),
+        )
+        assert got.keys() == flat.keys()
+        for term, values in got.items():
+            assert flat[term].shape == (j * b,)
+            spread = np.broadcast_to(values, shape)
+            assert spread.dtype == flat[term].dtype
+            assert spread.ravel().tobytes() == flat[term].tobytes(), term
+
+    def test_every_test_module_model_is_checked(self):
+        assert {"test_engine.StatePriorModel", "test_golden.OrderTwoModel", "test_golden.DriftModel"} <= set(
+            TEST_MODULE_MODELS
+        )
+        assert test_engine.StatePriorModel is TEST_MODULE_MODELS["test_engine.StatePriorModel"]
+        assert test_golden.WindowCheckingModel is TEST_MODULE_MODELS["test_golden.WindowCheckingModel"]
+
+    def test_factor_refuses_a_model_indexing_one_batch_axis(self):
+        # Scored through x0[:, 0] and thetas[:, 0], every owner would get
+        # owner 0's values: without the check this run's mean came out
+        # 0.64, not the 0.89 = y_0 / 2.25 the model's own posterior has.
+        config = FilterConfig(n_particles=200, scheme=gauss_hermite(7), seed=1)
+        with pytest.raises(DimensionMismatchError, match=r"thetas\[\.\.\., k\]"):
+            run_assumed_density_filter(ParentStatePriorModel(), np.array([[2.0]]), config)
+        fused = run_assumed_density_filter(test_engine.StatePriorModel(), np.array([[2.0]]), config).fused
+        assert abs(fused.mean[0] - 2.0 / 2.25) < 0.1
 
 
 class TestTransitionDensityNormalization:
