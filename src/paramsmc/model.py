@@ -35,6 +35,7 @@ HALF_LOG_2PI = 0.5 * LOG_2PI
 # batch: 64 KB arrays, so the factor's temporaries stay a few hundred KB
 # however many rows an update carries (see ParamLikelihood.__call__).
 FACTOR_BLOCK = 8192
+_ALL = slice(None)
 
 # Array conventions: a parameter vector is (p,) float64 (continuous) or
 # (p,) int64 codes (discrete); states are (d,) and observations (m,)
@@ -208,9 +209,6 @@ class ParamLikelihood:
             return
         _check_spans_owners(term, owners, out.shape)
         np.add(obs, term, out=out)
-
-
-_ALL = slice(None)
 
 
 def _check_spans_owners(term, owners: tuple, shape: tuple) -> None:
