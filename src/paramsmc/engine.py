@@ -262,21 +262,23 @@ def _run_filter(model: DynamicModel, observations, config: FilterConfig, algorit
     degenerate_updates = 0
     run_start = stamps[0] = time.perf_counter()
 
-    # step t's time runs from the end of step t - 1, so it holds the generator's work
-    for t, x, windows, w, increment, anc in steps:
-        ess_trace[t] = ess(w)
-        state_mean[t] = w @ x
-        log_ml += increment
-        factor = ParamLikelihood(model, t, obs[t], x, windows)
-        fused = None  # it holds views of the arrays this update replaces: let them go
-        n_updates[t], deg = cloud.assimilate(anc, factor, scheme, rng_moment)
-        degenerate_updates += deg
+    # step t's time runs from the end of step t - 1, so it holds the generator's work;
+    # a tiny weight underflows to zero in the weighing and in ess, under one errstate for the run
+    with np.errstate(under="ignore"):
+        for t, x, windows, w, increment, anc in steps:
+            ess_trace[t] = ess(w)
+            state_mean[t] = w @ x
+            log_ml += increment
+            factor = ParamLikelihood(model, t, obs[t], x, windows)
+            fused = None  # it holds views of the arrays this update replaces: let them go
+            n_updates[t], deg = cloud.assimilate(anc, factor, scheme, rng_moment)
+            degenerate_updates += deg
 
-        fused = cloud.fuse()
-        param_mean[t], param_cov[t] = fused.mean, fused.cov
-        if tables_trace is not None:
-            tables_trace[t] = fused.tables
-        stamps[t + 1] = time.perf_counter()
+            fused = cloud.fuse()
+            param_mean[t], param_cov[t] = fused.mean, fused.cov
+            if tables_trace is not None:
+                tables_trace[t] = fused.tables
+            stamps[t + 1] = time.perf_counter()
 
     if degenerate_updates:
         notes["degenerate_updates"] = degenerate_updates

@@ -312,19 +312,25 @@ def bootstrap_steps(model, obs, thetas_at, store, rng_init, rng_prop, rng_res, r
     step, it advances the store by x and the ancestors, which builds new
     windows and leaves the yielded ones as they were.  Raises
     TotalDegeneracyError when a step has no weight.
+
+    The caller holds np.errstate(under="ignore") while it iterates (see
+    weigh_log_weights).  The methods a step calls are looked up once, on
+    the first step: a wrapper installed on the model or the store after
+    that is not seen.
     """
+    propagate, obs_logdensity, advance = model.transition_sample, model.obs_logdensity, store.advance
     for t in range(obs.shape[0]):
-        thetas = thetas_at(t)
+        thetas = thetas_at(t)  # before the windows are read: it may relabel the store
         if t == 0:
             windows = None
             x = model.state_prior_sample(rng_init, thetas)
         else:
-            windows = store.window()
-            x = model.transition_sample(rng_prop, t, windows, thetas)
-        w, increment = weigh_log_weights(model.obs_logdensity(t, obs[t], x, thetas))
+            windows = store.windows
+            x = propagate(rng_prop, t, windows, thetas)
+        w, increment = weigh_log_weights(obs_logdensity(t, obs[t], x, thetas))
         anc = resample(w, rng_res)
         yield t, x, windows, w, increment, anc
-        store.advance(x, anc)
+        advance(x, anc)
 
 
 def gaussian_logpdf(x, mean, sd):

@@ -162,8 +162,9 @@ def pf_log_likelihood(model, theta, observations, n_particles, rng) -> float:
     total = 0.0
     try:
         steps = bootstrap_steps(model, obs, lambda t: thetas, store, rng, rng, rng, multinomial_resample)
-        for _t, _x, _windows, _w, increment, _anc in steps:
-            total += increment
+        with np.errstate(under="ignore"):  # a tiny weight underflows to zero: once per call, not per step
+            for _t, _x, _windows, _w, increment, _anc in steps:
+                total += increment
     except TotalDegeneracyError:
         return -np.inf
     return float(total)
@@ -222,7 +223,9 @@ def grid_posterior(model, observations, grid: np.ndarray) -> GridPosterior:
     else:
         raise ValueError(f"grid posterior needs a scalar Gaussian model, not {type(model).__name__}")
     log_post = model.param_prior_logdensity(grid[:, None]) + loglik
-    return GridPosterior(grid=grid, masses=weigh_log_weights(log_post)[0])
+    with np.errstate(under="ignore"):  # a mass far below the mode's underflows to zero
+        masses = weigh_log_weights(log_post)[0]
+    return GridPosterior(grid=grid, masses=masses)
 
 
 def kl_factorized(estimate: np.ndarray, exact: np.ndarray) -> float:

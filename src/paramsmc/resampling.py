@@ -20,6 +20,11 @@ def weigh_log_weights(log_weights: np.ndarray) -> tuple[np.ndarray, float]:
     log-evidence increment.  Raises TotalDegeneracyError when every weight
     is zero (all -inf) or any weight is NaN, since no ancestor
     distribution exists then.
+
+    A weight far below the largest underflows to zero in the exp.  The
+    caller owns the floating-point error state: the loops that weigh once
+    per step hold np.errstate(under="ignore") for their whole run, which
+    costs about a microsecond to enter, a twentieth of a 50-particle step.
     """
     lw = np.asarray(log_weights, dtype=np.float64)
     # the ufunc reductions that lw.max() and w.sum() call, without their wrappers
@@ -28,8 +33,7 @@ def weigh_log_weights(log_weights: np.ndarray) -> tuple[np.ndarray, float]:
         raise TotalDegeneracyError(
             "NaN particle weight" if math.isnan(m) else "every particle weight is zero"
         )
-    with np.errstate(under="ignore"):
-        w = np.exp(lw - m)
+    w = np.exp(lw - m)
     s = np.add.reduce(w, axis=None)
     w /= s
     # s / size is how np.mean divides
@@ -63,9 +67,12 @@ RESAMPLERS = {
 
 
 def ess(weights: np.ndarray) -> float:
-    """Effective sample size 1 / sum w^2 of normalized weights."""
-    with np.errstate(under="ignore"):
-        return 1.0 / float(weights @ weights)
+    """Effective sample size 1 / sum w^2 of normalized weights.
+
+    A tiny weight's square underflows; as in weigh_log_weights, the
+    caller owns the error state.
+    """
+    return 1.0 / float(weights @ weights)
 
 
 def distinct_sorted(ancestors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -11,6 +11,7 @@ import pytest
 from scipy import stats
 
 import paramsmc.model
+import test_golden
 from paramsmc import approx, engine, oracles
 from paramsmc import rng as streams
 from paramsmc.approx import gauss_hermite, monte_carlo
@@ -396,6 +397,54 @@ class TestBootstrap:
         bad_obs = np.full((3, 1), 7.0)  # label outside the code set
         with pytest.raises(TotalDegeneracyError):
             run_bootstrap_filter(model, bad_obs, FilterConfig(n_particles=16, seed=0))
+
+
+OUTLIER_STEP = 20
+OUTLIER_GRID = np.linspace(-1.0, 1.0, 201)
+
+
+def outlier_data():
+    """An lg series with one observation so far out that the weights of every
+    particle but the nearest underflow to zero."""
+    model = LinearGaussianModel()
+    _, obs = simulate(model, np.array([0.7]), 40, substream(17, 0))
+    obs[OUTLIER_STEP] = 1e5
+    return model, obs
+
+
+UNDERFLOW_CALLS = {
+    "pf_log_likelihood": lambda model, obs: oracles.pf_log_likelihood(model, [0.7], obs, 50, substream(3, 0)).hex(),
+    "pf": lambda model, obs: test_golden.run_digests(run_bootstrap_filter(model, obs, FilterConfig(n_particles=50, seed=3))),
+    "api": lambda model, obs: test_golden.run_digests(
+        run_assumed_density_filter(model, obs, FilterConfig(n_particles=50, scheme=gauss_hermite(5), seed=3))
+    ),
+    "grid_posterior": lambda model, obs: grid_posterior(model, obs, OUTLIER_GRID).masses.tobytes(),
+}
+
+
+class TestUnderflowErrorState:
+    """A weight far below the largest underflows to zero.  The filters and the
+    grid oracle let it, under an np.errstate they hold for the whole run: under
+    a caller's np.errstate(under="raise") they raise nothing and return the bits
+    they return under numpy's defaults."""
+
+    def test_outlier_underflows_a_bare_exp(self):
+        model, obs = outlier_data()
+        # particle log weights at the outlier, over a wider spread of states than the filter holds
+        states = np.linspace(-5.0, 5.0, 50)[:, None]
+        log_weights = model.obs_logdensity(OUTLIER_STEP, obs[OUTLIER_STEP], states, np.full((50, 1), 0.7))
+        log_post = model.param_prior_logdensity(OUTLIER_GRID[:, None]) + kalman_filter(model, OUTLIER_GRID, obs).log_likelihood
+        for lw in (log_weights, log_post):
+            with np.errstate(under="raise"), pytest.raises(FloatingPointError, match="underflow"):
+                np.exp(lw - lw.max())
+
+    @pytest.mark.parametrize("call", sorted(UNDERFLOW_CALLS))
+    def test_same_bits_under_a_raising_error_state(self, call):
+        model, obs = outlier_data()
+        default = UNDERFLOW_CALLS[call](model, obs)
+        with np.errstate(under="raise"):
+            raising = UNDERFLOW_CALLS[call](model, obs)
+        assert raising == default
 
 
 class TestKalmanAgreement:

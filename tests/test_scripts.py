@@ -22,6 +22,7 @@ SCRIPTS = [
     ("sin_accuracy_experiment.py", "--seeds 2 --steps 30 --particles 50", "algorithm"),
     ("slam_kl_sweep.py", "--seeds 2 --particles 50 --samples 5", "N \\ M"),
     ("bimodal_mixture_demo.py", "--steps 30 --particles 50", "squared-drive SIN"),
+    ("step_cost.py", "--particles 20 50 --steps 30 --repeats 3", "N  median us/step"),
 ]
 
 
