@@ -22,6 +22,8 @@ from paramsmc import rng as streams
 from paramsmc.oracles import pf_log_likelihood
 
 THETA = 0.7
+DATA_SEED = 1  # the lg series
+SEED = 0  # the filter's stream, the same on every call
 
 
 def main():
@@ -29,19 +31,17 @@ def main():
     parser.add_argument("--particles", type=int, nargs="+", default=[50, 200, 1000])
     parser.add_argument("--steps", type=int, default=300, help="the series has steps + 1 observations")
     parser.add_argument("--repeats", type=int, default=25)
-    parser.add_argument("--data-seed", type=int, default=1)
-    parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
 
     model = ps.get_model("lg")
-    _, obs = ps.simulate(model, np.array([THETA]), args.steps, ps.substream(args.data_seed, streams.DATA))
+    _, obs = ps.simulate(model, np.array([THETA]), args.steps, ps.substream(DATA_SEED, streams.DATA))
     per_step = {n: [] for n in args.particles}
     log_liks = {}
     for n in args.particles:  # one untimed call each, so lazy set-up is not timed
-        log_liks[n] = pf_log_likelihood(model, [THETA], obs, n, ps.substream(args.seed, 0))
+        log_liks[n] = pf_log_likelihood(model, [THETA], obs, n, ps.substream(SEED, 0))
     for _ in range(args.repeats):
         for n in args.particles:
-            rng = ps.substream(args.seed, 0)
+            rng = ps.substream(SEED, 0)
             start = time.perf_counter()
             pf_log_likelihood(model, [THETA], obs, n, rng)
             per_step[n].append((time.perf_counter() - start) / obs.shape[0] * 1e6)

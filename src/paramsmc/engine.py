@@ -263,7 +263,7 @@ def _run_filter(model: DynamicModel, observations, config: FilterConfig, algorit
     run_start = stamps[0] = time.perf_counter()
 
     # step t's time runs from the end of step t - 1, so it holds the generator's work;
-    # a tiny weight underflows to zero in the weighing and in ess, under one errstate for the run
+    # a tiny weight underflows to zero in the weighing, under one errstate for the run
     with np.errstate(under="ignore"):
         for t, x, windows, w, increment, anc in steps:
             ess_trace[t] = ess(w)

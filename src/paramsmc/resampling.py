@@ -67,12 +67,9 @@ RESAMPLERS = {
 
 
 def ess(weights: np.ndarray) -> float:
-    """Effective sample size 1 / sum w^2 of normalized weights.
-
-    A tiny weight's square underflows; as in weigh_log_weights, the
-    caller owns the error state.
-    """
-    return 1.0 / float(weights @ weights)
+    """Effective sample size 1 / sum w^2 of normalized weights."""
+    with np.errstate(under="ignore"):
+        return 1.0 / float(weights @ weights)
 
 
 def distinct_sorted(ancestors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -11,8 +11,6 @@ handed out earlier shifts with it.
 
 import numpy as np
 
-_FLOAT64 = np.dtype(np.float64)
-
 
 class ParticleStore:
     """State windows for N particles over the last D timesteps."""
@@ -23,7 +21,6 @@ class ParticleStore:
         self.n = n_particles
         self.d = max(state_dim, 1)
         self.windows = np.zeros((n_particles, markov_order, self.d))
-        self._states_shape = (n_particles, self.d)
 
     def push(self, states: np.ndarray) -> None:
         """Append the states for the next timestep in place, dropping the oldest slot."""
@@ -39,15 +36,8 @@ class ParticleStore:
         return np.take(self.windows[:, -1], rows, axis=0, out=out)
 
     def advance(self, states: np.ndarray, ancestors: np.ndarray) -> None:
-        """push(states) then resample(ancestors), as one gather into a new array.
-
-        (n, d) float64 states, what a filter step propagates, are gathered
-        as they are; any other states are converted first, as push does.
-        """
-        if type(states) is np.ndarray and states.dtype is _FLOAT64 and states.shape == self._states_shape:
-            states = states[:, None]
-        else:
-            states = np.asarray(states, dtype=np.float64).reshape(self.n, 1, self.d)
+        """push(states) then resample(ancestors), as one gather into a new array."""
+        states = np.asarray(states, dtype=np.float64).reshape(self.n, 1, self.d)
         if self.windows.shape[1] > 1:
             states = np.concatenate((self.windows[:, 1:], states), axis=1)
         self.windows = states[ancestors]

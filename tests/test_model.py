@@ -50,11 +50,6 @@ def _logpdf_cases():
         "scalar-x-array-mean": (1.2, rng.standard_normal(n), 0.5),
         "array-sd": (rng.standard_normal(n), rng.standard_normal(n), rng.random(n) + 0.1),
         "broadcast-x-mean": (rng.standard_normal((5, 1)), rng.standard_normal((1, 4)), 2.0),
-        # what obs_logdensity passes: one observation against a strided view of the states
-        "float64-scalar-x-array-mean": (np.float64(0.8), rng.standard_normal((n, 1))[..., 0], 0.5),
-        # what transition_logdensity passes: (1, B) owner states against (J, B) drives
-        "float64-broadcast-arrays": (rng.standard_normal((1, 12)), rng.standard_normal((7, 12)), 1.0),
-        "float64-scalars": (np.float64(0.3), np.float64(-0.2), 1.5),
         "sd-higher-rank": (rng.standard_normal(4), 0.1, rng.random((3, 4)) + 0.1),
         "sd-broadcast-row": (rng.standard_normal((3, 4)), 0.0, rng.random(4) + 0.1),
         "sd-size-one": (rng.standard_normal(6), 0.0, np.array([0.3])),
@@ -63,6 +58,11 @@ def _logpdf_cases():
         "float32-x-mean": (rng.standard_normal(6).astype(np.float32), np.float32([0.5]), 0.9),
         "extreme": (np.array([1e300, -1e300, 1e-300, 0.0]), 0.0, 1e-200),
         "large": (rng.standard_normal(28_600), 0.25, 0.3),
+        # what obs_logdensity passes: one observation against a strided view of the states
+        "float64-scalar-x-array-mean": (np.float64(0.8), rng.standard_normal((n, 1))[..., 0], 0.5),
+        # what transition_logdensity passes: (1, B) owner states against (J, B) drives
+        "float64-broadcast-arrays": (rng.standard_normal((1, 12)), rng.standard_normal((7, 12)), 1.0),
+        "float64-scalars": (np.float64(0.3), np.float64(-0.2), 1.5),
     }
 
 

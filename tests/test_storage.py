@@ -73,16 +73,16 @@ def test_advance_is_push_then_resample_bits(order, d):
     rng = substream(31, 10 * order + d)
     n = 6
     stepwise, gathered = ParticleStore(n, d, order), ParticleStore(n, d, order)
-    for step in range(5):
+    for step in range(7):
         states = rng.standard_normal((n, d))
-        if step == 1:
-            states.flags.writeable = False  # a read-only array is gathered as it is
-        elif step == 2:
-            states = rng.standard_normal((d, 2 * n)).T[::2]  # and so is a strided one
-        elif step == 3:
+        if step == 3:
             states = rng.integers(-5, 5, size=(n, d))  # push copies into a float64 array
         elif d == 1 and step == 4:
             states = states[:, 0]  # (n,) states reshape like (n, 1) ones
+        elif step == 5:
+            states.flags.writeable = False  # a read-only array
+        elif step == 6:
+            states = rng.standard_normal((d, 2 * n)).T[::2]  # a strided one
         ancestors = np.sort(rng.integers(0, n, size=n))
         stepwise.push(states)
         stepwise.resample(ancestors)
