@@ -19,7 +19,8 @@ The record goes to --out as JSON with the machine, the package
 versions, the commit ids and the output digests; it is rewritten after
 every run, so an interrupted driver leaves what it measured.  Nothing
 under perfbench/ or BENCHMARK.json is written: each run reads its own
-checkout's copy.
+checkout's copy.  SIGTERM ends the driver as an exception would, so
+the worktrees are removed then too; SIGTERM is ignored while they are.
 
 Usage, from the repository root:
 
@@ -30,6 +31,7 @@ import argparse
 import json
 import os
 import platform
+import signal
 import statistics
 import subprocess
 import sys
@@ -173,6 +175,10 @@ def report(name: str, summary: dict) -> None:
         )
 
 
+def _exit_on_sigterm(signum, frame):
+    raise SystemExit(128 + signum)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent", help="git ref of the parent")
@@ -201,6 +207,8 @@ def main(argv=None) -> int:
 
     with tempfile.TemporaryDirectory(prefix="ab-") as tmp:
         trees = {side: Path(tmp) / side for side in ("parent", "change", "parent_again")}
+        # SIGTERM's default action would end the process without the finally that removes the worktrees
+        previous = signal.signal(signal.SIGTERM, _exit_on_sigterm)
         try:
             for side, tree in trees.items():
                 commit = commits["change" if side == "change" else "parent"]
@@ -221,10 +229,15 @@ def main(argv=None) -> int:
                 else:
                     report(f"{workload} seed {seed}: null A/B, parent -> parent", entry["null_summary"])
         finally:
-            for tree in trees.values():
-                if tree.exists():
-                    git(args.repo, "worktree", "remove", "--force", str(tree))
-            git(args.repo, "worktree", "prune")
+            # nor may a second SIGTERM stop the clean-up between two removals
+            signal.signal(signal.SIGTERM, signal.SIG_IGN)
+            try:
+                for tree in trees.values():
+                    if tree.exists():
+                        git(args.repo, "worktree", "remove", "--force", str(tree))
+                git(args.repo, "worktree", "prune")
+            finally:
+                signal.signal(signal.SIGTERM, previous)
     save()
     return 0
 

@@ -1,0 +1,208 @@
+"""Cost of the projection and resampling kernels, at the benchmark's shapes.
+
+Times each kernel of paramsmc.approx and paramsmc.resampling on fixed
+inputs shaped as the benchmark workloads call it:
+
+* batch_gaussian_points and batch_moment_match at 410 rows (sin-api's
+  distinct ancestors) and 4,070 rows (407 mixture owners x L = 10), each
+  row with a 7-point Gauss-Hermite rule in p = 1;
+* batch_mixture_match at 407 owners x L = 10, and MixtureCloud.sample at
+  N = 1,000, L = 10 (sin-bimodal-mixture);
+* sample_codes and batch_discrete_match on one 65 x 50 x 20 block of
+  two-valued codes, the sampled discrete update's block
+  (slam-large-discrete);
+* both resamplers at N = 50, 1,000 and 1,500.
+
+batch_moment_match at 4,070 rows and batch_mixture_match are timed again
+on "bad" inputs, where one row (owner) in 50 is dead, every point at
+-inf, and one in 50 holds a NaN point: the fallback path that keeps a
+flagged row's previous moments.  The benchmark workloads never take it
+(every call's rows are all ok there), so the plain cases are the ones
+they run.
+
+The repeats are interleaved: each round times every kernel once, so a
+slow spell of the machine lands on all of them alike.  A round's time is
+the mean over --calls calls, each timed alone, so the untimed copy of an
+input that a kernel writes into is left out.  Prints the median and
+quartiles of the microseconds per call over the rounds.
+
+With --against SRC, SRC being another checkout's src directory, each
+kernel of that tree is timed in the same process and round as this
+tree's, back to back in alternating order, so a change of the machine's
+speed between processes cannot read as a change of the code.  It prints
+both medians and the rounds in which this tree's kernel was faster.
+
+Usage: python scripts/kernel_cost.py [--repeats 25] [--calls 20] [--against SRC]
+"""
+
+import argparse
+import importlib
+import importlib.util
+import statistics
+import sys
+import time
+from pathlib import Path
+
+import numpy as np
+
+import paramsmc.approx
+import paramsmc.resampling
+from paramsmc.approx import batch_gaussian_points, gauss_hermite, sample_codes
+
+SEED = 0  # the inputs, the same on every run
+GH7 = gauss_hermite(7)
+
+
+def log_factor(points):
+    """A smooth likelihood factor over the last axis, p = 1: every row keeps its mass."""
+    return -0.5 * ((points[..., 0] - 0.4) / 0.3) ** 2
+
+
+def module_kernel(name):
+    """The kernel `name` of a tree's (approx, resampling) modules."""
+    return lambda approx, resampling: getattr(approx, name, None) or getattr(resampling, name)
+
+
+def spoil(logt, rows, every=50):
+    """A copy of logt (J, rows * k) with one row in `every` dead and one holding a NaN point."""
+    bad = logt.copy()
+    per_row = bad.reshape(bad.shape[0], rows, -1)
+    per_row[:, ::every] = -np.inf
+    per_row[0, every // 2 :: every, 0] = np.nan
+    return bad
+
+
+def gaussian_cases(gen, rows, with_bad=False):
+    means = gen.standard_normal((rows, 1))
+    covs = 0.05 + 0.1 * gen.random((rows, 1, 1))
+    points, logw = batch_gaussian_points(means, covs, GH7, None)
+    logt = log_factor(points)
+    shape = f"{rows} x 7 x 1"
+    cases = [
+        ("batch_gaussian_points", shape, lambda: (means, covs, GH7, None)),
+        ("batch_moment_match", shape, lambda: (points, logw, logt, means, covs)),
+    ]
+    if with_bad:
+        bad = spoil(logt, rows)
+        cases.append(("batch_moment_match", f"{shape} bad", lambda: (points, logw, bad, means, covs)))
+    return [(name, shape, make_args, module_kernel(name)) for name, shape, make_args in cases]
+
+
+def mixture_cases(gen, owners, l, n):
+    alphas = gen.dirichlet(np.ones(l), size=owners)
+    means = gen.standard_normal((owners, l, 1))
+    covs = 0.05 + 0.1 * gen.random((owners, l, 1, 1))
+    points, logw = batch_gaussian_points(means.reshape(-1, 1), covs.reshape(-1, 1, 1), GH7, None)
+    logt = log_factor(points)
+    cloud = dict(
+        alphas=gen.dirichlet(np.ones(l), size=n),
+        means=gen.standard_normal((n, l, 1)),
+        covs=0.05 + 0.1 * gen.random((n, l, 1, 1)),
+    )
+    bad = spoil(logt, owners)
+    rng = np.random.default_rng(SEED)
+    shape = f"{owners} x {l} x 7 x 1"
+    match = module_kernel("batch_mixture_match")
+    return [
+        ("batch_mixture_match", shape, lambda: (alphas, means, covs, points, logw, logt), match),
+        ("batch_mixture_match", f"{shape} bad", lambda: (alphas, means, covs, points, logw, bad), match),
+        ("MixtureCloud.sample", f"{n} x {l}", lambda: (rng,), lambda approx, _: approx.MixtureCloud(**cloud).sample),
+    ]
+
+
+def discrete_cases(gen, b, m, p):
+    cards = np.full(p, 2)
+    tables = gen.dirichlet(np.ones(2), size=(b, p))
+    rng = np.random.default_rng(SEED)
+    draws, codes = np.empty((b, m, p)), np.empty((b, m, p), dtype=np.int64)
+    fresh = sample_codes(tables, cards, rng, m)
+    logt = -0.1 * fresh.sum(axis=-1)
+
+    def match_args():
+        # the kernel turns the codes into bin numbers in place
+        np.copyto(codes, fresh)
+        return tables, codes, None, logt, draws
+
+    shape = f"{b} x {m} x {p}"
+    return [
+        ("sample_codes", shape, lambda: (tables, cards, rng, m, (draws, codes)), module_kernel("sample_codes")),
+        ("batch_discrete_match", shape, match_args, module_kernel("batch_discrete_match")),
+    ]
+
+
+def resampler_cases(gen, sizes):
+    rng = np.random.default_rng(SEED)
+    cases = []
+    for n in sizes:
+        weights = gen.dirichlet(np.ones(n))
+        for name in ("multinomial_resample", "systematic_resample"):
+            cases.append((name, f"{n}", lambda w=weights: (w, rng), module_kernel(name)))
+    return cases
+
+
+def load_tree(src):
+    """(approx, resampling) of the paramsmc under another tree's src, imported under a name of its own."""
+    init = Path(src) / "paramsmc" / "__init__.py"
+    spec = importlib.util.spec_from_file_location("paramsmc_against", init, submodule_search_locations=[str(init.parent)])
+    package = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = package
+    spec.loader.exec_module(package)
+    return importlib.import_module("paramsmc_against.approx"), importlib.import_module("paramsmc_against.resampling")
+
+
+def time_calls(kernel, make_args, calls):
+    """Mean microseconds per call over `calls` calls, each timed alone."""
+    total = 0.0
+    for _ in range(calls):
+        call_args = make_args()
+        start = time.perf_counter()
+        kernel(*call_args)
+        total += time.perf_counter() - start
+    return total / calls * 1e6
+
+
+def main():
+    parser = argparse.ArgumentParser()
+    parser.add_argument("--repeats", type=int, default=25)
+    parser.add_argument("--calls", type=int, default=20, help="calls timed per kernel and round")
+    parser.add_argument("--against", type=Path, help="another checkout's src directory, timed in the same rounds")
+    args = parser.parse_args()
+
+    trees = [(paramsmc.approx, paramsmc.resampling)]
+    if args.against is not None:
+        trees.insert(0, load_tree(args.against))
+    gen = np.random.default_rng(SEED)
+    cases = gaussian_cases(gen, 410) + gaussian_cases(gen, 4070, with_bad=True)
+    cases += mixture_cases(gen, 407, 10, 1000) + discrete_cases(gen, 65, 50, 20)
+    cases += resampler_cases(gen, (50, 1000, 1500))
+    kernels = [[get(*tree) for tree in trees] for _, _, _, get in cases]
+    for (_, _, make_args, _), tree_kernels in zip(cases, kernels):
+        for kernel in tree_kernels:  # one untimed call each, so lazy set-up is not timed
+            kernel(*make_args())
+    per_call = [[[] for _ in trees] for _ in cases]
+    for repeat in range(args.repeats):
+        order = list(range(len(trees)))[:: 1 if repeat % 2 == 0 else -1]
+        for times, tree_kernels, (_, _, make_args, _) in zip(per_call, kernels, cases):
+            for side in order:
+                times[side].append(time_calls(tree_kernels[side], make_args, args.calls))
+
+    print(f"{args.repeats} interleaved repeats of {args.calls} calls per kernel")
+    if args.against is None:
+        print(f"{'kernel':<22}  {'shape':<20}  {'median us/call':>14}  {'quartiles':>17}")
+        for (times,), (name, shape, _, _) in zip(per_call, cases):
+            median = statistics.median(times)
+            q1, _, q3 = statistics.quantiles(times, n=4) if len(times) > 1 else (median,) * 3
+            print(f"{name:<22}  {shape:<20}  {median:>14.2f}  {q1:>8.2f}-{q3:<8.2f}")
+        return
+    print(f"{'kernel':<22}  {'shape':<20}  {'against us':>10}  {'this us':>10}  {'change':>7}  {'this faster':>11}")
+    for (against, this), (name, shape, _, _) in zip(per_call, cases):
+        before, after = statistics.median(against), statistics.median(this)
+        faster = sum(b < a for a, b in zip(against, this))
+        print(
+            f"{name:<22}  {shape:<20}  {before:>10.2f}  {after:>10.2f}  {after / before - 1:>+7.1%}  "
+            f"{faster:>4} of {args.repeats:<4}"
+        )
+
+
+if __name__ == "__main__":
+    main()

@@ -232,23 +232,30 @@ def _shifted_mass(a: np.ndarray, axis: int) -> tuple[np.ndarray, np.ndarray, np.
 
     NaN counts as -inf.  Returns (weights, total, log Z, ok), the last
     three with axis reduced away: a row is ok when its log total mass
-    log Z is finite and at least LOG_MASS_FLOOR.
+    log Z is finite and at least LOG_MASS_FLOOR.  A row whose max is not
+    finite is dead: its weights are 0 and its log Z is -inf.  NaN and
+    dead rows are rare, so they cost work only when a max shows one.
     """
-    a[np.isnan(a)] = -np.inf
     shift = a.max(axis=axis, keepdims=True)
-    dead = ~np.isfinite(shift)
-    shift[dead] = 0.0
+    dead = None
+    if not np.isfinite(shift).all():
+        if np.isnan(shift).any():  # the max of a row holding NaN is NaN
+            a[np.isnan(a)] = -np.inf
+            shift = a.max(axis=axis, keepdims=True)
+        dead = ~np.isfinite(shift)
+        shift[dead] = 0.0
     with np.errstate(under="ignore"):
         # underflow to zero is exactly the max-shift semantics
         a -= shift
         r = np.exp(a, out=a)
-    np.copyto(r, 0.0, where=dead)
+    if dead is not None:
+        np.copyto(r, 0.0, where=dead)
     total = r.sum(axis=axis)
-    shift, dead = shift.reshape(total.shape), dead.reshape(total.shape)
     with np.errstate(divide="ignore"):
-        log_z = shift + np.log(total)
-    log_z[dead] = -np.inf
-    return r, total, log_z, ~dead & (log_z >= LOG_MASS_FLOOR)
+        log_z = shift.reshape(total.shape) + np.log(total)
+    if dead is not None:
+        log_z[dead.reshape(total.shape)] = -np.inf
+    return r, total, log_z, log_z >= LOG_MASS_FLOOR
 
 
 def batch_moment_match(
@@ -279,15 +286,18 @@ def batch_moment_match(
     p = points.shape[2]
     r, total, log_z, ok = _shifted_mass(log_t + log_weights[:, None], axis=0)
     denom = np.where(total > 0, total, 1.0)
-    mu = np.einsum("jb,jbp->bp", r, points) / denom[:, None]
-    second = np.einsum("jb,jbp,jbq->bpq", r, points, points) / denom[:, None, None]
-    cov = second - np.einsum("bp,bq->bpq", mu, mu)
-    cov = 0.5 * (cov + np.transpose(cov, (0, 2, 1)))
-    eps = JITTER_RELATIVE * np.trace(cov, axis1=1, axis2=2) / p
-    cov += eps[:, None, None] * np.eye(p)[None, :, :]
-    for i in range(p):
-        ok &= cov[:, i, i] > 0
-
+    mu = np.einsum("jb,jbp->bp", r, points)
+    mu /= denom[:, None]
+    cov = np.einsum("jb,jbp,jbq->bpq", r, points, points)
+    cov /= denom[:, None, None]
+    cov -= mu[:, :, None] * mu[:, None, :]
+    if p > 1:  # at p = 1, 0.5 * (c + c) is c exactly
+        cov = 0.5 * (cov + np.transpose(cov, (0, 2, 1)))
+    diag = np.einsum("bii->bi", cov)  # a writeable view, whatever cov's layout
+    diag += JITTER_RELATIVE * diag.sum(axis=1, keepdims=True) / p
+    ok &= (diag > 0).all(axis=1)
+    if ok.all():
+        return mu, cov, log_z, ok
     means_out = np.where(ok[:, None], mu, prev_means)
     covs_out = np.where(ok[:, None, None], cov, prev_covs)
     return means_out, covs_out, log_z, ok
@@ -334,7 +344,8 @@ def batch_mixture_match(
     w = np.where(w < COMPONENT_WEIGHT_FLOOR, 0.0, w)
     totals2 = w.sum(axis=1)
     w = w / np.where(totals2 > 0, totals2, 1.0)[:, None]
-
+    if ok.all():
+        return w, new_means.reshape(b, l, p), new_covs.reshape(b, l, p, p), ok
     alphas_out = np.where(ok[:, None], w, alphas)
     means_out = np.where(ok[:, None, None], new_means.reshape(b, l, p), means)
     covs_out = np.where(ok[:, None, None, None], new_covs.reshape(b, l, p, p), covs)
@@ -513,14 +524,18 @@ class MixtureCloud(Cloud):
 
     def sample(self, rng: np.random.Generator) -> np.ndarray:
         alphas, means, covs = self.arrays["alphas"], self.arrays["means"], self.arrays["covs"]
-        n = alphas.shape[0]
+        n, l = alphas.shape
         # A draw counts the cumulative weights it reaches.  Those that equal
         # the row's total, from its last positive weight on, are out of
         # reach, so no draw lands on a zero-weight component even when the
-        # total rounds below the draw.
-        cdf = np.cumsum(alphas, axis=1)
-        cdf[cdf >= cdf[:, -1:]] = np.inf
-        comp = (rng.random((n, 1)) >= cdf).sum(axis=1)
+        # total rounds below the draw.  The cumulative weights are built
+        # components-major, (L, n), adding in np.cumsum's order, so every
+        # step is one vector operation over the rows.
+        cdf = alphas.T.copy()
+        for c in range(1, l):
+            cdf[c] += cdf[c - 1]
+        np.copyto(cdf, np.inf, where=cdf >= cdf[-1])
+        comp = (rng.random(n) >= cdf).sum(axis=0)
         rows = np.arange(n)
         points, _ = batch_gaussian_points(means[rows, comp], covs[rows, comp], _ONE_DRAW, rng)
         return points[0]

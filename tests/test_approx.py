@@ -16,14 +16,17 @@ from hypothesis import strategies as st
 
 from paramsmc.approx import (
     CODE_BLOCK,
+    COMPONENT_WEIGHT_FLOOR,
     JITTER_RELATIVE,
     LOG_MASS_FLOOR,
     DiscreteCloud,
     FactorizedDiscreteApprox,
     GaussianApprox,
     MixtureApprox,
+    MixtureCloud,
     MomentScheme,
     batch_gaussian_points,
+    batch_mixture_match,
     batch_moment_match,
     discrete_update,
     gauss_hermite,
@@ -417,6 +420,33 @@ def reference_moment_match(points, log_weights, log_t, prev_means, prev_covs):
     return means_out, covs_out, log_z, ok
 
 
+def reference_mixture_match(alphas, means, covs, points, log_weights, log_t):
+    """The mixture update batch_mixture_match must equal bit for bit: each
+    component moment matched by reference_moment_match, then the weights
+    reweighted, floored and renormalized row by row."""
+    b, l, p = means.shape
+    new_means, new_covs, log_beta, comp_ok = reference_moment_match(
+        points, log_weights, log_t, means.reshape(b * l, p), covs.reshape(b * l, p, p)
+    )
+    with np.errstate(divide="ignore"):
+        log_post = np.where(comp_ok.reshape(b, l), np.log(alphas) + log_beta.reshape(b, l), -np.inf)
+    shift = log_post.max(axis=1)
+    ok = np.isfinite(shift)
+    with np.errstate(under="ignore"):
+        w = np.where(ok[:, None], np.exp(log_post - np.where(ok, shift, 0.0)[:, None]), 0.0)
+    totals = w.sum(axis=1)
+    w = w / np.where(totals > 0, totals, 1.0)[:, None]
+    w = np.where(w < COMPONENT_WEIGHT_FLOOR, 0.0, w)
+    totals = w.sum(axis=1)
+    w = w / np.where(totals > 0, totals, 1.0)[:, None]
+    return (
+        np.where(ok[:, None], w, alphas),
+        np.where(ok[:, None, None], new_means.reshape(b, l, p), means),
+        np.where(ok[:, None, None, None], new_covs.reshape(b, l, p, p), covs),
+        ok,
+    )
+
+
 def row_major_moment_match(points, log_weights, log_t):
     """The row-major formulas the points-major kernel replaced: points
     (B, J, p) and log_t (B, J), each row's sums over its innermost axes.
@@ -506,6 +536,55 @@ class TestBatchKernels:
             assert not got[3][[5, 9, 11]].any()
             # the in-place arithmetic never writes to its inputs
             assert before.tobytes() == log_t.tobytes()
+        # every row ok: no NaN, dead or below-floor row
+        points = gen.standard_normal((7, b, p))
+        log_weights = np.log(gen.dirichlet(np.ones(7)))
+        log_t = 3.0 * gen.standard_normal((7, b))
+        prev_means, prev_covs = gen.standard_normal((b, p)), np.broadcast_to(np.eye(p), (b, p, p))
+        got = batch_moment_match(points, log_weights, log_t, prev_means, prev_covs)
+        ref = reference_moment_match(points, log_weights, log_t, prev_means, prev_covs)
+        assert got[3].all()
+        for g, r in zip(got, ref):
+            assert g.dtype == r.dtype and g.shape == r.shape
+            assert g.tobytes() == r.tobytes()
+
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_mixture_match_matches_reference_bits(self, p):
+        gen = np.random.default_rng(20 + p)
+        b, l, j = 60, 10, 7
+        alphas = gen.dirichlet(np.ones(l), size=b)
+        alphas[3, 6:] = 0.0  # zero-weight tails
+        alphas[4, 1:] = 0.0
+        alphas[5, 2] = 1e-14  # under the floor before the update
+        alphas /= alphas.sum(axis=1, keepdims=True)
+        means = gen.standard_normal((b, l, p))
+        covs = np.broadcast_to(0.3 * np.eye(p), (b, l, p, p)).copy()
+        points = gen.standard_normal((j, b * l, p))
+        log_weights = np.log(gen.dirichlet(np.ones(j)))
+        log_t = gen.standard_normal((j, b * l))
+        log_t[:, 7 * l : 8 * l] = -np.inf  # owner 7: every component degenerates
+        log_t[:, 8 * l : 9 * l] = np.nan  # owner 8 likewise, through NaN
+        log_t[:, 9 * l + 2] = -np.inf  # owner 9 loses one component
+        log_t[:, 10 * l + 4] -= 40.0  # owner 10's component 4 falls under the floor
+        log_t[:, 11 * l : 12 * l] -= 800.0  # owner 11's components all fall under the mass floor
+        before = log_t.copy()
+        got = batch_mixture_match(alphas, means, covs, points, log_weights, log_t)
+        ref = reference_mixture_match(alphas, means, covs, points, log_weights, log_t)
+        for g, r in zip(got, ref):
+            assert g.dtype == r.dtype and g.shape == r.shape
+            assert g.tobytes() == r.tobytes()
+        ok, w = got[3], got[0]
+        assert not ok[[7, 8, 11]].any() and ok.sum() == b - 3
+        assert w[9, 2] == 0.0 and w[10, 4] == 0.0 and w[5, 2] == 0.0
+        assert before.tobytes() == log_t.tobytes()
+        # a second call with every owner ok
+        log_t = gen.standard_normal((j, b * l))
+        got = batch_mixture_match(alphas, means, covs, points, log_weights, log_t)
+        ref = reference_mixture_match(alphas, means, covs, points, log_weights, log_t)
+        assert got[3].all()
+        for g, r in zip(got, ref):
+            assert g.dtype == r.dtype and g.shape == r.shape
+            assert g.tobytes() == r.tobytes()
 
     @pytest.mark.parametrize("j", [2, 7, 9, 200])
     @pytest.mark.parametrize("p", [1, 2])
@@ -602,6 +681,27 @@ class TestSampling:
 
         q = MixtureApprox(np.array([0.1] * 10 + [0.0]), np.arange(11.0)[:, None], np.ones((11, 1, 1)))
         assert q.sample(TopRng(), size=3).tolist() == [[9.0]] * 3
+
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_mixture_sample_matches_cumsum_formula_bits(self, p):
+        gen = np.random.default_rng(30 + p)
+        n, l = 1000, 10
+        alphas = gen.dirichlet(np.ones(l), size=n)
+        alphas[::7, 4:] = 0.0  # rows whose tail weights are zero
+        alphas[::11, 1:] = 0.0
+        alphas /= alphas.sum(axis=1, keepdims=True)
+        means = 100.0 * np.arange(l)[None, :, None] + gen.standard_normal((n, l, p))
+        covs = np.broadcast_to(0.5 * np.eye(p), (n, l, p, p))
+        got = MixtureCloud(alphas=alphas, means=means, covs=covs).sample(substream(4, p))
+        # The row-wise cumulative weights the sampler replaced, on the same generator.
+        rng = substream(4, p)
+        cdf = np.cumsum(alphas, axis=1)
+        cdf[cdf >= cdf[:, -1:]] = np.inf
+        comp = (rng.random((n, 1)) >= cdf).sum(axis=1)
+        rows = np.arange(n)
+        expected = batch_gaussian_points(means[rows, comp], covs[rows, comp], monte_carlo(1), rng)[0][0]
+        assert got.tobytes() == expected.tobytes()
+        assert np.all(alphas[rows, np.rint(got[:, 0] / 100.0).astype(int)] > 0)
 
     def test_factorized_joint_frequencies(self):
         q = FactorizedDiscreteApprox([np.array([0.3, 0.7]), np.array([0.5, 0.5])])

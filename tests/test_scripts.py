@@ -4,11 +4,14 @@ Each script is run in its own process with the package on PYTHONPATH and
 arguments small enough for a second or two; it must exit 0 and print its
 table header.  compute_frozen_oracles.py is left out: it takes 10^6 steps.
 The A/B driver's summary is checked on a made-up record, without running
-the benchmark.
+the benchmark, and its worktree clean-up on SIGTERM in a throwaway
+repository.
 """
 
 import importlib.util
+import json
 import os
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -23,6 +26,7 @@ SCRIPTS = [
     ("slam_kl_sweep.py", "--seeds 2 --particles 50 --samples 5", "N \\ M"),
     ("bimodal_mixture_demo.py", "--steps 30 --particles 50", "squared-drive SIN"),
     ("step_cost.py", "--particles 20 50 --steps 30 --repeats 3", "N  median us/step"),
+    ("kernel_cost.py", "--repeats 2 --calls 1", "kernel                  shape                 median us/call"),
 ]
 
 
@@ -35,11 +39,24 @@ def test_script_runs_and_prints_its_header(tmp_path, script, args, header):
     assert any(line.lstrip().startswith(header) for line in proc.stdout.splitlines()), proc.stdout
 
 
+def test_kernel_cost_against_another_tree(tmp_path):
+    # this tree against itself, loaded a second time under another name
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    argv = [sys.executable, str(ROOT / "scripts" / "kernel_cost.py"), "--repeats", "2", "--calls", "1"]
+    argv += ["--against", str(ROOT / "src")]
+    proc = subprocess.run(argv, cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[1].split() == ["kernel", "shape", "against", "us", "this", "us", "change", "this", "faster"]
+    assert len(lines) == 2 + 16 and all(line.rstrip().endswith("of 2") for line in lines[2:])
+
+
 def _ab_module():
     spec = importlib.util.spec_from_file_location("ab", ROOT / "scripts" / "ab.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
 
 
 def test_ab_summary_without_null_pairs():
@@ -58,3 +75,50 @@ def test_ab_summary_without_null_pairs():
     summary = entry["summary"]["steps_per_s"]
     assert summary["change_wins"] == 5 and summary["pairs"] == 5
     assert summary["parent"]["median"] == 102.0 and summary["change"]["median"] == 122.0
+
+
+# Runs ab.main in its own process with measure replaced by a SIGTERM to
+# that process; argv: ab.py, the repository, the record to write, and
+# "again" to send a second SIGTERM as the first worktree is removed.
+SIGTERM_DURING_MEASURE = """
+import importlib.util, os, signal, sys
+spec = importlib.util.spec_from_file_location("ab", sys.argv[1])
+ab = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(ab)
+ab.measure = lambda *args: os.kill(os.getpid(), signal.SIGTERM)
+real_git = ab.git
+def git(repo, *args):
+    if sys.argv[4] == "again" and args[:2] == ("worktree", "remove"):
+        os.kill(os.getpid(), signal.SIGTERM)
+    return real_git(repo, *args)
+ab.git = git
+ab.main(["HEAD", "HEAD", "any-workload:1:1", "--repo", sys.argv[2], "--out", sys.argv[3]])
+"""
+
+
+def kill_ab_during_measure(tmp_path, again):
+    """Run the driver on a one-commit repository, SIGTERM it; return (exit code, worktrees listed)."""
+    # in a subprocess, so SIGTERM's default action cannot stop the test runner
+    repo = tmp_path / "repo"
+    repo.mkdir()
+    (repo / "BENCHMARK.json").write_text(json.dumps({"run_seconds": 1, "end_to_end": []}))
+    git = ["git", "-C", str(repo), "-c", "user.name=ab", "-c", "user.email=ab@example.com", "-c", "commit.gpgsign=false"]
+    for args in (["init", "-q"], ["add", "BENCHMARK.json"], ["commit", "-q", "-m", "one commit"]):
+        subprocess.run([*git, *args], check=True, capture_output=True)
+    ab = str(ROOT / "scripts" / "ab.py")
+    argv = [sys.executable, "-c", SIGTERM_DURING_MEASURE, ab, str(repo), str(tmp_path / "ab.json"), again]
+    proc = subprocess.run(argv, capture_output=True, text=True, timeout=120)
+    worktrees = subprocess.run([*git, "worktree", "list"], check=True, capture_output=True, text=True).stdout
+    return proc.returncode, [line.split()[0] for line in worktrees.splitlines()], repo
+
+
+def test_ab_removes_its_worktrees_on_sigterm(tmp_path):
+    code, listed, repo = kill_ab_during_measure(tmp_path, "once")
+    assert listed == [str(repo)]
+    assert code == 128 + signal.SIGTERM
+
+
+def test_ab_removes_its_worktrees_on_a_second_sigterm_during_clean_up(tmp_path):
+    code, listed, repo = kill_ab_during_measure(tmp_path, "again")
+    assert listed == [str(repo)]
+    assert code == 128 + signal.SIGTERM
