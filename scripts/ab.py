@@ -12,8 +12,10 @@ NULL_PAIRS 0 the null comparison is skipped and recorded as null.  Every
 run's end-to-end metrics, output digest and passes are kept, and each
 metric is summarised per side as median, quartiles and IQR, with the
 pairs the change won (ties count for neither) and a verdict (see
-compare).  --trace adds one ``--trace 1`` run per side for the
-per-layer metrics.
+verdict; fewer than MIN_PAIRS pairs are always "unresolved").  --trace
+adds TRACED_RUNS ``--trace 1`` runs per side, alternating which side
+runs first as the pairs do; every traced run is kept, and each per-layer
+metric's median per side is recorded next to them.
 
 The record goes to --out as JSON with the machine, the package
 versions, the commit ids and the output digests; it is rewritten after
@@ -41,8 +43,12 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 # Parent/parent pairs of a WORKLOAD:SEED:PAIRS that gives no NULL_PAIRS.
 NULL_PAIRS = 3
+# Fewest pairs whose spread can tell a change from noise; one pair has an IQR of 0.
+MIN_PAIRS = 3
 # Fewest pairs that can show a gain.
 MIN_GAIN_PAIRS = 10
+# Traced runs per side: one run per side read a layer 27% slower that had not changed.
+TRACED_RUNS = 3
 
 
 def git(repo: Path, *args: str) -> str:
@@ -99,12 +105,15 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
 def verdict(xs: list[float], ys: list[float], wins: int, bound: float) -> str:
     """How ys compare with xs on a metric where lower is better.
 
-    "unresolved" when the IQR of xs exceeds the bound relative to their
-    median, unless every y beats every x; else "worse" when the median
-    of ys is worse by more than the bound; "gain" when there are at least
-    MIN_GAIN_PAIRS pairs, ys won at least 9 in 10 and the medians differ
-    by more than the IQR of xs; "within bound" otherwise.
+    "unresolved" when there are fewer than MIN_PAIRS pairs, or when the
+    IQR of xs exceeds the bound relative to their median, unless every y
+    beats every x; else "worse" when the median of ys is worse by more
+    than the bound; "gain" when there are at least MIN_GAIN_PAIRS pairs,
+    ys won at least 9 in 10 and the medians differ by more than the IQR
+    of xs; "within bound" otherwise.
     """
+    if len(xs) < MIN_PAIRS:
+        return "unresolved"
     (xq1, xm, xq3), ym = quartiles(xs), statistics.median(ys)
     if xq3 - xq1 > bound * abs(xm) and max(ys) >= min(xs):
         return "unresolved"
@@ -151,6 +160,19 @@ def measure(entry: dict, trees: dict, workload: str, seed: int, pairs: int, null
             save()
 
 
+def traced(trees: dict, workload: str, seed: int, seconds) -> dict:
+    """TRACED_RUNS --trace 1 runs per side, alternating which side runs first, and each metric's median per side."""
+    runs = {"parent": [], "change": []}
+    for i in range(TRACED_RUNS):
+        for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
+            runs[side].append(bench(trees[side], workload, seed, seconds, 1))
+    medians = {
+        side: {name: statistics.median(run["metrics"][name] for run in done) for name in done[0]["metrics"]}
+        for side, done in runs.items()
+    }
+    return {"runs": runs, "medians": medians}
+
+
 def summarise(entry: dict, spec: dict) -> None:
     """Add each side's output digests and the A/B and null A/B comparisons to entry."""
     digests = {}
@@ -184,7 +206,7 @@ def main(argv=None) -> int:
     parser.add_argument("parent", help="git ref of the parent")
     parser.add_argument("change", help="git ref of the change")
     parser.add_argument("runs", nargs="+", help="WORKLOAD:SEED:PAIRS[:NULL_PAIRS], one or more")
-    parser.add_argument("--trace", action="store_true", help="add one --trace 1 run per side and workload")
+    parser.add_argument("--trace", action="store_true", help=f"add {TRACED_RUNS} --trace 1 runs per side and workload")
     parser.add_argument("--repo", type=Path, default=ROOT, help="the git repository holding both refs")
     parser.add_argument("--out", type=Path, required=True, help="JSON record to write")
     args = parser.parse_args(argv)
@@ -221,7 +243,7 @@ def main(argv=None) -> int:
                 measure(entry, trees, workload, seed, pairs, null_pairs, seconds, save)
                 summarise(entry, spec)
                 if args.trace:
-                    entry["traced"] = {side: bench(trees[side], workload, seed, seconds, 1) for side in refs}
+                    entry["traced"] = traced(trees, workload, seed, seconds)
                 save()
                 report(f"{workload} seed {seed}: parent -> change", entry["summary"])
                 if entry["null_summary"] is None:

@@ -1,8 +1,11 @@
 """Accuracy comparison on the SIN model within matched compute.
 
-Runs the joint filter, the Liu-West filter, and wall-clock-budgeted PMMH
-on one shared dataset over several seeds, then prints a squared-error
-table.  Reproduces the headline single-parameter comparison.
+Runs the joint filter, the Liu-West filter, and PMMH on one shared
+dataset over several seeds, then prints a squared-error table.  Every
+PMMH chain gets the same iteration count: the number the median
+joint-filter run's time buys at the measured cost of one inner
+likelihood, which each iteration and the initial draw pay once.
+Reproduces the headline single-parameter comparison.
 
 Usage: python scripts/sin_accuracy_experiment.py [--seeds 10] [--steps 5000]
 """
@@ -48,23 +51,33 @@ def main():
         rows.append(("liu-west", seed, run.estimate[0]))
 
     budget = float(np.median(api_times))
+    t0 = time.perf_counter()
+    ps.pf_log_likelihood(model, np.array([theta_star]), obs, args.particles, ps.substream(0, streams.CHAIN))
+    cost = time.perf_counter() - t0
+    # the smallest k >= 1 with (k + 1) * cost > budget
+    iterations = max(1, int(budget // cost))
+    accept = []
     for seed in range(args.seeds):
         res = ps.run_pmmh(
             model,
             obs,
             PmmhConfig(
                 inner_particles=args.particles,
-                iterations=10_000_000,
+                iterations=iterations,
                 proposal_sd=0.15,
                 bounds=(-5, 5),
                 seed=seed,
-                time_budget_s=budget,
             ),
         )
         rows.append(("pmmh", seed, res.estimate[0]))
+        accept.append(res.acceptance_rate)
 
     print(f"dataset: SIN, T={args.steps}, theta*={theta_star}, N={args.particles}")
-    print(f"pmmh wall-clock budget per run: {budget:.2f}s (median joint-filter time)")
+    print(
+        f"pmmh iterations per run: {iterations} at matched compute "
+        f"(median joint-filter time {budget:.2f}s, {cost * 1e3:.1f} ms per likelihood), "
+        f"median acceptance {np.median(accept):.2f}"
+    )
     print(f"{'algorithm':<10} {'mse':>12} {'median |err|':>14}")
     for algo in ("api", "liu-west", "pmmh"):
         errs = np.array([est - theta_star for a, _, est in rows if a == algo])

@@ -88,7 +88,6 @@ SCHEMA = {
         {},
         ("pmmh",),
     ),
-    "time_budget_s": Key(float, only=("pmmh",)),
     "particles": Key([int], only=("sweep",)),
     "approx_samples_list": Key([int], only=("sweep", "filter")),
     "seeds": Key([int], only=("sweep",)),
@@ -265,7 +264,7 @@ def run_experiment(cfg: dict) -> tuple[tuple, dict]:
 
     if algorithm == "pmmh":
         pm = {"inner_particles": cfg["n_particles"], **cfg["pmmh"]}
-        pconfig = PmmhConfig(seed=seed, time_budget_s=cfg.get("time_budget_s"), **pm)
+        pconfig = PmmhConfig(seed=seed, **pm)
         result = run_pmmh(model, observations, pconfig)
         sizes = (pconfig.inner_particles, 0, 1)
         steps = (sizes, result.chain, np.zeros_like(result.chain), None, result.iter_ms)
@@ -477,7 +476,6 @@ def build_parser() -> argparse.ArgumentParser:
         flag(p, "--exact", help="exact-posterior tables CSV for the KL column")
         flag(p, "--shrinkage")
         flag(p, "--resample", choices=list(RESAMPLERS))
-        flag(p, "--budget", "time_budget_s", help="wall-clock budget in seconds (pmmh only)")
 
     run = sub.add_parser("run", help="run one algorithm on one dataset")
     algorithm_flags(run)

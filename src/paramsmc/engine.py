@@ -326,12 +326,17 @@ def run_liu_west_filter(model, observations, config: FilterConfig) -> RunResult:
 
 @dataclass
 class PmmhConfig:
+    """A PMMH run is exactly `iterations` proposals after the initial draw.
+
+    Nothing stops a chain early, so its outputs, timing fields aside, are
+    a function of (config, seed).
+    """
+
     inner_particles: int = 50
     iterations: int = 1000
     proposal_sd: float = 0.15
     bounds: tuple[float, float] = (-5.0, 5.0)
     seed: int = 0
-    time_budget_s: float | None = None
 
     def validate(self) -> None:
         if self.inner_particles < 1:
@@ -342,9 +347,6 @@ class PmmhConfig:
             raise ConfigError(f"PMMH proposal_sd must be finite and > 0, got {self.proposal_sd}")
         if len(self.bounds) != 2 or not self.bounds[0] < self.bounds[1]:
             raise ConfigError(f"PMMH bounds must be (lo, hi) with lo < hi, got {self.bounds}")
-        budget = self.time_budget_s
-        if budget is not None and not (math.isfinite(budget) and budget > 0):
-            raise ConfigError(f"PMMH time_budget_s must be finite and > 0, got {budget}")
 
 
 @dataclass
@@ -431,12 +433,7 @@ def run_pmmh(model: DynamicModel, observations, config: PmmhConfig) -> PmmhResul
     tic = time.perf_counter()
     iter_ms = [(tic - started) * 1e3]
 
-    it = 0
-    while it < config.iterations:
-        if config.time_budget_s is not None and it >= 1:
-            if time.perf_counter() - started > config.time_budget_s:
-                break
-        it += 1
+    for it in range(1, config.iterations + 1):
         if discrete:
             prop = theta.copy()
             coord = rng.integers(0, p)

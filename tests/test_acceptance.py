@@ -151,21 +151,29 @@ def test_criterion_2_algorithm_ordering(sin_dataset, api_sin_runs):
         lw_err.append((run.estimate[0] - THETA_STAR_SIN) ** 2)
     lw_err = np.array(lw_err)
 
-    pm_err = []
+    # Matched compute: one PMMH iteration costs about one inner likelihood,
+    # and the chain also pays one for its initial draw, so it gets the
+    # smallest k >= 1 with (k + 1) * cost > budget.  Every seed gets this k.
+    t0 = time.perf_counter()
+    ps.pf_log_likelihood(model, np.array([THETA_STAR_SIN]), obs, 1000, substream(0, streams.CHAIN))
+    cost = time.perf_counter() - t0
+    iterations = max(1, int(budget // cost))
+
+    pm_err, pm_accept = [], []
     for seed in range(N_SEEDS):
         res = ps.run_pmmh(
             model,
             obs,
             PmmhConfig(
                 inner_particles=1000,
-                iterations=100_000,
+                iterations=iterations,
                 proposal_sd=0.15,
                 bounds=(-5.0, 5.0),
                 seed=seed,
-                time_budget_s=budget,
             ),
         )
         pm_err.append((res.estimate[0] - THETA_STAR_SIN) ** 2)
+        pm_accept.append(res.acceptance_rate)
     pm_err = np.array(pm_err)
 
     lw_wins = int(np.sum(api_err < lw_err))
@@ -178,7 +186,9 @@ def test_criterion_2_algorithm_ordering(sin_dataset, api_sin_runs):
         ok,
         f"paired wins vs LW {lw_wins}/10, vs PMMH {pm_wins}/10; "
         f"median ratios LW {lw_ratio:.1f}x, PMMH {pm_ratio:.1f}x (>= 10x); "
-        f"PMMH budget {budget:.2f}s",
+        f"PMMH {iterations} iterations per chain at matched compute "
+        f"(api median {budget:.2f}s, {cost:.2f}s per N=1000 likelihood), "
+        f"median acceptance {np.median(pm_accept):.2f}",
     )
     assert lw_wins >= 8 and pm_wins >= 8
     assert lw_ratio >= 10 and pm_ratio >= 10

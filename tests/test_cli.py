@@ -355,8 +355,10 @@ class TestRun:
         "algorithm, given",
         [
             *[(a, {"pmmh": {"iterations": 3}}) for a in ("api", "pf", "liu-west")],
-            *[(a, {"time_budget_s": 0.01}) for a in ("api", "pf", "liu-west")],
-            ("api", ["--budget", "0.01"]),
+            ("api", {"pmmh": {"inner_particles": 5}}),
+            ("pf", {"pmmh": {"proposal_sd": 0.3}}),
+            ("liu-west", {"pmmh": {"bounds": [-1.0, 1.0]}}),
+            ("api", {"pmmh": {}}),
             ("pmmh", {"approx_samples": 3}),
             ("pmmh", {"scheme": "unscented"}),
             ("pmmh", {"family": "mixture"}),
@@ -372,7 +374,7 @@ class TestRun:
         ],
     )
     def test_key_the_algorithm_never_reads_exits_2(self, tmp_path, capsys, verb, algorithm, given):
-        # api ran with a pmmh block and a budget it never reads, and pmmh with filter settings
+        # api ran with a pmmh block it never reads, and pmmh with filter settings
         settings = given if isinstance(given, dict) else {}
         flags = given if isinstance(given, list) else []
         cfg = tmp_path / "cfg.json"
@@ -410,7 +412,7 @@ class TestRun:
             ("run", {"algorithm": "pmmh", "pmmh": {"bounds": 5}}, "pmmh.bounds"),
             ("run", {"algorithm": "pmmh", "pmmh": {"inner_particles": 2.5}}, "pmmh.inner_particles"),
             ("run", {"algorithm": "pmmh", "pmmh": 5}, "pmmh"),
-            ("run", {"algorithm": "pmmh", "time_budget_s": "x"}, "time_budget_s"),
+            ("run", {"approx_samples": 2.5}, "approx_samples"),
             ("sweep", {"particles": ["a"]}, "particles"),
             ("sweep", {"seeds": 3}, "seeds"),
             ("sweep", {"workers": 1.5}, "workers"),
@@ -547,15 +549,18 @@ class TestRun:
         assert "config error" in capsys.readouterr().err
 
 
-    @pytest.mark.parametrize("budget", [-1, 0])
-    def test_nonpositive_time_budget_exits_2_without_output(self, tmp_path, capsys, budget):
+    def test_wall_clock_budget_is_gone(self, tmp_path, capsys):
+        # a PMMH run is its iteration count: a config or flag that still sets a budget exits 2
         cfg = tmp_path / "cfg.json"
-        pmmh = {"iterations": 20, "inner_particles": 10}
-        config = {"model": "lg", "data_seed": 1, "steps": 5, "algorithm": "pmmh", "time_budget_s": budget, "pmmh": pmmh}
+        pmmh = {"iterations": 3, "inner_particles": 10}
+        config = {"model": "lg", "data_seed": 1, "steps": 5, "algorithm": "pmmh", "pmmh": pmmh}
+        cfg.write_text(json.dumps({**config, "time_budget_s": 1}))
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "res")]) == 2
+        assert "unknown config keys: ['time_budget_s']" in capsys.readouterr().err
         cfg.write_text(json.dumps(config))
-        code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "res")])
-        assert code == 2
-        assert "time_budget_s" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--config", str(cfg), "--budget", "1", "--out", str(tmp_path / "res")])
+        assert exc.value.code == 2
         assert sorted(path.name for path in tmp_path.iterdir()) == ["cfg.json"]
 
 

@@ -528,7 +528,7 @@ CLI_RUNS = {
     "run-pmmh-lg-truth": "run --config {i}/pmmh_lg.json --seed 8 --truth 0.7 --out {o}",
     "run-pmmh-slam-exact": (
         "run --config {i}/pmmh_slam.json --model slam-small --data {i}/slam.csv "
-        "--exact {i}/slam_tables.csv --budget 1000 --seed 9 --out {o}"
+        "--exact {i}/slam_tables.csv --seed 9 --out {o}"
     ),
     "run-data-seed": (
         "run --config {i}/data_seed.json --model lg --algorithm api --particles 30 --seed 10 --out {o}"
@@ -566,7 +566,7 @@ CLI_GOLDEN = {
     "run-pf-slam-exact": "4b02bde9110ece17269bc78400c5fc31d966193a0443b9255499e9c955e47edb",
     "run-pf-systematic": "d4cbe5ff88f4ffc238059d2257f2d890c39c60932c3a18915507df0ff2ba26c3",
     "run-pmmh-lg-truth": "3297bcb3208979b3f08ceb3f68e716642caeb2363eaf5a0b2343ea78aad59566",
-    "run-pmmh-slam-exact": "d6c4af9138fd97f6b3c3da56f8180e6e2ceb579d74c9b4ed989edb99eeb6519d",
+    "run-pmmh-slam-exact": "741df700a46d2d1213a855a18c9ebdcfff9cba47ee64641bafb4bc8cda2b49b6",
     "run-slam-exact-truth": "609fa66b63deb1de16064938e8ec1ddd32594b00a3411e609e095f9545b1e236",
     "simulate-bimodal-theta": "e823a531b3b38e542d866c1b2991287741ec08662c8c0c200dd89532d448c48c",
     "simulate-lg-config": "55e515a22b4fd780fba0168fdd37eb91be57bbf8a63461e3682ff9c816e9d22f",

@@ -2,7 +2,8 @@
 
 Each script is run in its own process with the package on PYTHONPATH and
 arguments small enough for a second or two; it must exit 0 and print its
-table header.  compute_frozen_oracles.py is left out: it takes 10^6 steps.
+table header, and sin_accuracy_experiment.py the iteration count PMMH got.
+compute_frozen_oracles.py is left out: it takes 10^6 steps.
 The A/B driver's summary is checked on a made-up record, without running
 the benchmark, and its worktree clean-up on SIGTERM in a throwaway
 repository.
@@ -20,23 +21,25 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 
-# script, its arguments, and a line its table starts with
+# script, its arguments, and the starts of lines it must print
 SCRIPTS = [
-    ("sin_accuracy_experiment.py", "--seeds 2 --steps 30 --particles 50", "algorithm"),
-    ("slam_kl_sweep.py", "--seeds 2 --particles 50 --samples 5", "N \\ M"),
-    ("bimodal_mixture_demo.py", "--steps 30 --particles 50", "squared-drive SIN"),
-    ("step_cost.py", "--particles 20 50 --steps 30 --repeats 3", "N  median us/step"),
-    ("kernel_cost.py", "--repeats 2 --calls 1", "kernel                  shape                 median us/call"),
+    ("sin_accuracy_experiment.py", "--seeds 2 --steps 30 --particles 50", ("algorithm", "pmmh iterations per run: ")),
+    ("slam_kl_sweep.py", "--seeds 2 --particles 50 --samples 5", ("N \\ M",)),
+    ("bimodal_mixture_demo.py", "--steps 30 --particles 50", ("squared-drive SIN",)),
+    ("step_cost.py", "--particles 20 50 --steps 30 --repeats 3", ("N  median us/step",)),
+    ("kernel_cost.py", "--repeats 2 --calls 1", ("kernel                  shape                 median us/call",)),
 ]
 
 
-@pytest.mark.parametrize("script, args, header", SCRIPTS, ids=[s for s, _, _ in SCRIPTS])
-def test_script_runs_and_prints_its_header(tmp_path, script, args, header):
+@pytest.mark.parametrize("script, args, headers", SCRIPTS, ids=[s for s, _, _ in SCRIPTS])
+def test_script_runs_and_prints_its_header(tmp_path, script, args, headers):
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     argv = [sys.executable, str(ROOT / "scripts" / script), *args.split()]
     proc = subprocess.run(argv, cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    assert any(line.lstrip().startswith(header) for line in proc.stdout.splitlines()), proc.stdout
+    lines = [line.lstrip() for line in proc.stdout.splitlines()]
+    for header in headers:
+        assert any(line.startswith(header) for line in lines), proc.stdout
 
 
 def test_kernel_cost_against_another_tree(tmp_path):
@@ -75,6 +78,43 @@ def test_ab_summary_without_null_pairs():
     summary = entry["summary"]["steps_per_s"]
     assert summary["change_wins"] == 5 and summary["pairs"] == 5
     assert summary["parent"]["median"] == 102.0 and summary["change"]["median"] == 122.0
+
+
+@pytest.mark.parametrize("n_pairs", [1, 2])
+def test_ab_too_few_pairs_are_unresolved(n_pairs):
+    # one pair has an IQR of 0: a single noisy pair read setup_s 0.244 -> 0.367 "worse"
+    ab = _ab_module()
+    spec = {"setup_s": {"name": "setup_s", "better": "lower", "bound": 0.25}}
+
+    def run(value):
+        return {"metrics": {"setup_s": value}, "output_digest": "a"}
+
+    pairs = [{"first": "parent", "parent": run(0.244), "change": run(0.367)} for _ in range(n_pairs)]
+    entry = {"ab": pairs, "null": []}
+    ab.summarise(entry, spec)
+    assert entry["summary"]["setup_s"]["verdict"] == "unresolved"
+    # three times as many alike pairs are enough to call it
+    entry = {"ab": pairs * 3, "null": []}
+    ab.summarise(entry, spec)
+    assert entry["summary"]["setup_s"]["verdict"] == "worse"
+
+
+def test_ab_traced_runs_alternate_and_keep_medians(monkeypatch):
+    ab = _ab_module()
+    calls = []
+
+    def bench(tree, workload, seed, seconds, trace):
+        calls.append((tree, trace))
+        offset = 100.0 if tree == "change-tree" else 0.0
+        return {"metrics": {"layer.self_ms": offset + [5.0, 1.0, 3.0][sum(t == tree for t, _ in calls) - 1]}}
+
+    monkeypatch.setattr(ab, "bench", bench)
+    record = ab.traced({"parent": "parent-tree", "change": "change-tree"}, "any-workload", 1, 20)
+    order = [tree.split("-")[0] for tree, _ in calls]
+    assert order == ["parent", "change", "change", "parent", "parent", "change"]
+    assert all(trace == 1 for _, trace in calls)
+    assert [run["metrics"]["layer.self_ms"] for run in record["runs"]["parent"]] == [5.0, 1.0, 3.0]
+    assert record["medians"] == {"parent": {"layer.self_ms": 3.0}, "change": {"layer.self_ms": 103.0}}
 
 
 # Runs ab.main in its own process with measure replaced by a SIGTERM to
