@@ -7,7 +7,9 @@ WORKLOAD:SEED:PAIRS[:NULL_PAIRS] given, it runs PAIRS pairs of
 ``perfbench/run.py --trace 0`` on the parent and on the change, each run
 in its own process for the run_seconds of the change's BENCHMARK.json,
 alternating which side runs first, and interleaves NULL_PAIRS (default
-NULL_PAIRS) pairs of the parent against its second checkout; with
+NULL_PAIRS) pairs of the parent against its second checkout.  Both
+alternations continue from one workload to the next, so over a driver
+run each side goes first in half the pairs of a kind, or one more; with
 NULL_PAIRS 0 the null comparison is skipped and recorded as null.  Every
 run's end-to-end metrics, output digest and passes are kept, and each
 metric is summarised per side as median, quartiles and IQR, with the
@@ -144,13 +146,19 @@ def compare(pairs: list[dict], a: str, b: str, spec: dict) -> dict:
     return out
 
 
-def measure(entry: dict, trees: dict, workload: str, seed: int, pairs: int, null_pairs: int, seconds, save) -> None:
-    """Alternating parent/change pairs into entry["ab"], interleaved with parent/parent pairs into entry["null"]."""
+def measure(
+    entry: dict, trees: dict, workload: str, seed: int, pairs: int, null_pairs: int, seconds, save, done: dict
+) -> None:
+    """Alternating parent/change pairs into entry["ab"], interleaved with parent/parent pairs into entry["null"].
+
+    done holds the pairs of each kind that the driver's earlier workloads
+    ran; each alternation goes on from there.
+    """
     for i in range(max(pairs, null_pairs)):
         for kind, sides, n in (("ab", ("parent", "change"), pairs), ("null", ("parent", "parent_again"), null_pairs)):
             if i >= n:
                 continue
-            order = sides if i % 2 == 0 else sides[::-1]
+            order = sides if (done[kind] + i) % 2 == 0 else sides[::-1]
             pair = {"first": order[0]}
             for side in order:
                 pair[side] = bench(trees[side], workload, seed, seconds, 0)
@@ -239,8 +247,9 @@ def main(argv=None) -> int:
             spec = {m["name"]: m for m in benchmark["end_to_end"]}
             seconds = record["run_seconds"] = benchmark["run_seconds"]
             for workload, seed, pairs, null_pairs in runs:
+                done = {kind: sum(len(e[kind]) for e in record["workloads"].values()) for kind in ("ab", "null")}
                 entry = record["workloads"][f"{workload} seed {seed}"] = {"ab": [], "null": []}
-                measure(entry, trees, workload, seed, pairs, null_pairs, seconds, save)
+                measure(entry, trees, workload, seed, pairs, null_pairs, seconds, save, done)
                 summarise(entry, spec)
                 if args.trace:
                     entry["traced"] = traced(trees, workload, seed, seconds)

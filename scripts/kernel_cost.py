@@ -1,7 +1,8 @@
-"""Cost of the projection and resampling kernels, at the benchmark's shapes.
+"""Cost of the projection and resampling kernels and of the bootstrap step, at the benchmark's shapes.
 
 Times each kernel of paramsmc.approx and paramsmc.resampling on fixed
-inputs shaped as the benchmark workloads call it:
+inputs shaped as the benchmark workloads call it, and the bootstrap
+filter that scores PMMH's proposals:
 
 * batch_gaussian_points and batch_moment_match at 410 rows (sin-api's
   distinct ancestors) and 4,070 rows (407 mixture owners x L = 10), each
@@ -11,7 +12,11 @@ inputs shaped as the benchmark workloads call it:
 * sample_codes and batch_discrete_match on one 65 x 50 x 20 block of
   two-valued codes, the sampled discrete update's block
   (slam-large-discrete);
-* both resamplers at N = 50, 1,000 and 1,500.
+* both resamplers at N = 50, 1,000 and 1,500;
+* oracles.pf_log_likelihood (pmmh-lg's inner likelihood, through the
+  one bootstrap step every filter runs) at N = 50, 200 and 1,000, on a
+  301-observation series that the lg model draws at theta = 0.7 from
+  data seed 1, in microseconds per step.
 
 batch_moment_match at 4,070 rows and batch_mixture_match are timed again
 on "bad" inputs, where one row (owner) in 50 is dead, every point at
@@ -20,37 +25,52 @@ flagged row's previous moments.  The benchmark workloads never take it
 (every call's rows are all ok there), so the plain cases are the ones
 they run.
 
-The repeats are interleaved: each round times every kernel once, so a
-slow spell of the machine lands on all of them alike.  A round's time is
-the mean over --calls calls, each timed alone, so the untimed copy of an
-input that a kernel writes into is left out.  Prints the median and
-quartiles of the microseconds per call over the rounds.
+The repeats are interleaved: each round times every case once, so a
+slow spell of the machine lands on all of them alike.  A kernel's round
+time is the mean over --calls calls, each timed alone, so the untimed
+copy of an input that a kernel writes into is left out; a filter's is
+one call of 301 steps, divided by its steps, and the filter draws from
+the same stream on every call.  Prints the median and quartiles of the
+microseconds per call (per step, for a filter) over the rounds.
 
 With --against SRC, SRC being another checkout's src directory, each
-kernel of that tree is timed in the same process and round as this
+case of that tree is timed in the same process and round as this
 tree's, back to back in alternating order, so a change of the machine's
 speed between processes cannot read as a change of the code.  It prints
-both medians and the rounds in which this tree's kernel was faster.
+both medians and the rounds in which this tree's case was faster.
 
 Usage: python scripts/kernel_cost.py [--repeats 25] [--calls 20] [--against SRC]
 """
 
 import argparse
-import importlib
+import functools
 import importlib.util
 import statistics
 import sys
 import time
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
-import paramsmc.approx
-import paramsmc.resampling
+import paramsmc
+from paramsmc import rng as streams
 from paramsmc.approx import batch_gaussian_points, gauss_hermite, sample_codes
 
-SEED = 0  # the inputs, the same on every run
+SEED = 0  # the inputs and the filter's stream, the same on every run
 GH7 = gauss_hermite(7)
+THETA = 0.7  # the filter's lg parameter
+DATA_SEED = 1  # the filter's lg series
+
+
+class Case(NamedTuple):
+    """One timed case: what it times, at what shape, its arguments, and its callable in a tree."""
+
+    name: str
+    shape: str
+    make_args: object  # () -> the arguments of one call
+    get: object  # a tree's paramsmc package -> the callable
+    steps: int = 0  # a filter's steps per call; 0 for a kernel, timed over --calls calls
 
 
 def log_factor(points):
@@ -59,8 +79,8 @@ def log_factor(points):
 
 
 def module_kernel(name):
-    """The kernel `name` of a tree's (approx, resampling) modules."""
-    return lambda approx, resampling: getattr(approx, name, None) or getattr(resampling, name)
+    """The kernel `name` of a tree's approx or resampling module."""
+    return lambda tree: getattr(tree.approx, name, None) or getattr(tree.resampling, name)
 
 
 def spoil(logt, rows, every=50):
@@ -85,7 +105,7 @@ def gaussian_cases(gen, rows, with_bad=False):
     if with_bad:
         bad = spoil(logt, rows)
         cases.append(("batch_moment_match", f"{shape} bad", lambda: (points, logw, bad, means, covs)))
-    return [(name, shape, make_args, module_kernel(name)) for name, shape, make_args in cases]
+    return [Case(name, shape, make_args, module_kernel(name)) for name, shape, make_args in cases]
 
 
 def mixture_cases(gen, owners, l, n):
@@ -104,9 +124,9 @@ def mixture_cases(gen, owners, l, n):
     shape = f"{owners} x {l} x 7 x 1"
     match = module_kernel("batch_mixture_match")
     return [
-        ("batch_mixture_match", shape, lambda: (alphas, means, covs, points, logw, logt), match),
-        ("batch_mixture_match", f"{shape} bad", lambda: (alphas, means, covs, points, logw, bad), match),
-        ("MixtureCloud.sample", f"{n} x {l}", lambda: (rng,), lambda approx, _: approx.MixtureCloud(**cloud).sample),
+        Case("batch_mixture_match", shape, lambda: (alphas, means, covs, points, logw, logt), match),
+        Case("batch_mixture_match", f"{shape} bad", lambda: (alphas, means, covs, points, logw, bad), match),
+        Case("MixtureCloud.sample", f"{n} x {l}", lambda: (rng,), lambda tree: tree.approx.MixtureCloud(**cloud).sample),
     ]
 
 
@@ -125,8 +145,8 @@ def discrete_cases(gen, b, m, p):
 
     shape = f"{b} x {m} x {p}"
     return [
-        ("sample_codes", shape, lambda: (tables, cards, rng, m, (draws, codes)), module_kernel("sample_codes")),
-        ("batch_discrete_match", shape, match_args, module_kernel("batch_discrete_match")),
+        Case("sample_codes", shape, lambda: (tables, cards, rng, m, (draws, codes)), module_kernel("sample_codes")),
+        Case("batch_discrete_match", shape, match_args, module_kernel("batch_discrete_match")),
     ]
 
 
@@ -136,18 +156,32 @@ def resampler_cases(gen, sizes):
     for n in sizes:
         weights = gen.dirichlet(np.ones(n))
         for name in ("multinomial_resample", "systematic_resample"):
-            cases.append((name, f"{n}", lambda w=weights: (w, rng), module_kernel(name)))
+            cases.append(Case(name, f"{n}", lambda w=weights: (w, rng), module_kernel(name)))
     return cases
 
 
+def filter_cases(sizes):
+    model = paramsmc.get_model("lg")
+    _, obs = paramsmc.simulate(model, np.array([THETA]), 300, paramsmc.substream(DATA_SEED, streams.DATA))
+
+    def make_args():
+        return (paramsmc.substream(SEED, 0),)
+
+    def get(n):
+        return lambda tree: functools.partial(tree.oracles.pf_log_likelihood, tree.get_model("lg"), [THETA], obs, n)
+
+    steps = obs.shape[0]
+    return [Case("pf_log_likelihood", f"{n} x {steps}, per step", make_args, get(n), steps) for n in sizes]
+
+
 def load_tree(src):
-    """(approx, resampling) of the paramsmc under another tree's src, imported under a name of its own."""
+    """The paramsmc package under another tree's src, imported under a name of its own."""
     init = Path(src) / "paramsmc" / "__init__.py"
     spec = importlib.util.spec_from_file_location("paramsmc_against", init, submodule_search_locations=[str(init.parent)])
     package = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = package
     spec.loader.exec_module(package)
-    return importlib.import_module("paramsmc_against.approx"), importlib.import_module("paramsmc_against.resampling")
+    return package
 
 
 def time_calls(kernel, make_args, calls):
@@ -168,34 +202,35 @@ def main():
     parser.add_argument("--against", type=Path, help="another checkout's src directory, timed in the same rounds")
     args = parser.parse_args()
 
-    trees = [(paramsmc.approx, paramsmc.resampling)]
+    trees = [paramsmc]
     if args.against is not None:
         trees.insert(0, load_tree(args.against))
     gen = np.random.default_rng(SEED)
     cases = gaussian_cases(gen, 410) + gaussian_cases(gen, 4070, with_bad=True)
     cases += mixture_cases(gen, 407, 10, 1000) + discrete_cases(gen, 65, 50, 20)
-    cases += resampler_cases(gen, (50, 1000, 1500))
-    kernels = [[get(*tree) for tree in trees] for _, _, _, get in cases]
-    for (_, _, make_args, _), tree_kernels in zip(cases, kernels):
+    cases += resampler_cases(gen, (50, 1000, 1500)) + filter_cases((50, 200, 1000))
+    kernels = [[case.get(tree) for tree in trees] for case in cases]
+    for case, tree_kernels in zip(cases, kernels):
         for kernel in tree_kernels:  # one untimed call each, so lazy set-up is not timed
-            kernel(*make_args())
+            kernel(*case.make_args())
     per_call = [[[] for _ in trees] for _ in cases]
     for repeat in range(args.repeats):
         order = list(range(len(trees)))[:: 1 if repeat % 2 == 0 else -1]
-        for times, tree_kernels, (_, _, make_args, _) in zip(per_call, kernels, cases):
+        for times, tree_kernels, case in zip(per_call, kernels, cases):
+            calls = 1 if case.steps else args.calls
             for side in order:
-                times[side].append(time_calls(tree_kernels[side], make_args, args.calls))
+                times[side].append(time_calls(tree_kernels[side], case.make_args, calls) / (case.steps or 1))
 
-    print(f"{args.repeats} interleaved repeats of {args.calls} calls per kernel")
+    print(f"{args.repeats} interleaved repeats of {args.calls} calls per kernel, one call per filter")
     if args.against is None:
         print(f"{'kernel':<22}  {'shape':<20}  {'median us/call':>14}  {'quartiles':>17}")
-        for (times,), (name, shape, _, _) in zip(per_call, cases):
+        for (times,), (name, shape, *_) in zip(per_call, cases):
             median = statistics.median(times)
             q1, _, q3 = statistics.quantiles(times, n=4) if len(times) > 1 else (median,) * 3
             print(f"{name:<22}  {shape:<20}  {median:>14.2f}  {q1:>8.2f}-{q3:<8.2f}")
         return
     print(f"{'kernel':<22}  {'shape':<20}  {'against us':>10}  {'this us':>10}  {'change':>7}  {'this faster':>11}")
-    for (against, this), (name, shape, _, _) in zip(per_call, cases):
+    for (against, this), (name, shape, *_) in zip(per_call, cases):
         before, after = statistics.median(against), statistics.median(this)
         faster = sum(b < a for a, b in zip(against, this))
         print(

@@ -93,6 +93,8 @@ SCHEMA = {
     "seeds": Key([int], only=("sweep",)),
     "workers": Key(int, only=("sweep",)),
 }
+# The least value of each integer key (each item, for a list) that has one: seeds feed SeedSequence.
+LEAST = {"seed": 0, "data_seed": 0, "seeds": 0, "workers": 1}
 # The lists a sweep's cells range over, each with the key a cell sets from it.
 SWEEP_AXES = {"particles": "n_particles", "approx_samples_list": "approx_samples", "seeds": "seed"}
 NOUNS = {int: "an integer", float: "a number", str: "a string", dict: "an object"}
@@ -164,6 +166,13 @@ def merged_config(args) -> dict:
     cfg = {**{k: key.default for k, key in SCHEMA.items() if key.default is not None}, **given}
     if cfg.get("model") is None:
         raise ConfigError("a model name is required (--model or config file)")
+    for key, least in LEAST.items():
+        value = cfg.get(key)
+        if value is None:
+            continue
+        for v in value if isinstance(value, tuple) else (value,):
+            if v < least:
+                raise ConfigError(f"{key} must be at least {least}, got {v}")
     if args.verb in ("run", "sweep"):
         other = "filter" if cfg["algorithm"] == "pmmh" else "pmmh"
         unread = {k for k in given if other in SCHEMA[k].only}
@@ -396,6 +405,9 @@ def cmd_oracle(args) -> int:
     cfg = merged_config(args)
     if args.grid_points < 1:
         raise ConfigError(f"--grid-points must be at least 1, got {args.grid_points}")
+    for flag, value in (("--grid-lo", args.grid_lo), ("--grid-hi", args.grid_hi)):
+        if not np.isfinite(value):
+            raise ConfigError(f"{flag} must be a finite number, got {value}")
     model = _build_model(cfg)
     kind = args.kind or ("slam-exact" if isinstance(model, SlamModel) else "grid")
     needs, fits = ORACLE_FITS[kind]

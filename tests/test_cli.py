@@ -354,23 +354,25 @@ class TestRun:
     @pytest.mark.parametrize(
         "algorithm, given",
         [
-            *[(a, {"pmmh": {"iterations": 3}}) for a in ("api", "pf", "liu-west")],
-            ("api", {"pmmh": {"inner_particles": 5}}),
-            ("pf", {"pmmh": {"proposal_sd": 0.3}}),
-            ("liu-west", {"pmmh": {"bounds": [-1.0, 1.0]}}),
-            ("api", {"pmmh": {}}),
-            ("pmmh", {"approx_samples": 3}),
-            ("pmmh", {"scheme": "unscented"}),
-            ("pmmh", {"family": "mixture"}),
-            ("pmmh", {"mixture_size": 2}),
-            ("pmmh", {"resample": "systematic"}),
-            ("pmmh", {"shrinkage": 0.5}),
-            ("pmmh", ["--approx-samples", "3"]),
-            ("pmmh", ["--scheme", "unscented"]),
-            ("pmmh", ["--family", "mixture"]),
-            ("pmmh", ["--mixtures", "2"]),
-            ("pmmh", ["--resample", "systematic"]),
-            ("pmmh", ["--shrinkage", "0.5"]),
+            pytest.param("api", {"pmmh": {"iterations": 3}}, id="api-given0"),
+            pytest.param("pf", {"pmmh": {"iterations": 3}}, id="pf-given1"),
+            pytest.param("liu-west", {"pmmh": {"iterations": 3}}, id="liu-west-given2"),
+            pytest.param("api", {"pmmh": {"inner_particles": 5}}, id="api-given3"),
+            pytest.param("pf", {"pmmh": {"proposal_sd": 0.3}}, id="pf-given4"),
+            pytest.param("liu-west", {"pmmh": {"bounds": [-1.0, 1.0]}}, id="liu-west-given5"),
+            pytest.param("api", {"pmmh": {}}, id="api-given6"),
+            pytest.param("pmmh", {"approx_samples": 3}, id="pmmh-given7"),
+            pytest.param("pmmh", {"scheme": "unscented"}, id="pmmh-given8"),
+            pytest.param("pmmh", {"family": "mixture"}, id="pmmh-given9"),
+            pytest.param("pmmh", {"mixture_size": 2}, id="pmmh-given10"),
+            pytest.param("pmmh", {"resample": "systematic"}, id="pmmh-given11"),
+            pytest.param("pmmh", {"shrinkage": 0.5}, id="pmmh-given12"),
+            pytest.param("pmmh", ["--approx-samples", "3"], id="pmmh-given13"),
+            pytest.param("pmmh", ["--scheme", "unscented"], id="pmmh-given14"),
+            pytest.param("pmmh", ["--family", "mixture"], id="pmmh-given15"),
+            pytest.param("pmmh", ["--mixtures", "2"], id="pmmh-given16"),
+            pytest.param("pmmh", ["--resample", "systematic"], id="pmmh-given17"),
+            pytest.param("pmmh", ["--shrinkage", "0.5"], id="pmmh-given18"),
         ],
     )
     def test_key_the_algorithm_never_reads_exits_2(self, tmp_path, capsys, verb, algorithm, given):
@@ -397,31 +399,47 @@ class TestRun:
     @pytest.mark.parametrize(
         "verb, settings, key",
         [
-            ("run", {"n_particles": "abc"}, "n_particles"),
-            ("run", {"n_particles": True}, "n_particles"),
-            ("run", {"seed": "x"}, "seed"),
-            ("run", {"shrinkage": "x"}, "shrinkage"),
-            ("run", {"mixture_size": 2.7}, "mixture_size"),
-            ("run", {"steps": "5"}, "steps"),
-            ("run", {"data_seed": 1.5}, "data_seed"),
-            ("run", {"truth": ["a"]}, "truth"),
-            ("run", {"true_params": "0.5"}, "true_params"),
-            ("run", {"algorithm": "pmmh", "pmmh": {"iterations": "abc"}}, "pmmh.iterations"),
-            ("run", {"algorithm": "pmmh", "pmmh": {"proposal_sd": "x"}}, "pmmh.proposal_sd"),
-            ("run", {"algorithm": "pmmh", "pmmh": {"bounds": ["a", "b"]}}, "pmmh.bounds"),
-            ("run", {"algorithm": "pmmh", "pmmh": {"bounds": 5}}, "pmmh.bounds"),
-            ("run", {"algorithm": "pmmh", "pmmh": {"inner_particles": 2.5}}, "pmmh.inner_particles"),
-            ("run", {"algorithm": "pmmh", "pmmh": 5}, "pmmh"),
-            ("run", {"approx_samples": 2.5}, "approx_samples"),
-            ("sweep", {"particles": ["a"]}, "particles"),
-            ("sweep", {"seeds": 3}, "seeds"),
-            ("sweep", {"workers": 1.5}, "workers"),
+            pytest.param("run", {"n_particles": "abc"}, "n_particles", id="run-settings0-n_particles"),
+            pytest.param("run", {"n_particles": True}, "n_particles", id="run-settings1-n_particles"),
+            pytest.param("run", {"seed": "x"}, "seed", id="run-settings2-seed"),
+            pytest.param("run", {"shrinkage": "x"}, "shrinkage", id="run-settings3-shrinkage"),
+            pytest.param("run", {"mixture_size": 2.7}, "mixture_size", id="run-settings4-mixture_size"),
+            pytest.param("run", {"steps": "5"}, "steps", id="run-settings5-steps"),
+            pytest.param("run", {"data_seed": 1.5}, "data_seed", id="run-settings6-data_seed"),
+            pytest.param("run", {"truth": ["a"]}, "truth", id="run-settings7-truth"),
+            pytest.param("run", {"true_params": "0.5"}, "true_params", id="run-settings8-true_params"),
+            pytest.param(
+                "run", {"algorithm": "pmmh", "pmmh": {"iterations": "abc"}}, "pmmh.iterations",
+                id="run-settings9-pmmh.iterations",
+            ),
+            pytest.param(
+                "run", {"algorithm": "pmmh", "pmmh": {"proposal_sd": "x"}}, "pmmh.proposal_sd",
+                id="run-settings10-pmmh.proposal_sd",
+            ),
+            pytest.param(
+                "run", {"algorithm": "pmmh", "pmmh": {"bounds": ["a", "b"]}}, "pmmh.bounds",
+                id="run-settings11-pmmh.bounds",
+            ),
+            pytest.param(
+                "run", {"algorithm": "pmmh", "pmmh": {"bounds": 5}}, "pmmh.bounds",
+                id="run-settings12-pmmh.bounds",
+            ),
+            pytest.param(
+                "run", {"algorithm": "pmmh", "pmmh": {"inner_particles": 2.5}}, "pmmh.inner_particles",
+                id="run-settings13-pmmh.inner_particles",
+            ),
+            pytest.param("run", {"algorithm": "pmmh", "pmmh": 5}, "pmmh", id="run-settings14-pmmh"),
+            pytest.param("run", {"approx_samples": 2.5}, "approx_samples", id="run-settings15-approx_samples"),
+            pytest.param("sweep", {"particles": ["a"]}, "particles", id="sweep-settings16-particles"),
+            pytest.param("sweep", {"seeds": 3}, "seeds", id="sweep-settings17-seeds"),
+            pytest.param("sweep", {"workers": 1.5}, "workers", id="sweep-settings18-workers"),
             # these exited 1 with a TypeError or AttributeError traceback
-            ("run", {"resample": [1]}, "resample"),
-            ("run", {"model": ["sin"]}, "model"),
-            ("run", {"algorithm": ["pf"]}, "algorithm"),
-            ("run", {"out": 5}, "out"),
-            ("run", {"data": None}, "data"),  # null is no key's value; the run drew data_seed's data
+            pytest.param("run", {"resample": [1]}, "resample", id="run-settings19-resample"),
+            pytest.param("run", {"model": ["sin"]}, "model", id="run-settings20-model"),
+            pytest.param("run", {"algorithm": ["pf"]}, "algorithm", id="run-settings21-algorithm"),
+            pytest.param("run", {"out": 5}, "out", id="run-settings22-out"),
+            # null is no key's value; the run drew data_seed's data
+            pytest.param("run", {"data": None}, "data", id="run-settings23-data"),
         ],
     )
     def test_malformed_value_exits_2_naming_its_key(self, tmp_path, capsys, verb, settings, key):
@@ -431,6 +449,33 @@ class TestRun:
         assert main([verb, "--config", str(cfg), "--out", str(tmp_path / "res")]) == 2
         assert f"config error: {key} must be" in capsys.readouterr().err
         assert list(tmp_path.glob("res*")) == []
+
+    @pytest.mark.parametrize(
+        "verb, settings, flags, key",
+        [
+            pytest.param("run", {}, ["--seed", "-2"], "seed", id="run-seed-flag"),
+            pytest.param("run", {"seed": -1}, [], "seed", id="run-seed-file"),
+            pytest.param("simulate", {}, ["--seed", "-4"], "seed", id="simulate-seed"),
+            pytest.param("run", {"data_seed": -1}, [], "data_seed", id="run-data_seed"),
+            pytest.param("oracle", {"data_seed": -3}, [], "data_seed", id="oracle-data_seed"),
+            pytest.param("sweep", {}, ["--seeds", "0,-1"], "seeds", id="sweep-seeds-flag"),
+            pytest.param("sweep", {"seeds": [-5]}, [], "seeds", id="sweep-seeds-file"),
+            pytest.param("sweep", {}, ["--workers", "0"], "workers", id="sweep-workers-zero"),
+            pytest.param("sweep", {"workers": -3}, [], "workers", id="sweep-workers-negative"),
+            pytest.param("oracle", {}, ["--grid-lo", "nan"], "--grid-lo", id="oracle-grid-lo-nan"),
+            pytest.param("oracle", {}, ["--grid-hi", "inf"], "--grid-hi", id="oracle-grid-hi-inf"),
+            pytest.param("oracle", {}, ["--grid-lo=-inf"], "--grid-lo", id="oracle-grid-lo-minus-inf"),
+        ],
+    )
+    def test_out_of_range_value_exits_2_naming_its_key(self, tmp_path, capsys, verb, settings, flags, key):
+        # a negative seed ended in numpy's "expected non-negative integer" traceback with exit 1, a NaN
+        # grid end in a gaussian_logpdf one, and workers 0 or -3 ran as the default and serially
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"model": "lg", "data_seed": 1, "steps": 5, **settings}))
+        argv = [verb, "--config", str(cfg), *flags, "--out", str(tmp_path / "res")]
+        assert main([*argv, "--particles", "10"] if verb in ("run", "sweep") else argv) == 2
+        assert f"config error: {key} must be" in capsys.readouterr().err
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["cfg.json"]
 
     @pytest.mark.parametrize(
         "settings, flags",

@@ -5,8 +5,10 @@ arguments small enough for a second or two; it must exit 0 and print its
 table header, and sin_accuracy_experiment.py the iteration count PMMH got.
 compute_frozen_oracles.py is left out: it takes 10^6 steps.
 The A/B driver's summary is checked on a made-up record, without running
-the benchmark, and its worktree clean-up on SIGTERM in a throwaway
-repository.
+the benchmark, its order of sides with the benchmark stubbed out, and its
+worktree clean-up on SIGTERM in a throwaway repository.  README's
+benchmark table must be bench_table.py's output over the committed
+records.
 """
 
 import importlib.util
@@ -15,6 +17,7 @@ import os
 import signal
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -26,7 +29,6 @@ SCRIPTS = [
     ("sin_accuracy_experiment.py", "--seeds 2 --steps 30 --particles 50", ("algorithm", "pmmh iterations per run: ")),
     ("slam_kl_sweep.py", "--seeds 2 --particles 50 --samples 5", ("N \\ M",)),
     ("bimodal_mixture_demo.py", "--steps 30 --particles 50", ("squared-drive SIN",)),
-    ("step_cost.py", "--particles 20 50 --steps 30 --repeats 3", ("N  median us/step",)),
     ("kernel_cost.py", "--repeats 2 --calls 1", ("kernel                  shape                 median us/call",)),
 ]
 
@@ -51,14 +53,62 @@ def test_kernel_cost_against_another_tree(tmp_path):
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     assert lines[1].split() == ["kernel", "shape", "against", "us", "this", "us", "change", "this", "faster"]
-    assert len(lines) == 2 + 16 and all(line.rstrip().endswith("of 2") for line in lines[2:])
+    assert len(lines) == 2 + 19 and all(line.rstrip().endswith("of 2") for line in lines[2:])
 
 
-def _ab_module():
-    spec = importlib.util.spec_from_file_location("ab", ROOT / "scripts" / "ab.py")
+def _script_module(name):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "scripts" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def _ab_module():
+    return _script_module("ab")
+
+
+def test_readme_bench_table_is_the_scripts_output():
+    # a new BENCH_<pr>.json fails this until README is regenerated from python scripts/bench_table.py
+    readme = (ROOT / "README.md").read_text()
+    start, end = "<!-- bench_table.py: start -->\n", "\n<!-- bench_table.py: end -->"
+    assert readme[readme.index(start) + len(start) : readme.index(end)] == _script_module("bench_table").table()
+
+
+def test_bench_table_summaries_are_the_recorded_ones_under_todays_rule():
+    # every committed entry summarises again to the quartiles and wins it holds; only verdicts follow the rule
+    ab, bench_table = _ab_module(), _script_module("bench_table")
+    spec = {m["name"]: m for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
+    kept = ("parent", "change", "change_wins", "pairs")
+    cells = 0
+    for _, record in bench_table.records():
+        for stored in record["workloads"].values():
+            entry = {"ab": stored["ab"], "null": stored["null"]}
+            ab.summarise(entry, spec)
+            for metric, s in entry["summary"].items():
+                assert {k: s[k] for k in kept} == {k: stored["summary"][metric][k] for k in kept}
+                assert s["verdict"] == "unresolved" or s["pairs"] >= ab.MIN_PAIRS
+                cells += 1
+    assert cells >= 148  # BENCH_17 to BENCH_22: 37 entries of 4 metrics
+
+
+def test_ab_alternates_the_first_side_across_workloads(tmp_path, monkeypatch):
+    # each workload began with the parent: 5 and 3 pairs ran it first 5 times of 8
+    ab = _ab_module()
+
+    def git(repo, *args):
+        if args[:2] == ("worktree", "add"):
+            tree = Path(args[3])
+            tree.mkdir()
+            (tree / "BENCHMARK.json").write_text(json.dumps({"run_seconds": 1, "end_to_end": []}))
+        return "a commit"
+
+    monkeypatch.setattr(ab, "git", git)
+    monkeypatch.setattr(ab, "bench", lambda *args: {"metrics": {}, "output_digest": "a"})
+    out = tmp_path / "ab.json"
+    assert ab.main(["PARENT", "CHANGE", "one:1:5:3", "two:1:3:3", "--out", str(out)]) == 0
+    entries = json.loads(out.read_text())["workloads"].values()
+    assert Counter(pair["first"] for e in entries for pair in e["ab"]) == {"parent": 4, "change": 4}
+    assert Counter(pair["first"] for e in entries for pair in e["null"]) == {"parent": 3, "parent_again": 3}
 
 
 
