@@ -16,8 +16,9 @@ metric is summarised per side as median, quartiles and IQR, with the
 pairs the change won (ties count for neither) and a verdict (see
 verdict; fewer than MIN_PAIRS pairs are always "unresolved").  --trace
 adds TRACED_RUNS ``--trace 1`` runs per side, alternating which side
-runs first as the pairs do; every traced run is kept, and each per-layer
-metric's median per side is recorded next to them.
+runs first and continuing across workloads as the pairs do; every traced
+run is kept, and each per-layer metric's median per side is recorded
+next to them.
 
 The record goes to --out as JSON with the machine, the package
 versions, the commit ids and the output digests; it is rewritten after
@@ -168,11 +169,15 @@ def measure(
             save()
 
 
-def traced(trees: dict, workload: str, seed: int, seconds) -> dict:
-    """TRACED_RUNS --trace 1 runs per side, alternating which side runs first, and each metric's median per side."""
+def traced(trees: dict, workload: str, seed: int, seconds, done: int) -> dict:
+    """TRACED_RUNS --trace 1 runs per side, alternating which side runs first, and each metric's median per side.
+
+    done is the traced runs per side that the driver's earlier workloads
+    ran; the alternation goes on from there.
+    """
     runs = {"parent": [], "change": []}
     for i in range(TRACED_RUNS):
-        for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
+        for side in ("parent", "change") if (done + i) % 2 == 0 else ("change", "parent"):
             runs[side].append(bench(trees[side], workload, seed, seconds, 1))
     medians = {
         side: {name: statistics.median(run["metrics"][name] for run in done) for name in done[0]["metrics"]}
@@ -252,7 +257,8 @@ def main(argv=None) -> int:
                 measure(entry, trees, workload, seed, pairs, null_pairs, seconds, save, done)
                 summarise(entry, spec)
                 if args.trace:
-                    entry["traced"] = traced(trees, workload, seed, seconds)
+                    ran = sum(len(e["traced"]["runs"]["parent"]) for e in record["workloads"].values() if "traced" in e)
+                    entry["traced"] = traced(trees, workload, seed, seconds, ran)
                 save()
                 report(f"{workload} seed {seed}: parent -> change", entry["summary"])
                 if entry["null_summary"] is None:

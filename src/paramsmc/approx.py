@@ -420,15 +420,19 @@ def batch_discrete_match(
     """Marginal-matching update for stacked factorized tables.
 
     codes is (B, J, p); log_prior_w carries per-code log q_prev mass in
-    exhaustive mode and is None when codes were sampled from q_prev.  New
-    marginals are the weight-summed code frequencies, renormalized per
-    dimension.  Rows with vanishing total mass are flagged and keep their
-    previous tables.
+    exhaustive mode, where every row holds the same J enumerated codes,
+    and is None when codes were sampled from q_prev.  New marginals are
+    the weight-summed code frequencies, renormalized per dimension.  Rows
+    with vanishing total mass are flagged and keep their previous tables.
 
-    One bincount sums every (row, dimension, code) bin, each bin adding
-    its weights in point order.  Given a float64 (B, J, p) weights buffer
-    the kernel allocates nothing of that size: it turns codes into their
-    bin numbers in place and broadcasts the point weights into weights.
+    A weighted code count is a matrix product: the rows' point weights
+    times the codes' 0/1 indicators, summed by np.matmul (BLAS) in its own
+    order rather than in point order, so a table's last bits follow the
+    BLAS build.  Exhaustive mode contracts the (B, J) weights with the
+    indicators of the J joint codes in one product.  A sampled block takes
+    one product per code value c, over the indicator of codes == c, which
+    is written into weights when a float64 (B, J, p) buffer is given, so
+    nothing of that size is allocated.  codes is never written.
 
     Returns (tables, ok).
     """
@@ -436,15 +440,19 @@ def batch_discrete_match(
     a = np.array(log_t, dtype=np.float64) if log_prior_w is None else log_t + log_prior_w
     r, total, _, ok = _shifted_mass(a, axis=1)
 
-    bins = (np.arange(b)[:, None, None] * p + np.arange(p)) * cmax
-    if weights is None:
-        codes = codes + bins
-        weights = np.empty(codes.shape)
+    if log_prior_w is not None:
+        joint = codes[0]
+        indicators = (joint[:, :, None] == np.arange(cmax)).reshape(len(joint), p * cmax)
+        out = (r @ indicators.astype(np.float64)).reshape(b, p, cmax)
     else:
-        codes += bins
-    weights[...] = r[:, :, None]
-    out = np.bincount(codes.ravel(), weights=weights.ravel(), minlength=b * p * cmax)
-    out = out.reshape(b, p, cmax) / np.where(total > 0, total, 1.0)[:, None, None]
+        if weights is None:
+            weights = np.empty(codes.shape)
+        out = np.empty((b, p, cmax))
+        for c in range(cmax):
+            np.equal(codes, c, out=weights)
+            # (B, p, J) indicators times (B, J, 1) weights: code c's column of every table
+            np.matmul(weights.transpose(0, 2, 1), r[:, :, None], out=out[:, :, c : c + 1])
+    out /= np.where(total > 0, total, 1.0)[:, None, None]
     tables_out = np.where(ok[:, None, None], out, tables)
     return tables_out, ok
 
@@ -573,7 +581,10 @@ class DiscreteCloud(Cloud):
     which is exact, and otherwise weights m_samples joint draws from each
     row's tables.  A sampled update runs in blocks of rows holding at most
     CODE_BLOCK codes, and draws, scores and matches each block in scratch
-    arrays that the cloud keeps from one update to the next.
+    arrays that the cloud keeps from one update to the next.  Either way
+    the match is a matrix product of point weights and code indicators
+    (see batch_discrete_match), so the tables' last bits follow the BLAS
+    build; the drawn codes do not depend on it.
     """
 
     kind = "discrete"
@@ -615,7 +626,7 @@ class DiscreteCloud(Cloud):
             draws, codes = (a[: min(step, b - lo)] for a in self._scratch)
             codes = sample_codes(tables[block], self.cards, rng, m, out=(draws, codes))
             logt = factor(codes, rows[block, None])
-            # the draws are spent once the codes are counted; their buffer takes the weights
+            # the draws are spent once the codes are counted; their buffer takes the code indicators
             new_tables[block], ok[block] = batch_discrete_match(tables[block], codes, None, logt, draws)
         return {"tables": new_tables}, ok
 

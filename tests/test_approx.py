@@ -25,10 +25,13 @@ from paramsmc.approx import (
     MixtureApprox,
     MixtureCloud,
     MomentScheme,
+    batch_discrete_match,
     batch_gaussian_points,
     batch_mixture_match,
     batch_moment_match,
     discrete_update,
+    enumerate_codes,
+    exhaustive_log_prior,
     gauss_hermite,
     gaussian_update,
     mixture_update,
@@ -466,18 +469,9 @@ def row_major_moment_match(points, log_weights, log_t):
     return mu, cov, log_z, second
 
 
-def reference_sampled_update(tables, cards, rng, m, factor, rows):
-    """The one-shot sampled update the blocked one must equal bit for bit:
-    every row's codes from one (B, m, p) draw, matched one dimension at a
-    time."""
-    b, p, cmax = tables.shape
-    cdf = np.cumsum(tables[:, :, :-1], axis=-1)
-    cdf[:, np.arange(cmax - 1) >= cards[:, None] - 1] = np.inf
-    u = rng.random((b, m, p))
-    codes = np.zeros((b, m, p), dtype=np.int64)
-    for c in range(cmax - 1):
-        codes += u >= cdf[:, None, :, c]
-    a = factor(codes, rows)
+def reference_mass(a):
+    """Row weights exp(a - max a) (B, J), their totals and ok flags, NaN
+    counting as -inf: the shift the match kernels share, unblocked."""
     a = np.where(np.isnan(a), -np.inf, a)
     shift = np.max(a, axis=1)
     ok = np.isfinite(shift)
@@ -487,7 +481,31 @@ def reference_sampled_update(tables, cards, rng, m, factor, rows):
     total = r.sum(axis=1)
     with np.errstate(divide="ignore"):
         log_z = np.where(ok, shift, 0.0) + np.log(total)
-    ok = ok & (log_z >= LOG_MASS_FLOOR)
+    return r, total, ok & (log_z >= LOG_MASS_FLOOR)
+
+
+def reference_sampled_update(tables, cards, rng, m, factor, rows):
+    """The one-shot sampled update the blocked one must equal bit for bit:
+    every row's codes from one (B, m, p) draw, each code value's table
+    column one matrix product over all rows."""
+    b, p, cmax = tables.shape
+    cdf = np.cumsum(tables[:, :, :-1], axis=-1)
+    cdf[:, np.arange(cmax - 1) >= cards[:, None] - 1] = np.inf
+    u = rng.random((b, m, p))
+    codes = np.zeros((b, m, p), dtype=np.int64)
+    for c in range(cmax - 1):
+        codes += u >= cdf[:, None, :, c]
+    r, total, ok = reference_mass(factor(codes, rows))
+    out = np.stack([np.matmul(r[:, None, :], (codes == c).astype(float))[:, 0] for c in range(cmax)], axis=-1)
+    out = out / np.where(total > 0, total, 1.0)[:, None, None]
+    return np.where(ok[:, None, None], out, tables), ok
+
+
+def bincount_discrete_match(tables, codes, log_prior_w, log_t):
+    """The scatter-add match the matrix products replaced: one bincount per
+    dimension, each (row, code) bin adding its weights in point order."""
+    b, p, cmax = tables.shape
+    r, total, ok = reference_mass(log_t if log_prior_w is None else log_t + log_prior_w)
     out = np.zeros_like(tables)
     offsets = (np.arange(b) * cmax)[:, None]
     for i in range(p):
@@ -495,6 +513,22 @@ def reference_sampled_update(tables, cards, rng, m, factor, rows):
         out[:, i, :] = np.bincount(idx, weights=r.ravel(), minlength=b * cmax).reshape(b, cmax)
     out = out / np.where(total > 0, total, 1.0)[:, None, None]
     return np.where(ok[:, None, None], out, tables), ok
+
+
+def discrete_match_inputs(gen, cmax, b, p):
+    """Padded tables (B, p, C) with every cardinality from 1 to cmax, and
+    row scores (B, C, p): rows 3 to 5 are dead, NaN and below the floor."""
+    cards = np.resize(np.arange(1, cmax + 1), p)
+    tables = gen.dirichlet(np.ones(cmax), size=(b, p))
+    tables[:, np.arange(cmax) >= cards[:, None]] = 0.0
+    tables /= tables.sum(axis=-1, keepdims=True)
+    score = 2.0 * gen.standard_normal((b, cmax, p))
+    score[3] = -np.inf  # row 3 is dead
+    score[4, 0] = np.nan  # every point of row 4 is NaN
+    score[5] = -800.0  # row 5's mass is below the floor
+    if cmax > 1:
+        score[6, 1, 1] = np.nan  # row 6 keeps its points without a NaN
+    return cards, tables, score
 
 
 class TestBatchKernels:
@@ -635,6 +669,47 @@ class TestBatchKernels:
         assert got[1].tobytes() == ref[1].tobytes()
         assert not got[1][np.isin(rows, [7, 8])].any() and got[1].sum() == b - 2
         assert np.allclose(got[0]["tables"].sum(axis=-1), 1.0)
+
+    @pytest.mark.parametrize("cmax", [1, 2, 3, 4])
+    @pytest.mark.parametrize("mode", ["sampled", "exhaustive"])
+    def test_discrete_match_agrees_with_bincount(self, mode, cmax):
+        # BLAS sums a row's M point weights in its own order, bincount in
+        # point order; two orders of summing M non-negative terms differ by
+        # at most 2 (M - 1) 2**-53 of their sum, and a table entry is at most 1.
+        gen = np.random.default_rng(40 + cmax)
+        b, p = 60, 7
+        cards, tables, score = discrete_match_inputs(gen, cmax, b, p)
+        if mode == "sampled":
+            m = 50
+            codes = sample_codes(tables, cards, substream(12, cmax), m)
+            log_prior = None
+        else:
+            joint = enumerate_codes(cards)
+            m = len(joint)
+            codes = np.broadcast_to(joint, (b, m, p))
+            log_prior = exhaustive_log_prior(tables, joint)
+        log_t = score[np.arange(b)[:, None, None], codes, np.arange(p)].sum(axis=-1)
+        got = batch_discrete_match(tables, codes, log_prior, log_t)
+        ref = bincount_discrete_match(tables, codes, log_prior, log_t)
+        assert got[1].tobytes() == ref[1].tobytes()
+        assert not got[1][3:6].any() and got[1].sum() == b - 3
+        assert np.abs(got[0] - ref[0]).max() <= 2 * (m - 1) * 2.0**-53
+
+    @pytest.mark.parametrize("cmax", [1, 2, 3])
+    def test_discrete_match_leaves_codes_and_gives_tables(self, cmax):
+        gen = np.random.default_rng(50 + cmax)
+        b, p, m = 60, 7, 40
+        cards, tables, score = discrete_match_inputs(gen, cmax, b, p)
+        codes = sample_codes(tables, cards, substream(13, cmax), m)
+        before = codes.copy()
+        log_t = score[np.arange(b)[:, None, None], codes, np.arange(p)].sum(axis=-1)
+        new, ok = batch_discrete_match(tables, codes, None, log_t, np.empty(codes.shape))
+        assert codes.tobytes() == before.tobytes()
+        assert new.shape == tables.shape and ok.sum() == b - 3
+        assert np.all(new[ok] >= 0.0)
+        assert np.all(np.abs(new[ok].sum(axis=-1) - 1.0) <= 1e-12)
+        assert new[~ok].tobytes() == tables[~ok].tobytes()
+        assert not new[ok][:, np.arange(cmax) >= cards[:, None]].any()  # padding keeps no mass
 
     def test_sampled_discrete_update_memory_is_bounded(self):
         """One update's traced peak is one block's scratch plus the new

@@ -253,12 +253,12 @@ GOLDEN = {
         "fused": "867b5e5baaa39c87b535bc56be4b53da9fe31b13032bf5e7efbd852f7f6e2a8e",
     },
     "discrete-sampled": {
-        "steps": "640d8cbf21481fe0db78d1bc724a57c8f8e0c2a474e71da9096702ea0f0f3c53",
-        "fused": "a0c3dbff59342f0227cc6562db4fd9335f1766207ea2787935996582b1cfd990",
+        "steps": "717f5db8329bf80f42779bd30eb3f94f23ce285aa37c55f066ea66c7bda1e9eb",
+        "fused": "a1f14e4e37b2ed20f97cf3f2c084c99f62f35288e168df9178aa8a8f83301f09",
     },
     "discrete-sampled-blocks": {
-        "steps": "2d9ca9009eb6cded836ee6bce313fd6a7845361f65d676202c65055ca2c4a0e1",
-        "fused": "3abc57c39a31f827a77fd793d3ce9f3f33ccc269e5d0c8051ac396129386f42f",
+        "steps": "1d85a313faf9ba5180d19e7cc56124c84d3910e35580d58386997fb0953907cb",
+        "fused": "45ef3c8d241303d2ee95d5b70c6295bfc1f66edd1ccfc55ed4891f274ea94005",
     },
     "gaussian": {
         "steps": "723d109f40a7885b27e66688bf202e1413e9bc87bde615f846d91de41cf80b66",
@@ -597,7 +597,7 @@ CLI_GOLDEN = {
     "run-pf-systematic": "d4cbe5ff88f4ffc238059d2257f2d890c39c60932c3a18915507df0ff2ba26c3",
     "run-pmmh-lg-truth": "3297bcb3208979b3f08ceb3f68e716642caeb2363eaf5a0b2343ea78aad59566",
     "run-pmmh-slam-exact": "741df700a46d2d1213a855a18c9ebdcfff9cba47ee64641bafb4bc8cda2b49b6",
-    "run-slam-exact-truth": "609fa66b63deb1de16064938e8ec1ddd32594b00a3411e609e095f9545b1e236",
+    "run-slam-exact-truth": "f71fd8bf318e7c67cd9a67767149d11def2bb422991dc668c51a9cb63ece5100",
     "simulate-bimodal-theta": "e823a531b3b38e542d866c1b2991287741ec08662c8c0c200dd89532d448c48c",
     "simulate-lg-config": "55e515a22b4fd780fba0168fdd37eb91be57bbf8a63461e3682ff9c816e9d22f",
     "simulate-sin": "39c107a24af271e934b7ce8e15795781a9818c85e15a3b81e6a6f992c7015907",

@@ -91,18 +91,19 @@ def test_bench_table_summaries_are_the_recorded_ones_under_todays_rule():
     assert cells >= 148  # BENCH_17 to BENCH_22: 37 entries of 4 metrics
 
 
+def fake_git(repo, *args):
+    """git for ab.main without a repository: a worktree is a directory holding a BENCHMARK.json."""
+    if args[:2] == ("worktree", "add"):
+        tree = Path(args[3])
+        tree.mkdir()
+        (tree / "BENCHMARK.json").write_text(json.dumps({"run_seconds": 1, "end_to_end": []}))
+    return "a commit"
+
+
 def test_ab_alternates_the_first_side_across_workloads(tmp_path, monkeypatch):
     # each workload began with the parent: 5 and 3 pairs ran it first 5 times of 8
     ab = _ab_module()
-
-    def git(repo, *args):
-        if args[:2] == ("worktree", "add"):
-            tree = Path(args[3])
-            tree.mkdir()
-            (tree / "BENCHMARK.json").write_text(json.dumps({"run_seconds": 1, "end_to_end": []}))
-        return "a commit"
-
-    monkeypatch.setattr(ab, "git", git)
+    monkeypatch.setattr(ab, "git", fake_git)
     monkeypatch.setattr(ab, "bench", lambda *args: {"metrics": {}, "output_digest": "a"})
     out = tmp_path / "ab.json"
     assert ab.main(["PARENT", "CHANGE", "one:1:5:3", "two:1:3:3", "--out", str(out)]) == 0
@@ -159,12 +160,36 @@ def test_ab_traced_runs_alternate_and_keep_medians(monkeypatch):
         return {"metrics": {"layer.self_ms": offset + [5.0, 1.0, 3.0][sum(t == tree for t, _ in calls) - 1]}}
 
     monkeypatch.setattr(ab, "bench", bench)
-    record = ab.traced({"parent": "parent-tree", "change": "change-tree"}, "any-workload", 1, 20)
+    trees = {"parent": "parent-tree", "change": "change-tree"}
+    record = ab.traced(trees, "any-workload", 1, 20, 0)
     order = [tree.split("-")[0] for tree, _ in calls]
     assert order == ["parent", "change", "change", "parent", "parent", "change"]
     assert all(trace == 1 for _, trace in calls)
     assert [run["metrics"]["layer.self_ms"] for run in record["runs"]["parent"]] == [5.0, 1.0, 3.0]
     assert record["medians"] == {"parent": {"layer.self_ms": 3.0}, "change": {"layer.self_ms": 103.0}}
+    # after an odd number of earlier traced runs the alternation starts on the change
+    calls.clear()
+    ab.traced(trees, "any-workload", 1, 20, 3)
+    assert [tree.split("-")[0] for tree, _ in calls] == ["change", "parent", "parent", "change", "change", "parent"]
+
+
+def test_ab_traced_runs_alternate_across_workloads(tmp_path, monkeypatch):
+    # each workload's traced runs began with the parent: two workloads ran it first 4 times of 6
+    ab = _ab_module()
+    traced_calls = []
+
+    def bench(tree, workload, seed, seconds, trace):
+        if trace:
+            traced_calls.append(Path(tree).name)
+        return {"metrics": {"layer.self_ms": 1.0}, "output_digest": "a"}
+
+    monkeypatch.setattr(ab, "git", fake_git)
+    monkeypatch.setattr(ab, "bench", bench)
+    out = tmp_path / "ab.json"
+    assert ab.main(["PARENT", "CHANGE", "one:1:3:0", "two:1:3:0", "--trace", "--out", str(out)]) == 0
+    firsts = traced_calls[::2]
+    assert len(traced_calls) == 2 * 2 * ab.TRACED_RUNS
+    assert Counter(firsts) == {"parent": 3, "change": 3}
 
 
 # Runs ab.main in its own process with measure replaced by a SIGTERM to
