@@ -11,7 +11,8 @@ filter that scores PMMH's proposals:
   N = 1,000, L = 10 (sin-bimodal-mixture);
 * sample_codes and batch_discrete_match on one 65 x 50 x 20 block of
   two-valued codes, the sampled discrete update's block
-  (slam-large-discrete);
+  (slam-large-discrete), and batch_discrete_match in exhaustive mode on
+  slam-small's 256 joint codes of 8 two-valued cells at 1,500 rows;
 * both resamplers at N = 50, 1,000 and 1,500;
 * oracles.pf_log_likelihood (pmmh-lg's inner likelihood, through the
   one bootstrap step every filter runs) at N = 50, 200 and 1,000, on a
@@ -55,7 +56,13 @@ import numpy as np
 
 import paramsmc
 from paramsmc import rng as streams
-from paramsmc.approx import batch_gaussian_points, gauss_hermite, sample_codes
+from paramsmc.approx import (
+    batch_gaussian_points,
+    enumerate_codes,
+    exhaustive_log_prior,
+    gauss_hermite,
+    sample_codes,
+)
 
 SEED = 0  # the inputs and the filter's stream, the same on every run
 GH7 = gauss_hermite(7)
@@ -130,7 +137,7 @@ def mixture_cases(gen, owners, l, n):
     ]
 
 
-def discrete_cases(gen, b, m, p):
+def discrete_cases(gen, b, m, p, joint_rows, joint_p):
     cards = np.full(p, 2)
     tables = gen.dirichlet(np.ones(2), size=(b, p))
     rng = np.random.default_rng(SEED)
@@ -139,14 +146,27 @@ def discrete_cases(gen, b, m, p):
     logt = -0.1 * fresh.sum(axis=-1)
 
     def match_args():
-        # the kernel turns the codes into bin numbers in place
+        # fresh codes on every call, untimed, for a tree whose kernel writes into them
         np.copyto(codes, fresh)
         return tables, codes, None, logt, draws
 
+    joint = enumerate_codes(np.full(joint_p, 2))
+    joint_tables = gen.dirichlet(np.ones(2), size=(joint_rows, joint_p))
+    joint_codes = np.broadcast_to(joint, (joint_rows,) + joint.shape)
+    log_prior = exhaustive_log_prior(joint_tables, joint)
+    joint_logt = -0.1 * joint_codes.sum(axis=-1)
+
+    match = module_kernel("batch_discrete_match")
     shape = f"{b} x {m} x {p}"
     return [
         Case("sample_codes", shape, lambda: (tables, cards, rng, m, (draws, codes)), module_kernel("sample_codes")),
-        Case("batch_discrete_match", shape, match_args, module_kernel("batch_discrete_match")),
+        Case("batch_discrete_match", shape, match_args, match),
+        Case(
+            "batch_discrete_match",
+            f"{joint_rows} x {len(joint)} x {joint_p} joint",
+            lambda: (joint_tables, joint_codes, log_prior, joint_logt),
+            match,
+        ),
     ]
 
 
@@ -207,7 +227,7 @@ def main():
         trees.insert(0, load_tree(args.against))
     gen = np.random.default_rng(SEED)
     cases = gaussian_cases(gen, 410) + gaussian_cases(gen, 4070, with_bad=True)
-    cases += mixture_cases(gen, 407, 10, 1000) + discrete_cases(gen, 65, 50, 20)
+    cases += mixture_cases(gen, 407, 10, 1000) + discrete_cases(gen, 65, 50, 20, 1500, 8)
     cases += resampler_cases(gen, (50, 1000, 1500)) + filter_cases((50, 200, 1000))
     kernels = [[case.get(tree) for tree in trees] for case in cases]
     for case, tree_kernels in zip(cases, kernels):

@@ -527,7 +527,7 @@ def discrete_match_inputs(gen, cmax, b, p):
     score[4, 0] = np.nan  # every point of row 4 is NaN
     score[5] = -800.0  # row 5's mass is below the floor
     if cmax > 1:
-        score[6, 1, 1] = np.nan  # row 6 keeps its points without a NaN
+        score[6, 1, 1] = np.nan  # row 6 has NaN points among finite ones and stays ok
     return cards, tables, score
 
 

@@ -14,7 +14,8 @@ and the ancestor gather matters.
 The public single-distribution API (the *_update functions, the point
 rules and each family's sample) has one digest per call, over every
 array it returns; one more covers every field, name and value, of the
-two bundled SLAM instances.
+two bundled SLAM instances, and one every code that sample_codes draws
+in the discrete-sampled-blocks run.
 Each command-line invocation has one digest over its exit code, its
 stdout and stderr and every file it writes, with the temporary directory
 in them replaced by a placeholder.  The wall_clock_ms column of result
@@ -379,15 +380,13 @@ def test_run_matches_golden_digest(name):
     assert run_digests(RUNS[name]()) == GOLDEN[name]
 
 
-# sha256 over every code array sample_codes returns in the
-# discrete-sampled-blocks run, in draw order.  The tables of a sampled
-# update may move in their last bits when the match sums in another order;
-# this pins the draws the tables were matched from.
+# The tables of a sampled update can move in their last bits when the
+# match sums in another order; this pins the codes they were matched from.
 DRAWN_CODES_GOLDEN = "64bef6f6a36d38cdd9c1eaecd61152a50ebee6ba371aea96cd7ace5a141a99d0"
 
 
-def drawn_codes_digest(name: str = "discrete-sampled-blocks") -> str:
-    """sha256 over each sample_codes output of one run, taken as it is drawn."""
+def drawn_codes_digest() -> str:
+    """sha256 over each sample_codes output of the discrete-sampled-blocks run, taken as it is drawn."""
     h = hashlib.sha256()
     sample_codes = approx.sample_codes
 
@@ -398,7 +397,7 @@ def drawn_codes_digest(name: str = "discrete-sampled-blocks") -> str:
 
     approx.sample_codes = recorded
     try:
-        RUNS[name]()
+        RUNS["discrete-sampled-blocks"]()
     finally:
         approx.sample_codes = sample_codes
     return h.hexdigest()
