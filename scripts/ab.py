@@ -172,8 +172,8 @@ def measure(
 def traced(trees: dict, workload: str, seed: int, seconds, done: int) -> dict:
     """TRACED_RUNS --trace 1 runs per side, alternating which side runs first, and each metric's median per side.
 
-    done is the traced runs per side that the driver's earlier workloads
-    ran; the alternation goes on from there.
+    done is the traced runs per side of the workloads measured before
+    this one; the alternation goes on from there.
     """
     runs = {"parent": [], "change": []}
     for i in range(TRACED_RUNS):
