@@ -225,8 +225,15 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     runs = []
     for text in args.runs:
-        workload, seed, pairs, *null = text.split(":")
-        runs.append((workload, int(seed), int(pairs), int(null[0]) if null else NULL_PAIRS))
+        # checked before any worktree is made: a spec of no pairs has nothing to summarise
+        try:
+            workload, seed, pairs, *null = text.split(":")
+            run = (workload, int(seed), int(pairs), int(null[0]) if null else NULL_PAIRS)
+        except ValueError:
+            parser.error(f"run spec {text!r} is not WORKLOAD:SEED:PAIRS[:NULL_PAIRS]")
+        if run[2] < 1 or run[3] < 0 or len(null) > 1:
+            parser.error(f"run spec {text!r} needs PAIRS >= 1 and NULL_PAIRS >= 0")
+        runs.append(run)
 
     refs = {"parent": args.parent, "change": args.change}
     commits = {side: git(args.repo, "rev-parse", f"{ref}^{{commit}}") for side, ref in refs.items()}

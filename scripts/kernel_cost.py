@@ -6,9 +6,10 @@ filter that scores PMMH's proposals:
 
 * batch_gaussian_points and batch_moment_match at 410 rows (sin-api's
   distinct ancestors) and 4,070 rows (407 mixture owners x L = 10), each
-  row with a 7-point Gauss-Hermite rule in p = 1;
-* batch_mixture_match at 407 owners x L = 10, and MixtureCloud.sample at
-  N = 1,000, L = 10 (sin-bimodal-mixture);
+  row with a 7-point Gauss-Hermite rule in p = 1, and GaussianCloud.update
+  at 410 rows: points, a fixed factor and the match;
+* batch_mixture_match and MixtureCloud.update at 407 owners x L = 10, and
+  MixtureCloud.sample at N = 1,000, L = 10 (sin-bimodal-mixture);
 * sample_codes and batch_discrete_match on one 65 x 50 x 20 block of
   two-valued codes, the sampled discrete update's block
   (slam-large-discrete), and batch_discrete_match in exhaustive mode on
@@ -38,7 +39,10 @@ With --against SRC, SRC being another checkout's src directory, each
 case of that tree is timed in the same process and round as this
 tree's, back to back in alternating order, so a change of the machine's
 speed between processes cannot read as a change of the code.  It prints
-both medians and the rounds in which this tree's case was faster.
+both medians and the rounds in which this tree's case was faster.  A tree
+whose batch_moment_match and batch_mixture_match take evaluation points
+rather than standard points and Cholesky factors gets those points in
+their place; the cloud updates take the same arguments in every tree.
 
 Usage: python scripts/kernel_cost.py [--repeats 25] [--calls 20] [--against SRC]
 """
@@ -46,6 +50,7 @@ Usage: python scripts/kernel_cost.py [--repeats 25] [--calls 20] [--against SRC]
 import argparse
 import functools
 import importlib.util
+import inspect
 import statistics
 import sys
 import time
@@ -90,6 +95,26 @@ def module_kernel(name):
     return lambda tree: getattr(tree.approx, name, None) or getattr(tree.resampling, name)
 
 
+def frame_kernel(name, points):
+    """The match kernel `name` of a tree, called with standard points z and
+    Cholesky factors; a tree whose kernel takes the evaluation points
+    instead is called with points in z's place and without the factors."""
+
+    def get(tree):
+        kernel = getattr(tree.approx, name)
+        if "chols" in inspect.signature(kernel).parameters:
+            return kernel
+        at = 0 if name == "batch_moment_match" else 3  # where z stands in the arguments
+        return lambda *args: kernel(*args[:at], points, *args[at + 1 : -1])
+
+    return get
+
+
+def fixed_factor(points, rows):
+    """The cloud updates' likelihood factor: log_factor of every point, whatever its owner."""
+    return log_factor(points)
+
+
 def spoil(logt, rows, every=50):
     """A copy of logt (J, rows * k) with one row in `every` dead and one holding a NaN point."""
     bad = logt.copy()
@@ -99,27 +124,38 @@ def spoil(logt, rows, every=50):
     return bad
 
 
-def gaussian_cases(gen, rows, with_bad=False):
+def gaussian_cases(gen, rows, with_bad=False, with_update=False):
     means = gen.standard_normal((rows, 1))
     covs = 0.05 + 0.1 * gen.random((rows, 1, 1))
-    points, logw = batch_gaussian_points(means, covs, GH7, None)
+    points, logw, z, chols = batch_gaussian_points(means, covs, GH7, None)
     logt = log_factor(points)
     shape = f"{rows} x 7 x 1"
+    match = frame_kernel("batch_moment_match", points)
     cases = [
-        ("batch_gaussian_points", shape, lambda: (means, covs, GH7, None)),
-        ("batch_moment_match", shape, lambda: (points, logw, logt, means, covs)),
+        Case("batch_gaussian_points", shape, lambda: (means, covs, GH7, None), module_kernel("batch_gaussian_points")),
+        Case("batch_moment_match", shape, lambda: (z, logw, logt, means, covs, chols), match),
     ]
     if with_bad:
         bad = spoil(logt, rows)
-        cases.append(("batch_moment_match", f"{shape} bad", lambda: (points, logw, bad, means, covs)))
-    return [Case(name, shape, make_args, module_kernel(name)) for name, shape, make_args in cases]
+        cases.append(Case("batch_moment_match", f"{shape} bad", lambda: (z, logw, bad, means, covs, chols), match))
+    if with_update:
+        prev, owners = {"means": means, "covs": covs}, np.arange(rows)
+        cases.append(
+            Case(
+                "GaussianCloud.update",
+                shape,
+                lambda: (prev, owners, fixed_factor, GH7, None),
+                lambda tree: tree.approx.GaussianCloud(**prev).update,
+            )
+        )
+    return cases
 
 
 def mixture_cases(gen, owners, l, n):
     alphas = gen.dirichlet(np.ones(l), size=owners)
     means = gen.standard_normal((owners, l, 1))
     covs = 0.05 + 0.1 * gen.random((owners, l, 1, 1))
-    points, logw = batch_gaussian_points(means.reshape(-1, 1), covs.reshape(-1, 1, 1), GH7, None)
+    points, logw, z, chols = batch_gaussian_points(means.reshape(-1, 1), covs.reshape(-1, 1, 1), GH7, None)
     logt = log_factor(points)
     cloud = dict(
         alphas=gen.dirichlet(np.ones(l), size=n),
@@ -129,10 +165,17 @@ def mixture_cases(gen, owners, l, n):
     bad = spoil(logt, owners)
     rng = np.random.default_rng(SEED)
     shape = f"{owners} x {l} x 7 x 1"
-    match = module_kernel("batch_mixture_match")
+    match = frame_kernel("batch_mixture_match", points)
+    prev, rows = {"alphas": alphas, "means": means, "covs": covs}, np.arange(owners)
     return [
-        Case("batch_mixture_match", shape, lambda: (alphas, means, covs, points, logw, logt), match),
-        Case("batch_mixture_match", f"{shape} bad", lambda: (alphas, means, covs, points, logw, bad), match),
+        Case("batch_mixture_match", shape, lambda: (alphas, means, covs, z, logw, logt, chols), match),
+        Case("batch_mixture_match", f"{shape} bad", lambda: (alphas, means, covs, z, logw, bad, chols), match),
+        Case(
+            "MixtureCloud.update",
+            shape,
+            lambda: (prev, rows, fixed_factor, GH7, None),
+            lambda tree: tree.approx.MixtureCloud(**prev).update,
+        ),
         Case("MixtureCloud.sample", f"{n} x {l}", lambda: (rng,), lambda tree: tree.approx.MixtureCloud(**cloud).sample),
     ]
 
@@ -226,7 +269,7 @@ def main():
     if args.against is not None:
         trees.insert(0, load_tree(args.against))
     gen = np.random.default_rng(SEED)
-    cases = gaussian_cases(gen, 410) + gaussian_cases(gen, 4070, with_bad=True)
+    cases = gaussian_cases(gen, 410, with_update=True) + gaussian_cases(gen, 4070, with_bad=True)
     cases += mixture_cases(gen, 407, 10, 1000) + discrete_cases(gen, 65, 50, 20, 1500, 8)
     cases += resampler_cases(gen, (50, 1000, 1500)) + filter_cases((50, 200, 1000))
     kernels = [[case.get(tree) for tree in trees] for case in cases]

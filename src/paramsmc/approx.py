@@ -6,9 +6,13 @@ likelihood factor t(theta), followed by projection back into the family:
 * Gaussians and Gaussian mixtures project by moment matching,
 * fully factorized discrete tables project by marginal matching.
 
-Updates evaluate t at weighted points (Monte Carlo draws, a Gauss-Hermite
-tensor grid, or symmetric sigma points) and form the matched moments from
-the weighted sums.  Each family is implemented once, as a "cloud": many
+Updates evaluate t at weighted points theta = m + L z, each row's mean m
+and Cholesky factor L applied to standard points z (Monte Carlo draws, a
+Gauss-Hermite tensor grid, or symmetric sigma points).  The Gaussian
+projections form the matched moments from weighted sums over z, in each
+row's standardized frame, and map them back through m and L, so an update
+is the same wherever the row sits (the frame of adaptive Gauss-Hermite
+quadrature).  Each family is implemented once, as a "cloud": many
 approximations held as stacked arrays, one row each, whose sample and
 update run batched kernels over every row in a handful of vector
 operations.  The particle engine keeps one row per particle.  The public
@@ -180,7 +184,7 @@ def batch_cholesky(covs: np.ndarray) -> np.ndarray:
     Raises SingularCovarianceError when a covariance is not positive definite.
     """
     if covs.shape[-1] == 1:
-        if not (covs > 0).all():
+        if not np.minimum.reduce(covs, axis=None) > 0:  # a NaN minimum is not positive either
             raise SingularCovarianceError("a variance is not positive")
         return np.sqrt(covs)
     try:
@@ -194,12 +198,16 @@ def batch_gaussian_points(
     covs: np.ndarray,
     scheme: MomentScheme,
     rng: np.random.Generator | None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Evaluation points for each row's Gaussian, points-major.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Evaluation points for each row's Gaussian, points-major, and their frame.
 
-    Returns points (J, B, p), point j of every row in slice j, and shared
-    log-weights (J,).  Monte Carlo requires a generator, from which it
-    draws z as one (J, B, p) array; the deterministic rules do not.
+    Returns (points, log_weights, z, chols): points (J, B, p) = means +
+    chols z, point j of every row in slice j; shared log-weights (J,);
+    the standard points z, a (J, p) grid shared by every row or, for
+    Monte Carlo, (J, B, p) draws; and the rows' Cholesky factors
+    (B, p, p).  batch_moment_match works in that frame.
+    Monte Carlo requires a generator, from which it draws z as one
+    (J, B, p) array; the deterministic rules do not.
     """
     b, p = means.shape
     if scheme.over_budget(p):
@@ -224,7 +232,7 @@ def batch_gaussian_points(
         points = means + np.einsum("bij,kj->kbi", chols, z)
     else:
         points = means + np.einsum("bij,kbj->kbi", chols, z)
-    return points, logw
+    return points, logw, z, chols
 
 
 def _shifted_mass(a: np.ndarray, axis: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -233,8 +241,10 @@ def _shifted_mass(a: np.ndarray, axis: int) -> tuple[np.ndarray, np.ndarray, np.
     NaN counts as -inf.  Returns (weights, total, log Z, ok), the last
     three with axis reduced away: a row is ok when its log total mass
     log Z is finite and at least LOG_MASS_FLOOR.  A row whose max is not
-    finite is dead: its weights are 0 and its log Z is -inf.  NaN and
-    dead rows are rare, so they cost work only when a max shows one.
+    finite is dead: its weights are 0, its log Z is -inf and its total is
+    1.  A live row's total is at least 1, its largest weight being
+    exp(0), so every row can divide by its total.  NaN and dead rows are
+    rare, so they cost work only when a max shows one.
     """
     shift = a.max(axis=axis, keepdims=True)
     dead = None
@@ -248,54 +258,83 @@ def _shifted_mass(a: np.ndarray, axis: int) -> tuple[np.ndarray, np.ndarray, np.
         # underflow to zero is exactly the max-shift semantics
         a -= shift
         r = np.exp(a, out=a)
+    total = r.sum(axis=axis)
     if dead is not None:
         np.copyto(r, 0.0, where=dead)
-    total = r.sum(axis=axis)
-    with np.errstate(divide="ignore"):
-        log_z = shift.reshape(total.shape) + np.log(total)
+        total[dead.reshape(total.shape)] = 1.0
+    log_z = shift.reshape(total.shape) + np.log(total)
     if dead is not None:
         log_z[dead.reshape(total.shape)] = -np.inf
     return r, total, log_z, log_z >= LOG_MASS_FLOOR
 
 
 def batch_moment_match(
-    points: np.ndarray,
+    z: np.ndarray,
     log_weights: np.ndarray,
     log_t: np.ndarray,
     prev_means: np.ndarray,
     prev_covs: np.ndarray,
+    chols: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Moment-match each row's reweighted point cloud.
+    """Moment-match each row's reweighted points in the row's standard frame.
 
-    Given points theta_jb (J, B, p) with log-weights w_j (J,) and
-    integrand values t_b(theta_jb) (J, B), computes for every row b
+    Row b's points are theta_jb = m_b + L_b z_j, from its previous mean
+    m_b (prev_means, (B, p)), its Cholesky factor L_b (chols, (B, p, p))
+    and standard points z, a (J, p) grid shared by the rows or (J, B, p)
+    draws, as batch_gaussian_points returns them.  With log-weights w_j
+    (J,) and integrand values t_b(theta_jb) (J, B), it computes for every
+    row b, with r_jb = w_j t_b(theta_jb),
 
-        Z_b     = sum_j w_j t_b(theta_jb)
-        mu_b    = sum_j w_j t_b theta_jb / Z_b
-        Sigma_b = sum_j w_j t_b theta theta^T / Z_b - mu mu^T
+        Z_b       = sum_j r_jb
+        mu_z      = sum_j r_jb z_j / Z_b
+        Sigma_z   = sum_j r_jb z_j z_j^T / Z_b - mu_z mu_z^T
+        mu_b      = m_b + L_b mu_z
+        Sigma_b   = L_b Sigma_z L_b^T
 
-    in max-shifted linear space.  Every sum runs over the leading point
-    axis, so each row adds its points in order, whatever J is.  Rows
-    whose total mass vanishes (log Z below LOG_MASS_FLOOR, or every point
-    at -inf) are flagged and keep their previous moments, and so are rows
-    whose matched variance is not positive on some axis: all of their
-    mass on one point.
+    in max-shifted linear space.  The standardized sums are of order one
+    wherever the row sits, so the second moment does not cancel as the
+    raw sum of theta theta^T less mu mu^T does when |m_b| is far above the
+    row's spread, and the match is the same at any location.  Every sum
+    runs over the leading point axis, so each row adds its points in
+    order, whatever J is.  Rows whose total mass vanishes (log Z below
+    LOG_MASS_FLOOR, or every point at -inf) are flagged and keep their
+    previous moments, and so are rows whose matched variance is not
+    positive on some axis: all of their mass on one point.
 
     Returns (means, covs, log_z, ok).
     """
-    p = points.shape[2]
+    b, p = prev_means.shape
     r, total, log_z, ok = _shifted_mass(log_t + log_weights[:, None], axis=0)
-    denom = np.where(total > 0, total, 1.0)
-    mu = np.einsum("jb,jbp->bp", r, points)
-    mu /= denom[:, None]
-    cov = np.einsum("jb,jbp,jbq->bpq", r, points, points)
-    cov /= denom[:, None, None]
-    cov -= mu[:, :, None] * mu[:, None, :]
-    if p > 1:  # at p = 1, 0.5 * (c + c) is c exactly
+    if z.ndim == 2:
+        # The shared grid's z and z z^T side by side, (J, p + p^2), in one
+        # contraction whose (p + p^2, B) result runs along the rows.
+        grid = np.concatenate((z, (z[:, :, None] * z[:, None, :]).reshape(len(z), p * p)), axis=1)
+        moments = np.einsum("jk,jb->kb", grid, r)
+        moments /= total
+        mu_z, second = moments[:p].T, moments[p:].T.reshape(b, p, p)
+    else:
+        mu_z = np.einsum("jb,jbp->bp", r, z)
+        mu_z /= total[:, None]
+        second = np.einsum("jb,jbp,jbq->bpq", r, z, z)
+        second /= total[:, None, None]
+    cov_z = second - mu_z[:, :, None] * mu_z[:, None, :]
+    if p == 1:
+        # L Sigma_z L^T is Sigma_z times the previous variance, L L^T
+        mu = chols[:, 0] * mu_z
+        mu += prev_means
+        cov = cov_z * prev_covs
+        var = cov[:, 0]
+        var += JITTER_RELATIVE * var
+        ok &= var[:, 0] > 0
+    else:
+        # einsum, not matmul: its sums run in index order, whatever the BLAS build
+        mu = np.einsum("bij,bj->bi", chols, mu_z)
+        mu += prev_means
+        cov = np.einsum("bik,blk->bil", np.einsum("bij,bjk->bik", chols, cov_z), chols)
         cov = 0.5 * (cov + np.transpose(cov, (0, 2, 1)))
-    diag = np.einsum("bii->bi", cov)  # a writeable view, whatever cov's layout
-    diag += JITTER_RELATIVE * diag.sum(axis=1, keepdims=True) / p
-    ok &= (diag > 0).all(axis=1)
+        diag = np.einsum("bii->bi", cov)  # a writeable view, whatever cov's layout
+        diag += JITTER_RELATIVE * diag.sum(axis=1, keepdims=True) / p
+        ok &= (diag > 0).all(axis=1)
     if ok.all():
         return mu, cov, log_z, ok
     means_out = np.where(ok[:, None], mu, prev_means)
@@ -307,15 +346,19 @@ def batch_mixture_match(
     alphas: np.ndarray,
     means: np.ndarray,
     covs: np.ndarray,
-    points: np.ndarray,
+    z: np.ndarray,
     log_weights: np.ndarray,
     log_t: np.ndarray,
+    chols: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Per-component moment matching plus weight reweighting.
 
     Inputs are stacked per particle: alphas (B, L), means (B, L, p), covs
-    (B, L, p, p); points and log_t are points-major and flattened over
-    components, with shapes (J, B*L, p) and (J, B*L).  Each component m
+    (B, L, p, p).  The components' frame is flattened over components, as
+    batch_gaussian_points returns it for the (B*L, p) means: standard
+    points z, (J, p) or (J, B*L, p), and Cholesky factors chols
+    (B*L, p, p); log_t (J, B*L) is points-major.  Each component is moment
+    matched by batch_moment_match in its own frame.  Each component m
     is reweighted by its local normalizer beta_m = integral of t against
     the component, and the weights renormalize to alpha_m beta_m /
     sum_l alpha_l beta_l.
@@ -330,7 +373,7 @@ def batch_mixture_match(
     flat_means = means.reshape(b * l, p)
     flat_covs = covs.reshape(b * l, p, p)
     new_means, new_covs, log_beta, comp_ok = batch_moment_match(
-        points, log_weights, log_t, flat_means, flat_covs
+        z, log_weights, log_t, flat_means, flat_covs, chols
     )
     log_beta = log_beta.reshape(b, l)
     comp_ok = comp_ok.reshape(b, l)
@@ -339,7 +382,7 @@ def batch_mixture_match(
     log_post = np.where(comp_ok, log_alpha + log_beta, -np.inf)
     w, totals, log_mass, _ = _shifted_mass(log_post, axis=1)
     ok = np.isfinite(log_mass)  # some component kept its mass; no floor on the sum
-    w = w / np.where(totals > 0, totals, 1.0)[:, None]
+    w = w / totals[:, None]
     # Weight floor: drop tiny components, keep remaining ratios intact.
     w = np.where(w < COMPONENT_WEIGHT_FLOOR, 0.0, w)
     totals2 = w.sum(axis=1)
@@ -362,9 +405,12 @@ def sample_codes(
     """Draw (B, m, p) integer codes from stacked factorized tables (B, p, C).
 
     A code counts the interior CDF columns its uniform draw reaches, so no
-    (B, m, p, C) comparison is built.  Columns at or past a dimension's
-    last code are unreachable, so every code is below its cardinality even
-    when a table's cumulative sum rounds below the draw.
+    (B, m, p, C) comparison is built.  The columns are C - 2 adds of a
+    copy of the tables, the order np.cumsum adds them in, without its cost
+    on a short trailing axis.  Columns at or past a dimension's last code
+    are unreachable, so every code is below its cardinality even when a
+    table's cumulative sum rounds below the draw; only a dimension with
+    fewer than C codes has any.
 
     out, when given, is (draws, codes) scratch of shape (B, m, p), float64
     and int64.  The uniforms are drawn into draws, the same bits as a
@@ -372,8 +418,11 @@ def sample_codes(
     C <= 2 nothing of size (B, m, p) is allocated.
     """
     b, p, cmax = tables.shape
-    cdf = np.cumsum(tables[:, :, :-1], axis=-1)
-    cdf[:, np.arange(cmax - 1) >= cardinalities[:, None] - 1] = np.inf
+    cdf = tables[:, :, :-1].copy()
+    for c in range(1, cmax - 1):
+        cdf[:, :, c] += cdf[:, :, c - 1]
+    if (cardinalities < cmax).any():
+        cdf[:, np.arange(cmax - 1) >= cardinalities[:, None] - 1] = np.inf
     if out is None:
         draws, codes = rng.random((b, m, p)), np.empty((b, m, p), dtype=np.int64)
     else:
@@ -452,7 +501,7 @@ def batch_discrete_match(
             np.equal(codes, c, out=weights)
             # (B, p, J) indicators times (B, J, 1) weights: code c's column of every table
             np.matmul(weights.transpose(0, 2, 1), r[:, :, None], out=out[:, :, c : c + 1])
-    out /= np.where(total > 0, total, 1.0)[:, None, None]
+    out /= total[:, None, None]
     tables_out = np.where(ok[:, None, None], out, tables)
     return tables_out, ok
 
@@ -480,7 +529,7 @@ class Cloud:
 
     def take(self, rows: np.ndarray) -> None:
         """Row i becomes old row rows[i]: permutation or resampling."""
-        self.arrays = {k: np.take(v, rows, axis=0) for k, v in self.arrays.items()}
+        self.arrays = {k: v.take(rows, axis=0) for k, v in self.arrays.items()}
 
     def assimilate(self, anc, factor, scheme, rng) -> tuple[int, int]:
         """Resample the rows to anc, folding the step's likelihood factor in.
@@ -490,7 +539,7 @@ class Cloud:
         Returns (rows updated, degenerate updates).
         """
         u, inv = distinct_sorted(anc)
-        prev = {k: np.take(v, u, axis=0) for k, v in self.arrays.items()}
+        prev = {k: v.take(u, axis=0) for k, v in self.arrays.items()}
         new, ok = self.update(prev, u, factor, scheme, rng)
         self.arrays = new
         self.take(inv)
@@ -501,26 +550,33 @@ class GaussianCloud(Cloud):
     """Rows of Gaussians: means (n, p) and covs (n, p, p)."""
 
     kind = "gaussian"
+    _weights = None  # fuse's equal weights, built at its first call
 
     def sample(self, rng: np.random.Generator) -> np.ndarray:
-        points, _ = batch_gaussian_points(self.arrays["means"], self.arrays["covs"], _ONE_DRAW, rng)
-        return points[0]
+        return batch_gaussian_points(self.arrays["means"], self.arrays["covs"], _ONE_DRAW, rng)[0][0]
 
     def update(self, prev, rows, factor, scheme, rng):
-        points, logw = batch_gaussian_points(prev["means"], prev["covs"], scheme, rng)
+        points, logw, z, chols = batch_gaussian_points(prev["means"], prev["covs"], scheme, rng)
         logt = factor(points, rows[None, :])
-        means, covs, _, ok = batch_moment_match(points, logw, logt, prev["means"], prev["covs"])
+        means, covs, _, ok = batch_moment_match(z, logw, logt, prev["means"], prev["covs"], chols)
         return {"means": means, "covs": covs}, ok
 
     def fuse(self) -> FusedPosterior:
-        """Equal-weight mixture of the N Gaussians, moments by total variance."""
+        """Equal-weight mixture of the N Gaussians, moments by total variance.
+
+        The means are np.mean's sum and division, without its wrapper, so
+        the bits are the same; every FusedPosterior of the cloud shares one
+        read-only weights array.
+        """
         means, covs = self.arrays["means"], self.arrays["covs"]
-        mean = means.mean(axis=0)
+        mean = np.add.reduce(means, axis=0) / self.n
         dev = means - mean
-        cov = covs.mean(axis=0) + dev.T @ dev / self.n
-        weights = np.full(self.n, 1.0 / self.n)
+        cov = np.add.reduce(covs, axis=0) / self.n + dev.T @ dev / self.n
+        if self._weights is None:
+            self._weights = np.full(self.n, 1.0 / self.n)
+            self._weights.setflags(write=False)
         return FusedPosterior(
-            "mixture", mean, cov, mixture_weights=weights, mixture_means=means, mixture_covs=covs
+            "mixture", mean, cov, mixture_weights=self._weights, mixture_means=means, mixture_covs=covs
         )
 
 
@@ -545,19 +601,18 @@ class MixtureCloud(Cloud):
         np.copyto(cdf, np.inf, where=cdf >= cdf[-1])
         comp = (rng.random(n) >= cdf).sum(axis=0)
         rows = np.arange(n)
-        points, _ = batch_gaussian_points(means[rows, comp], covs[rows, comp], _ONE_DRAW, rng)
-        return points[0]
+        return batch_gaussian_points(means[rows, comp], covs[rows, comp], _ONE_DRAW, rng)[0][0]
 
     def update(self, prev, rows, factor, scheme, rng):
         k, l, p = prev["means"].shape
         flat_m = prev["means"].reshape(k * l, p)
         flat_c = prev["covs"].reshape(k * l, p, p)
-        points, logw = batch_gaussian_points(flat_m, flat_c, scheme, rng)
+        points, logw, z, chols = batch_gaussian_points(flat_m, flat_c, scheme, rng)
         j = points.shape[0]
         # each owner scores its L components' points through a (J, K, L, p) view
         logt = factor(points.reshape(j, k, l, p), rows[None, :, None]).reshape(j, k * l)
         alphas, means, covs, ok = batch_mixture_match(
-            prev["alphas"], prev["means"], prev["covs"], points, logw, logt
+            prev["alphas"], prev["means"], prev["covs"], z, logw, logt, chols
         )
         return {"alphas": alphas, "means": means, "covs": covs}, ok
 
@@ -749,6 +804,6 @@ def _point_rule(mean, cov, scheme: MomentScheme) -> tuple[np.ndarray, np.ndarray
     """One row of batch_gaussian_points, with linear weights summing to one."""
     mean = np.atleast_1d(np.asarray(mean, dtype=np.float64))
     cov = np.atleast_2d(np.asarray(cov, dtype=np.float64))
-    points, logw = batch_gaussian_points(mean[None, :], cov[None, :, :], scheme, None)
+    points, logw, _, _ = batch_gaussian_points(mean[None, :], cov[None, :, :], scheme, None)
     weights = np.exp(logw)
     return points[:, 0], weights / weights.sum()

@@ -155,15 +155,17 @@ class ParamLikelihood:
     log densities.  A (J, p) array of parameters is scored against owner
     0 alone and gives (J,) values.
 
-    Points are scored in contiguous blocks of at most FACTOR_BLOCK
-    evaluations along the leading axis; a leading slice larger than that
-    alone is split along its next axis, the owners of the Gaussian and
-    mixture layouts.  Every value depends on its own point and owner
-    alone, so the blocks give the same bits; they keep the model's
-    temporaries small, and with them the memory a step takes from the
-    allocator and hands back.  A log density whose result does not span
-    the owner axes (a model indexing thetas[:, k] where the contract
-    says thetas[..., k]) raises DimensionMismatchError.
+    A batch of at most FACTOR_BLOCK evaluations, or of a single owner, is
+    scored in one call of each log density.  A larger one is split along
+    its owner axis, the one axis that rows varies on, into blocks of
+    whole owners holding at most FACTOR_BLOCK evaluations (at least one
+    owner each).  Every value depends on its own point and owner alone,
+    so the blocks give the same bits; they keep the model's temporaries
+    small, and with them the memory a step takes from the allocator and
+    hands back.  Every term of every block is checked: a log density
+    whose result does not span the owner axes (a model indexing
+    thetas[:, k] where the contract says thetas[..., k]) raises
+    DimensionMismatchError.
     """
 
     model: DynamicModel
@@ -177,31 +179,28 @@ class ParamLikelihood:
             return self(np.atleast_2d(points), np.zeros(1, dtype=np.intp))
         shape = points.shape[:-1]
         rows = rows.reshape((1,) * (len(shape) - rows.ndim) + rows.shape)
-        lead, per_slice = shape[0], math.prod(shape[1:])
-        if per_slice <= FACTOR_BLOCK:
-            step = max(1, FACTOR_BLOCK // per_slice)
-            blocks = [(slice(lo, lo + step),) for lo in range(0, lead, step)]
-        else:  # owner chunks outermost, so consecutive blocks share their owners
-            step = max(1, FACTOR_BLOCK // math.prod(shape[2:]))
-            blocks = [(slice(i, i + 1), slice(lo, lo + step)) for lo in range(0, shape[1], step) for i in range(lead)]
         out = np.empty(shape)
-        gathered, x, windows = None, None, None
-        for block in blocks:
-            # an owner axis of length 1 broadcasts whole against every block
-            owners = tuple([part if n > 1 else _ALL for part, n in zip(block, rows.shape)])
-            if owners != gathered:
-                gathered, x = owners, self.states[rows[owners]]
-                windows = None if self.k == 0 else self.windows[rows[owners]]
-            self._score(points[block], x, windows, out[block])
+        size = math.prod(shape)
+        if size <= FACTOR_BLOCK or rows.size == 1:
+            self._score(points, rows, out)
+            return out
+        # blocks of whole owners, along the one axis that rows varies on
+        axis = next(i for i, n in enumerate(rows.shape) if n > 1)
+        step = max(1, FACTOR_BLOCK // (size // shape[axis]))
+        lead = (_ALL,) * axis
+        for lo in range(0, shape[axis], step):
+            block = lead + (slice(lo, lo + step),)
+            self._score(points[block], rows[block], out[block])
         return out
 
-    def _score(self, points: np.ndarray, x: np.ndarray, windows: np.ndarray | None, out: np.ndarray) -> None:
-        """Write into out the log values of points against the broadcast owner states x and windows."""
-        owners = x.shape[:-1]
+    def _score(self, points: np.ndarray, rows: np.ndarray, out: np.ndarray) -> None:
+        """Write into out the log values of points against the states and windows of their owners rows."""
+        x = self.states[rows]
+        owners = rows.shape
         obs = self.model.obs_logdensity(self.k, self.y, x, points)
         _check_spans_owners(obs, owners, out.shape)
         if self.k > 0:
-            term = self.model.transition_logdensity(self.k, x, windows, points)
+            term = self.model.transition_logdensity(self.k, x, self.windows[rows], points)
         elif self.model.state_prior_depends_on_params:
             term = self.model.state_prior_logdensity(x, points)
         else:

@@ -67,9 +67,13 @@ RESAMPLERS = {
 
 
 def ess(weights: np.ndarray) -> float:
-    """Effective sample size 1 / sum w^2 of normalized weights."""
-    with np.errstate(under="ignore"):
-        return 1.0 / float(weights @ weights)
+    """Effective sample size 1 / sum w^2 of normalized weights.
+
+    A tiny weight's square underflows to zero.  As with weigh_log_weights,
+    the caller owns the floating-point error state: the filters hold
+    np.errstate(under="ignore") for their whole run.
+    """
+    return 1.0 / float(weights @ weights)
 
 
 def distinct_sorted(ancestors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -25,6 +25,7 @@ from paramsmc.approx import (
     MixtureApprox,
     MixtureCloud,
     MomentScheme,
+    batch_cholesky,
     batch_discrete_match,
     batch_gaussian_points,
     batch_mixture_match,
@@ -163,6 +164,40 @@ class TestGaussianUpdate:
             slope = np.polyfit(np.log(ms), np.log(errs), 1)[0]
             slopes.append(slope)
         assert -0.7 <= np.median(slopes) <= -0.3
+
+    @pytest.mark.parametrize("m, sd", [(0.0, 1e-3), (1e3, 1e-3), (1e4, 1e-3), (1e5, 1e-3), (1e6, 1e-2)])
+    def test_update_is_the_same_at_any_location(self, m, sd):
+        # N(m, sd^2) by the factor N(m + sd; theta, sd^2): exact N(m + sd/2, sd^2/2).
+        # Seven points give 1.012466 of the exact variance wherever the prior
+        # sits; sums over the raw points gave 1.043 at m = 1e4 and raised
+        # DegenerateUpdateError (a variance <= 0) at 1e5.
+        q = GaussianApprox(np.array([m]), np.array([[sd * sd]]))
+        out = gaussian_update(q, lambda th: gaussian_logpdf(m + sd, th[:, 0], sd), gauss_hermite(7))
+        assert out.cov[0, 0] / (0.5 * sd * sd) == pytest.approx(1.012466, rel=1e-6)
+        assert (out.mean[0] - m) / sd == pytest.approx(0.5 - 1.321e-4, rel=1e-6)
+
+    @pytest.mark.parametrize("m", [1e3, 1e4, 1e5])
+    def test_update_is_the_same_at_any_location_p2_and_monte_carlo(self, m):
+        # a correlated two-parameter prior around (m, -m) and a factor
+        # offset by one prior sd on each axis; the updates at m must equal
+        # those around the origin, in units of the prior's spread
+        sd = 1e-3
+        cov = sd * sd * np.array([[1.0, 0.3], [0.3, 0.5]])
+        center = np.array([m, -m])
+
+        def update(loc, scheme, rng=None):
+            def log_t(th):
+                return gaussian_logpdf(loc[0] + sd, th[:, 0], sd) + gaussian_logpdf(loc[1] - sd, th[:, 1], sd)
+
+            out = gaussian_update(GaussianApprox(loc, cov), log_t, scheme, rng)
+            return (out.mean - loc) / sd, out.cov / (sd * sd)
+
+        for scheme, seed in ((gauss_hermite(7), None), (unscented(), None), (monte_carlo(200), 5)):
+            rng = None if seed is None else substream(seed, 0)
+            near = update(np.zeros(2), scheme, rng)
+            far = update(center, scheme, None if seed is None else substream(seed, 0))
+            for a, b in zip(near, far):
+                np.testing.assert_allclose(b, a, rtol=1e-5, atol=1e-7)
 
     def test_2d_conjugate(self):
         # likelihood no narrower than the prior, so the grid under the
@@ -390,10 +425,14 @@ def reference_gaussian_points(means, sd, z):
     return points
 
 
-def reference_moment_match(points, log_weights, log_t, prev_means, prev_covs):
-    """The moments batch_moment_match must equal bit for bit, from sums
-    that add each row's (J, B, p) points one at a time, in order."""
-    j, b, p = points.shape
+def reference_moment_match(z, log_weights, log_t, prev_means, prev_covs, chols):
+    """The moments batch_moment_match must equal bit for bit: standardized
+    sums that add each row's points z_j (a shared (J, p) grid or (J, B, p)
+    draws) one at a time, in order, mapped back by theta = m + L z with
+    sums in index order."""
+    j = log_t.shape[0]
+    b, p = prev_means.shape
+    shared = z.ndim == 2
     a = log_t + log_weights[:, None]
     a = np.where(np.isnan(a), -np.inf, a)
     shift = np.full(b, -np.inf)
@@ -406,14 +445,31 @@ def reference_moment_match(points, log_weights, log_t, prev_means, prev_covs):
         with np.errstate(under="ignore"):
             r = np.where(ok, np.exp(a[k] - safe_shift), 0.0)
         total += r
-        first += r[:, None] * points[k]
-        second += r[:, None, None] * points[k][:, :, None] * points[k][:, None, :]
+        zk = np.broadcast_to(z[k], (b, p)) if shared else z[k]
+        first += r[:, None] * zk
+        if shared:  # the grid's products z z^T, then weighted
+            second += r[:, None, None] * (zk[:, :, None] * zk[:, None, :])
+        else:
+            second += r[:, None, None] * zk[:, :, None] * zk[:, None, :]
     with np.errstate(divide="ignore"):
         log_z = np.where(ok, safe_shift + np.log(total), -np.inf)
     ok = ok & (log_z >= LOG_MASS_FLOOR)
     denom = np.where(total > 0, total, 1.0)
-    mu = first / denom[:, None]
-    cov = second / denom[:, None, None] - mu[:, :, None] * mu[:, None, :]
+    mu_z = first / denom[:, None]
+    cov_z = second / denom[:, None, None] - mu_z[:, :, None] * mu_z[:, None, :]
+    mu, half, cov = np.zeros((b, p)), np.zeros((b, p, p)), np.zeros((b, p, p))
+    for i in range(p):
+        for k in range(p):
+            mu[:, i] += chols[:, i, k] * mu_z[:, k]
+            for l in range(p):
+                half[:, i, l] += chols[:, i, k] * cov_z[:, k, l]  # L Sigma_z
+    for i in range(p):
+        for l in range(p):
+            for k in range(p):
+                cov[:, i, l] += half[:, i, k] * chols[:, l, k]  # (L Sigma_z) L^T
+    mu += prev_means
+    if p == 1:  # L Sigma_z L^T as Sigma_z times the previous variance, L L^T
+        cov = cov_z * prev_covs
     cov = 0.5 * (cov + np.transpose(cov, (0, 2, 1)))
     eps = JITTER_RELATIVE * np.trace(cov, axis1=1, axis2=2) / p
     cov += eps[:, None, None] * np.eye(p)[None, :, :]
@@ -423,13 +479,22 @@ def reference_moment_match(points, log_weights, log_t, prev_means, prev_covs):
     return means_out, covs_out, log_z, ok
 
 
-def reference_mixture_match(alphas, means, covs, points, log_weights, log_t):
+def random_frames(gen, b, p):
+    """Row means (B, p) away from the origin, covariances (B, p, p) and
+    their Cholesky factors, as the cloud updates pass them."""
+    means = 5.0 + gen.standard_normal((b, p))
+    factors = np.tril(gen.standard_normal((b, p, p)))
+    covs = factors @ np.transpose(factors, (0, 2, 1)) + 0.1 * np.eye(p)
+    return means, covs, batch_cholesky(covs)
+
+
+def reference_mixture_match(alphas, means, covs, z, log_weights, log_t, chols):
     """The mixture update batch_mixture_match must equal bit for bit: each
     component moment matched by reference_moment_match, then the weights
     reweighted, floored and renormalized row by row."""
     b, l, p = means.shape
     new_means, new_covs, log_beta, comp_ok = reference_moment_match(
-        points, log_weights, log_t, means.reshape(b * l, p), covs.reshape(b * l, p, p)
+        z, log_weights, log_t, means.reshape(b * l, p), covs.reshape(b * l, p, p), chols
     )
     with np.errstate(divide="ignore"):
         log_post = np.where(comp_ok.reshape(b, l), np.log(alphas) + log_beta.reshape(b, l), -np.inf)
@@ -539,11 +604,14 @@ class TestBatchKernels:
         gen = np.random.default_rng(3)
         means = gen.standard_normal((300, 1))
         covs = gen.random((300, 1, 1)) + 0.05
-        points, _ = batch_gaussian_points(means, covs, scheme, substream(3, 0))
+        points, _, frame_z, chols = batch_gaussian_points(means, covs, scheme, substream(3, 0))
         if scheme.kind == "gauss_hermite":
             z = batch_gaussian_points(np.zeros((1, 1)), np.ones((1, 1, 1)), scheme, None)[0][:, 0]
+            assert frame_z.tobytes() == z.tobytes()
         else:
             z = substream(3, 0).standard_normal((scheme.m, 300, 1))
+            assert frame_z.tobytes() == z.tobytes()
+        assert chols.tobytes() == np.sqrt(covs).tobytes()
         expected = reference_gaussian_points(means, np.sqrt(covs)[:, :, 0], z)
         assert points.tobytes() == expected.tobytes()
 
@@ -552,31 +620,32 @@ class TestBatchKernels:
         gen = np.random.default_rng(p)
         b = 400
         for j in (2, 7, 9, 200):
-            points = gen.standard_normal((j, b, p))
+            draws = gen.standard_normal((j, b, p))
             log_weights = np.log(gen.dirichlet(np.ones(j)))
             log_t = 3.0 * gen.standard_normal((j, b))
             log_t[1, ::7] = np.nan
             log_t[:, 5] = -np.inf  # every point at -inf
             log_t[:, 9] = np.nan
             log_t[:, 11] = -800.0  # mass below the floor
-            prev_means = gen.standard_normal((b, p))
-            prev_covs = np.broadcast_to(np.eye(p), (b, p, p)).copy()
+            prev_means, prev_covs, chols = random_frames(gen, b, p)
             before = log_t.copy()
-            got = batch_moment_match(points, log_weights, log_t, prev_means, prev_covs)
-            ref = reference_moment_match(points, log_weights, log_t, prev_means, prev_covs)
-            for g, r in zip(got, ref):
-                assert g.dtype == r.dtype and g.shape == r.shape
-                assert g.tobytes() == r.tobytes(), j
-            assert not got[3][[5, 9, 11]].any()
-            # the in-place arithmetic never writes to its inputs
-            assert before.tobytes() == log_t.tobytes()
+            # Monte Carlo draws, one set per row, and a grid shared by the rows
+            for z in (draws, draws[:, 0]):
+                got = batch_moment_match(z, log_weights, log_t, prev_means, prev_covs, chols)
+                ref = reference_moment_match(z, log_weights, log_t, prev_means, prev_covs, chols)
+                for g, r in zip(got, ref):
+                    assert g.dtype == r.dtype and g.shape == r.shape
+                    assert g.tobytes() == r.tobytes(), (j, z.ndim)
+                assert not got[3][[5, 9, 11]].any()
+                # the in-place arithmetic never writes to its inputs
+                assert before.tobytes() == log_t.tobytes()
         # every row ok: no NaN, dead or below-floor row
-        points = gen.standard_normal((7, b, p))
+        z = gen.standard_normal((7, b, p))
         log_weights = np.log(gen.dirichlet(np.ones(7)))
         log_t = 3.0 * gen.standard_normal((7, b))
-        prev_means, prev_covs = gen.standard_normal((b, p)), np.broadcast_to(np.eye(p), (b, p, p))
-        got = batch_moment_match(points, log_weights, log_t, prev_means, prev_covs)
-        ref = reference_moment_match(points, log_weights, log_t, prev_means, prev_covs)
+        prev_means, prev_covs, chols = random_frames(gen, b, p)
+        got = batch_moment_match(z, log_weights, log_t, prev_means, prev_covs, chols)
+        ref = reference_moment_match(z, log_weights, log_t, prev_means, prev_covs, chols)
         assert got[3].all()
         for g, r in zip(got, ref):
             assert g.dtype == r.dtype and g.shape == r.shape
@@ -593,7 +662,8 @@ class TestBatchKernels:
         alphas /= alphas.sum(axis=1, keepdims=True)
         means = gen.standard_normal((b, l, p))
         covs = np.broadcast_to(0.3 * np.eye(p), (b, l, p, p)).copy()
-        points = gen.standard_normal((j, b * l, p))
+        chols = batch_cholesky(covs.reshape(b * l, p, p))
+        z = gen.standard_normal((j, b * l, p))
         log_weights = np.log(gen.dirichlet(np.ones(j)))
         log_t = gen.standard_normal((j, b * l))
         log_t[:, 7 * l : 8 * l] = -np.inf  # owner 7: every component degenerates
@@ -602,8 +672,8 @@ class TestBatchKernels:
         log_t[:, 10 * l + 4] -= 40.0  # owner 10's component 4 falls under the floor
         log_t[:, 11 * l : 12 * l] -= 800.0  # owner 11's components all fall under the mass floor
         before = log_t.copy()
-        got = batch_mixture_match(alphas, means, covs, points, log_weights, log_t)
-        ref = reference_mixture_match(alphas, means, covs, points, log_weights, log_t)
+        got = batch_mixture_match(alphas, means, covs, z, log_weights, log_t, chols)
+        ref = reference_mixture_match(alphas, means, covs, z, log_weights, log_t, chols)
         for g, r in zip(got, ref):
             assert g.dtype == r.dtype and g.shape == r.shape
             assert g.tobytes() == r.tobytes()
@@ -613,8 +683,8 @@ class TestBatchKernels:
         assert before.tobytes() == log_t.tobytes()
         # a second call with every owner ok
         log_t = gen.standard_normal((j, b * l))
-        got = batch_mixture_match(alphas, means, covs, points, log_weights, log_t)
-        ref = reference_mixture_match(alphas, means, covs, points, log_weights, log_t)
+        got = batch_mixture_match(alphas, means, covs, z[:, 0], log_weights, log_t, chols)
+        ref = reference_mixture_match(alphas, means, covs, z[:, 0], log_weights, log_t, chols)
         assert got[3].all()
         for g, r in zip(got, ref):
             assert g.dtype == r.dtype and g.shape == r.shape
@@ -627,11 +697,13 @@ class TestBatchKernels:
         # row-major ones did, so the two agree to rounding, not to the bit.
         gen = np.random.default_rng(10 * j + p)
         b = 300
-        points = 0.5 + gen.standard_normal((j, b, p))
+        z = gen.standard_normal((j, b, p))
         log_weights = np.log(gen.dirichlet(np.ones(j)))
         log_t = 3.0 * gen.standard_normal((j, b))
-        prev_means, prev_covs = np.zeros((b, p)), np.broadcast_to(np.eye(p), (b, p, p))
-        means, covs, log_z, ok = batch_moment_match(points, log_weights, log_t, prev_means, prev_covs)
+        prev_means = np.full((b, p), 0.5)
+        prev_covs = chols = np.broadcast_to(np.eye(p), (b, p, p))
+        points = prev_means + z
+        means, covs, log_z, ok = batch_moment_match(z, log_weights, log_t, prev_means, prev_covs, chols)
         assert ok.all()
         mu, cov, ref_log_z, second = row_major_moment_match(
             points.transpose(1, 0, 2), log_weights, log_t.T
@@ -822,6 +894,36 @@ class TestSampling:
         assert codes.dtype == np.int64
         np.testing.assert_array_equal(codes, expected)
         assert np.all(codes < cards)
+
+    @pytest.mark.parametrize("cmax", [2, 3, 10])
+    @pytest.mark.parametrize("padded", [False, True])
+    def test_codes_match_cumsum_formula_bits(self, cmax, padded):
+        # Draws on and just below every cumulative entry that np.cumsum
+        # gives: a table whose columns differ from it in one bit moves a code.
+        gen = np.random.default_rng(60 + cmax)
+        b, p = 30, 6
+        cards = gen.integers(1, cmax + 1, size=p) if padded else np.full(p, cmax)
+        cards[0] = cmax
+        tables = gen.dirichlet(np.ones(cmax), size=(b, p))
+        tables[:, np.arange(cmax) >= cards[:, None]] = 0.0
+        tables /= tables.sum(axis=-1, keepdims=True)
+        edges = np.cumsum(tables[:, :, :-1], axis=-1)
+        draws = np.stack([edges, np.nextafter(edges, 0.0)], axis=-1).reshape(b, p, -1).transpose(0, 2, 1).copy()
+        cdf = edges.copy()
+        cdf[:, np.arange(cmax - 1) >= cards[:, None] - 1] = np.inf
+        expected = (draws[..., None] >= cdf[:, None]).sum(axis=-1)
+
+        class FixedRng:
+            def random(self, shape=None, out=None):
+                if out is None:
+                    return draws.copy()
+                out[...] = draws
+                return out
+
+        m = draws.shape[1]
+        assert sample_codes(tables, cards, FixedRng(), m).tobytes() == expected.tobytes()
+        scratch = (np.empty(draws.shape), np.empty(draws.shape, dtype=np.int64))
+        assert sample_codes(tables, cards, FixedRng(), m, out=scratch).tobytes() == expected.tobytes()
 
     @given(st.integers(0, 1000))
     @settings(max_examples=20)

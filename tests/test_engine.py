@@ -743,13 +743,15 @@ class TestEngineRunsTheTestedCode:
 
     @staticmethod
     def count_family_calls(monkeypatch) -> Counter:
-        """Wrap each family cloud's sample and update, and the point kernel."""
+        """Wrap each family cloud's sample and update, the point kernel and the Gaussian match."""
         calls = Counter()
         for cls in (approx.GaussianCloud, approx.MixtureCloud, approx.DiscreteCloud):
             for meth in ("sample", "update"):
                 monkeypatch.setattr(cls, meth, counting(calls, f"{cls.kind}.{meth}", vars(cls)[meth]))
         points = counting(calls, "points", approx.batch_gaussian_points)
         monkeypatch.setattr(approx, "batch_gaussian_points", points)
+        match = counting(calls, "match", approx.batch_moment_match)
+        monkeypatch.setattr(approx, "batch_moment_match", match)
         return calls
 
     def test_public_api_runs_the_family_clouds(self, monkeypatch):
@@ -762,7 +764,7 @@ class TestEngineRunsTheTestedCode:
         approx.gaussian_update(gaussian, zero, gauss_hermite(5))
         approx.mixture_update(mixture, zero, gauss_hermite(5))
         approx.discrete_update(tables, zero, m=4)
-        assert calls == {"gaussian.update": 1, "mixture.update": 1, "discrete.update": 1, "points": 2}
+        assert calls == {"gaussian.update": 1, "mixture.update": 1, "discrete.update": 1, "points": 2, "match": 2}
         gaussian.sample(rng, size=3)
         mixture.sample(rng)
         tables.sample(rng, size=3)
@@ -782,9 +784,11 @@ class TestEngineRunsTheTestedCode:
         config = FilterConfig(n_particles=32, scheme=gauss_hermite(5), family=family, mixture_size=3, seed=0)
         run_assumed_density_filter(model, obs, config)
         assert calls[f"{family}.sample"] == calls[f"{family}.update"] == len(obs)
-        # one call for the evaluation points, one for the parameter draws
+        # one call for the evaluation points, one for the parameter draws; the
+        # mixture match projects its components with the Gaussian one
         assert calls["points"] == (0 if family == "discrete" else 2 * len(obs))
-        assert sum(calls.values()) == 2 * len(obs) + calls["points"]
+        assert calls["match"] == (0 if family == "discrete" else len(obs))
+        assert sum(calls.values()) == 2 * len(obs) + calls["points"] + calls["match"]
 
     def test_sampled_discrete_run_calls_the_kernels_in_every_block(self, monkeypatch):
         """Each block of a sampled update draws its codes with sample_codes

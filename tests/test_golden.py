@@ -246,8 +246,8 @@ RUNS = {
 
 GOLDEN = {
     "api-lg": {
-        "steps": "121ebe093506fd38a385ecd918a1dce0df2d521fa02ea497dccb8604c30755c9",
-        "fused": "612ff309a1a02505895bd543e1c3ac448977a88a1797e5bc34f8799fddd6be9d",
+        "steps": "755c7c237bf660c19393d748ac36aa6b72953e8c091fe7093e89204d12e923ec",
+        "fused": "3bf3a15c1de28b62fc1dc90e024e2c9ce8be81d3beede270068d316c92939eaa",
     },
     "discrete-exhaustive": {
         "steps": "4fda34719a094550fbfa10a3200689af1591d4b3ab1480ac40738c8cc23eae4c",
@@ -262,40 +262,40 @@ GOLDEN = {
         "fused": "45ef3c8d241303d2ee95d5b70c6295bfc1f66edd1ccfc55ed4891f274ea94005",
     },
     "gaussian": {
-        "steps": "723d109f40a7885b27e66688bf202e1413e9bc87bde615f846d91de41cf80b66",
-        "fused": "2507a352fef1a30ca5cc6bec9fc8665511f0d9a9d28c7a6a4ebbcffd799dd520",
+        "steps": "4cc0054c5af7021c5731caa6733acdd382147b7816a1b359f52df086dcd9ba2b",
+        "fused": "03c41d8cfe39d0d2400da36ff492ade260d43a795dce9d8dcb97c44f7409f4a1",
     },
     "gaussian-monte-carlo": {
-        "steps": "881b3ea12ba4dc272af8925343fbd124e365b1bd42943673f6db467b5fc7604b",
-        "fused": "69f4e395dd80e7b230df613dff35977244efb8090a1af985bf01efa7c2007ad3",
+        "steps": "582e4d0c0aff5de07d2204e5430016f2f31ec8d067ad8b5b48241a33d986d6e1",
+        "fused": "9b8948954a3c2d16fe277e029015f71d35c896f155ac2cc160f519be33206827",
     },
     "gaussian-p2": {
-        "steps": "412e020d1dda68503cba770b21ee848688caccf619d697828fcd2b3639cbd320",
-        "fused": "9e8f73f40c19618872fac364d13d757b0d32eed4573e6d3609a652da157714df",
+        "steps": "208e5bc5c0df8aecd4af74c0877d1e80f044d4eb7c4113d1a0413d039299a1fd",
+        "fused": "6a31459c64f566f3f9063d600fd9ceb6d317dfd962eb7499be31511e386b73ec",
     },
     "gaussian-permuted": {
-        "steps": "53e88604403aecca1f6d901d13f0f0ff5253bc1a7d6601ca657653d05d200e89",
-        "fused": "2a80eb4c399266961ccb98505a9cc460ad2a3329af5920e7d81d1ccfffa282e0",
+        "steps": "33d443c9aa97276f85b20f8f3cf46f9a60ff0781558735d56d2f8410e7b4b356",
+        "fused": "2b360803e6458a1af566daaeb9763304a905d9b4ccb67b27e2cd3ea1a36ad387",
     },
     "gaussian-systematic": {
-        "steps": "f9febcccbead58722cabff6609239bea03d18b0cf00a72115b491521fb3072b9",
-        "fused": "836bfc4c6db8bd6b8f72fad41efef5f3ce97151a768026d13d48f4665da0cb8d",
+        "steps": "26888f26902fd115defd9b1ffa044d432ea9b7471a173e01a760a947226ee36b",
+        "fused": "95801842f73bdc48ef44965b4128dd80c0292b0081e10bf87c28954771b039a2",
     },
     "liu-west": {
         "steps": "8942397d5a102db9b46aa4a62c88272f749b3c8d28741a0982b3b4fe12cb2851",
         "fused": "2cb1db22aa1a5a90f10fa4ba5b5374680b179a6b77313d21ce493feb22b85fc4",
     },
     "mixture": {
-        "steps": "9c42bd28153be5a7b5faf6c32deada83d9094bfc1c9ddb804adfb7a0c3e62713",
-        "fused": "9159c808683a708d4bce705f38a110a7954971539b196de9fe95734fe91d084f",
+        "steps": "6f53a44d1b0b6d5c00f49078c1ea9398b9fd03aefc837f245e5fd47d23e7eeba",
+        "fused": "17eaed5fe9d20162d5168950af56c0475ba537f9cf946f82071f0781d1f1d099",
     },
     "mixture-p2": {
-        "steps": "8bdf5a50ce5fe3695d69ae6269f688dd34fb389478355ac5a84037f3f079a2ee",
-        "fused": "139e0175cf18400bb9bb177044c26c438ad6a4f85e697dcf24b51cd364af7777",
+        "steps": "c406f8caf765b48356e33a8d474ec941a319f7816fca34b5d676a0c33b74ef1d",
+        "fused": "4ae47a27efff7dfef6ad241a2e51f9ad22576722080eb37f79683f7cb3fcf0af",
     },
     "order-two": {
-        "steps": "6498f0dcd0bcb3cc4cb719152e5b25fd13db638f0fe2a428e6e2cbaf4f4e1406",
-        "fused": "7588af4bd3eae4272d70952e7477ce3158e1801c3bd489c752079220d75cc406",
+        "steps": "26958435f86930ebe02215c4a067ccfa2c02ba1a6b0236f847776b9bcfb8d2c8",
+        "fused": "aeb54cd7529fba571ccdab54b18a62093ed4193f4e920ce9c28a86d47dfc9c03",
     },
     "pf": {
         "steps": "351a517677de46831f1c1869fd5035684f06fda78d331f8947369c379d36c888",
@@ -461,12 +461,12 @@ PUBLIC_GOLDEN = {
     "gauss-hermite-points-p2-m5": "ca0bcd15af9c6a44218c7bcc8c240e6a65388642741391f9be147674ab186161",
     "gaussian-sample-p1": "a7177dd50411bb1486f61c9b986ab040e9663756a55090434de00c0060fa4d6e",
     "gaussian-sample-p2": "bea5e1294cb5305bb1345d50bf5bf898ed02e194d239d0119f6b4935b34c4840",
-    "gaussian-update-gh7": "2e42b04fc5af1893ba67950910d07a6e6dbb804462ac10b864067d663dd84665",
-    "gaussian-update-monte-carlo": "eb6d627a1dd4150f47e01337fc2733544059a31b97347b4b7a40f6cd3124b27b",
-    "gaussian-update-unscented-p2": "757446f209c3a45ce8416c2d6bb902de0b1e65d2e065aee7afaf507fe6dad8d7",
+    "gaussian-update-gh7": "e3a9e2f51d6fbf09fc928b14f1bb10bdf844e678f418aa0d0b6b55a180efd437",
+    "gaussian-update-monte-carlo": "c57859d306e5fda98bd91f7f5bf018f77a82c766759610485a03b1c3162059ae",
+    "gaussian-update-unscented-p2": "fcb4ba16a341bf20ecfffe6506b068a7971889d18a574b43d08955875fa80f11",
     "mixture-sample": "941b95126c09f2180b88a5fe0da04c0005aa9d019414bade46be7a33321bd567",
-    "mixture-update": "482fdaa240ff7d36d00f693a6c7e3e80a2521f7c6bfb5e840e274753d3bebf8b",
-    "mixture-update-floor-drop": "0eebe9bbd2b4df324627d47848d3881f4327416543ce414d402e4be72eabb1a4",
+    "mixture-update": "c253ed710801ad861dad1039e24e5102f09c6d0a087b66b225028553920b1f35",
+    "mixture-update-floor-drop": "54105d715337462fa0deb7e1f318d7614a0c831f741c68a4ee90b4619a090e6b",
     "slam-instances": "163c80cea3d7c425ea16973a08f2c2da59a161166736d7a776850ff8a336d681",
     "unscented-points-p2": "155aae4fdda7ce9d62c5f9621f1927742b8823b272fd3aea464829391e89cb3c",
 }
@@ -587,11 +587,11 @@ CLI_GOLDEN = {
     "oracle-grid-sin": "ea49814fd115a381cbab73c66daed52248d378929713db772c00baff249cb288",
     "oracle-kalman": "3a0ef765262932f4f20f7e9cc2c0f1e65c3e03597b68506a0b560cdcf14bd157",
     "oracle-slam-exact": "b8d1a40952672d43e43516838769eb93cdfcc9149bc831b4df417679db25f17a",
-    "run-api-truth": "3dd5f243deea2bb32553108d0be1ebc267e1875de8a7b157064173ecadf1c1f9",
-    "run-data-seed": "ee0c4b7a8f7b5d695e8c2122fce4215e8ad877c095c5149917b38b1c30c4e0d1",
+    "run-api-truth": "1bd4f80592a2f821bfff713d04a1f4786c8b339a834f7db3d3bcb5abd1052c98",
+    "run-data-seed": "37d2edc19611fc94fa641871f1879bbccf9390539fb003614e38a702d7df45f7",
     "run-liu-west": "f702650440c0992a0be95e6d52f1f0ce4b707e7ea48be0714085c4961c9b07e1",
-    "run-mixture": "32199464e9b8bae6f14275f35f1552c58fb0518c2d68920fd98c0e79de559fd2",
-    "run-monte-carlo": "2ea311d308d1c57c318a29faee1745c0b0523b8b4fe78a6b4de41fcf04f94959",
+    "run-mixture": "dfb215ecf409dc745a3295e27175d1c29b6f0e2ba966d1738b4857989cf277a8",
+    "run-monte-carlo": "73a626f1ed32a4a57423efb532b3c84791c16ea75081fd885fe220f0906394dd",
     "run-pf-slam-exact": "4b02bde9110ece17269bc78400c5fc31d966193a0443b9255499e9c955e47edb",
     "run-pf-systematic": "d4cbe5ff88f4ffc238059d2257f2d890c39c60932c3a18915507df0ff2ba26c3",
     "run-pmmh-lg-truth": "3297bcb3208979b3f08ceb3f68e716642caeb2363eaf5a0b2343ea78aad59566",
@@ -601,7 +601,7 @@ CLI_GOLDEN = {
     "simulate-lg-config": "55e515a22b4fd780fba0168fdd37eb91be57bbf8a63461e3682ff9c816e9d22f",
     "simulate-sin": "39c107a24af271e934b7ce8e15795781a9818c85e15a3b81e6a6f992c7015907",
     "simulate-slam-small": "d77086cc204db022309e812e5f55f77f8124d8c9810dc37f227c2782cb29d2a1",
-    "sweep-2x2x2": "1ea51f636e0bf2d0a0662d1eb079a71a64332b3ff6e9a49b7401547e972ac26a",
+    "sweep-2x2x2": "b693145461b9ee42b8375e1c38f66c0b5ad5583a6b431d434ff2390ab1942603",
 }
 
 PATH_KEYS = ("data", "exact", "out")

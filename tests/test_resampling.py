@@ -95,6 +95,14 @@ class TestEss:
         w = weigh_log_weights(np.log(np.array([1.0, 1.0, 2.0])))[0]
         assert np.isclose(ess(w), 16.0 / 6.0)
 
+    def test_leaves_the_error_state_to_its_caller(self):
+        # a weight of 1e-200 squares below the smallest double; the filters hold under="ignore"
+        w = np.array([1e-200, 1.0])
+        with np.errstate(under="raise"), pytest.raises(FloatingPointError, match="underflow"):
+            ess(w)
+        with np.errstate(under="ignore"):
+            assert ess(w) == 1.0
+
     @settings(max_examples=30)
     @given(st.integers(2, 200), st.integers(0, 10_000))
     def test_bounds(self, n, seed):

@@ -53,7 +53,7 @@ def test_kernel_cost_against_another_tree(tmp_path):
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     assert lines[1].split() == ["kernel", "shape", "against", "us", "this", "us", "change", "this", "faster"]
-    assert len(lines) == 2 + 20 and all(line.rstrip().endswith("of 2") for line in lines[2:])
+    assert len(lines) == 2 + 22 and all(line.rstrip().endswith("of 2") for line in lines[2:])
 
 
 def _script_module(name):
@@ -111,6 +111,25 @@ def test_ab_alternates_the_first_side_across_workloads(tmp_path, monkeypatch):
     assert Counter(pair["first"] for e in entries for pair in e["ab"]) == {"parent": 4, "change": 4}
     assert Counter(pair["first"] for e in entries for pair in e["null"]) == {"parent": 3, "parent_again": 3}
 
+
+
+@pytest.mark.parametrize("spec", ["w:1:0:0", "w:1:0", "w:1:-2:3", "w:1:3:-1", "w:1", "w:one:3", "w:1:3:0:0"])
+def test_ab_rejects_a_bad_run_spec_before_making_worktrees(tmp_path, monkeypatch, capsys, spec):
+    # w:1:0:0 ran git worktree add three times, then died in quartiles([]) with exit 1
+    ab = _ab_module()
+    git_calls = []
+
+    def git(repo, *args):
+        git_calls.append(args)
+        return fake_git(repo, *args)
+
+    monkeypatch.setattr(ab, "git", git)
+    monkeypatch.setattr(ab, "bench", lambda *args: {"metrics": {}, "output_digest": "a"})
+    with pytest.raises(SystemExit) as exc:
+        ab.main(["PARENT", "CHANGE", "ok:1:3", spec, "--out", str(tmp_path / "ab.json")])
+    assert exc.value.code == 2
+    assert repr(spec) in capsys.readouterr().err
+    assert git_calls == [] and not (tmp_path / "ab.json").exists()
 
 
 def test_ab_summary_without_null_pairs():
