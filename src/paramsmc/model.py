@@ -35,7 +35,6 @@ HALF_LOG_2PI = 0.5 * LOG_2PI
 # batch: 64 KB arrays, so the factor's temporaries stay a few hundred KB
 # however many rows an update carries (see ParamLikelihood.__call__).
 FACTOR_BLOCK = 8192
-_ALL = slice(None)
 
 # Array conventions: a parameter vector is (p,) float64 (continuous) or
 # (p,) int64 codes (discrete); states are (d,) and observations (m,)
@@ -187,7 +186,7 @@ class ParamLikelihood:
         # blocks of whole owners, along the one axis that rows varies on
         axis = next(i for i, n in enumerate(rows.shape) if n > 1)
         step = max(1, FACTOR_BLOCK // (size // shape[axis]))
-        lead = (_ALL,) * axis
+        lead = (slice(None),) * axis
         for lo in range(0, shape[axis], step):
             block = lead + (slice(lo, lo + step),)
             self._score(points[block], rows[block], out[block])
