@@ -14,11 +14,11 @@ NULL_PAIRS 0 the null comparison is skipped and recorded as null.  Every
 run's end-to-end metrics, output digest and passes are kept, and each
 metric is summarised per side as median, quartiles and IQR, with the
 pairs the change won (ties count for neither) and a verdict (see
-verdict; fewer than MIN_PAIRS pairs are always "unresolved").  --trace
-adds TRACED_RUNS ``--trace 1`` runs per side, alternating which side
-runs first and continuing across workloads as the pairs do; every traced
-run is kept, and each per-layer metric's median per side is recorded
-next to them.
+verdict; fewer than MIN_PAIRS pairs, or a move no larger than the null
+A/B's, are always "unresolved").  --trace adds TRACED_RUNS
+``--trace 1`` runs per side, alternating which side runs first and
+continuing across workloads as the pairs do; every traced run is kept,
+and each per-layer metric's median per side is recorded next to them.
 
 The record goes to --out as JSON with the machine, the package
 versions, the commit ids and the output digests; it is rewritten after
@@ -105,19 +105,24 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
-def verdict(xs: list[float], ys: list[float], wins: int, bound: float) -> str:
+def verdict(xs: list[float], ys: list[float], wins: int, bound: float, null_move: float | None = None) -> str:
     """How ys compare with xs on a metric where lower is better.
 
-    "unresolved" when there are fewer than MIN_PAIRS pairs, or when the
-    IQR of xs exceeds the bound relative to their median, unless every y
-    beats every x; else "worse" when the median of ys is worse by more
-    than the bound; "gain" when there are at least MIN_GAIN_PAIRS pairs,
-    ys won at least 9 in 10 and the medians differ by more than the IQR
-    of xs; "within bound" otherwise.
+    "unresolved" when there are fewer than MIN_PAIRS pairs; when
+    null_move, the distance between the medians of the entry's null A/B
+    (the parent against itself), is at least the distance between the
+    medians of xs and ys, for noise moved the metric as far as the
+    change did; or when the IQR of xs exceeds the bound relative to
+    their median, unless every y beats every x.  Else "worse" when the
+    median of ys is worse by more than the bound; "gain" when there are
+    at least MIN_GAIN_PAIRS pairs, ys won at least 9 in 10 and the
+    medians differ by more than the IQR of xs; "within bound" otherwise.
     """
     if len(xs) < MIN_PAIRS:
         return "unresolved"
     (xq1, xm, xq3), ym = quartiles(xs), statistics.median(ys)
+    if null_move is not None and null_move >= abs(ym - xm):
+        return "unresolved"
     if xq3 - xq1 > bound * abs(xm) and max(ys) >= min(xs):
         return "unresolved"
     if ym - xm > bound * abs(xm):
@@ -127,8 +132,12 @@ def verdict(xs: list[float], ys: list[float], wins: int, bound: float) -> str:
     return "within bound"
 
 
-def compare(pairs: list[dict], a: str, b: str, spec: dict) -> dict:
-    """Per end-to-end metric: each side's median, quartiles and IQR, the pairs b won over a, and the verdict."""
+def compare(pairs: list[dict], a: str, b: str, spec: dict, null: dict | None = None) -> dict:
+    """Per end-to-end metric: each side's median, quartiles and IQR, the pairs b won over a, and the verdict.
+
+    null, when given, is the entry's null A/B as compare summarised it:
+    its distance between medians is the verdict's null_move.
+    """
     out = {}
     for name, metric in spec.items():
         sign = 1 if metric["better"] == "lower" else -1
@@ -142,7 +151,13 @@ def compare(pairs: list[dict], a: str, b: str, spec: dict) -> dict:
             f"{b}_wins": wins,
             "pairs": len(pairs),
             "relative_change": (ym - xm) / xm,
-            "verdict": verdict([sign * x for x in xs], [sign * y for y in ys], wins, metric["bound"]),
+            "verdict": verdict(
+                [sign * x for x in xs],
+                [sign * y for y in ys],
+                wins,
+                metric["bound"],
+                None if null is None else abs(null[name]["parent_again"]["median"] - null[name]["parent"]["median"]),
+            ),
         }
     return out
 
@@ -194,9 +209,9 @@ def summarise(entry: dict, spec: dict) -> None:
             if side != "first":
                 digests.setdefault(side, set()).add(run["output_digest"])
     entry["output_digests"] = {side: sorted(found) for side, found in digests.items()}
-    entry["summary"] = compare(entry["ab"], "parent", "change", spec)
     # with NULL_PAIRS 0 no null A/B ran, and there is nothing to compare
     entry["null_summary"] = compare(entry["null"], "parent", "parent_again", spec) if entry["null"] else None
+    entry["summary"] = compare(entry["ab"], "parent", "change", spec, entry["null_summary"])
 
 
 def report(name: str, summary: dict) -> None:

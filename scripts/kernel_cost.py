@@ -14,6 +14,10 @@ filter that scores PMMH's proposals:
   two-valued codes, the sampled discrete update's block
   (slam-large-discrete), and batch_discrete_match in exhaustive mode on
   slam-small's 256 joint codes of 8 two-valued cells at 1,500 rows;
+* DiscreteCloud.update at 1,000 rows of slam-large at M = 50, with the
+  model's own factor at step 3: each owner's factor reads its cell, so
+  the update is scoped where the model declares that (a tree without
+  the declaration samples 50 codes per row);
 * both resamplers at N = 50, 1,000 and 1,500;
 * oracles.pf_log_likelihood (pmmh-lg's inner likelihood, through the
   one bootstrap step every filter runs) at N = 50, 200 and 1,000, on a
@@ -213,6 +217,24 @@ def discrete_cases(gen, b, m, p, joint_rows, joint_p):
     ]
 
 
+def scoped_cases(gen, b, m):
+    """DiscreteCloud.update at b rows of slam-large, under the model's factor at step 3, in each tree."""
+    p = 20
+    tables = gen.dirichlet(np.ones(2), size=(b, p))
+    states = gen.integers(0, p, size=(b, 1)).astype(np.float64)
+    windows = states[:, None]  # the robot stayed: every owner's transition has mass
+    rng = np.random.default_rng(SEED)
+    prev, rows = {"tables": tables}, np.arange(b)
+
+    def get(tree):
+        model = tree.get_model("slam-large")
+        factor = tree.model.ParamLikelihood(model, 3, np.ones(1), states, windows)
+        cloud = tree.approx.DiscreteCloud(tables, model.param_cardinalities, m)
+        return functools.partial(cloud.update, prev, rows, factor, None)
+
+    return [Case("DiscreteCloud.update", f"{b} x {p} slam-large", lambda: (rng,), get)]
+
+
 def resampler_cases(gen, sizes):
     rng = np.random.default_rng(SEED)
     cases = []
@@ -270,7 +292,7 @@ def main():
         trees.insert(0, load_tree(args.against))
     gen = np.random.default_rng(SEED)
     cases = gaussian_cases(gen, 410, with_update=True) + gaussian_cases(gen, 4070, with_bad=True)
-    cases += mixture_cases(gen, 407, 10, 1000) + discrete_cases(gen, 65, 50, 20, 1500, 8)
+    cases += mixture_cases(gen, 407, 10, 1000) + discrete_cases(gen, 65, 50, 20, 1500, 8) + scoped_cases(gen, 1000, 50)
     cases += resampler_cases(gen, (50, 1000, 1500)) + filter_cases((50, 200, 1000))
     kernels = [[case.get(tree) for tree in trees] for case in cases]
     for case, tree_kernels in zip(cases, kernels):

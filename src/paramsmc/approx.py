@@ -632,14 +632,26 @@ class MixtureCloud(Cloud):
 class DiscreteCloud(Cloud):
     """Rows of factorized tables (n, p, C) over codes below cardinalities (p,).
 
-    An update enumerates the joint when it has at most m_samples codes,
-    which is exact, and otherwise weights m_samples joint draws from each
-    row's tables.  A sampled update runs in blocks of rows holding at most
-    CODE_BLOCK codes, and draws, scores and matches each block in scratch
-    arrays that the cloud keeps from one update to the next.  Either way
-    the match is a matrix product of point weights and code indicators
-    (see batch_discrete_match), so the tables' last bits follow the BLAS
-    build; the drawn codes do not depend on it.
+    An update takes the first of three paths that applies:
+
+    * exhaustive, when the joint has at most m_samples codes: it
+      enumerates them, which is exact;
+    * scoped, when the factor declares the k coordinates each row's
+      factor reads (a param_scope(rows) method returning (B, k), as
+      ParamLikelihood has) and C**k <= m_samples: it enumerates the C**k
+      codes of each row's scope and matches the scope's k tables as the
+      exhaustive path matches the joint.  A factorized q times a factor
+      of the scope alone leaves the other marginals as they were, so
+      this is the exact projection too, and those tables are copied bit
+      for bit (Boyen & Koller, UAI 1998);
+    * sampled, otherwise: it weights m_samples joint draws from each
+      row's tables.  It runs in blocks of rows holding at most
+      CODE_BLOCK codes, and draws, scores and matches each block in
+      scratch arrays that the cloud keeps from one update to the next.
+
+    Every path's match is a matrix product of point weights and code
+    indicators (see batch_discrete_match), so the tables' last bits
+    follow the BLAS build; the drawn codes do not depend on it.
     """
 
     kind = "discrete"
@@ -662,6 +674,9 @@ class DiscreteCloud(Cloud):
             codes = np.broadcast_to(self.joint_codes, (len(rows),) + self.joint_codes.shape)
             new_tables, ok = batch_discrete_match(tables, codes, log_prior, factor(codes, rows[:, None]))
             return {"tables": new_tables}, ok
+        scope = factor.param_scope(rows) if hasattr(factor, "param_scope") else None
+        if scope is not None and tables.shape[2] ** scope.shape[1] <= self.m_samples:
+            return self._scoped_update(tables, rows, factor, scope)
         if rng is None:
             raise ValueError("sampled discrete update needs a generator")
         m = self.m_samples
@@ -683,6 +698,29 @@ class DiscreteCloud(Cloud):
             logt = factor(codes, rows[block, None])
             # the draws are spent once the codes are counted; their buffer takes the code indicators
             new_tables[block], ok[block] = batch_discrete_match(tables[block], codes, None, logt, draws)
+        return {"tables": new_tables}, ok
+
+    def _scoped_update(self, tables, rows, factor, scope):
+        """The exact update of the (B, k) scope's tables; every other table is copied."""
+        b, k = scope.shape
+        p, cmax = tables.shape[1:]
+        local = enumerate_codes(np.full(k, cmax))  # (J, k): the scope codes, alike in every row
+        owner = np.arange(b)[:, None]
+        scope_tables = tables[owner, scope]  # (B, k, C)
+        if (self.cards < cmax).any():
+            # a code past its coordinate's cardinality has no prior mass: the factor scores code 0 there
+            local_in_range = np.where(local < self.cards[scope][:, None, :], local, 0)
+        else:
+            local_in_range = local
+        # each row's codes hold its scope codes and 0 at every coordinate the factor does not read
+        codes = np.zeros((b, len(local), p), dtype=np.int64)
+        codes[owner[:, :, None], np.arange(len(local))[:, None], scope[:, None, :]] = local_in_range
+        log_t = factor(codes, rows[:, None])
+        log_prior = exhaustive_log_prior(scope_tables, local)
+        local_codes = np.broadcast_to(local, (b,) + local.shape)
+        matched, ok = batch_discrete_match(scope_tables, local_codes, log_prior, log_t)
+        new_tables = tables.copy()
+        new_tables[owner, scope] = matched  # a flagged row's matched tables are its previous ones
         return {"tables": new_tables}, ok
 
     def fuse(self) -> FusedPosterior:

@@ -133,7 +133,8 @@ class SlamModel(DynamicModel):
     p_move and otherwise stays (wheel slip).  Moves into a wall clamp, so
     commanding left at cell 0 stays put with probability one.  The label
     of the occupied cell is observed correctly with probability p_obs,
-    and uniformly among the wrong labels otherwise.
+    and uniformly among the wrong labels otherwise.  A step's factor thus
+    reads one label, the owner's cell's, which param_scope declares.
     """
 
     param_kind = "discrete"
@@ -225,6 +226,10 @@ class SlamModel(DynamicModel):
         wrong_p = (1.0 - self.p_obs) / (self.n_labels - 1) if self.n_labels > 1 else 0.0
         with np.errstate(divide="ignore"):
             return np.where(truth == label, np.log(self.p_obs), np.log(wrong_p))
+
+    def param_scope(self, t, states):
+        # the observation reads the label of the owner's cell; the transition reads no label
+        return states[:, :1].astype(np.int64)
 
     def location_transition_matrix(self, t: int) -> np.ndarray:
         """(n_cells, n_cells) matrix P[i, j] = p(loc_t = j | loc_{t-1} = i)."""

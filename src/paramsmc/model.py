@@ -111,6 +111,20 @@ class DynamicModel(ABC):
         """Log density of x0 (..., d) at thetas (..., p): for state_prior_depends_on_params, and for the state-grid oracle."""
         raise NotImplementedError
 
+    def param_scope(self, t: int, states: np.ndarray) -> np.ndarray | None:
+        """The parameter coordinates step t's likelihood factor reads, per owner.
+
+        states is (B, d), the owners' states at t.  A model returns a
+        (B, k) integer array, row b naming k distinct coordinates in
+        [0, p): every term of the factor of owner b (the observation
+        density, and the transition or state-prior term) reads theta at
+        those coordinates only.  A factorized discrete update then
+        changes only those marginals, exactly (see DiscreteCloud).  The
+        default, None, declares nothing, and the update treats every
+        coordinate as read.
+        """
+        return None
+
     # Prior summaries used to seed parameter approximations.  The defaults
     # estimate moments from a fixed internal sample; models with known
     # priors should override with exact values.
@@ -165,6 +179,9 @@ class ParamLikelihood:
     whose result does not span the owner axes (a model indexing
     thetas[:, k] where the contract says thetas[..., k]) raises
     DimensionMismatchError.
+
+    param_scope(rows) is the model's declaration of the coordinates each
+    owner's factor reads (DynamicModel.param_scope), checked.
     """
 
     model: DynamicModel
@@ -172,6 +189,30 @@ class ParamLikelihood:
     y: np.ndarray
     states: np.ndarray
     windows: np.ndarray | None
+
+    def param_scope(self, rows: np.ndarray) -> np.ndarray | None:
+        """The coordinates the factors of owners rows (B,) read: None, or a (B, k) integer array.
+
+        Raises DimensionMismatchError unless the model's declaration is
+        None or a (B, k) integer array, k >= 1, of coordinates in [0, p)
+        that are distinct within each row.
+        """
+        scope = self.model.param_scope(self.k, self.states[rows])
+        if scope is None:
+            return None
+        scope = np.asarray(scope)
+        b, p = len(rows), self.model.dims()[0]
+        if scope.ndim != 2 or scope.shape[0] != b or scope.shape[1] < 1 or not np.issubdtype(scope.dtype, np.integer):
+            raise DimensionMismatchError(
+                f"param_scope returned a {scope.dtype} array of shape {scope.shape} for {b} owners; "
+                f"it must be ({b}, k) integers, k >= 1"
+            )
+        if (scope < 0).any() or (scope >= p).any():
+            raise DimensionMismatchError(f"param_scope names a coordinate outside [0, {p})")
+        ordered = np.sort(scope, axis=1)
+        if (ordered[:, 1:] == ordered[:, :-1]).any():
+            raise DimensionMismatchError("param_scope names a coordinate twice in one row")
+        return scope
 
     def __call__(self, points: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
         if rows is None:

@@ -40,8 +40,9 @@ from paramsmc.approx import (
     sample_codes,
     unscented,
 )
+from paramsmc.benchmarks import slam_large, slam_small
 from paramsmc.errors import DegenerateUpdateError, PointBudgetError
-from paramsmc.model import gaussian_logpdf
+from paramsmc.model import ParamLikelihood, gaussian_logpdf
 from paramsmc.quadrature import DEFAULT_POINT_BUDGET, standard_gauss_hermite_grid
 from paramsmc.rng import substream
 
@@ -413,6 +414,105 @@ class TestDiscreteUpdate:
         for i in range(4):
             axes = tuple(j for j in range(4) if j != i)
             assert np.allclose(out.table(i), joint.sum(axis=axes), atol=1e-12)
+
+
+class ScopedScore:
+    """A factor of codes that reads each row's scope alone: the sum of
+    score[owner, i, code_i] over the coordinates i in the owner's scope.
+    It refuses a code at or past its coordinate's cardinality."""
+
+    def __init__(self, score, scope, cards):
+        self.score, self.scope, self.cards = score, scope, cards
+
+    def param_scope(self, rows):
+        return self.scope[rows]
+
+    def __call__(self, codes, rows):  # (B, J, p) codes against (B, 1) owners
+        assert (codes < self.cards).all()
+        scope = self.scope[rows]  # (B, 1, k)
+        return self.score[rows[..., None], scope, np.take_along_axis(codes, scope, axis=-1)].sum(axis=-1)
+
+
+class TestScopedDiscreteUpdate:
+    """A factor that declares the coordinates it reads updates those
+    marginals exactly, and leaves the others as they were."""
+
+    @staticmethod
+    def slam_factor(model, gen, b, k):
+        """A SLAM factor for b owners at step k, with windows drawn next to the states."""
+        states = gen.integers(0, model.n_cells, size=(b, 1)).astype(np.float64)
+        windows = np.clip(states[:, None] + gen.integers(-1, 2, size=(b, 1, 1)), 0, model.n_cells - 1)
+        return ParamLikelihood(model, k, np.array([float(gen.integers(0, 2))]), states, windows if k else None)
+
+    @pytest.mark.parametrize("k", [0, 1, 2, 5])
+    def test_scoped_update_equals_the_exhaustive_update(self, k):
+        # 8 joint codes: at m = 8 the update enumerates them, at m = 7 it enumerates the owner's cell
+        model = slam_small(n_cells=3, actions=["R", "R", "L", "R", "L", "L"], true_map=[1, 0, 1])
+        gen = np.random.default_rng(60 + k)
+        b = 80
+        tables = gen.dirichlet(np.ones(2), size=(b, 3))
+        factor = self.slam_factor(model, gen, b, k)
+        rows = gen.permutation(b)
+        exhaustive = DiscreteCloud(tables, model.param_cardinalities, 8)
+        scoped = DiscreteCloud(tables, model.param_cardinalities, 7)
+        assert exhaustive.joint_codes is not None and scoped.joint_codes is None
+        want, want_ok = exhaustive.update({"tables": tables}, rows, factor, None, None)
+        got, got_ok = scoped.update({"tables": tables}, rows, factor, None, None)
+        assert got_ok.tobytes() == want_ok.tobytes()
+        if k:
+            assert 0 < got_ok.sum() < b  # some owners' windows cannot reach their states
+        # the two sum the weights of 8 and 2 codes in their own orders
+        assert np.abs(got["tables"] - want["tables"]).max() <= 2 * (8 - 1) * 2.0**-53
+
+    def test_unread_marginals_keep_their_bits(self):
+        model = slam_large()
+        gen = np.random.default_rng(70)
+        b, p = 300, model.n_cells
+        tables = gen.dirichlet(np.ones(2), size=(b, p))
+        factor = self.slam_factor(model, gen, b, 3)
+        rows = gen.permutation(b)
+        cloud = DiscreteCloud(tables, model.param_cardinalities, 50)
+        new, ok = cloud.update({"tables": tables}, rows, factor, None, None)
+        read = np.zeros((b, p), dtype=bool)
+        read[np.arange(b), factor.states[rows, 0].astype(np.int64)] = True
+        read &= ok[:, None]
+        assert 0 < ok.sum() < b
+        assert new["tables"][~read].tobytes() == tables[~read].tobytes()
+        assert not np.isclose(new["tables"][read], tables[read]).all(axis=-1).any()
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_mixed_cardinalities_score_only_codes_in_range(self, k):
+        # cardinalities 2, 3, 1, 3 padded to 3: 18 joint codes, and 3**k scope codes at m = 17
+        cards = np.array([2, 3, 1, 3])
+        gen = np.random.default_rng(80 + k)
+        b, p = 50, len(cards)
+        tables = gen.dirichlet(np.ones(3), size=(b, p))
+        tables[:, np.arange(3) >= cards[:, None]] = 0.0
+        tables /= tables.sum(axis=-1, keepdims=True)
+        score = gen.standard_normal((b, p, 3))
+        score[4] = -np.inf  # owner 4 vanishes
+        scope = np.array([gen.choice(p, size=k, replace=False) for _ in range(b)])
+        factor = ScopedScore(score, scope, cards)
+        rows = gen.permutation(b)
+        want, want_ok = DiscreteCloud(tables, cards, 18).update({"tables": tables}, rows, factor, None, None)
+        got, got_ok = DiscreteCloud(tables, cards, 17).update({"tables": tables}, rows, factor, None, None)
+        assert got_ok.tobytes() == want_ok.tobytes() and got_ok.sum() == b - 1
+        assert np.abs(got["tables"] - want["tables"]).max() <= 2 * (18 - 1) * 2.0**-53
+        assert got["tables"][~got_ok].tobytes() == tables[~got_ok].tobytes()
+
+    def test_a_scope_too_wide_for_m_samples_samples(self):
+        # 3**2 = 9 scope codes do not fit in m = 8: the update draws 8 joint codes per row
+        cards = np.full(4, 3)
+        gen = np.random.default_rng(90)
+        b = 20
+        tables = gen.dirichlet(np.ones(3), size=(b, 4))
+        scope = np.tile([0, 2], (b, 1))
+        factor = ScopedScore(gen.standard_normal((b, 4, 3)), scope, cards)
+        cloud = DiscreteCloud(tables, cards, 8)
+        rows = np.arange(b)
+        got, _ = cloud.update({"tables": tables}, rows, factor, None, substream(14, 0))
+        want = reference_sampled_update(tables, cards, substream(14, 0), 8, factor, rows[:, None])
+        assert got["tables"].tobytes() == want[0].tobytes()
 
 
 def reference_gaussian_points(means, sd, z):

@@ -815,6 +815,7 @@ class TestEngineRunsTheTestedCode:
             monkeypatch.setattr(approx, name, recording(name, getattr(approx, name)))
         monkeypatch.setattr(approx.DiscreteCloud, "update", recorded_update)
         model, obs = slam_data(steps=9)
+        model = test_golden.UnscopedSlam(model)
         m, p = 50, model.dims()[0]
         run_assumed_density_filter(model, obs, FilterConfig(n_particles=500, scheme=monte_carlo(m), seed=0))
 
@@ -829,6 +830,30 @@ class TestEngineRunsTheTestedCode:
             assert np.concatenate(matched[: len(sizes)]).tobytes() == tables.tobytes()
             drawn, matched = drawn[len(sizes) :], matched[len(sizes) :]
         assert not drawn and not matched
+
+    def test_scoped_discrete_run_matches_once_a_step_and_draws_no_codes(self, monkeypatch):
+        """SLAM's factor reads one cell, so each update enumerates that
+        cell's codes and matches them in one call: sample_codes draws
+        only the step's parameters, one code per particle."""
+        calls = {"sample_codes": [], "batch_discrete_match": []}
+
+        def recording(name, fn):
+            def wrapped(*args, **kwargs):
+                calls[name].append(args)
+                return fn(*args, **kwargs)
+
+            return wrapped
+
+        for name in calls:
+            monkeypatch.setattr(approx, name, recording(name, getattr(approx, name)))
+        model, obs = slam_data(steps=9)
+        n = 500
+        result = run_assumed_density_filter(model, obs, FilterConfig(n_particles=n, scheme=monte_carlo(50), seed=0))
+        assert len(calls["batch_discrete_match"]) == len(obs)
+        assert [args[3] for args in calls["sample_codes"]] == [1] * len(obs)  # m = 1: the parameter draw
+        assert [len(args[0]) for args in calls["sample_codes"]] == [n] * len(obs)
+        # each match sees the one scope table of each updated row
+        assert [args[0].shape for args in calls["batch_discrete_match"]] == [(u, 1, 2) for u in result.n_updates]
 
 
 def _effective_draws(chain: np.ndarray) -> float:

@@ -22,8 +22,12 @@ in them replaced by a placeholder.  The wall_clock_ms column of result
 CSVs and every elapsed_s entry of summary JSON are timings and are left
 out; the path-valued config entries (data, exact, out) hash as a
 placeholder.
-The digests were captured with numpy 2.4.6 and scipy 1.17.1 on x86-64;
-another numpy or BLAS build may round differently and move them.
+The digests were captured on one numeric build: numpy 2.4.6 (SIMD
+baseline X86_V2, with X86_V3, X86_V4, AVX512_ICL and AVX512_SPR found
+and used) and scipy 1.17.1, with numpy's scipy-openblas 0.3.31.188.0
+(DYNAMIC_ARCH) running its SkylakeX core, on an x86-64 Intel Xeon.
+Another numpy or BLAS build, or another core of the same OpenBLAS
+(OPENBLAS_CORETYPE), may round differently and move them.
 
 They pin the engine's arithmetic and random-stream use to the bit, so a
 refactor of storage or clouds that changes any output fails here.  When
@@ -56,7 +60,7 @@ from paramsmc.approx import (
     unscented,
     unscented_points,
 )
-from paramsmc.benchmarks import LinearGaussianModel, SinModel, slam_large, slam_small
+from paramsmc.benchmarks import LinearGaussianModel, SinModel, SlamModel, slam_large, slam_small
 from paramsmc.cli import main
 from paramsmc.engine import (
     FilterConfig,
@@ -164,6 +168,28 @@ def _slam_large():
     return model, obs
 
 
+class UnscopedSlam(SlamModel):
+    """A copy of a SLAM model (slam_small by default) that declares no
+    parameter scope, so that its discrete updates take the sampled path:
+    the path of a model without a declaration."""
+
+    def __init__(self, model: SlamModel | None = None):
+        vars(self).update(vars(slam_small() if model is None else model))
+
+    def param_scope(self, t, states):
+        return None
+
+
+def _unscoped(data):
+    """data with its SLAM model's scope declaration taken away."""
+
+    def unscoped_data():
+        model, obs = data()
+        return UnscopedSlam(model), obs
+
+    return unscoped_data
+
+
 def _order_two():
     model = OrderTwoModel()
     _, obs = simulate(model, np.array([0.5]), 40, substream(5, 99))
@@ -218,9 +244,12 @@ RUNS = {
     "mixture": _api(
         lambda: _sin("bimodal"), n_particles=48, scheme=GH7, family="mixture", mixture_size=4, seed=4
     ),
-    "discrete-sampled": _api(_slam, n_particles=64, scheme=monte_carlo(20), seed=5),
+    "discrete-sampled": _api(_unscoped(_slam), n_particles=64, scheme=monte_carlo(20), seed=5),
     # 271-354 distinct ancestors a step: 5 or 6 blocks of 65 rows, the last one partial
-    "discrete-sampled-blocks": _api(_slam_large, n_particles=600, scheme=monte_carlo(50), seed=24),
+    "discrete-sampled-blocks": _api(_unscoped(_slam_large), n_particles=600, scheme=monte_carlo(50), seed=24),
+    # the same runs on the bundled models, whose factors read one cell: scoped updates
+    "discrete-scoped": _api(_slam, n_particles=64, scheme=monte_carlo(20), seed=5),
+    "discrete-scoped-large": _api(_slam_large, n_particles=600, scheme=monte_carlo(50), seed=24),
     "discrete-exhaustive": _api(
         lambda: _slam(n_cells=3, actions=["R", "R", "L", "R", "L", "L"], true_map=[1, 0, 1]),
         n_particles=64,
@@ -260,6 +289,14 @@ GOLDEN = {
     "discrete-sampled-blocks": {
         "steps": "1d85a313faf9ba5180d19e7cc56124c84d3910e35580d58386997fb0953907cb",
         "fused": "45ef3c8d241303d2ee95d5b70c6295bfc1f66edd1ccfc55ed4891f274ea94005",
+    },
+    "discrete-scoped": {
+        "steps": "859720c609d8086a9bacc13a85b63a0b83c23db4720e9b5ef6f02e7db83f73a0",
+        "fused": "850456ca598b742c908de4524a4bd0f72672bc304a35f6e7b3d15d5a0bfc030a",
+    },
+    "discrete-scoped-large": {
+        "steps": "8c33924592f386c4b5a39335fa7528577ef7b5decbba49b1e8a1c0bcc68b6ff0",
+        "fused": "9fbb0631c6b8f2db1e3a93a1956b5aee5d4e7d4ae2ab9cd62fcd71ef358f3a3a",
     },
     "gaussian": {
         "steps": "4cc0054c5af7021c5731caa6733acdd382147b7816a1b359f52df086dcd9ba2b",
@@ -596,7 +633,7 @@ CLI_GOLDEN = {
     "run-pf-systematic": "d4cbe5ff88f4ffc238059d2257f2d890c39c60932c3a18915507df0ff2ba26c3",
     "run-pmmh-lg-truth": "3297bcb3208979b3f08ceb3f68e716642caeb2363eaf5a0b2343ea78aad59566",
     "run-pmmh-slam-exact": "741df700a46d2d1213a855a18c9ebdcfff9cba47ee64641bafb4bc8cda2b49b6",
-    "run-slam-exact-truth": "f71fd8bf318e7c67cd9a67767149d11def2bb422991dc668c51a9cb63ece5100",
+    "run-slam-exact-truth": "8757c2ec7822d27f44b1ac72be3ffe2cbd6df49afbb0da5e4f7e970ee0d80349",
     "simulate-bimodal-theta": "e823a531b3b38e542d866c1b2991287741ec08662c8c0c200dd89532d448c48c",
     "simulate-lg-config": "55e515a22b4fd780fba0168fdd37eb91be57bbf8a63461e3682ff9c816e9d22f",
     "simulate-sin": "39c107a24af271e934b7ce8e15795781a9818c85e15a3b81e6a6f992c7015907",

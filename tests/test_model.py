@@ -11,7 +11,7 @@ from scipy import integrate, stats
 import paramsmc.model as model_module
 import test_engine
 import test_golden
-from paramsmc.approx import gauss_hermite
+from paramsmc.approx import gauss_hermite, monte_carlo
 from paramsmc.benchmarks import LinearGaussianModel, SinModel, get_model
 from paramsmc.engine import FilterConfig, run_assumed_density_filter
 from paramsmc.errors import DimensionMismatchError
@@ -169,6 +169,40 @@ class TestParamLikelihood:
             make_param_likelihood(model, 1, np.zeros(1), [np.zeros(1)] * 2, np.zeros(1))
         with pytest.raises(DimensionMismatchError):
             make_param_likelihood(model, 0, np.zeros(1), [np.zeros(1)], np.zeros(1))
+
+    @pytest.mark.parametrize(
+        "declare",
+        [
+            pytest.param(lambda states: states[:, :1], id="float"),
+            pytest.param(lambda states: states[:, :1] > 0, id="bool"),
+            pytest.param(lambda states: states[:, 0].astype(np.int64), id="one-axis"),
+            pytest.param(lambda states: states[:1, :1].astype(np.int64), id="one-row"),
+            pytest.param(lambda states: np.zeros((len(states), 0), dtype=np.int64), id="no-coordinate"),
+            pytest.param(lambda states: np.full((len(states), 1), -1), id="negative"),
+            pytest.param(lambda states: np.full((len(states), 1), 8), id="past-p"),
+            pytest.param(lambda states: np.tile([3, 5, 3], (len(states), 1)), id="repeated"),
+        ],
+    )
+    def test_malformed_scope_raises(self, declare):
+        model = get_model("slam-small")
+        model.param_scope = lambda t, states: declare(states)
+        states = np.arange(6, dtype=np.float64)[:, None]
+        lik = ParamLikelihood(model, 0, np.array([1.0]), states, None)
+        with pytest.raises(DimensionMismatchError, match="param_scope"):
+            lik.param_scope(np.array([4, 0, 2]))
+        config = FilterConfig(n_particles=20, scheme=monte_carlo(20), seed=1)
+        with pytest.raises(DimensionMismatchError, match="param_scope"):
+            run_assumed_density_filter(model, np.ones((3, 1)), config)
+
+    def test_scope_of_rows_is_the_models_declaration(self):
+        model = get_model("slam-large")
+        states = np.array([[3.0], [19.0], [0.0]])
+        lik = ParamLikelihood(model, 2, np.array([1.0]), states, states[:, None])
+        scope = lik.param_scope(np.array([1, 1, 0, 2]))
+        assert scope.dtype == np.int64 and scope.tolist() == [[19], [19], [3], [0]]
+        assert ParamLikelihood(test_golden.UnscopedSlam(model), 0, np.array([1.0]), states, None).param_scope(
+            np.arange(3)
+        ) is None
 
     def test_pure_function(self):
         model = SinModel()

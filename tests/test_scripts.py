@@ -53,7 +53,7 @@ def test_kernel_cost_against_another_tree(tmp_path):
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     assert lines[1].split() == ["kernel", "shape", "against", "us", "this", "us", "change", "this", "faster"]
-    assert len(lines) == 2 + 22 and all(line.rstrip().endswith("of 2") for line in lines[2:])
+    assert len(lines) == 2 + 23 and all(line.rstrip().endswith("of 2") for line in lines[2:])
 
 
 def _script_module(name):
@@ -165,6 +165,30 @@ def test_ab_too_few_pairs_are_unresolved(n_pairs):
     assert entry["summary"]["setup_s"]["verdict"] == "unresolved"
     # three times as many alike pairs are enough to call it
     entry = {"ab": pairs * 3, "null": []}
+    ab.summarise(entry, spec)
+    assert entry["summary"]["setup_s"]["verdict"] == "worse"
+
+
+def test_ab_a_move_its_null_ab_matches_is_unresolved():
+    # BENCH_24's 3-pair sin-bimodal-mixture entry read setup_s 0.243 -> 0.304 "worse" on a workload
+    # that runs no changed line, while its null A/B moved the parent against itself 0.42 -> 0.35
+    ab = _ab_module()
+    spec = {m["name"]: m for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
+    stored = json.loads((ROOT / "BENCH_24.json").read_text())["workloads"]["sin-bimodal-mixture seed 1"]
+    entry = {"ab": stored["ab"], "null": stored["null"]}
+    ab.summarise(entry, spec)
+    setup, null = entry["summary"]["setup_s"], entry["null_summary"]["setup_s"]
+    assert setup["pairs"] == 3
+    assert (setup["parent"]["median"], setup["change"]["median"]) == pytest.approx((0.243, 0.304), abs=5e-4)
+    assert (null["parent"]["median"], null["parent_again"]["median"]) == pytest.approx((0.422, 0.354), abs=5e-4)
+    assert setup["verdict"] == "unresolved"
+    for metric, s in entry["summary"].items():
+        moved = abs(s["change"]["median"] - s["parent"]["median"])
+        noise = entry["null_summary"][metric]
+        if abs(noise["parent_again"]["median"] - noise["parent"]["median"]) >= moved:
+            assert s["verdict"] == "unresolved", metric
+    # the same pairs without their null A/B have nothing to size the noise by
+    entry = {"ab": stored["ab"], "null": []}
     ab.summarise(entry, spec)
     assert entry["summary"]["setup_s"]["verdict"] == "worse"
 
