@@ -804,7 +804,8 @@ def discrete_update(
     When the joint cardinality does not exceed m the full joint is
     enumerated and the update is exact (exhaustive mode); otherwise m
     joint samples are drawn from q_prev and weighted by t.  log_t follows
-    the call contract of gaussian_update, with (J, p) integer codes.
+    the call contract of gaussian_update, with (J, p) integer codes; it
+    declares no scope, so DiscreteCloud's scoped path is not taken.
     """
     new = _update_one(q_prev.cloud(1, m), log_t, None, rng)
     return FactorizedDiscreteApprox(new["tables"][0], q_prev.cardinalities)
