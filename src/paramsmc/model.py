@@ -48,9 +48,10 @@ class DynamicModel(ABC):
     and (n, d) states.  The log densities take any leading batch axes
     that broadcast: the projection update passes (J, B, p) points with
     (1, B, d) owner states, and sampled discrete updates (B, M, p) codes
-    with (B, 1, d) states, and expects the broadcast (J, B) or (B, M)
-    shape back (a theta-free term may keep a size-one axis where its
-    inputs do).  So index from the right, thetas[..., k], states[..., 0],
+    (scoped ones (B, C**k, p)) with (B, 1, d) states, and expects the
+    broadcast (J, B) or (B, M) shape back (a theta-free term may keep a
+    size-one axis where its inputs do).  So index from the right,
+    thetas[..., k], states[..., 0],
     windows[..., -1, 0]; an index like thetas[:, k] picks owner 0 or point
     0 instead, and ParamLikelihood raises DimensionMismatchError when a
     result does not span its owners.
