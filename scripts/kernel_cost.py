@@ -11,9 +11,11 @@ filter that scores PMMH's proposals:
 * batch_mixture_match and MixtureCloud.update at 407 owners x L = 10, and
   MixtureCloud.sample at N = 1,000, L = 10 (sin-bimodal-mixture);
 * sample_codes and batch_discrete_match on one 65 x 50 x 20 block of
-  two-valued codes, the sampled discrete update's block
-  (slam-large-discrete), and batch_discrete_match in exhaustive mode on
-  slam-small's 256 joint codes of 8 two-valued cells at 1,500 rows;
+  two-valued codes, the sampled discrete update's block, and
+  batch_discrete_match in enumerated mode on slam-small's 256 joint
+  codes of 8 two-valued cells at 1,500 rows, and on one two-valued
+  cell's 2 codes at 800 rows, the scoped update's match of a
+  slam-large-discrete step;
 * DiscreteCloud.update at 1,000 rows of slam-large at M = 50, with the
   model's own factor at step 3: each owner's factor reads its cell, so
   the update is scoped where the model declares that (a tree without
@@ -46,7 +48,9 @@ speed between processes cannot read as a change of the code.  It prints
 both medians and the rounds in which this tree's case was faster.  A tree
 whose batch_moment_match and batch_mixture_match take evaluation points
 rather than standard points and Cholesky factors gets those points in
-their place; the cloud updates take the same arguments in every tree.
+their place, and one whose enumerated discrete match takes rows-major
+codes and scores gets those; the cloud updates take the same arguments
+in every tree.
 
 Usage: python scripts/kernel_cost.py [--repeats 25] [--calls 20] [--against SRC]
 """
@@ -184,7 +188,7 @@ def mixture_cases(gen, owners, l, n):
     ]
 
 
-def discrete_cases(gen, b, m, p, joint_rows, joint_p):
+def discrete_cases(gen, b, m, p, joint_rows, joint_p, scope_rows):
     cards = np.full(p, 2)
     tables = gen.dirichlet(np.ones(2), size=(b, p))
     rng = np.random.default_rng(SEED)
@@ -197,24 +201,39 @@ def discrete_cases(gen, b, m, p, joint_rows, joint_p):
         np.copyto(codes, fresh)
         return tables, codes, None, logt, draws
 
-    joint = enumerate_codes(np.full(joint_p, 2))
     joint_tables = gen.dirichlet(np.ones(2), size=(joint_rows, joint_p))
-    joint_codes = np.broadcast_to(joint, (joint_rows,) + joint.shape)
-    log_prior = exhaustive_log_prior(joint_tables, joint)
-    joint_logt = -0.1 * joint_codes.sum(axis=-1)
+    scope_tables = gen.dirichlet(np.ones(2), size=(scope_rows, 1))
 
     match = module_kernel("batch_discrete_match")
     shape = f"{b} x {m} x {p}"
     return [
         Case("sample_codes", shape, lambda: (tables, cards, rng, m, (draws, codes)), module_kernel("sample_codes")),
         Case("batch_discrete_match", shape, match_args, match),
-        Case(
-            "batch_discrete_match",
-            f"{joint_rows} x {len(joint)} x {joint_p} joint",
-            lambda: (joint_tables, joint_codes, log_prior, joint_logt),
-            match,
-        ),
+        enumerated_case(joint_tables, f"{joint_rows} x 2^{joint_p} joint"),
+        enumerated_case(scope_tables, f"{scope_rows} x 2 scoped"),
     ]
+
+
+def enumerated_case(tables, shape):
+    """batch_discrete_match in enumerated mode, on the 2**p joint codes of
+    two-valued tables (B, p, 2): the (J, p) codes with their (J, B) log
+    prior and scores and the indicators the cloud builds once.  A tree
+    whose kernel takes no indicators gets its own layout, each row's copy
+    of the codes (B, J, p) with (B, J) log prior and scores."""
+    b, p, _ = tables.shape
+    joint = enumerate_codes(np.full(p, 2))
+    log_prior = exhaustive_log_prior(tables, joint)
+    log_t = np.broadcast_to(-0.1 * joint.sum(axis=-1)[:, None], log_prior.shape).copy()
+    indicators = (joint[:, :, None] == np.arange(2)).reshape(len(joint), 2 * p).astype(np.float64)
+    rows_major = (tables, np.broadcast_to(joint, (b,) + joint.shape), log_prior.T.copy(), log_t.T.copy())
+
+    def get(tree):
+        kernel = tree.approx.batch_discrete_match
+        if "indicators" in inspect.signature(kernel).parameters:
+            return functools.partial(kernel, indicators=indicators)
+        return lambda *args: kernel(*rows_major)
+
+    return Case("batch_discrete_match", shape, lambda: (tables, joint, log_prior, log_t), get)
 
 
 def scoped_cases(gen, b, m):
@@ -292,7 +311,7 @@ def main():
         trees.insert(0, load_tree(args.against))
     gen = np.random.default_rng(SEED)
     cases = gaussian_cases(gen, 410, with_update=True) + gaussian_cases(gen, 4070, with_bad=True)
-    cases += mixture_cases(gen, 407, 10, 1000) + discrete_cases(gen, 65, 50, 20, 1500, 8) + scoped_cases(gen, 1000, 50)
+    cases += mixture_cases(gen, 407, 10, 1000) + discrete_cases(gen, 65, 50, 20, 1500, 8, 800) + scoped_cases(gen, 1000, 50)
     cases += resampler_cases(gen, (50, 1000, 1500)) + filter_cases((50, 200, 1000))
     kernels = [[case.get(tree) for tree in trees] for case in cases]
     for case, tree_kernels in zip(cases, kernels):

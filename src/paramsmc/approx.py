@@ -451,12 +451,18 @@ def enumerate_codes(cardinalities: np.ndarray) -> np.ndarray:
 
 
 def exhaustive_log_prior(tables: np.ndarray, codes: np.ndarray) -> np.ndarray:
-    """Per-code log mass (B, J) of enumerated codes (J, p) under stacked tables (B, p, C)."""
-    log_prior = np.zeros((tables.shape[0], codes.shape[0]))
+    """Per-code log mass (J, B) of enumerated codes (J, p) under stacked tables (B, p, C), points-major."""
+    log_prior = np.zeros((codes.shape[0], tables.shape[0]))
     with np.errstate(divide="ignore"):
         for i in range(codes.shape[1]):
-            log_prior += np.log(tables[:, i, codes[:, i]])
+            log_prior += np.log(tables[:, i].T[codes[:, i]])
     return log_prior
+
+
+def _code_indicators(codes: np.ndarray, cmax: int) -> np.ndarray:
+    """The 0/1 indicators (J, p * C) of codes (J, p): column i * C + c marks the codes whose coordinate i is c."""
+    j, p = codes.shape
+    return (codes[:, :, None] == np.arange(cmax)).reshape(j, p * cmax).astype(np.float64)
 
 
 def batch_discrete_match(
@@ -465,41 +471,48 @@ def batch_discrete_match(
     log_prior_w: np.ndarray | None,
     log_t: np.ndarray,
     weights: np.ndarray | None = None,
+    indicators: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Marginal-matching update for stacked factorized tables.
+    """Marginal-matching update for stacked factorized tables (B, p, C).
 
-    codes is (B, J, p); log_prior_w carries per-code log q_prev mass in
-    exhaustive mode, where every row holds the same J enumerated codes,
-    and is None when codes were sampled from q_prev.  New marginals are
-    the weight-summed code frequencies, renormalized per dimension.  Rows
-    with vanishing total mass are flagged and keep their previous tables.
+    Enumerated mode, when log_prior_w is given: every row holds the same
+    J codes, codes (J, p), and log_prior_w, their per-row log q_prev mass,
+    and log_t are (J, B), points-major as the Gaussian kernels lay them
+    out, so the max-shift reduces over the leading axis.  indicators, when
+    given, are the codes' 0/1 indicators (J, p * C) as _code_indicators
+    builds them; a caller that matches the same codes on every update
+    builds them once.  Sampled mode, when log_prior_w is None: codes
+    (B, M, p) were drawn from q_prev, row by row, and log_t is (B, M).
+    New marginals are the weight-summed code frequencies, renormalized
+    per dimension.  Rows with vanishing total mass are flagged and keep
+    their previous tables.
 
     A weighted code count is a matrix product: the rows' point weights
     times the codes' 0/1 indicators, summed by np.matmul (BLAS) in its own
     order rather than in point order, so a table's last bits follow the
-    BLAS build.  Exhaustive mode contracts the (B, J) weights with the
-    indicators of the J joint codes in one product.  A sampled block takes
-    one product per code value c, over the indicator of codes == c, which
-    is written into weights when a float64 (B, J, p) buffer is given, so
-    nothing of that size is allocated.  codes is never written.
+    BLAS build, except where each table entry has one nonzero term.
+    Enumerated mode contracts the (B, J) weights with the (J, p * C)
+    indicators in one product.  A sampled block takes one product per
+    code value c, over the indicator of codes == c, which is written into
+    weights when a float64 (B, M, p) buffer is given, so nothing of that
+    size is allocated.  codes is never written.
 
     Returns (tables, ok).
     """
     b, p, cmax = tables.shape
-    a = np.array(log_t, dtype=np.float64) if log_prior_w is None else log_t + log_prior_w
-    r, total, _, ok = _shifted_mass(a, axis=1)
-
     if log_prior_w is not None:
-        joint = codes[0]
-        indicators = (joint[:, :, None] == np.arange(cmax)).reshape(len(joint), p * cmax)
-        out = (r @ indicators.astype(np.float64)).reshape(b, p, cmax)
+        r, total, _, ok = _shifted_mass(log_t + log_prior_w, axis=0)
+        if indicators is None:
+            indicators = _code_indicators(codes, cmax)
+        out = (r.T @ indicators).reshape(b, p, cmax)
     else:
+        r, total, _, ok = _shifted_mass(np.array(log_t, dtype=np.float64), axis=1)
         if weights is None:
             weights = np.empty(codes.shape)
         out = np.empty((b, p, cmax))
         for c in range(cmax):
             np.equal(codes, c, out=weights)
-            # (B, p, J) indicators times (B, J, 1) weights: code c's column of every table
+            # (B, p, M) indicators times (B, M, 1) weights: code c's column of every table
             np.matmul(weights.transpose(0, 2, 1), r[:, :, None], out=out[:, :, c : c + 1])
     out /= total[:, None, None]
     tables_out = np.where(ok[:, None, None], out, tables)
@@ -649,9 +662,14 @@ class DiscreteCloud(Cloud):
       CODE_BLOCK codes, and draws, scores and matches each block in
       scratch arrays that the cloud keeps from one update to the next.
 
-    Every path's match is a matrix product of point weights and code
-    indicators (see batch_discrete_match), so the tables' last bits
-    follow the BLAS build; the drawn codes do not depend on it.
+    The enumerated paths lay codes out points-major, (J, B, p) scored
+    against (1, B) owners, as the Gaussian clouds lay out their points;
+    the cloud enumerates the joint, and each scope width's codes, and
+    builds their indicators once.  Every path's match is a matrix
+    product of point weights and code indicators (see
+    batch_discrete_match), so the exhaustive and sampled tables' last
+    bits follow the BLAS build; a scoped table at k = 1 sums one nonzero
+    term per entry and does not, and the drawn codes do not depend on it.
     """
 
     kind = "discrete"
@@ -662,6 +680,9 @@ class DiscreteCloud(Cloud):
         self.m_samples = m_samples
         joint = float(np.prod(self.cards.astype(np.float64)))
         self.joint_codes = enumerate_codes(self.cards) if joint <= m_samples else None
+        if self.joint_codes is not None:
+            self._joint_indicators = _code_indicators(self.joint_codes, tables.shape[2])
+        self._scope_codes = {}  # k -> the C**k scope codes (J, k) and their indicators
         self._scratch = None  # sample_codes' out for the largest block so far
 
     def sample(self, rng: np.random.Generator) -> np.ndarray:
@@ -670,9 +691,13 @@ class DiscreteCloud(Cloud):
     def update(self, prev, rows, factor, scheme, rng):
         tables = prev["tables"]
         if self.joint_codes is not None:
-            log_prior = exhaustive_log_prior(tables, self.joint_codes)
-            codes = np.broadcast_to(self.joint_codes, (len(rows),) + self.joint_codes.shape)
-            new_tables, ok = batch_discrete_match(tables, codes, log_prior, factor(codes, rows[:, None]))
+            joint = self.joint_codes
+            log_prior = exhaustive_log_prior(tables, joint)
+            codes = np.broadcast_to(joint[:, None, :], (len(joint), len(rows), joint.shape[1]))
+            log_t = factor(codes, rows[None, :])
+            new_tables, ok = batch_discrete_match(
+                tables, joint, log_prior, log_t, indicators=self._joint_indicators
+            )
             return {"tables": new_tables}, ok
         scope = factor.param_scope(rows) if hasattr(factor, "param_scope") else None
         if scope is not None and tables.shape[2] ** scope.shape[1] <= self.m_samples:
@@ -704,21 +729,23 @@ class DiscreteCloud(Cloud):
         """The exact update of the (B, k) scope's tables; every other table is copied."""
         b, k = scope.shape
         p, cmax = tables.shape[1:]
-        local = enumerate_codes(np.full(k, cmax))  # (J, k): the scope codes, alike in every row
+        if k not in self._scope_codes:
+            local = enumerate_codes(np.full(k, cmax))
+            self._scope_codes[k] = local, _code_indicators(local, cmax)
+        local, indicators = self._scope_codes[k]  # (J, k) scope codes, alike in every row
         owner = np.arange(b)[:, None]
         scope_tables = tables[owner, scope]  # (B, k, C)
         if (self.cards < cmax).any():
             # a code past its coordinate's cardinality has no prior mass: the factor scores code 0 there
-            local_in_range = np.where(local < self.cards[scope][:, None, :], local, 0)
+            local_in_range = np.where(local[:, None, :] < self.cards[scope], local[:, None, :], 0)
         else:
-            local_in_range = local
+            local_in_range = local[:, None, :]
         # each row's codes hold its scope codes and 0 at every coordinate the factor does not read
-        codes = np.zeros((b, len(local), p), dtype=np.int64)
-        codes[owner[:, :, None], np.arange(len(local))[:, None], scope[:, None, :]] = local_in_range
-        log_t = factor(codes, rows[:, None])
+        codes = np.zeros((len(local), b, p), dtype=np.int64)
+        codes[:, owner, scope] = local_in_range
+        log_t = factor(codes, rows[None, :])
         log_prior = exhaustive_log_prior(scope_tables, local)
-        local_codes = np.broadcast_to(local, (b,) + local.shape)
-        matched, ok = batch_discrete_match(scope_tables, local_codes, log_prior, log_t)
+        matched, ok = batch_discrete_match(scope_tables, local, log_prior, log_t, indicators=indicators)
         new_tables = tables.copy()
         new_tables[owner, scope] = matched  # a flagged row's matched tables are its previous ones
         return {"tables": new_tables}, ok

@@ -47,10 +47,11 @@ class DynamicModel(ABC):
     Samplers take and return one leading batch axis, (n, p) parameters
     and (n, d) states.  The log densities take any leading batch axes
     that broadcast: the projection update passes (J, B, p) points with
-    (1, B, d) owner states, and sampled discrete updates (B, M, p) codes
-    (scoped ones (B, C**k, p)) with (B, 1, d) states, and expects the
-    broadcast (J, B) or (B, M) shape back (a theta-free term may keep a
-    size-one axis where its inputs do).  So index from the right,
+    (1, B, d) owner states (enumerated discrete codes, scoped or
+    exhaustive, are laid out the same way, (C**k, B, p) or (J, B, p)),
+    and sampled discrete updates (B, M, p) codes with (B, 1, d) states,
+    and expects the broadcast (J, B) or (B, M) shape back (a theta-free
+    term may keep a size-one axis where its inputs do).  So index from the right,
     thetas[..., k], states[..., 0],
     windows[..., -1, 0]; an index like thetas[:, k] picks owner 0 or point
     0 instead, and ParamLikelihood raises DimensionMismatchError when a
@@ -210,9 +211,10 @@ class ParamLikelihood:
             )
         if (scope < 0).any() or (scope >= p).any():
             raise DimensionMismatchError(f"param_scope names a coordinate outside [0, {p})")
-        ordered = np.sort(scope, axis=1)
-        if (ordered[:, 1:] == ordered[:, :-1]).any():
-            raise DimensionMismatchError("param_scope names a coordinate twice in one row")
+        if scope.shape[1] > 1:  # one coordinate a row cannot repeat
+            ordered = np.sort(scope, axis=1)
+            if (ordered[:, 1:] == ordered[:, :-1]).any():
+                raise DimensionMismatchError("param_scope names a coordinate twice in one row")
         return scope
 
     def __call__(self, points: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from paramsmc import approx
 from paramsmc.approx import (
     CODE_BLOCK,
     COMPONENT_WEIGHT_FLOOR,
@@ -41,8 +42,9 @@ from paramsmc.approx import (
     unscented,
 )
 from paramsmc.benchmarks import slam_large, slam_small
+from paramsmc.engine import FilterConfig, run_assumed_density_filter
 from paramsmc.errors import DegenerateUpdateError, PointBudgetError
-from paramsmc.model import ParamLikelihood, gaussian_logpdf
+from paramsmc.model import ParamLikelihood, gaussian_logpdf, simulate
 from paramsmc.quadrature import DEFAULT_POINT_BUDGET, standard_gauss_hermite_grid
 from paramsmc.rng import substream
 
@@ -427,7 +429,7 @@ class ScopedScore:
     def param_scope(self, rows):
         return self.scope[rows]
 
-    def __call__(self, codes, rows):  # (B, J, p) codes against (B, 1) owners
+    def __call__(self, codes, rows):  # codes (..., p) against owners that broadcast with them
         assert (codes < self.cards).all()
         scope = self.scope[rows]  # (B, 1, k)
         return self.score[rows[..., None], scope, np.take_along_axis(codes, scope, axis=-1)].sum(axis=-1)
@@ -500,6 +502,43 @@ class TestScopedDiscreteUpdate:
         assert np.abs(got["tables"] - want["tables"]).max() <= 2 * (18 - 1) * 2.0**-53
         assert got["tables"][~got_ok].tobytes() == tables[~got_ok].tobytes()
 
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_scoped_update_matches_the_rows_major_reference_bits(self, k):
+        # cardinalities 2, 1, 2, 2, 1, 2 padded to 2: 2**k scope codes at m = 4
+        cards = np.array([2, 1, 2, 2, 1, 2])
+        gen = np.random.default_rng(100 + k)
+        b, p = 70, len(cards)
+        tables = gen.dirichlet(np.ones(2), size=(b, p))
+        tables[:, 1, 1] = tables[:, 4, 1] = 0.0
+        tables /= tables.sum(axis=-1, keepdims=True)
+        score = gen.standard_normal((b, p, 2))
+        score[4] = -np.inf  # owner 4 vanishes
+        score[5] = -800.0  # owner 5 falls below the mass floor
+        scope = np.array([gen.choice(p, size=k, replace=False) for _ in range(b)])
+        scope[:8, 0] = 1  # some owners read a one-code coordinate
+        factor = ScopedScore(score, scope, cards)
+        rows = gen.permutation(b)
+        cloud = DiscreteCloud(tables, cards, 4)
+        assert cloud.joint_codes is None
+        got, got_ok = cloud.update({"tables": tables}, rows, factor, None, None)
+        want, want_ok = reference_scoped_update(tables, cards, rows, factor, scope[rows])
+        assert got_ok.tobytes() == want_ok.tobytes() and got_ok.sum() == b - 2
+        assert got["tables"].tobytes() == want.tobytes()
+
+    def test_an_api_run_enumerates_its_scope_codes_once(self, monkeypatch):
+        calls = []
+
+        def counting(cardinalities):
+            calls.append(len(cardinalities))
+            return enumerate_codes(cardinalities)
+
+        monkeypatch.setattr(approx, "enumerate_codes", counting)
+        model = slam_large()
+        _, obs = simulate(model, model.true_map.astype(float), 20, substream(31, 99))
+        result = run_assumed_density_filter(model, obs, FilterConfig(n_particles=100, scheme=monte_carlo(50), seed=3))
+        assert len(result.n_updates) == 21 and min(result.n_updates) > 0
+        assert calls == [1]  # the one-cell scope's codes, for every step of the run
+
     def test_a_scope_too_wide_for_m_samples_samples(self):
         # 3**2 = 9 scope codes do not fit in m = 8: the update draws 8 joint codes per row
         cards = np.full(4, 3)
@@ -513,6 +552,35 @@ class TestScopedDiscreteUpdate:
         got, _ = cloud.update({"tables": tables}, rows, factor, None, substream(14, 0))
         want = reference_sampled_update(tables, cards, substream(14, 0), 8, factor, rows[:, None])
         assert got["tables"].tobytes() == want[0].tobytes()
+
+
+def reference_scoped_update(tables, cards, rows, factor, scope):
+    """The scoped update rows-major, as it was first built: (B, J, p)
+    codes scored against (B, 1) owners, and the (B, J) weights shifted
+    along each row and matched with one product by the (J, k C) scope
+    code indicators.  Its k log prior terms are summed before log t is
+    added."""
+    b, k = scope.shape
+    p, cmax = tables.shape[1:]
+    local = enumerate_codes(np.full(k, cmax))
+    j = len(local)
+    owner = np.arange(b)[:, None]
+    scope_tables = tables[owner, scope]
+    codes = np.zeros((b, j, p), dtype=np.int64)
+    codes[owner[:, :, None], np.arange(j)[:, None], scope[:, None, :]] = np.where(
+        local < cards[scope][:, None, :], local, 0
+    )
+    log_t = factor(codes, rows[:, None])
+    log_prior = np.zeros((b, j))
+    with np.errstate(divide="ignore"):
+        for i in range(k):
+            log_prior += np.log(scope_tables[:, i, local[:, i]])
+    r, total, ok = reference_mass(log_t + log_prior)
+    indicators = (local[:, :, None] == np.arange(cmax)).reshape(j, k * cmax).astype(np.float64)
+    out = (r @ indicators).reshape(b, k, cmax) / np.where(total > 0, total, 1.0)[:, None, None]
+    new_tables = tables.copy()
+    new_tables[owner, scope] = np.where(ok[:, None, None], out, scope_tables)
+    return new_tables, ok
 
 
 def reference_gaussian_points(means, sd, z):
@@ -696,6 +764,20 @@ def discrete_match_inputs(gen, cmax, b, p):
     return cards, tables, score
 
 
+def discrete_match_codes(mode, tables, cards, score, rng, m):
+    """A match kernel's codes, log prior and scores (score from
+    discrete_match_inputs) in either mode: m sampled codes (B, m, p) and
+    (B, m) scores, or, exhaustive, the enumerated joint codes (J, p)
+    with their (J, B) log prior and scores, points-major."""
+    b, p, _ = tables.shape
+    if mode == "sampled":
+        codes = sample_codes(tables, cards, rng, m)
+        return codes, None, score[np.arange(b)[:, None, None], codes, np.arange(p)].sum(axis=-1)
+    codes = enumerate_codes(cards)
+    log_t = score[np.arange(b)[:, None], codes[:, None, :], np.arange(p)].sum(axis=-1)
+    return codes, exhaustive_log_prior(tables, codes), log_t
+
+
 class TestBatchKernels:
     """The in-place kernels against the allocating formulas they replaced."""
 
@@ -851,18 +933,15 @@ class TestBatchKernels:
         gen = np.random.default_rng(40 + cmax)
         b, p = 60, 7
         cards, tables, score = discrete_match_inputs(gen, cmax, b, p)
-        if mode == "sampled":
-            m = 50
-            codes = sample_codes(tables, cards, substream(12, cmax), m)
-            log_prior = None
-        else:
-            joint = enumerate_codes(cards)
-            m = len(joint)
-            codes = np.broadcast_to(joint, (b, m, p))
-            log_prior = exhaustive_log_prior(tables, joint)
-        log_t = score[np.arange(b)[:, None, None], codes, np.arange(p)].sum(axis=-1)
+        codes, log_prior, log_t = discrete_match_codes(mode, tables, cards, score, substream(12, cmax), 50)
         got = batch_discrete_match(tables, codes, log_prior, log_t)
-        ref = bincount_discrete_match(tables, codes, log_prior, log_t)
+        if mode == "sampled":
+            ref = bincount_discrete_match(tables, codes, None, log_t)
+        else:
+            # the reference takes each row's copy of the codes, and rows-major weights
+            row_codes = np.broadcast_to(codes, (b,) + codes.shape)
+            ref = bincount_discrete_match(tables, row_codes, log_prior.T, log_t.T)
+        m = 50 if mode == "sampled" else len(log_t)
         assert got[1].tobytes() == ref[1].tobytes()
         assert not got[1][3:6].any() and got[1].sum() == b - 3
         assert np.abs(got[0] - ref[0]).max() <= 2 * (m - 1) * 2.0**-53
@@ -870,18 +949,19 @@ class TestBatchKernels:
     @pytest.mark.parametrize("cmax", [1, 2, 3])
     def test_discrete_match_leaves_codes_and_gives_tables(self, cmax):
         gen = np.random.default_rng(50 + cmax)
-        b, p, m = 60, 7, 40
+        b, p = 60, 7
         cards, tables, score = discrete_match_inputs(gen, cmax, b, p)
-        codes = sample_codes(tables, cards, substream(13, cmax), m)
-        before = codes.copy()
-        log_t = score[np.arange(b)[:, None, None], codes, np.arange(p)].sum(axis=-1)
-        new, ok = batch_discrete_match(tables, codes, None, log_t, np.empty(codes.shape))
-        assert codes.tobytes() == before.tobytes()
-        assert new.shape == tables.shape and ok.sum() == b - 3
-        assert np.all(new[ok] >= 0.0)
-        assert np.all(np.abs(new[ok].sum(axis=-1) - 1.0) <= 1e-12)
-        assert new[~ok].tobytes() == tables[~ok].tobytes()
-        assert not new[ok][:, np.arange(cmax) >= cards[:, None]].any()  # padding keeps no mass
+        for mode in ("sampled", "exhaustive"):
+            codes, log_prior, log_t = discrete_match_codes(mode, tables, cards, score, substream(13, cmax), 40)
+            before, log_t_before = codes.copy(), log_t.copy()
+            weights = np.empty(codes.shape) if mode == "sampled" else None
+            new, ok = batch_discrete_match(tables, codes, log_prior, log_t, weights)
+            assert codes.tobytes() == before.tobytes() and log_t.tobytes() == log_t_before.tobytes()
+            assert new.shape == tables.shape and ok.sum() == b - 3
+            assert np.all(new[ok] >= 0.0)
+            assert np.all(np.abs(new[ok].sum(axis=-1) - 1.0) <= 1e-12)
+            assert new[~ok].tobytes() == tables[~ok].tobytes()
+            assert not new[ok][:, np.arange(cmax) >= cards[:, None]].any()  # padding keeps no mass
 
     def test_sampled_discrete_update_memory_is_bounded(self):
         """One update's traced peak is one block's scratch plus the new

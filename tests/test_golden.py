@@ -278,9 +278,10 @@ GOLDEN = {
         "steps": "755c7c237bf660c19393d748ac36aa6b72953e8c091fe7093e89204d12e923ec",
         "fused": "3bf3a15c1de28b62fc1dc90e024e2c9ce8be81d3beede270068d316c92939eaa",
     },
+    # re-pinned when the enumerated match went points-major: per-step tables moved by at most 1.1e-16
     "discrete-exhaustive": {
-        "steps": "4fda34719a094550fbfa10a3200689af1591d4b3ab1480ac40738c8cc23eae4c",
-        "fused": "867b5e5baaa39c87b535bc56be4b53da9fe31b13032bf5e7efbd852f7f6e2a8e",
+        "steps": "52f5bc7fee06124c8246ac5723a51a36ac2ac30a3e592a2bebebeee32381ea97",
+        "fused": "38d0bcf76d0f0f5254bbce92810724fc3a8237b719c875e5b597c31ca57db86b",
     },
     "discrete-sampled": {
         "steps": "717f5db8329bf80f42779bd30eb3f94f23ce285aa37c55f066ea66c7bda1e9eb",

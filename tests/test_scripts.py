@@ -53,7 +53,7 @@ def test_kernel_cost_against_another_tree(tmp_path):
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     assert lines[1].split() == ["kernel", "shape", "against", "us", "this", "us", "change", "this", "faster"]
-    assert len(lines) == 2 + 23 and all(line.rstrip().endswith("of 2") for line in lines[2:])
+    assert len(lines) == 2 + 24 and all(line.rstrip().endswith("of 2") for line in lines[2:])
 
 
 def _script_module(name):
