@@ -172,9 +172,9 @@ class FactorizedDiscreteApprox(_Distribution):
 # ---------------------------------------------------------------------------
 # Batched kernels.  B is the number of stacked distributions, J the number
 # of evaluation points per distribution, p the parameter dimension.  The
-# Gaussian kernels lay points out points-major, (J, B, p): a reduction over
-# a row's points runs over the leading axis, as whole-row vector operations
-# rather than B short ones.
+# Gaussian kernels and the enumerated discrete match lay points out
+# points-major, (J, B, p): a reduction over a row's points runs over the
+# leading axis, as whole-row vector operations rather than B short ones.
 # ---------------------------------------------------------------------------
 
 

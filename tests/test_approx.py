@@ -431,7 +431,7 @@ class ScopedScore:
 
     def __call__(self, codes, rows):  # codes (..., p) against owners that broadcast with them
         assert (codes < self.cards).all()
-        scope = self.scope[rows]  # (B, 1, k)
+        scope = self.scope[rows]  # rows' shape, then k
         return self.score[rows[..., None], scope, np.take_along_axis(codes, scope, axis=-1)].sum(axis=-1)
 
 
@@ -515,7 +515,7 @@ class TestScopedDiscreteUpdate:
         score[4] = -np.inf  # owner 4 vanishes
         score[5] = -800.0  # owner 5 falls below the mass floor
         scope = np.array([gen.choice(p, size=k, replace=False) for _ in range(b)])
-        scope[:8, 0] = 1  # some owners read a one-code coordinate
+        scope[:8] = [1, 3][:k]  # some owners read a one-code coordinate
         factor = ScopedScore(score, scope, cards)
         rows = gen.permutation(b)
         cloud = DiscreteCloud(tables, cards, 4)
