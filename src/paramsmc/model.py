@@ -51,11 +51,11 @@ class DynamicModel(ABC):
     exhaustive, are laid out the same way, (C**k, B, p) or (J, B, p)),
     and sampled discrete updates (B, M, p) codes with (B, 1, d) states,
     and expects the broadcast (J, B) or (B, M) shape back (a theta-free
-    term may keep a size-one axis where its inputs do).  So index from the right,
-    thetas[..., k], states[..., 0],
-    windows[..., -1, 0]; an index like thetas[:, k] picks owner 0 or point
-    0 instead, and ParamLikelihood raises DimensionMismatchError when a
-    result does not span its owners.
+    term may keep a size-one axis where its inputs do).  So index from
+    the right, thetas[..., k], states[..., 0], windows[..., -1, 0]; an
+    index like thetas[:, k] picks owner 0 or point 0 instead, and
+    ParamLikelihood raises DimensionMismatchError when a result does not
+    span its owners.
 
     Attributes:
         param_kind: "continuous" or "discrete".
@@ -164,8 +164,9 @@ class ParamLikelihood:
     Calling it with evaluation points (..., p) and owner indices rows
     shaped to broadcast against points.shape[:-1] returns the log values
     of that broadcast shape, each point scored against its owner: (1, B)
-    owners for (J, B, p) Gaussian points, (1, K, 1) for the (J, K, L, p)
-    view of mixture points, (B, 1) for (B, M, p) codes.  Each owner's
+    owners for (J, B, p) Gaussian points and enumerated codes, (1, K, 1)
+    for the (J, K, L, p) view of mixture points, (B, 1) for (B, M, p)
+    sampled codes.  Each owner's
     state and window are gathered once and broadcast into the model's
     log densities.  A (J, p) array of parameters is scored against owner
     0 alone and gives (J,) values.
