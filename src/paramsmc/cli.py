@@ -16,6 +16,7 @@ degeneracy abort.
 """
 
 import argparse
+import functools
 import hashlib
 import itertools
 import json
@@ -377,7 +378,7 @@ def cmd_sweep(args) -> int:
     cells = _sweep_cells(cfg)
     workers = cfg.get("workers") or min(len(cells), os.cpu_count() or 1)
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=workers, initializer=_heap_policy) as pool:
             results = list(pool.map(run_experiment, cells))
     else:
         results = [run_experiment(c) for c in cells]
@@ -514,7 +515,37 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# glibc's mallopt parameters (malloc.h).
+M_TRIM_THRESHOLD = -1
+M_MMAP_THRESHOLD = -3
+
+
+@functools.cache
+def _heap_policy() -> None:
+    """Fix glibc's mmap and trim thresholds for this process; a no-op where libc has no mallopt.
+
+    glibc's thresholds are dynamic by default: freeing a large block can
+    raise them, and a free top of the heap past the trim threshold is
+    handed back to the kernel.  A filter step frees the same few hundred
+    KB to MB of temporaries it allocated, so, left dynamic, whether each
+    step trims the heap and faults the memory back in depends on the
+    process's history.  With the thresholds fixed (arrays up to
+    4 MiB on the heap, the top kept up to 32 MiB free), every step reuses
+    the last step's memory.  This is the CLI's policy: importing the
+    package or calling the engine leaves the allocator alone.
+    """
+    import ctypes
+
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt(M_MMAP_THRESHOLD, 4 << 20)
+    mallopt(M_TRIM_THRESHOLD, 32 << 20)
+
+
 def main(argv=None) -> int:
+    _heap_policy()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

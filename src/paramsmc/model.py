@@ -32,9 +32,9 @@ from .storage import ParticleStore
 LOG_2PI = np.log(2.0 * np.pi)
 HALF_LOG_2PI = 0.5 * LOG_2PI
 # Most evaluations per model call when ParamLikelihood scores a large
-# batch: 64 KB arrays, so the factor's temporaries stay a few hundred KB
-# however many rows an update carries (see ParamLikelihood.__call__).
-FACTOR_BLOCK = 8192
+# batch: 512 KiB arrays, so the factor's temporaries stay a few MB however
+# many rows an update carries (see ParamLikelihood.__call__).
+FACTOR_BLOCK = 65536
 
 # Array conventions: a parameter vector is (p,) float64 (continuous) or
 # (p,) int64 codes (discrete); states are (d,) and observations (m,)
