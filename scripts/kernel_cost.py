@@ -52,6 +52,10 @@ their place, and one whose enumerated discrete match takes rows-major
 codes and scores gets those; the cloud updates take the same arguments
 in every tree.
 
+Before anything is timed the process takes the CLI's heap policy
+(paramsmc.cli._heap_policy, glibc's mmap and trim thresholds fixed), so
+the loops reuse freed memory as a CLI run's steps do.
+
 Usage: python scripts/kernel_cost.py [--repeats 25] [--calls 20] [--against SRC]
 """
 
@@ -68,6 +72,7 @@ from typing import NamedTuple
 import numpy as np
 
 import paramsmc
+import paramsmc.cli
 from paramsmc import rng as streams
 from paramsmc.approx import (
     batch_gaussian_points,
@@ -305,6 +310,7 @@ def main():
     parser.add_argument("--calls", type=int, default=20, help="calls timed per kernel and round")
     parser.add_argument("--against", type=Path, help="another checkout's src directory, timed in the same rounds")
     args = parser.parse_args()
+    paramsmc.cli._heap_policy()
 
     trees = [paramsmc]
     if args.against is not None:

@@ -534,11 +534,11 @@ def _heap_policy() -> None:
     the last step's memory.  This is the CLI's policy: importing the
     package or calling the engine leaves the allocator alone.
     """
-    import ctypes
-
     try:
+        import ctypes
+
         mallopt = ctypes.CDLL(None).mallopt
-    except (AttributeError, OSError, TypeError):
+    except (AttributeError, ImportError, OSError, TypeError):
         return
     mallopt(M_MMAP_THRESHOLD, 4 << 20)
     mallopt(M_TRIM_THRESHOLD, 32 << 20)

@@ -4,6 +4,7 @@ import argparse
 import itertools
 import json
 import os
+import resource
 import subprocess
 import sys
 import time
@@ -34,16 +35,108 @@ from paramsmc.io import (
 )
 
 
+def package_env(**extra) -> dict:
+    """This environment with the tested package first on PYTHONPATH, and extra."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])), **extra}
+
+
 def test_import_leaves_scipy_stats_unloaded():
     # No scipy module at all: scipy is most of the package's import time.
     # Only scipy.special is used, by PMMH's proposal, the mixture prior
     # split and interval masses; nothing uses scipy.stats.
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     code = "import sys, paramsmc.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    proc = subprocess.run([sys.executable, "-c", code], env=package_env(), capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_import_needs_no_ctypes():
+    # The heap policy imports ctypes when the CLI runs: with ctypes
+    # unimportable, the package and the CLI still import (numpy does
+    # without it), so neither loads libc nor touches the allocator.
+    code = "import sys; sys.modules['ctypes'] = None; import paramsmc, paramsmc.cli, paramsmc.engine"
+    proc = subprocess.run([sys.executable, "-c", code], env=package_env(), capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
+class TestHeapPolicy:
+    @pytest.fixture
+    def libc(self, monkeypatch):
+        """A fake libc whose mallopt records its calls; the policy's cache is cleared around the test."""
+        import ctypes
+
+        fake = mock.Mock()
+        monkeypatch.setattr(ctypes, "CDLL", fake)
+        cli._heap_policy.cache_clear()
+        yield fake
+        cli._heap_policy.cache_clear()
+
+    def test_main_fixes_both_thresholds_once_per_process(self, libc, tmp_path):
+        for steps in ("0", "1"):
+            assert main(["simulate", "--model", "sin", "--steps", steps, "--out", str(tmp_path / "t.csv")]) == 0
+        libc.assert_called_once_with(None)
+        assert libc.return_value.mallopt.call_args_list == [
+            mock.call(cli.M_MMAP_THRESHOLD, 4 << 20),
+            mock.call(cli.M_TRIM_THRESHOLD, 32 << 20),
+        ]
+        assert (cli.M_MMAP_THRESHOLD, cli.M_TRIM_THRESHOLD) == (-3, -1)
+
+    def test_libc_without_mallopt_is_a_silent_noop(self, libc, capsys):
+        del libc.return_value.mallopt
+        assert cli._heap_policy() is None
+        assert capsys.readouterr() == ("", "")
+
+    def test_sweep_workers_apply_the_policy(self, monkeypatch, tmp_path):
+        pools = []
+
+        class Pool:
+            def __init__(self, **kwargs):
+                pools.append(kwargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            map = staticmethod(map)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", Pool)
+        traj = tmp_path / "traj.csv"
+        main(["simulate", "--model", "sin", "--steps", "3", "--seed", "1", "--out", str(traj)])
+        flags = ["--algorithm", "pf", "--particles-list", "10,20", "--data", str(traj), "--workers", "2"]
+        assert main(["sweep", "--model", "sin", *flags, "--out", str(tmp_path / "s")]) == 0
+        assert pools == [{"max_workers": 2, "initializer": cli._heap_policy}]
+
+
+def glibc_version() -> str | None:
+    try:
+        return os.confstr("CS_GNU_LIBC_VERSION")
+    except (AttributeError, OSError, ValueError):
+        return None
+
+
+@pytest.mark.skipif(glibc_version() is None, reason="the heap policy is glibc's mallopt")
+def test_mixture_run_reuses_its_memory_between_steps(tmp_path):
+    # A mixture step frees a few hundred KB of temporaries.  Under glibc's
+    # dynamic thresholds, whether each step hands them back to the kernel
+    # and faults them in again depends on the process's allocation
+    # history (at hash seed 0, 30-200 minor faults a step); under the
+    # CLI's fixed thresholds a step takes next to none.
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"data_seed": 1}))
+    env = package_env(PYTHONHASHSEED="0", OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
+
+    def faults(steps: int) -> int:
+        argv = ["run", "--model", "sin-bimodal", "--family", "mixture", "--mixtures", "10", "--particles", "1000"]
+        argv += ["--steps", str(steps), "--config", str(cfg), "--out", str(tmp_path / "r")]
+        before = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
+        proc = subprocess.run([sys.executable, "-m", "paramsmc.cli", *argv], env=env, capture_output=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        return resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt - before
+
+    assert (faults(400) - faults(50)) / 350 < 10
 
 
 def readme_key_table():

@@ -235,12 +235,14 @@ class TestParamLikelihood:
 
     @pytest.mark.parametrize(
         "name,k,b,j",
-        [("sin-bimodal", 3, 3001, 7), ("sin", 0, 3001, 7), ("slam-small", 4, 3001, 50), ("sin", 2, 20_001, 3)],
+        [("sin-bimodal", 3, 20_001, 7), ("sin", 0, 20_001, 7), ("slam-small", 4, 3001, 50), ("sin", 2, 50_001, 3)],
         ids=["sin-bimodal-3-7", "sin-0-7", "slam-small-4-50", "sin-2-3-owner-split"],
     )
     def test_blocked_scoring_matches_one_call_bits(self, monkeypatch, name, k, b, j):
-        # 3,001 rows span several FACTOR_BLOCK blocks and end in a partial
-        # one; 20,001 owners split each leading slice along the owners
+        # each owner holds j evaluations, so a block is FACTOR_BLOCK // j
+        # owners: every case spans several blocks and ends in a partial one
+        per_block = model_module.FACTOR_BLOCK // j
+        assert b * j > model_module.FACTOR_BLOCK and b % per_block != 0
         lik, points, rows = self._large_factor(name, k, b, j)
         got = lik(points, rows)
         monkeypatch.setattr(model_module, "FACTOR_BLOCK", 10**9)
@@ -249,21 +251,27 @@ class TestParamLikelihood:
         assert got.dtype == whole.dtype
         assert got.tobytes() == whole.tobytes()
 
-    def test_scoring_temporaries_do_not_grow_with_the_batch(self):
-        # 40,000 rows x 7 points: one unblocked model call holds several
-        # 2.2 MB arrays at once; blocked scoring holds its output and a few
+    def test_scoring_temporaries_do_not_grow_with_the_batch(self, monkeypatch):
+        # 80,000 rows x 7 points: one unblocked model call holds several
+        # 4.5 MB arrays at once; blocked scoring holds its output and a few
         # FACTOR_BLOCK-sized arrays
-        lik, points, rows = self._large_factor("sin-bimodal", 3, 40_000, 7)
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            tracemalloc.reset_peak()
-            out = lik(points, rows)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        extra = peak - before - out.nbytes
-        assert extra < 16 * model_module.FACTOR_BLOCK * 8
+        lik, points, rows = self._large_factor("sin-bimodal", 3, 80_000, 7)
+        bound = 16 * model_module.FACTOR_BLOCK * 8
+
+        def extra_memory():
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                out = lik(points, rows)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            return peak - before - out.nbytes
+
+        assert extra_memory() < bound
+        monkeypatch.setattr(model_module, "FACTOR_BLOCK", 10**9)
+        assert extra_memory() > bound  # the batch is large enough to tell
 
 
 def _test_module_models() -> dict:
